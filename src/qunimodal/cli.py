@@ -3,7 +3,7 @@
 Subcommands: expand, check, scan, lr, kron, props, certify, verify,
 repro.  Exit code 0 means a computed answer (including negative answers
 such as "not strict" or a refused certificate), 1 a usage error, and 2
-an internal consistency failure.
+an internal failure.
 
 ``--format json`` wraps every result in a stable envelope
 {"command", "params", "result", "version"}; values that can be large
@@ -502,8 +502,11 @@ def _run_certify(args) -> int:
         return 0
     text = serialize_certificate(cert)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as err:
+            raise _UsageError(f"cannot write {args.out}: {err}") from None
         print(f"wrote certificate for ({args.ell},{args.m}) to {args.out}")
     else:
         print(text)
@@ -570,6 +573,9 @@ def run(argv: "list[str] | None" = None) -> int:
         return 1
     except InternalConsistencyError as err:
         print(f"internal consistency error: {err}", file=sys.stderr)
+        return 2
+    except RuntimeError as err:
+        print(f"internal error: {err}", file=sys.stderr)
         return 2
     except SystemExit as err:  # argparse --help
         return int(err.code or 0)

@@ -2,19 +2,27 @@
 
 ``gaussian(ell, m)`` returns the coefficient vector of the q-binomial
 coefficient binom(m+ell, m)_q; coefficient k counts the partitions of k
-that fit in an ell x m box.  The computation runs the q-Pascal
-recurrence
+that fit in an ell x m box.  With a = min(ell, m), b = max(ell, m) and
+n = a*b, the computation evaluates the product formula
 
-    G(i, j) = G(i, j-1) + q^j * G(i-1, j)
+    binom(a+b, a)_q = prod_{i=1..a} (1 - q^{b+i}) / (1 - q^i)
 
-row by row.  Each intermediate polynomial is packed into one big integer
-with fixed-width limbs, so a recurrence step is a single shift-and-add
-on native ints.  Every coefficient of every intermediate G(i, j) is at
-most comb(ell+m, ell), hence a limb width of at least
-comb(ell+m, ell).bit_length() bits can never overflow into a neighbour.
+at q = 2^L, packing the polynomial into one big integer with L-bit limbs
+(Kronecker substitution).  Every coefficient is below comb(a+b, a), so
+L >= comb(a+b, a).bit_length() holds each one exactly.
+
+The vector is palindromic, so only its rising half, the lowest h+1
+coefficients with h = floor(n/2), is computed, modulo 2^K with
+K = (h+1)*L.  Reduction mod 2^K is a ring map and each 1 - 2^{Li} is
+odd, hence a unit: multiplying by a numerator factor is one
+shift-and-subtract, and dividing by 1 - 2^{Li} multiplies by the 2-adic
+series prod_j (1 + 2^{Li*2^j}), one shift-and-add per factor until the
+shift reaches K.  Intermediate values wrap, but the result is the
+polynomial's value mod 2^K, whose limbs are exactly the lowest h+1
+coefficients; the upper half is their mirror image.
 
 The independent oracle ``gaussian_by_enumeration`` counts box partitions
-one by one and shares no arithmetic with the packed recurrence.
+one by one and shares no arithmetic with the packed product formula.
 """
 
 from __future__ import annotations
@@ -81,21 +89,30 @@ class QPolynomial:
         return f"QPolynomial({list(self.coeffs)})"
 
 
-def _packed_coeffs(ell: int, m: int) -> tuple[int, ...]:
-    """Coefficient vector of binom(m+ell, m)_q via the packed recurrence."""
-    bound = comb(ell + m, ell)
-    limb = max(8, ((bound.bit_length() + 7) // 8) * 8)  # byte-aligned limbs
-    prev = [1] * (m + 1)  # G(0, j) = 1 for every j
-    for _ in range(ell):
-        cur = [1]  # G(i, 0) = 1
-        for j in range(1, m + 1):
-            cur.append(cur[j - 1] + (prev[j] << (limb * j)))
-        prev = cur
+def _product_coeffs(ell: int, m: int) -> tuple[int, ...]:
+    """Coefficient vector of binom(m+ell, m)_q via the packed product formula."""
+    a, b = min(ell, m), max(ell, m)
+    n = a * b
+    h = n // 2
+    limb = max(8, ((comb(a + b, a).bit_length() + 7) // 8) * 8)  # byte-aligned limbs
+    x = 1
+    for i in range(1, a + 1):
+        # x is binom(b+i-1, i-1)_q at q = 2^limb.  The next box, (i, b), has
+        # degree i*b: while that is below h its value fits in i*b+1 limbs,
+        # so the narrower modulus still yields it exactly.
+        width = limb * (min(h, i * b) + 1)
+        mask = (1 << width) - 1
+        x = (x - (x << (limb * (b + i)))) & mask
+        shift = limb * i
+        while shift < width:
+            x = (x + (x << shift)) & mask
+            shift <<= 1
     nbytes = limb // 8
-    raw = prev[m].to_bytes(nbytes * (ell * m + 1), "little")
-    return tuple(
+    raw = x.to_bytes(nbytes * (h + 1), "little")
+    half = tuple(
         int.from_bytes(raw[o : o + nbytes], "little") for o in range(0, len(raw), nbytes)
     )
+    return half + half[n - h - 1 :: -1]
 
 
 @lru_cache(maxsize=1024)
@@ -109,7 +126,7 @@ def gaussian(ell: int, m: int) -> QPolynomial:
         raise ValueError(f"box sides must be non-negative: ell={ell} m={m}")
     if ell == 0 or m == 0:
         return QPolynomial((1,))
-    return QPolynomial(_packed_coeffs(ell, m))
+    return QPolynomial(_product_coeffs(ell, m))
 
 
 def gaussian_by_enumeration(ell: int, m: int) -> QPolynomial:

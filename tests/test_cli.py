@@ -211,6 +211,26 @@ def test_verify_missing_file_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_certify_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "f.json"
+    assert run(["certify", "--ell", "5", "--m", "25", "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {target}")
+    assert "Traceback" not in captured.err
+    assert not target.exists()
+
+
+def test_runtime_error_is_exit_two(monkeypatch, capsys):
+    def broken_classify(ell, m):
+        raise RuntimeError("classifier broke")
+
+    monkeypatch.setattr("qunimodal.cli.classify", broken_classify)
+    assert run(["scan", "--ell", "5", "--m", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: classifier broke\n"
+    assert captured.out == ""
+
+
 def test_repro_exceptions(capsys):
     assert run(["repro", "--claim", "exceptions"]) == 0
     out = _lines(capsys)

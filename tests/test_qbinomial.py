@@ -27,6 +27,27 @@ def _divide_by_one_minus_qk(num, k):
     return quot
 
 
+def packed_recurrence(ell: int, m: int) -> tuple:
+    """Reference: the q-Pascal recurrence G(i, j) = G(i, j-1) + q^j G(i-1, j).
+
+    Each row of G is packed into big integers with byte-aligned limbs of at
+    least comb(ell+m, ell).bit_length() bits, so a step is one shift-and-add.
+    """
+    bound = comb(ell + m, ell)
+    limb = max(8, ((bound.bit_length() + 7) // 8) * 8)
+    prev = [1] * (m + 1)  # G(0, j) = 1 for every j
+    for _ in range(ell):
+        cur = [1]  # G(i, 0) = 1
+        for j in range(1, m + 1):
+            cur.append(cur[j - 1] + (prev[j] << (limb * j)))
+        prev = cur
+    nbytes = limb // 8
+    raw = prev[m].to_bytes(nbytes * (ell * m + 1), "little")
+    return tuple(
+        int.from_bytes(raw[o : o + nbytes], "little") for o in range(0, len(raw), nbytes)
+    )
+
+
 def product_formula(ell: int, m: int) -> tuple:
     """Oracle: expand prod (1 - q^{m+i}) / (1 - q^i) for i = 1..ell exactly."""
     num = [1]
@@ -50,6 +71,25 @@ def test_frozen_small_expansions():
 @pytest.mark.parametrize("ell,m", [(1, 1), (2, 5), (3, 3), (4, 6), (5, 5), (6, 6), (7, 4)])
 def test_matches_product_formula(ell, m):
     assert gaussian(ell, m).coeffs == product_formula(ell, m)
+
+
+def test_matches_packed_recurrence_grid():
+    for ell in range(1, 41):
+        for m in range(1, 41):
+            assert gaussian(ell, m).coeffs == packed_recurrence(ell, m), (ell, m)
+
+
+@pytest.mark.parametrize("ell,m", [(60, 60), (12, 1175), (1175, 12), (10, 2000)])
+def test_matches_packed_recurrence_large(ell, m):
+    assert gaussian(ell, m).coeffs == packed_recurrence(ell, m)
+
+
+@pytest.mark.parametrize("ell,m", [(41, 42), (42, 41)])
+def test_matches_packed_recurrence_at_limb_edge(ell, m):
+    # comb(83, 41) has exactly 80 bits, so the limb width is the bit length
+    # itself with no byte-rounding slack above it
+    assert comb(ell + m, ell).bit_length() == 80
+    assert gaussian(ell, m).coeffs == packed_recurrence(ell, m)
 
 
 def test_matches_enumeration_oracle():
