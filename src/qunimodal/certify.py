@@ -34,26 +34,12 @@ certificates serialize byte-identically.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 
 from .unimodality import EXCEPTION_PAIRS, check_strict
-
-CACHE_ENV = "QUNIMODAL_CACHE_DIR"
-_REGISTRY_FILE = "base_registry.json"
-_REGISTRY_FORMAT = 1
-
-# Identifies the construction recipe; a cached registry built under a
-# different recipe is discarded.
-REGISTRY_RECIPE = "mid:8..15x8..15;small:5..7x5..20;extra:(5,22),(6,21);transposed"
-
-# Direct-computation budget for cross validation.
-CROSS_VALIDATE_BUDGET = 3600
 
 _CHAIN_STEP = 8
 
@@ -133,8 +119,6 @@ class BaseRegistry:
     """The directly verified pairs certificates may use as leaves."""
 
     pairs: frozenset[tuple[int, int]]
-    recipe: str
-    digest: str
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         return pair in self.pairs
@@ -150,69 +134,13 @@ def _registry_candidates() -> set[tuple[int, int]]:
     return cands
 
 
-def _registry_digest(pairs: frozenset[tuple[int, int]]) -> str:
-    blob = json.dumps(sorted(list(p) for p in pairs), separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _cache_path(cache_dir: "str | Path | None") -> Path:
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV) or Path.home() / ".cache" / "qunimodal"
-    return Path(cache_dir) / _REGISTRY_FILE
-
-
-def _load_cached_registry(path: Path) -> "BaseRegistry | None":
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(data, dict):
-        return None
-    if data.get("format") != _REGISTRY_FORMAT or data.get("recipe") != REGISTRY_RECIPE:
-        return None
-    raw = data.get("pairs")
-    if not isinstance(raw, list):
-        return None
-    try:
-        pairs = frozenset((int(a), int(b)) for a, b in raw)
-    except (TypeError, ValueError):
-        return None
-    digest = _registry_digest(pairs)
-    if data.get("digest") != digest:
-        return None
-    return BaseRegistry(pairs=pairs, recipe=REGISTRY_RECIPE, digest=digest)
-
-
-def _store_registry(path: Path, reg: BaseRegistry) -> None:
-    payload = {
-        "format": _REGISTRY_FORMAT,
-        "recipe": reg.recipe,
-        "pairs": sorted(list(p) for p in reg.pairs),
-        "digest": reg.digest,
-    }
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, separators=(",", ":")))
-        tmp.replace(path)
-    except OSError:
-        pass  # a registry that cannot be cached is still a registry
-
-
-def build_base_registry(
-    *, use_cache: bool = True, cache_dir: "str | Path | None" = None
-) -> BaseRegistry:
-    """Build (or load) the registry, re-verifying every pair on build.
+def build_base_registry() -> BaseRegistry:
+    """Build the registry, re-verifying every candidate pair directly.
 
     A candidate that fails the direct check must be one of the nine
     expected exceptional pairs; any other disagreement aborts, because
     it would mean the construction recipe itself is wrong.
     """
-    path = _cache_path(cache_dir)
-    if use_cache:
-        cached = _load_cached_registry(path)
-        if cached is not None:
-            return cached
     verified: set[tuple[int, int]] = set()
     for a, b in sorted(_registry_candidates()):
         strict = check_strict(a, b).strict
@@ -227,10 +155,7 @@ def build_base_registry(
                 f"strict={strict}, expected_exception={expected_exception}"
             )
     pairs = frozenset(verified | {(b, a) for a, b in verified})
-    reg = BaseRegistry(pairs=pairs, recipe=REGISTRY_RECIPE, digest=_registry_digest(pairs))
-    if use_cache:
-        _store_registry(path, reg)
-    return reg
+    return BaseRegistry(pairs=pairs)
 
 
 _default_registry: "BaseRegistry | None" = None
@@ -389,29 +314,6 @@ def verify(cert: Certificate) -> VerificationResult:
                 path=path,
             )
     return VerificationResult(ok=True, ell=cert.ell, m=cert.m)
-
-
-def cross_validate(ell: int, m: int, *, registry: "BaseRegistry | None" = None) -> bool:
-    """Compare the certificate route against direct computation.
-
-    True when both routes agree: a built and verified certificate for a
-    strict pair, or a refused exceptional pair whose direct check is
-    indeed non-strict.
-    """
-    if ell < 1 or m < 1:
-        raise ValueError(f"need ell, m >= 1: got ell={ell} m={m}")
-    if ell * m > CROSS_VALIDATE_BUDGET:
-        raise ValueError(
-            f"direct-computation budget is ell*m <= {CROSS_VALIDATE_BUDGET}: got {ell * m}"
-        )
-    direct = check_strict(ell, m).strict
-    try:
-        cert = certify(ell, m, registry=registry)
-    except NotCertifiableError as err:
-        if err.reason == "exception":
-            return not direct
-        raise ValueError(f"cross-validation needs min(ell, m) >= 5: got ({ell},{m})") from err
-    return bool(verify(cert).ok and direct)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Subcommands: expand, check, scan, lr, kron, props, certify, verify,
 repro.  Exit code 0 means a computed answer (including negative answers
 such as "not strict" or a refused certificate), 1 a usage error, and 2
-an internal failure.
+an internal failure.  The CLI only parses arguments and formats
+results; the ``repro`` claims and the ``props`` suites run the harness
+in ``repro.py``.
 
 ``--format json`` wraps every result in a stable envelope
 {"command", "params", "result", "version"}; values that can be large
@@ -16,13 +18,11 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .certify import (
     CertificateFormatError,
     NotCertifiableError,
-    build_base_registry,
     certify,
     parse_certificate,
     serialize_certificate,
@@ -35,25 +35,13 @@ from .kronecker import (
     Route,
     g_oracle,
     g_two_row,
-    lemma12_check,
-    routes_check,
-    semigroup_check,
     two_row,
 )
 from .lr import DEFAULT_SIZE_BOUND, LRQuery, lr
 from .partitions import format_partition, parse_partition
 from .qbinomial import gaussian
-from .unimodality import EXCEPTION_PAIRS, PairClass, UnimodalityReport, check_strict, classify, scan
-
-REPRO_CLAIMS = (
-    "exceptions",
-    "ell2",
-    "ell34",
-    "lemma12",
-    "routes",
-    "semigroup",
-    "certify-sweep",
-)
+from .repro import CLAIMS, repro_lemma12, repro_routes, repro_semigroup
+from .unimodality import UnimodalityReport, check_strict, scan
 
 
 class _UsageError(Exception):
@@ -134,7 +122,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--ell", required=True, help="range A..B (inclusive)")
     p.add_argument("--m", required=True, help="range A..B (inclusive)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("lr", help="Littlewood-Richardson coefficient")
     p.add_argument("--outer", required=True)
@@ -162,200 +149,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--out", help="write the certificate JSON to this file")
-    p.add_argument("--no-cache", action="store_true", help="rebuild the base registry")
 
     p = sub.add_parser("verify", help="verify a certificate file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--format", choices=("plain", "json"), default="plain")
 
     p = sub.add_parser("repro", help="re-run a shipped reproduction claim")
-    p.add_argument("--claim", choices=REPRO_CLAIMS, required=True)
+    p.add_argument("--claim", choices=tuple(CLAIMS), required=True)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
-
-
-# ---------------------------------------------------------------------------
-# reproduction claims: each returns (ok, printable lines)
-
-
-def repro_exceptions() -> tuple[bool, list[str]]:
-    """Scan the two windows and re-derive the nine exceptional pairs."""
-    classified: dict[tuple[int, int], PairClass] = {}
-    for l, m, cls in scan(range(5, 8), range(5, 21)) + scan(range(8, 16), range(8, 16)):
-        classified[(l, m)] = cls
-    found = sorted(p for p, cls in classified.items() if cls is PairClass.Exception)
-    expected = sorted(EXCEPTION_PAIRS)
-    lines = [
-        "scanned ell in 5..7 x m in 5..20 and 8..15 x 8..15",
-        "exceptions found: " + " ".join(f"({a},{b})" for a, b in found),
-    ]
-    ok = found == expected
-    if not ok:
-        lines.append("expected:        " + " ".join(f"({a},{b})" for a, b in expected))
-    others_strict = all(
-        cls is PairClass.Strict for p, cls in classified.items() if p not in expected
-    )
-    if not others_strict:
-        ok = False
-        lines.append("some non-exceptional pair in the window failed to classify Strict")
-    middle_ok = True
-    for a, b in found:
-        rep = check_strict(a, b)
-        half = rep.n // 2
-        if (a, b) == (6, 6):
-            # (6, 6) is the one pair whose equalities flank a strict peak:
-            # p_16 = p_17 < p_18 > p_19 = p_20.  Three independent
-            # computations of the coefficients agree on this shape.
-            expected = ((half - 2, half - 1), (half + 1, half + 2))
-            shape_ok = rep.plateaus == expected and rep.first_violation == half - 1
-        else:
-            shape_ok = rep.plateaus == ((half - 1, half + 1),) and rep.first_violation == half
-        if rep.strict or not shape_ok:
-            middle_ok = False
-            lines.append(f"({a},{b}): unexpected failure shape: {rep}")
-    ok = ok and middle_ok
-    if middle_ok and found:
-        lines.append(
-            "middle-three plateau confirmed for all but (6,6), "
-            "whose equal pairs flank a strictly larger centre"
-        )
-    return ok, lines
-
-
-def repro_ell2(max_m: int = 50) -> tuple[bool, list[str]]:
-    """p_{2i}(2, m) = p_{2i+1}(2, m) for all i < 2m/4, for every m <= max_m."""
-    bad: list[str] = []
-    for m in range(1, max_m + 1):
-        poly = gaussian(2, m)
-        n = 2 * m
-        for i in range(0, (n + 3) // 4):
-            if 4 * i >= n:
-                break
-            if poly.coefficient(2 * i) != poly.coefficient(2 * i + 1):
-                bad.append(f"m={m} i={i}")
-    lines = [f"checked even/odd coefficient pairing for ell=2, m=1..{max_m}"]
-    if bad:
-        lines.append("failures: " + ", ".join(bad))
-    return not bad, lines
-
-
-def repro_ell34(max_m: int = 30) -> tuple[bool, list[str]]:
-    """ell in {3, 4} is never strict, with a plateau beyond the forced middle."""
-    bad: list[str] = []
-    for ell in (3, 4):
-        for m in range(3, max_m + 1):
-            rep = check_strict(ell, m)
-            forced = ((rep.n // 2, rep.n // 2 + 1),) if rep.n % 2 else ()
-            witness = any(p not in forced for p in rep.plateaus)
-            if rep.strict or not witness:
-                bad.append(f"({ell},{m}): strict={rep.strict} plateaus={rep.plateaus}")
-    lines = [f"checked ell in {{3,4}}, m=3..{max_m} for non-strictness with a witness plateau"]
-    if bad:
-        lines.extend(bad)
-    return not bad, lines
-
-
-def repro_lemma12(max_area: int = 16) -> tuple[bool, list[str]]:
-    """Rectangle difference identity on every box with ell*m <= max_area."""
-    bad: list[str] = []
-    boxes = 0
-    for ell in range(1, max_area + 1):
-        for m in range(1, max_area // ell + 1):
-            boxes += 1
-            res = lemma12_check(ell, m, bound=max(DEFAULT_ORACLE_BOUND, max_area))
-            if not res.ok:
-                bad.append(f"({ell},{m}) failed at k={res.failed_k}")
-    lines = [f"checked the difference identity on {boxes} boxes with ell*m <= {max_area}"]
-    if bad:
-        lines.extend(bad)
-    return not bad, lines
-
-
-def repro_routes(max_n: int = 10) -> tuple[bool, list[str]]:
-    """Two-row formula == character oracle on all pairs of partitions of n <= max_n."""
-    mismatches = routes_check(max_n)
-    lines = [f"compared the two routes on all partition pairs up to n={max_n}"]
-    for lam, mu, k, via_lr, via_chars in mismatches[:20]:
-        lines.append(f"g({lam},{mu},k={k}): two-row {via_lr} != oracle {via_chars}")
-    return not mismatches, lines
-
-
-def repro_semigroup(
-    samples: int = 1000, seed: int = 0, max_total_size: int = 18
-) -> tuple[bool, list[str]]:
-    """Positivity and monotonicity of g under part-wise sums, sampled."""
-    violations = semigroup_check(samples=samples, seed=seed, max_total_size=max_total_size)
-    lines = [
-        f"sampled {samples} pairs of positive triples (seed={seed}, total size <= {max_total_size})"
-    ]
-    for v in violations[:20]:
-        lines.append(
-            f"violation: {v.first} + {v.second}: g={v.g_first},{v.g_second} sum gives {v.g_sum}"
-        )
-    return not violations, lines
-
-
-def repro_certify_sweep(max_side: int = 40) -> tuple[bool, list[str]]:
-    """Certificates and direct checks agree on every 5 <= ell <= m <= max_side."""
-    bad: list[str] = []
-    certified = 0
-    refused = 0
-    for ell in range(5, max_side + 1):
-        for m in range(ell, max_side + 1):
-            direct = check_strict(ell, m).strict
-            if (ell, m) in EXCEPTION_PAIRS:
-                try:
-                    certify(ell, m)
-                    bad.append(f"({ell},{m}): exceptional pair was certified")
-                except NotCertifiableError as err:
-                    if err.reason != "exception":
-                        bad.append(f"({ell},{m}): refused with wrong reason {err.reason}")
-                if direct:
-                    bad.append(f"({ell},{m}): exceptional pair checks strict directly")
-                refused += 1
-                continue
-            certified += 1
-            try:
-                cert = certify(ell, m)
-            except NotCertifiableError as err:
-                bad.append(f"({ell},{m}): refused: {err}")
-                continue
-            outcome = verify(cert)
-            if not outcome.ok:
-                bad.append(f"({ell},{m}): verification failed: {outcome.reason}")
-            if not direct:
-                bad.append(f"({ell},{m}): certificate exists but direct check is not strict")
-    lines = [
-        f"built and verified {certified} certificates, confirmed {refused} refusals, "
-        f"5 <= ell <= m <= {max_side}"
-    ]
-    if bad:
-        lines.extend(bad[:20])
-    return not bad, lines
-
-
-def _run_repro(args) -> int:
-    claim = args.claim
-    if claim == "exceptions":
-        ok, lines = repro_exceptions()
-    elif claim == "ell2":
-        ok, lines = repro_ell2()
-    elif claim == "ell34":
-        ok, lines = repro_ell34()
-    elif claim == "lemma12":
-        ok, lines = repro_lemma12()
-    elif claim == "routes":
-        ok, lines = repro_routes()
-    elif claim == "semigroup":
-        ok, lines = repro_semigroup(seed=args.seed)
-    else:
-        ok, lines = repro_certify_sweep()
-    print(f"claim: {claim}")
-    for line in lines:
-        print(line)
-    print("PASS" if ok else "FAIL")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -386,24 +189,13 @@ def _run_check(args) -> int:
 
 
 def _run_scan(args) -> int:
-    ell_span = _parse_span(args.ell)
-    m_span = _parse_span(args.m)
-    if args.threads < 1:
-        raise _UsageError(f"--threads must be >= 1: got {args.threads}")
-    pairs = sorted({(min(l, m), max(l, m)) for l in ell_span for m in m_span})
-    if args.threads == 1:
-        classes = [classify(l, m) for l, m in pairs]
-    else:
-        # classify is pure; map preserves order, so output stays deterministic
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            classes = list(pool.map(lambda p: classify(p[0], p[1]), pairs))
-    rows = [(l, m, cls) for (l, m), cls in zip(pairs, classes)]
+    rows = scan(_parse_span(args.ell), _parse_span(args.m))
     if args.format == "csv":
         for l, m, cls in rows:
             print(f"{l},{m},{cls.value}")
     else:
         result = [{"ell": l, "m": m, "class": cls.value} for l, m, cls in rows]
-        params = {"ell": args.ell, "m": args.m, "threads": args.threads}
+        params = {"ell": args.ell, "m": args.m}
         print(_envelope("scan", params, result))
     return 0
 
@@ -494,9 +286,8 @@ def _run_props(args) -> int:
 
 
 def _run_certify(args) -> int:
-    registry = build_base_registry(use_cache=False) if args.no_cache else None
     try:
-        cert = certify(args.ell, args.m, registry=registry)
+        cert = certify(args.ell, args.m)
     except NotCertifiableError as err:
         print(f"REFUSED ({err.reason}): {err}")
         return 0
@@ -543,6 +334,16 @@ def _run_verify(args) -> int:
             "path": outcome.path,
         }
         print(_envelope("verify", {"in": args.infile}, result))
+    return 0
+
+
+def _run_repro(args) -> int:
+    claim = CLAIMS[args.claim]
+    ok, lines = claim(seed=args.seed) if claim is repro_semigroup else claim()
+    print(f"claim: {args.claim}")
+    for line in lines:
+        print(line)
+    print("PASS" if ok else "FAIL")
     return 0
 
 

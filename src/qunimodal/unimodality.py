@@ -114,7 +114,7 @@ def check_strict(ell: int, m: int) -> UnimodalityReport:
     )
 
 
-def classify(ell: int, m: int, *, direct_bound: int = DIRECT_BOUND) -> PairClass:
+def classify(ell: int, m: int) -> PairClass:
     """Classify the pair; symmetric in ell and m."""
     if ell < 1 or m < 1:
         raise ValueError(f"need ell, m >= 1: got ell={ell} m={m}")
@@ -125,7 +125,7 @@ def classify(ell: int, m: int, *, direct_bound: int = DIRECT_BOUND) -> PairClass
         return PairClass.StrictSmall if b == 2 else PairClass.EllTwo
     if a in (3, 4):
         return PairClass.EllThreeFour
-    if a * b <= direct_bound:
+    if a * b <= DIRECT_BOUND:
         return PairClass.Strict if check_strict(a, b).strict else PairClass.Exception
     # Large pair: settle by certificate.  Import here to avoid a module
     # cycle (the certificate engine verifies its bases with check_strict).

@@ -8,7 +8,7 @@ bypass output capture so they appear in piped output too.
 import time
 
 from qunimodal import check_strict, classify, gaussian, scan
-from qunimodal.cli import (
+from qunimodal.repro import (
     repro_certify_sweep,
     repro_ell2,
     repro_ell34,

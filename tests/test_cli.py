@@ -73,13 +73,6 @@ def test_scan_csv(capsys):
     ]
 
 
-def test_scan_threads_match_serial(capsys):
-    assert run(["scan", "--ell", "2..12", "--m", "2..12"]) == 0
-    serial = _lines(capsys)
-    assert run(["scan", "--ell", "2..12", "--m", "2..12", "--threads", "4"]) == 0
-    assert _lines(capsys) == serial
-
-
 def test_scan_bad_range(capsys):
     assert run(["scan", "--ell", "7..3", "--m", "2"]) == 1
     assert run(["scan", "--ell", "x", "--m", "2"]) == 1
@@ -224,11 +217,23 @@ def test_runtime_error_is_exit_two(monkeypatch, capsys):
     def broken_classify(ell, m):
         raise RuntimeError("classifier broke")
 
-    monkeypatch.setattr("qunimodal.cli.classify", broken_classify)
+    monkeypatch.setattr("qunimodal.unimodality.classify", broken_classify)
     assert run(["scan", "--ell", "5", "--m", "7"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "internal error: classifier broke\n"
     assert captured.out == ""
+
+
+def test_removed_options_are_usage_errors(capsys):
+    for argv in (
+        ["scan", "--ell", "5..6", "--m", "5..7", "--threads", "2"],
+        ["certify", "--ell", "9", "--m", "41", "--no-cache"],
+    ):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 def test_repro_exceptions(capsys):
