@@ -3,11 +3,11 @@
 The additivity step: if the coefficient vectors for (ell, m1) and
 (ell, m2) are both strictly unimodal, all of ell, m1, m2 are at least 2,
 at least one of them is at least 3, and at least one of them is even,
-then the vector for (ell, m1 + m2) is strictly unimodal as well.  A
-certificate is a tree whose leaves are directly verified pairs and
-whose internal nodes are additivity steps; a transposition flag lets a
-subtree certify the mirrored pair, which is how the step is applied in
-the ell direction.
+then the vector for (ell, m1 + m2) is strictly unimodal as well.  The
+step never asks that m1 and m2 differ, so a certificate is a DAG whose
+leaves are directly verified pairs and whose internal nodes are
+additivity steps; a transposition flag lets a sub-certificate conclude
+the mirrored pair, which is how the step is applied in the ell direction.
 
 Construction is deterministic:
 
@@ -16,32 +16,48 @@ Construction is deterministic:
   Every base pair is re-verified coefficient by coefficient when the
   registry is built.  (5,22) and (6,21) must be bases: every two-part
   split of them lands on an exceptional pair or has no even member.
-* min(ell, m) <= 15: keep ell fixed and walk m down in steps of 8 until
-  a registered base pair is reached; each step is one additivity node
-  with m2 = 8.  Steps of 8 dodge every exceptional pair, which steps of
-  10 would not (ell = 5 and 7 have exceptions at m = 10 itself).
-* min(ell, m) >= 16: reduce the smaller side in steps of 8 the same
-  way, with the larger side fixed; the two children are transposed
-  sub-certificates.
+* min(ell, m) <= 15: keep ell fixed, start from the largest registered
+  (ell, s) with s <= m and s = m mod 8, and add (m - s) / 8 steps of
+  (ell, 8) by binary doubling: the step added to itself (both halves one
+  shared object) gives (ell, 16), (ell, 32), ..., and the powers named
+  by the binary digits of (m - s) / 8 are added onto the base.  Steps of
+  8 dodge every exceptional pair, which steps of 10 would not (ell = 5
+  and 7 have exceptions at m = 10 itself).
+* min(ell, m) >= 16: grow the smaller side the same way, larger side
+  fixed, from transposed certificates for (8 + (min - 8) % 8, max) and
+  (8, max).
 
-``verify`` replays a certificate from scratch: every base leaf is
-re-checked by direct computation and every additivity node's side
+So a certificate has O(log m) distinct sub-certificates, and its wire
+form lists each once, children before parents and the root last, in
+the order of a depth-first walk from the root (left before right):
+{"version": 2, "conclusion": {"ell", "m"}, "nodes": [{"base": [l, m]} |
+{"add": [ell, i, j], "even": w, "geq3": w} | {"t": i}, ...]}, where i
+and j index earlier entries and {"t": i} concludes the mirror of entry
+i.  Serialization is canonical JSON (sorted keys, no whitespace).
+
+``verify`` replays the table from scratch: each distinct base leaf is
+re-checked by direct computation once and every additivity entry's side
 conditions and witnesses are re-tested, so it accepts foreign
-certificates and rejects tampered ones regardless of origin.
-Serialization is canonical JSON (sorted keys, no whitespace), so equal
-certificates serialize byte-identically.
+certificates and rejects tampered ones regardless of origin.  It
+rejects, without expanding anything, a certificate of more than
+``MAX_NODES`` entries or ``MAX_LEAVES`` distinct leaves, and any leaf of
+area above ``DIRECT_BOUND``.
 """
 
 from __future__ import annotations
 
 import json
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .unimodality import EXCEPTION_PAIRS, check_strict
+from .unimodality import DIRECT_BOUND, EXCEPTION_PAIRS, check_strict
 
 _CHAIN_STEP = 8
+_VERSION = 2
+
+# Bounds on what verify will replay.  certify refuses a pair whose
+# table would exceed MAX_NODES and uses at most four distinct leaves.
+MAX_NODES = 4096
+MAX_LEAVES = 64
 
 
 class NotCertifiableError(Exception):
@@ -62,6 +78,7 @@ class CertificateFormatError(Exception):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -78,7 +95,8 @@ class AddNode:
 
     ``left`` and ``right`` must conclude (ell, m1) and (ell, m2); the
     node concludes (ell, m1 + m2).  The witnesses name which member of
-    {ell, m1, m2} is even and which is >= 3.
+    {ell, m1, m2} is even and which is >= 3.  ``left`` and ``right`` may
+    be the same object.
     """
 
     ell: int
@@ -90,10 +108,14 @@ class AddNode:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A claimed conclusion (ell, m) plus the tree that supports it.
+    """A claimed conclusion (ell, m) plus the DAG that supports it.
 
     When ``transposed`` is false the node concludes (ell, m) directly;
     when true the node concludes (m, ell) and the claim is its mirror.
+    Only the root's claim is read by ``verify`` and the serializer; the
+    conclusions of sub-certificates are derived from their nodes.
+    Dataclass ``==`` and ``repr`` expand shared sub-certificates into a
+    tree, so compare large certificates by their serialized bytes.
     """
 
     ell: int
@@ -192,6 +214,18 @@ def _transposed(cert: Certificate) -> Certificate:
     return Certificate(ell=cert.m, m=cert.ell, node=cert.node, transposed=not cert.transposed)
 
 
+def _chain(base: Certificate, step: Certificate, count: int) -> Certificate:
+    """``base`` plus ``count`` copies of ``step``, by binary doubling."""
+    acc = base
+    while count:
+        if count & 1:
+            acc = _add_cert(base.ell, acc, step)
+        count >>= 1
+        if count:
+            step = _add_cert(base.ell, step, step)
+    return acc
+
+
 def _build(a: int, b: int, reg: BaseRegistry) -> Certificate:
     """Certificate concluding (a, b) for 5 <= a <= b, pair not exceptional."""
     if (a, b) in reg:
@@ -203,32 +237,29 @@ def _build(a: int, b: int, reg: BaseRegistry) -> Certificate:
             raise NotCertifiableError(
                 "exception", f"({a},{b}) is one of the nine non-strict pairs"
             )
-        start = b
-        while (a, start) not in reg:
-            start -= _CHAIN_STEP
-            if start < 5:
-                raise RuntimeError(f"no chain base found for ({a},{b})")
-        step = _base_cert(a, _CHAIN_STEP)
-        cert = _base_cert(a, start)
-        while cert.m < b:
-            cert = _add_cert(a, cert, step)
-        return cert
-    # both sides beyond the base window: reduce the smaller side in
-    # steps of 8, larger side fixed, via transposed children
+        start = max(
+            (s for l, s in reg.pairs if l == a and s <= b and (b - s) % _CHAIN_STEP == 0),
+            default=None,
+        )
+        if start is None:
+            raise RuntimeError(f"no chain base found for ({a},{b})")
+        count = (b - start) // _CHAIN_STEP
+        return _chain(_base_cert(a, start), _base_cert(a, _CHAIN_STEP), count)
+    # both sides beyond the base window: grow the smaller side in steps
+    # of 8, larger side fixed, via transposed children
     a0 = 8 + (a - 8) % _CHAIN_STEP
     acc = _transposed(_build(a0, b, reg))
     step = _transposed(_build(_CHAIN_STEP, b, reg))
-    while acc.m < a:
-        acc = _add_cert(b, acc, step)
-    return Certificate(ell=a, m=b, node=acc.node, transposed=True)
+    return _transposed(_chain(acc, step, (a - a0) // _CHAIN_STEP))
 
 
 def certify(ell: int, m: int, *, registry: "BaseRegistry | None" = None) -> Certificate:
     """Build the canonical certificate that (ell, m) is strictly unimodal.
 
-    Deterministic: the same pair always yields the same tree.  Refuses
+    Deterministic: the same pair always yields the same DAG.  Refuses
     pairs outside the certifiable region (min < 5 or one of the nine
-    exceptional pairs) with a reasoned error.
+    exceptional pairs) with a reasoned error, and raises ``ValueError``
+    for a pair so large that its table would exceed ``MAX_NODES``.
     """
     if ell < 1 or m < 1:
         raise ValueError(f"need ell, m >= 1: got ell={ell} m={m}")
@@ -241,214 +272,178 @@ def certify(ell: int, m: int, *, registry: "BaseRegistry | None" = None) -> Cert
         )
     reg = registry if registry is not None else default_registry()
     cert = _build(a, b, reg)
-    if ell <= m:
-        return cert
-    return _transposed(cert)
+    if ell > m:
+        cert = _transposed(cert)
+    try:
+        _table(cert)
+    except CertificateFormatError as err:
+        raise ValueError(f"the certificate would need {err.message}") from None
+    return cert
 
 
-def _node_conclusion(node: "BaseNode | AddNode") -> tuple[int, int]:
-    if isinstance(node, BaseNode):
-        return node.ell, node.m
-    return node.ell, node.left.m + node.right.m
+# ---------------------------------------------------------------------------
+# the table: one traversal behind serialize, parse and verify
+
+
+def _table(cert: Certificate) -> list[dict]:
+    """The distinct wire entries of ``cert``, children before parents.
+
+    Iterative, so depth costs no recursion; each object is visited once
+    and equal entries are merged.  Raises ``CertificateFormatError`` for
+    a value that is not a certificate or a table of over ``MAX_NODES``.
+    """
+    entries: list[dict] = []
+    position: dict[tuple, int] = {}
+    done: dict[int, int] = {}  # id(sub-certificate) -> its entry
+
+    def intern(key: tuple, entry: dict) -> int:
+        if key not in position:
+            if len(entries) == MAX_NODES:
+                raise CertificateFormatError("$.nodes", f"over MAX_NODES = {MAX_NODES} entries")
+            position[key] = len(entries)
+            entries.append(entry)
+        return position[key]
+
+    stack = [cert]
+    while stack:
+        cur = stack[-1]
+        if id(cur) in done:
+            stack.pop()
+            continue
+        node = cur.node if type(cur) is Certificate and type(cur.transposed) is bool else None
+        if type(node) is BaseNode and type(node.ell) is type(node.m) is int:
+            at = intern(("base", node.ell, node.m), {"base": [node.ell, node.m]})
+        elif type(node) is AddNode and type(node.ell) is int and (
+            type(node.even_witness) is type(node.geq3_witness) is str
+        ):
+            ell, ew, gw = node.ell, node.even_witness, node.geq3_witness
+            i, j = done.get(id(node.left)), done.get(id(node.right))
+            if i is None or j is None:
+                stack += (node.right, node.left)
+                continue
+            at = intern(("add", ell, i, j, ew, gw), {"add": [ell, i, j], "even": ew, "geq3": gw})
+        else:
+            raise CertificateFormatError(f"$.nodes[{len(entries)}]", "not a certificate")
+        done[id(cur)] = intern(("t", at), {"t": at}) if cur.transposed else at
+        stack.pop()
+    return entries
 
 
 def verify(cert: Certificate) -> VerificationResult:
     """Replay a certificate: re-check every leaf and every side condition.
 
-    Independent of how the certificate was produced; iterative, so
-    arbitrarily long chains verify without recursion limits.
+    One loop over the table, so each distinct sub-certificate is checked
+    once and each distinct leaf pair re-computed once.  Never raises.
     """
-    if not isinstance(cert, Certificate):
-        return VerificationResult(ok=False, reason="not a certificate", path="$")
-    stack: list[tuple[Certificate, str]] = [(cert, "$")]
-    while stack:
-        cur, path = stack.pop()
-        node = cur.node
-        if isinstance(node, BaseNode):
-            if node.ell < 1 or node.m < 1:
-                return VerificationResult(
-                    ok=False, reason=f"base pair ({node.ell},{node.m}) is not a pair of positive sides", path=path
-                )
-            if not check_strict(node.ell, node.m).strict:
-                return VerificationResult(
-                    ok=False,
-                    reason=f"base pair ({node.ell},{node.m}) is not strictly unimodal",
-                    path=path,
-                )
-        elif isinstance(node, AddNode):
-            if not isinstance(node.left, Certificate) or not isinstance(node.right, Certificate):
-                return VerificationResult(ok=False, reason="additivity children must be certificates", path=path)
-            if node.left.ell != node.ell or node.right.ell != node.ell:
-                return VerificationResult(
-                    ok=False,
-                    reason=f"children conclude ell {node.left.ell}/{node.right.ell}, node has ell {node.ell}",
-                    path=path,
-                )
-            m1, m2 = node.left.m, node.right.m
-            members = {"ell": node.ell, "m1": m1, "m2": m2}
-            if min(members.values()) < 2:
-                return VerificationResult(
-                    ok=False,
-                    reason=f"side condition failed: ell={node.ell} m1={m1} m2={m2} must all be >= 2",
-                    path=path,
-                )
-            ew, gw = node.even_witness, node.geq3_witness
-            if ew not in members or members[ew] % 2 != 0:
-                return VerificationResult(
-                    ok=False, reason=f"even witness {ew!r} does not name an even member", path=path
-                )
-            if gw not in members or members[gw] < 3:
-                return VerificationResult(
-                    ok=False, reason=f"size witness {gw!r} does not name a member >= 3", path=path
-                )
-            stack.append((node.left, path + ".add.left"))
-            stack.append((node.right, path + ".add.right"))
-        else:
-            return VerificationResult(ok=False, reason="unknown node kind", path=path)
-        natural = _node_conclusion(node)
-        claimed = (cur.m, cur.ell) if cur.transposed else (cur.ell, cur.m)
-        if natural != claimed:
-            return VerificationResult(
-                ok=False,
-                reason=f"conclusion ({cur.ell},{cur.m}) does not match the tree",
-                path=path,
-            )
+
+    def reject(reason: str, path: str) -> VerificationResult:
+        return VerificationResult(ok=False, reason=reason, path=path)
+
+    try:
+        table = _table(cert)
+    except CertificateFormatError as err:
+        return reject(err.message, err.path)
+    leaves = sum(1 for entry in table if "base" in entry)
+    if leaves > MAX_LEAVES:
+        return reject(f"{leaves} distinct leaves, more than MAX_LEAVES = {MAX_LEAVES}", "$.nodes")
+    concluded: list[tuple[int, int]] = []
+    for at, entry in enumerate(table):
+        path = f"$.nodes[{at}]"
+        if "base" in entry:
+            ell, m = entry["base"]
+            if ell < 1 or m < 1:
+                return reject("base pair sides must be positive", path)
+            if ell * m > DIRECT_BOUND:
+                return reject(f"base pair area exceeds DIRECT_BOUND = {DIRECT_BOUND}", path)
+            if not check_strict(ell, m).strict:
+                return reject(f"base pair ({ell},{m}) is not strictly unimodal", path)
+            concluded.append((ell, m))
+            continue
+        if "t" in entry:
+            ell, m = concluded[entry["t"]]
+            concluded.append((m, ell))
+            continue
+        ell, i, j = entry["add"]
+        (l1, m1), (l2, m2) = concluded[i], concluded[j]
+        if l1 != ell or l2 != ell:
+            return reject(f"children conclude ell {l1}/{l2}, not the node's ell", path)
+        members = {"ell": ell, "m1": m1, "m2": m2}
+        if min(members.values()) < 2:
+            return reject(f"side condition failed: ell={ell} m1={m1} m2={m2} must be >= 2", path)
+        ew, gw = entry["even"], entry["geq3"]
+        if ew not in members or members[ew] % 2 != 0:
+            return reject(f"even witness {ew!r} does not name an even member", path)
+        if gw not in members or members[gw] < 3:
+            return reject(f"size witness {gw!r} does not name a member >= 3", path)
+        concluded.append((ell, m1 + m2))
+    if concluded[-1] != (cert.ell, cert.m):
+        ell, m = concluded[-1]
+        return reject(f"conclusion differs from the table's ({ell},{m})", "$.conclusion")
     return VerificationResult(ok=True, ell=cert.ell, m=cert.m)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
-_TOP_KEYS = {"conclusion", "node", "transposed"}
-_ADD_KEYS = {"ell", "left", "right", "even_witness", "geq3_witness"}
-
-
-def _node_to_obj(node: "BaseNode | AddNode") -> dict:
-    if isinstance(node, BaseNode):
-        return {"base": {"ell": node.ell, "m": node.m}}
-    return {
-        "add": {
-            "ell": node.ell,
-            "left": _child_to_obj(node.left),
-            "right": _child_to_obj(node.right),
-            "even_witness": node.even_witness,
-            "geq3_witness": node.geq3_witness,
-        }
-    }
-
-
-def _child_to_obj(cert: Certificate) -> dict:
-    # untransposed children serialize as bare nodes; transposed ones
-    # need the full wrapper to carry their flag
-    if cert.transposed:
-        return certificate_to_obj(cert)
-    return _node_to_obj(cert.node)
-
 
 def certificate_to_obj(cert: Certificate) -> dict:
-    return {
-        "conclusion": {"ell": cert.ell, "m": cert.m},
-        "node": _node_to_obj(cert.node),
-        "transposed": cert.transposed,
-    }
-
-
-def _tree_depth(cert: Certificate) -> int:
-    depth = 0
-    stack: list[tuple[Certificate, int]] = [(cert, 1)]
-    while stack:
-        cur, d = stack.pop()
-        depth = max(depth, d)
-        if isinstance(cur.node, AddNode):
-            stack.append((cur.node.left, d + 1))
-            stack.append((cur.node.right, d + 1))
-    return depth
-
-
-@contextmanager
-def _recursion_headroom(depth: int):
-    needed = depth * 6 + 200
-    old = sys.getrecursionlimit()
-    if needed > old:
-        sys.setrecursionlimit(min(needed, 100_000))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
+    nodes = _table(cert)
+    return {"version": _VERSION, "conclusion": {"ell": cert.ell, "m": cert.m}, "nodes": nodes}
 
 
 def serialize_certificate(cert: Certificate) -> str:
     """Canonical JSON: sorted keys, no whitespace, byte-stable."""
-    with _recursion_headroom(_tree_depth(cert)):
-        return json.dumps(certificate_to_obj(cert), sort_keys=True, separators=(",", ":"))
+    return json.dumps(certificate_to_obj(cert), sort_keys=True, separators=(",", ":"))
 
 
-def _require_int(obj: dict, key: str, path: str) -> int:
-    v = obj.get(key)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise CertificateFormatError(f"{path}.{key}", "expected an integer")
-    return v
+def _ints(v: object, n: int) -> bool:
+    return type(v) is list and len(v) == n and all(type(x) is int for x in v)
 
 
-def _node_from_obj(obj: object, path: str) -> "BaseNode | AddNode":
-    if not isinstance(obj, dict):
-        raise CertificateFormatError(path, "expected an object")
-    if set(obj) == {"base"}:
-        body = obj["base"]
-        if not isinstance(body, dict) or set(body) != {"ell", "m"}:
-            raise CertificateFormatError(f"{path}.base", 'expected {"ell", "m"}')
-        return BaseNode(
-            ell=_require_int(body, "ell", f"{path}.base"),
-            m=_require_int(body, "m", f"{path}.base"),
-        )
-    if set(obj) == {"add"}:
-        body = obj["add"]
-        if not isinstance(body, dict) or set(body) != _ADD_KEYS:
-            raise CertificateFormatError(f"{path}.add", f"expected keys {sorted(_ADD_KEYS)}")
-        ew, gw = body["even_witness"], body["geq3_witness"]
-        if not isinstance(ew, str) or not isinstance(gw, str):
-            raise CertificateFormatError(f"{path}.add", "witnesses must be strings")
-        return AddNode(
-            ell=_require_int(body, "ell", f"{path}.add"),
-            left=_child_from_obj(body["left"], f"{path}.add.left"),
-            right=_child_from_obj(body["right"], f"{path}.add.right"),
-            even_witness=ew,
-            geq3_witness=gw,
-        )
-    raise CertificateFormatError(path, 'expected a {"base": ...} or {"add": ...} node')
-
-
-def _child_from_obj(obj: object, path: str) -> Certificate:
-    if isinstance(obj, dict) and _TOP_KEYS <= set(obj):
-        return certificate_from_obj(obj, path)
-    node = _node_from_obj(obj, path)
-    ell, m = _node_conclusion(node)
-    return Certificate(ell=ell, m=m, node=node, transposed=False)
-
-
-def certificate_from_obj(obj: object, path: str = "$") -> Certificate:
-    if not isinstance(obj, dict):
-        raise CertificateFormatError(path, "expected an object")
-    if set(obj) != _TOP_KEYS:
-        raise CertificateFormatError(path, f"expected keys {sorted(_TOP_KEYS)}")
-    concl = obj["conclusion"]
-    if not isinstance(concl, dict) or set(concl) != {"ell", "m"}:
-        raise CertificateFormatError(f"{path}.conclusion", 'expected {"ell", "m"}')
-    transposed = obj["transposed"]
-    if not isinstance(transposed, bool):
-        raise CertificateFormatError(f"{path}.transposed", "expected a boolean")
-    node = _node_from_obj(obj["node"], f"{path}.node")
-    return Certificate(
-        ell=_require_int(concl, "ell", f"{path}.conclusion"),
-        m=_require_int(concl, "m", f"{path}.conclusion"),
-        node=node,
-        transposed=transposed,
+def _entry_cert(obj: object, certs: list[Certificate], path: str) -> Certificate:
+    """The sub-certificate of the next table entry, after those in ``certs``."""
+    keys = set(obj) if type(obj) is dict else set()
+    at = len(certs)
+    if keys == {"base"} and _ints(obj["base"], 2):
+        return _base_cert(*obj["base"])
+    if keys == {"t"} and type(obj["t"]) is int and 0 <= obj["t"] < at:
+        return _transposed(certs[obj["t"]])
+    if keys == {"add", "even", "geq3"} and _ints(obj["add"], 3) and type(obj["even"]) is str:
+        ell, i, j = obj["add"]
+        ew, gw = obj["even"], obj["geq3"]
+        if 0 <= i < at and 0 <= j < at and type(gw) is str:
+            node = AddNode(ell=ell, left=certs[i], right=certs[j], even_witness=ew, geq3_witness=gw)
+            return Certificate(ell=ell, m=certs[i].m + certs[j].m, node=node, transposed=False)
+    raise CertificateFormatError(
+        path,
+        'expected {"base": [l, m]}, {"add": [ell, i, j], "even": w, "geq3": w} or {"t": i}, '
+        "where i and j index earlier entries",
     )
 
 
-def parse_certificate(text: str) -> Certificate:
+def certificate_from_obj(obj: object, path: str = "$") -> Certificate:
+    if type(obj) is not dict or set(obj) != {"version", "conclusion", "nodes"}:
+        raise CertificateFormatError(path, 'expected keys ["conclusion", "nodes", "version"]')
+    if type(obj["version"]) is not int or obj["version"] != _VERSION:
+        raise CertificateFormatError(f"{path}.version", f"expected {_VERSION}")
+    concl, nodes = obj["conclusion"], obj["nodes"]
+    if type(concl) is not dict or set(concl) != {"ell", "m"} or not _ints(list(concl.values()), 2):
+        raise CertificateFormatError(f"{path}.conclusion", 'expected {"ell": int, "m": int}')
+    if type(nodes) is not list or not 1 <= len(nodes) <= MAX_NODES:
+        raise CertificateFormatError(f"{path}.nodes", f"expected 1 to {MAX_NODES} entries")
+    certs: list[Certificate] = []
+    for at, item in enumerate(nodes):
+        certs.append(_entry_cert(item, certs, f"{path}.nodes[{at}]"))
+    last = certs[-1]
+    root = Certificate(ell=concl["ell"], m=concl["m"], node=last.node, transposed=last.transposed)
+    if _table(root) != nodes:
+        raise CertificateFormatError(f"{path}.nodes", "not canonical: distinct, in walk order")
+    return root
+
+
+def parse_certificate(text: "str | bytes") -> Certificate:
     try:
         obj = json.loads(text)
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:
         raise CertificateFormatError("$", f"not valid JSON: {err}") from None
     return certificate_from_obj(obj)

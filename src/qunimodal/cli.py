@@ -306,7 +306,7 @@ def _run_certify(args) -> int:
 
 def _run_verify(args) -> int:
     try:
-        with open(args.infile) as fh:
+        with open(args.infile, "rb") as fh:
             text = fh.read()
     except OSError as err:
         raise _UsageError(f"cannot read {args.infile}: {err}") from None

@@ -1,3 +1,7 @@
+import importlib
+import json
+import time
+
 import pytest
 
 from qunimodal import (
@@ -17,6 +21,7 @@ from qunimodal import (
     serialize_certificate,
     verify,
 )
+from qunimodal.certify import MAX_LEAVES, MAX_NODES
 
 
 def test_registry_contains_verified_bases_only():
@@ -44,6 +49,7 @@ def test_certify_base_pair():
 
 
 def test_certify_chain_structure():
+    # (8,24) = (8,8) + (8,16), and (8,16) is the step (8,8) doubled
     cert = certify(8, 24)
     assert cert.ell == 8 and cert.m == 24
     node = cert.node
@@ -51,11 +57,19 @@ def test_certify_chain_structure():
     assert node.even_witness == "ell"
     assert node.geq3_witness == "m1"
     base = Certificate(8, 8, BaseNode(8, 8), False)
-    assert node.right == base
-    inner = node.left.node
-    assert isinstance(inner, AddNode)
-    assert inner.left == base
-    assert inner.right == base
+    assert node.left == base
+    double = node.right
+    assert (double.ell, double.m, double.transposed) == (8, 16, False)
+    assert isinstance(double.node, AddNode)
+    assert double.node.left is double.node.right
+    assert double.node.left == base
+
+
+def test_certificates_grow_logarithmically():
+    # doubling: a chain of 3,687 steps of 8 needs 20 table entries
+    obj = certificate_to_obj(certify(11, 29500))
+    assert len(obj["nodes"]) == 20
+    assert len(certificate_to_obj(certify(550, 550))["nodes"]) == 34
 
 
 def test_certify_refusals():
@@ -130,14 +144,20 @@ def test_verify_rejects_mismatched_ell():
 def test_verify_reports_path_of_failure():
     good = certify(5, 25)
     obj = certificate_to_obj(good)
-    # keep the total at 25 so the failure surfaces inside the tree:
-    # (5,19) is strict, (5,6) is not
-    obj["node"]["add"]["left"] = {"base": {"ell": 5, "m": 19}}
-    obj["node"]["add"]["right"] = {"base": {"ell": 5, "m": 6}}
+    # (5,25) = (5,17) + (5,8); keep the total at 25 so the failure
+    # surfaces inside the table: (5,19) is strict, (5,6) is not
+    assert obj["nodes"] == [
+        {"base": [5, 17]},
+        {"base": [5, 8]},
+        {"add": [5, 0, 1], "even": "m2", "geq3": "ell"},
+    ]
+    obj["nodes"][0] = {"base": [5, 19]}
+    obj["nodes"][1] = {"base": [5, 6]}
     tampered = certificate_from_obj(obj)
     outcome = verify(tampered)
     assert not outcome.ok
-    assert outcome.path is not None and "right" in outcome.path
+    assert outcome.path == "$.nodes[1]"
+    assert "(5,6)" in outcome.reason
 
 
 def test_serialization_round_trip_and_determinism():
@@ -149,17 +169,72 @@ def test_serialization_round_trip_and_determinism():
         assert serialize_certificate(again) == text
 
 
+def _references(entry):
+    if "add" in entry:
+        return entry["add"][1:]
+    return [entry["t"]] if "t" in entry else []
+
+
 def test_serialized_form_uses_bare_nodes_for_plain_children():
-    obj = certificate_to_obj(certify(8, 24))
-    add = obj["node"]["add"]
-    assert set(add) == {"ell", "left", "right", "even_witness", "geq3_witness"}
-    assert set(add["right"]) == {"base"}  # no envelope on an untransposed child
-    assert obj["conclusion"] == {"ell": 8, "m": 24}
-    assert obj["transposed"] is False
+    # entries are bare: no conclusion or flag of their own; a transposed
+    # sub-certificate is a {"t": i} entry naming the untransposed one
+    obj = certificate_to_obj(certify(16, 16))
+    assert set(obj) == {"version", "conclusion", "nodes"}
+    assert obj["version"] == 2
+    assert obj["conclusion"] == {"ell": 16, "m": 16}
+    kinds = set()
+    for entry in obj["nodes"]:
+        assert set(entry) in ({"base"}, {"add", "even", "geq3"}, {"t"}), entry
+        kinds.add(min(entry))
+    assert kinds == {"base", "add", "t"}
+    # children before parents; every entry but the root is used by a
+    # later one, and the root, last, by none
+    nodes = obj["nodes"]
+    for at, entry in enumerate(nodes):
+        assert all(ref < at for ref in _references(entry))
+        users = [later for later in nodes[at + 1 :] if at in _references(later)]
+        assert bool(users) == (at < len(nodes) - 1)
 
 
 def test_parse_rejects_malformed_documents():
+    v2 = '{"version":2,"conclusion":{"ell":8,"m":%s},"nodes":[%s]}'
+    base, double = '{"base":[8,8]}', '{"add":[8,0,0],"even":"ell","geq3":"ell"}'
     cases = [
+        # the version-1 nested form of certify(5, 17)
+        '{"conclusion":{"ell":5,"m":17},"node":{"base":{"ell":5,"m":17}},"transposed":false}',
+        # forward and self references
+        v2 % (16, '{"add":[8,1,1],"even":"ell","geq3":"ell"},' + base),
+        v2 % (16, base + ',{"add":[8,0,1],"even":"ell","geq3":"ell"}'),
+        v2 % (8, '{"t":0}'),
+        v2 % (16, base + ',{"add":[8,-1,0],"even":"ell","geq3":"ell"}'),
+        # wrong version
+        v2.replace('"version":2', '"version":1') % (8, base),
+        v2.replace('"version":2', '"version":3') % (8, base),
+        v2.replace('"version":2', '"version":"2"') % (8, base),
+        v2.replace('"version":2', '"version":2.0') % (8, base),
+        '{"conclusion":{"ell":8,"m":8},"nodes":[{"base":[8,8]}]}',
+        # non-list fields
+        '{"version":2,"conclusion":{"ell":8,"m":8},"nodes":{"0":{"base":[8,8]}}}',
+        v2 % (8, '{"base":{"ell":8,"m":8}}'),
+        v2 % (16, base + ',{"add":{"ell":8,"left":0,"right":0},"even":"ell","geq3":"ell"}'),
+        v2 % (8, '{"base":[8,8,8]}'),
+        v2 % (8, ""),
+        # true where an int belongs
+        v2 % (8, '{"base":[true,8]}'),
+        v2 % ("true", base),
+        v2 % (16, base + ',{"add":[8,0,true],"even":"ell","geq3":"ell"}'),
+        v2 % (8, base + ',{"t":true}'),
+        # witnesses must be strings, and keys exact
+        v2 % (16, base + ',{"add":[8,0,0],"even":1,"geq3":"ell"}'),
+        v2 % (16, base + ',{"add":[8,0,0],"even":"ell"}'),
+        v2 % (8, '{"base":[8,8],"x":1}'),
+        # not the canonical table: a duplicate, an unused entry, a
+        # transpose of a transpose, children in the wrong walk order
+        v2 % (16, base + "," + base + ',{"add":[8,0,1],"even":"ell","geq3":"ell"}'),
+        v2 % (16, base + ',{"base":[8,9]},' + double.replace("0,0", "0,0")),
+        v2 % (8, base + ',{"t":0},{"t":1}'),
+        '{"version":2,"conclusion":{"ell":8,"m":17},"nodes":[{"base":[8,9]},{"base":[8,8]},'
+        '{"add":[8,1,0],"even":"ell","geq3":"m1"}]}',
         "not json",
         "[]",
         '{"conclusion":{"ell":5,"m":25},"transposed":false}',
@@ -186,48 +261,44 @@ def test_default_registry_is_cached_instance():
 
 
 def test_complete_over_region_to_one_hundred():
-    # every non-exceptional pair with both sides in 5..100 certifies and
-    # verifies; exceptions are refused
+    # every non-exceptional pair with both sides in 5..100 goes through
+    # certify -> serialize -> parse -> verify, keeps its bytes and its
+    # conclusion; exceptions are refused
     for ell in range(5, 101):
-        for m in range(ell, 101):
-            if (ell, m) in EXCEPTION_PAIRS:
+        for m in range(5, 101):
+            if (min(ell, m), max(ell, m)) in EXCEPTION_PAIRS:
                 with pytest.raises(NotCertifiableError):
                     certify(ell, m)
                 continue
-            outcome = verify(certify(ell, m))
+            text = serialize_certificate(certify(ell, m))
+            parsed = parse_certificate(text)
+            assert serialize_certificate(parsed) == text
+            outcome = verify(parsed)
             assert outcome.ok, (ell, m, outcome.reason, outcome.path)
             assert (outcome.ell, outcome.m) == (ell, m)
 
 
-def _walk_add_nodes(obj):
-    if "add" in obj:
-        add = obj["add"]
-        yield add
-        for key in ("left", "right"):
-            child = add[key]
-            yield from _walk_add_nodes(child.get("node", child))
-
-
 def test_serialized_add_nodes_carry_valid_witnesses():
-    # structural check on the wire format, independent of the verifier
-    def conclusion_m(child):
-        if "conclusion" in child:  # nested full certificate, already oriented
-            return child["conclusion"]["m"]
-        if "base" in child:
-            return child["base"]["m"]
-        return sum(conclusion_m(child["add"][k]) for k in ("left", "right"))
-
+    # structural check on the wire format, independent of the verifier:
+    # walk the table, deriving each entry's conclusion from earlier ones
     for ell, m in [(5, 25), (8, 24), (16, 16), (33, 47), (6, 29)]:
         obj = certificate_to_obj(certify(ell, m))
-        for add in _walk_add_nodes(obj["node"]):
-            parts = {
-                "ell": add["ell"],
-                "m1": conclusion_m(add["left"]),
-                "m2": conclusion_m(add["right"]),
-            }
-            assert all(v >= 2 for v in parts.values()), add
-            assert parts[add["even_witness"]] % 2 == 0, add
-            assert parts[add["geq3_witness"]] >= 3, add
+        concluded = []
+        for entry in obj["nodes"]:
+            if "base" in entry:
+                concluded.append(tuple(entry["base"]))
+            elif "t" in entry:
+                concluded.append(concluded[entry["t"]][::-1])
+            else:
+                e, i, j = entry["add"]
+                (l1, m1), (l2, m2) = concluded[i], concluded[j]
+                assert l1 == l2 == e, entry
+                parts = {"ell": e, "m1": m1, "m2": m2}
+                assert all(v >= 2 for v in parts.values()), entry
+                assert parts[entry["even"]] % 2 == 0, entry
+                assert parts[entry["geq3"]] >= 3, entry
+                concluded.append((e, m1 + m2))
+        assert concluded[-1] == (ell, m)
 
 
 def test_serialization_is_stable_across_registry_rebuilds():
@@ -240,4 +311,106 @@ def test_certificates_support_very_wide_pairs():
     cert = certify(5, 1_000)
     assert verify(cert).ok
     text = serialize_certificate(cert)
-    assert parse_certificate(text) == cert
+    assert serialize_certificate(parse_certificate(text)) == text
+
+
+def _chain(ell, base_m, steps):
+    """A foreign chain from the public dataclasses: (ell, base_m) plus
+    ``steps`` additions of one shared (ell, 8) leaf, nothing else shared."""
+    step = Certificate(ell=ell, m=8, node=BaseNode(ell=ell, m=8), transposed=False)
+    cert = Certificate(ell=ell, m=base_m, node=BaseNode(ell=ell, m=base_m), transposed=False)
+    for _ in range(steps):
+        node = AddNode(ell=ell, left=cert, right=step, even_witness="m2", geq3_witness="ell")
+        cert = Certificate(ell=ell, m=cert.m + 8, node=node, transposed=False)
+    return cert
+
+
+def test_foreign_chain_of_3000_steps_round_trips_and_is_decided():
+    cert = _chain(9, 10, 3000)
+    text = serialize_certificate(cert)
+    parsed = parse_certificate(text)
+    assert serialize_certificate(parsed) == text
+    outcome = verify(parsed)
+    assert outcome.ok, outcome
+    assert (outcome.ell, outcome.m) == (9, 24_010)
+    assert verify(cert) == outcome
+
+
+def test_verify_rejects_oversized_leaf_without_expanding_it(monkeypatch):
+    def expanding(ell, m):
+        raise AssertionError(f"expanded ({ell},{m})")
+
+    monkeypatch.setattr(importlib.import_module("qunimodal.certify"), "check_strict", expanding)
+    # (9,600) is strictly unimodal, but its area 5400 is above the bound too
+    for ell, m in [(1000, 1000), (9, 600)]:
+        outcome = verify(Certificate(ell, m, BaseNode(ell, m), False))
+        assert not outcome.ok
+        assert outcome.path == "$.nodes[0]"
+        assert "DIRECT_BOUND" in outcome.reason
+
+
+def test_verify_rejects_tables_over_max_nodes():
+    # base, step and MAX_NODES - 1 chain entries: one entry too many
+    cert = _chain(9, 10, MAX_NODES - 1)
+    outcome = verify(cert)
+    assert not outcome.ok
+    assert outcome.path == "$.nodes"
+    assert "MAX_NODES" in outcome.reason
+    assert verify(_chain(9, 10, MAX_NODES - 2)).ok
+
+
+def test_verify_rejects_too_many_distinct_leaves():
+    leaves = [Certificate(8, m, BaseNode(8, m), False) for m in range(2, MAX_LEAVES + 3)]
+    cert = leaves[0]
+    for leaf in leaves[1:]:
+        node = AddNode(8, cert, leaf, "ell", "ell")
+        cert = Certificate(8, cert.m + leaf.m, node, False)
+    outcome = verify(cert)
+    assert not outcome.ok
+    assert "MAX_LEAVES" in outcome.reason
+
+
+def test_self_doubling_table_is_decided_quickly():
+    # the last entry added to itself 2,000 times: m = 8 * 2^2000
+    nodes = [{"base": [8, 8]}]
+    for i in range(2000):
+        nodes.append({"add": [8, i, i], "even": "ell", "geq3": "ell"})
+    doc = {"version": 2, "conclusion": {"ell": 8, "m": 8 << 2000}, "nodes": nodes}
+    start = time.perf_counter()
+    outcome = verify(parse_certificate(json.dumps(doc)))
+    assert time.perf_counter() - start < 1.0
+    assert outcome.ok
+    assert outcome.m == 8 << 2000
+
+
+def test_certify_refuses_pairs_whose_table_exceeds_max_nodes():
+    # (8, 12 + 8c) is (8,12) plus c steps (8,8): two leaves, one entry per
+    # doubling of the step and one per binary digit 1 of c; c = 2^k - 2
+    # gives 2 + (k - 1) + (k - 1) entries, and c = 2^k - 1 one more
+    k = MAX_NODES // 2
+    m = 12 + 8 * (2**k - 2)
+    text = serialize_certificate(certify(8, m))
+    assert len(json.loads(text)["nodes"]) == MAX_NODES
+    outcome = verify(parse_certificate(text))
+    assert outcome.ok and outcome.m == m
+    with pytest.raises(ValueError, match="MAX_NODES"):
+        certify(8, m + 8)
+
+
+def test_verify_never_raises_on_malformed_objects():
+    leaf = Certificate(8, 8, BaseNode(8, 8), False)
+    for bad in (
+        "certificate",
+        None,
+        Certificate(8, 8, BaseNode("8", 8), False),
+        Certificate(8, 8, BaseNode(True, 8), False),
+        Certificate(8, 8, BaseNode(8, 8), 0),
+        Certificate(8, 8, "node", False),
+        Certificate(8, 16, AddNode(8, leaf, "leaf", "ell", "ell"), False),
+        Certificate(8, 16, AddNode(8, leaf, leaf, ["ell"], "ell"), False),
+        Certificate(8, 8, BaseNode(-8, -1), False),
+        Certificate("8", 8, BaseNode(8, 8), False),
+    ):
+        outcome = verify(bad)
+        assert not outcome.ok, bad
+        assert outcome.path.startswith("$"), bad

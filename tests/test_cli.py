@@ -184,12 +184,65 @@ def test_verify_rejects_tampered_file(tmp_path, capsys):
     assert run(["certify", "--ell", "5", "--m", "25", "--out", str(out)]) == 0
     capsys.readouterr()
     doc = json.loads(out.read_text())
-    doc["node"]["add"]["left"] = {"base": {"ell": 5, "m": 19}}
-    doc["node"]["add"]["right"] = {"base": {"ell": 5, "m": 6}}
+    # (5,25) = (5,17) + (5,8): the tampered table still sums to 25, and
+    # its second leaf (5,6) is not strict
+    assert doc["nodes"][:2] == [{"base": [5, 17]}, {"base": [5, 8]}]
+    doc["nodes"][0] = {"base": [5, 19]}
+    doc["nodes"][1] = {"base": [5, 6]}
     out.write_text(json.dumps(doc))
     assert run(["verify", "--in", str(out)]) == 0
     text = capsys.readouterr().out
-    assert text.startswith("REJECTED")
+    assert text.startswith("REJECTED at $.nodes[1]: base pair (5,6)")
+
+
+def test_long_thin_certificate_verifies(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert run(["certify", "--ell", "8", "--m", "30000", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--in", str(out)]) == 0
+    assert _lines(capsys) == ["ACCEPTED: (8,30000) is strictly unimodal per certificate"]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"[" * 100_000,
+        b"\xff\xfe not utf-8",
+        b'{"version":2,"conclusion":{"ell":8,"m":8},"nodes":[{"base":[8,8]}]}\xff',
+    ],
+    ids=["deeply-nested", "undecodable", "undecodable-tail"],
+)
+def test_verify_hostile_bytes_are_rejected(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert run(["verify", "--in", str(bad)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("REJECTED: malformed certificate ($: not valid JSON")
+    assert captured.err == ""
+
+
+def test_verify_rejects_table_over_max_nodes(tmp_path, capsys):
+    from qunimodal.certify import MAX_NODES
+
+    nodes = [{"base": [8, 8]}]
+    nodes += [{"add": [8, i, i], "even": "ell", "geq3": "ell"} for i in range(MAX_NODES)]
+    doc = {"version": 2, "conclusion": {"ell": 8, "m": 8 << MAX_NODES}, "nodes": nodes}
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", "--in", str(bad), "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["accepted"] is False
+    assert result["path"] == "$.nodes"
+
+
+def test_certify_too_large_pair_is_usage_error(capsys):
+    from qunimodal.certify import MAX_NODES
+
+    m = 12 + 8 * (2 ** (MAX_NODES // 2) - 1)
+    assert run(["certify", "--ell", "8", "--m", str(m)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "MAX_NODES" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_malformed_json_is_exit_zero(tmp_path, capsys):
