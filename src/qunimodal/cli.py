@@ -31,13 +31,11 @@ from .certify import (
 from .kronecker import (
     DEFAULT_ORACLE_BOUND,
     InternalConsistencyError,
-    KroneckerValue,
-    Route,
     g_oracle,
     g_two_row,
     two_row,
 )
-from .lr import DEFAULT_SIZE_BOUND, LRQuery, lr
+from .lr import DEFAULT_SIZE_BOUND, lr
 from .partitions import format_partition, parse_partition
 from .qbinomial import gaussian
 from .repro import CLAIMS, repro_lemma12, repro_routes, repro_semigroup
@@ -204,7 +202,7 @@ def _run_lr(args) -> int:
     outer = _partition_arg(args.outer)
     left = _partition_arg(args.left)
     right = _partition_arg(args.right)
-    value = lr(LRQuery(outer, left, right), size_bound=args.size_bound)
+    value = lr(outer, left, right, size_bound=args.size_bound)
     if args.format == "plain":
         print(value)
     else:
@@ -228,32 +226,29 @@ def _run_kron(args) -> int:
         if args.k is not None:
             raise _UsageError("--k and --nu are mutually exclusive")
         nu = _partition_arg(args.nu)
-        kv = KroneckerValue(lam, mu, nu, g_oracle(lam, mu, nu), Route.CharacterOracle)
-        k = None
+        value = g_oracle(lam, mu, nu)
+        route = "CharacterOracle"
     else:
         if args.k is None:
             raise _UsageError("pass --k for the two-row route, or --nu with --oracle")
         if args.nu is not None:
             raise _UsageError("--nu needs --oracle; the two-row route derives nu from --k")
-        n = lam.size
-        if not 0 <= 2 * args.k <= n:
-            raise _UsageError(f"need 0 <= k <= n/2 = {n / 2}: got k={args.k}")
-        nu = two_row(n, args.k)
-        kv = KroneckerValue(lam, mu, nu, g_two_row(lam, mu, args.k), Route.TwoRowFormula)
-        k = args.k
+        nu = two_row(lam.size, args.k)
+        value = g_two_row(lam, mu, args.k)
+        route = "TwoRowFormula"
     if args.format == "plain":
-        print(kv.value)
+        print(value)
     else:
         result = {
-            "lambda": format_partition(kv.lam),
-            "mu": format_partition(kv.mu),
-            "nu": format_partition(kv.nu),
-            "value": str(kv.value),
-            "route": kv.route.value,
+            "lambda": format_partition(lam),
+            "mu": format_partition(mu),
+            "nu": format_partition(nu),
+            "value": str(value),
+            "route": route,
         }
-        if k is not None:
-            result["k"] = k
-        params = {"lambda": args.lam, "mu": args.mu, "k": k, "nu": args.nu}
+        if args.k is not None:
+            result["k"] = args.k
+        params = {"lambda": args.lam, "mu": args.mu, "k": args.k, "nu": args.nu}
         print(_envelope("kron", params, result))
     return 0
 

@@ -17,8 +17,10 @@ sign (-1)^(height-1), and recurse).  Strips are located through beta
 numbers: first-column hook lengths b_i = lam_i + (L-1-i); removing a
 strip of size t replaces some b_i by b_i - t, and the sign counts the
 beta numbers crossed on the way down.  Character values are memoized
-globally, class sizes come from the centralizer order formula
-|C_rho| = n! / prod(i^{m_i} m_i!).
+globally on (shape, cycle type).  Class sizes come from the centralizer
+order formula |C_rho| = n! / prod(i^{m_i} m_i!) and are computed once
+per n, as a tuple aligned with ``partitions_of(n)``; ``g_oracle`` and
+``character_table`` share that memo.
 
 For rectangles the two routes are tied together by exact identities:
 g(m^ell, m^ell, (n-k, k)) equals the difference p_k - p_{k-1} of
@@ -30,15 +32,14 @@ confirms g is positive and monotone under part-wise addition.
 
 from __future__ import annotations
 
-import enum
 import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .lr import LRQuery, lr
-from .partitions import Partition, add, partitions_of
+from .lr import lr
+from .partitions import Partition, add, partitions_inside, partitions_of
 from .qbinomial import gaussian
 
 # Largest n for which the character oracle will build rows; the full
@@ -54,20 +55,6 @@ class InternalConsistencyError(RuntimeError):
     (a negative two-row difference, a character sum not divisible by
     n!).  Reaching this means a bug, not a bad input.
     """
-
-
-class Route(enum.Enum):
-    TwoRowFormula = "TwoRowFormula"
-    CharacterOracle = "CharacterOracle"
-
-
-@dataclass(frozen=True)
-class KroneckerValue:
-    lam: Partition
-    mu: Partition
-    nu: Partition
-    value: int
-    route: Route
 
 
 @dataclass(frozen=True)
@@ -116,15 +103,16 @@ def _char(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     return sum(sign * _char(smaller, rest) for smaller, sign in _strip_removals(shape, t))
 
 
-def _character(lam: Partition, rho: Partition) -> int:
-    return _char(lam.parts, rho.parts)
-
-
-def _class_size(rho: Partition, n: int) -> int:
-    z = 1
-    for part, mult in Counter(rho.parts).items():
-        z *= part**mult * factorial(mult)
-    return factorial(n) // z
+@lru_cache(maxsize=64)
+def _class_sizes(n: int) -> tuple[int, ...]:
+    """|C_rho| for each rho in ``partitions_of(n)``, in that order."""
+    sizes = []
+    for rho in partitions_of(n):
+        z = 1
+        for part, mult in Counter(rho.parts).items():
+            z *= part**mult * factorial(mult)
+        sizes.append(factorial(n) // z)
+    return tuple(sizes)
 
 
 def character_table(n: int, *, bound: int = DEFAULT_ORACLE_BOUND) -> CharacterTable:
@@ -135,9 +123,9 @@ def character_table(n: int, *, bound: int = DEFAULT_ORACLE_BOUND) -> CharacterTa
         raise ValueError(f"character table limited to n <= {bound}: got {n}")
     shapes = partitions_of(n)
     values = {
-        (lam, rho): _character(lam, rho) for lam in shapes for rho in shapes
+        (lam, rho): _char(lam.parts, rho.parts) for lam in shapes for rho in shapes
     }
-    sizes = {rho: _class_size(rho, n) for rho in shapes}
+    sizes = dict(zip(shapes, _class_sizes(n)))
     return CharacterTable(n=n, values=values, class_sizes=sizes)
 
 
@@ -153,9 +141,9 @@ def g_oracle(
     if n > bound:
         raise ValueError(f"character oracle limited to n <= {bound}: got {n}")
     total = 0
-    for rho in partitions_of(n):
-        cl = _class_size(rho, n)
-        total += cl * _character(lam, rho) * _character(mu, rho) * _character(nu, rho)
+    for rho, size in zip(partitions_of(n), _class_sizes(n)):
+        c = rho.parts
+        total += size * _char(lam.parts, c) * _char(mu.parts, c) * _char(nu.parts, c)
     value, rem = divmod(total, factorial(n))
     if rem:
         raise InternalConsistencyError(
@@ -166,31 +154,6 @@ def g_oracle(
     return value
 
 
-def _shape_min(lam: Partition, mu: Partition) -> tuple[int, ...]:
-    return tuple(a if a < b else b for a, b in zip(lam.parts, mu.parts))
-
-
-def _partitions_under(k: int, cap: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Partitions of k with part i at most cap[i] (so at most len(cap) parts)."""
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def rec(remaining: int, row: int, max_part: int) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if row == len(cap):
-            return
-        top = min(max_part, cap[row], remaining)
-        for part in range(top, 0, -1):
-            prefix.append(part)
-            rec(remaining - part, row + 1, part)
-            prefix.pop()
-
-    rec(k, 0, k if k else 1)
-    return out
-
-
 def a_k(lam: Partition, mu: Partition, k: int) -> int:
     """sum over |alpha| = k, |beta| = n - k of c^lam_{alpha,beta} c^mu_{alpha,beta}."""
     n = lam.size
@@ -198,16 +161,16 @@ def a_k(lam: Partition, mu: Partition, k: int) -> int:
         raise ValueError(f"size mismatch: |{lam}| = {lam.size}, |{mu}| = {mu.size}")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}: got {k}")
-    cap = _shape_min(lam, mu)
+    # alpha and beta lie inside both lam and mu, so inside their intersection
+    cap = Partition(map(min, lam, mu))
+    betas = partitions_inside(cap, n - k)
     total = 0
-    for alpha_parts in _partitions_under(k, cap):
-        alpha = Partition(alpha_parts)
-        for beta_parts in _partitions_under(n - k, cap):
-            beta = Partition(beta_parts)
-            c1 = lr(LRQuery(lam, alpha, beta))
+    for alpha in partitions_inside(cap, k):
+        for beta in betas:
+            c1 = lr(lam, alpha, beta)
             if c1 == 0:
                 continue
-            c2 = lr(LRQuery(mu, alpha, beta))
+            c2 = lr(mu, alpha, beta)
             if c2:
                 total += c1 * c2
     return total

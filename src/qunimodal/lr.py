@@ -18,7 +18,6 @@ partitions are complements in the rectangle and 0 otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .partitions import Box, Partition, complement_in_box, fits_in_box
@@ -28,16 +27,10 @@ from .partitions import Box, Partition, complement_in_box, fits_in_box
 DEFAULT_SIZE_BOUND = 60
 
 
-@dataclass(frozen=True)
-class LRQuery:
-    outer: Partition
-    left: Partition
-    right: Partition
-
-
-def lr(query: LRQuery, *, size_bound: int = DEFAULT_SIZE_BOUND) -> int:
+def lr(
+    outer: Partition, left: Partition, right: Partition, *, size_bound: int = DEFAULT_SIZE_BOUND
+) -> int:
     """The Littlewood-Richardson coefficient c^outer_{left,right}."""
-    outer, left, right = query.outer, query.left, query.right
     if outer.size > size_bound:
         raise ValueError(
             f"instance too large: size(outer) = {outer.size} exceeds bound {size_bound}"

@@ -4,12 +4,17 @@ A partition is a weakly decreasing tuple of positive parts; trailing
 zeros are stripped on construction so that equal partitions compare and
 hash equal.  A box is an ``rows x cols`` rectangle.  Everything else in
 this package indexes its objects through these two types.
+
+One enumerator, ``partitions_inside``, lists the partitions of k inside
+a given diagram; ``enumerate_in_box`` applies it to a rectangle and
+``partitions_of`` to the n x n square, memoized per n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import lru_cache, total_ordering
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 
@@ -136,39 +141,50 @@ def add(p: Partition, q: Partition) -> Partition:
     return Partition(a + b for a, b in zip(p.padded(n), q.padded(n)))
 
 
-def enumerate_in_box(box: Box, k: int) -> list[Partition]:
-    """All partitions of ``k`` that fit in ``box``.
+def partitions_inside(outer: Partition, k: int) -> list[Partition]:
+    """All partitions of ``k`` whose Young diagram lies inside ``outer``.
 
     The order is deterministic: lexicographically decreasing on the
-    zero-padded part vectors, so e.g. (2) precedes (1,1).
+    zero-padded part vectors, so e.g. (2) precedes (1,1).  A branch is
+    cut as soon as the rows left cannot hold the cells still to place,
+    either under ``outer`` or with no part above the one just placed.
     """
     if k < 0:
         raise ValueError(f"cannot partition a negative number: {k}")
+    cap = outer.parts
+    room = list(accumulate(reversed(cap), initial=0))[::-1]  # room[i] = sum(cap[i:])
     out: list[Partition] = []
     prefix: list[int] = []
 
-    def rec(remaining: int, max_part: int, rows_left: int) -> None:
+    def rec(remaining: int, row: int, max_part: int) -> None:
         if remaining == 0:
             out.append(Partition(prefix))
             return
-        if rows_left == 0:
+        if room[row] < remaining:
             return
-        for part in range(min(max_part, remaining), 0, -1):
+        rows_left = len(cap) - row
+        for part in range(min(max_part, cap[row], remaining), 0, -1):
             if part * rows_left < remaining:
                 break
             prefix.append(part)
-            rec(remaining - part, part, rows_left - 1)
+            rec(remaining - part, row + 1, part)
             prefix.pop()
 
-    rec(k, box.cols, box.rows)
+    rec(k, 0, k)
     return out
 
 
-def partitions_of(n: int) -> list[Partition]:
-    """All partitions of ``n``, lexicographically decreasing."""
-    if n == 0:
-        return [Partition()]
-    return enumerate_in_box(Box(n, n), n)
+def enumerate_in_box(box: Box, k: int) -> list[Partition]:
+    """All partitions of ``k`` that fit in ``box``, in the order of
+    :func:`partitions_inside`."""
+    return partitions_inside(rectangle(box), k)
+
+
+@lru_cache(maxsize=64)
+def partitions_of(n: int) -> tuple[Partition, ...]:
+    """All partitions of ``n``, lexicographically decreasing; memoized
+    per ``n``, which is why the result is an immutable tuple."""
+    return tuple(partitions_inside(Partition((n,) * n), n))
 
 
 def parse_partition(text: str) -> Partition:

@@ -133,6 +133,45 @@ def test_kron_two_row_includes_derived_nu(capsys):
     assert doc["result"]["route"] == "TwoRowFormula"
 
 
+def test_kron_two_row_bad_k_is_usage_error(capsys):
+    assert run(["kron", "--lambda", "[2,2]", "--mu", "[2,2]", "--k", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need 0 <= k <= n/2 = 2.0: got k=3\n"
+
+
+# (argv, stdout) pairs; the envelopes are pinned byte for byte, params
+# included, so both kron routes and lr keep their exact output.
+GOLDEN = [
+    (["lr", "--outer", "[4,2]", "--left", "[2,1]", "--right", "[2,1]"],
+     '1\n'),
+    (["lr", "--outer", "[3,2,1]", "--left", "[2,1]", "--right", "[2,1]", "--format", "json"],
+     '{"command":"lr","params":{"left":"[2,1]","outer":"[3,2,1]","right":"[2,1]"},"result":{"coefficient":"2","left":"[2,1]","outer":"[3,2,1]","right":"[2,1]"},"version":"0.1.0"}\n'),
+    (["lr", "--outer", "[ 5, 3, 2, 0 ]", "--left", "[3,1]", "--right", "[3,2,1]", "--format", "json"],
+     '{"command":"lr","params":{"left":"[3,1]","outer":"[ 5, 3, 2, 0 ]","right":"[3,2,1]"},"result":{"coefficient":"2","left":"[3,1]","outer":"[5,3,2]","right":"[3,2,1]"},"version":"0.1.0"}\n'),
+    (["lr", "--outer", "[2,2]", "--left", "[2]", "--right", "[1,1]", "--format", "json"],
+     '{"command":"lr","params":{"left":"[2]","outer":"[2,2]","right":"[1,1]"},"result":{"coefficient":"0","left":"[2]","outer":"[2,2]","right":"[1,1]"},"version":"0.1.0"}\n'),
+    (["kron", "--lambda", "[2,2]", "--mu", "[2,2]", "--k", "2"],
+     '1\n'),
+    (["kron", "--lambda", "[4,2]", "--mu", "[3,2,1]", "--k", "2", "--format", "json"],
+     '{"command":"kron","params":{"k":2,"lambda":"[4,2]","mu":"[3,2,1]","nu":null},"result":{"k":2,"lambda":"[4,2]","mu":"[3,2,1]","nu":"[4,2]","route":"TwoRowFormula","value":"2"},"version":"0.1.0"}\n'),
+    (["kron", "--lambda", "[ 3, 3 ]", "--mu", "[2,2,1,1]", "--k", "0", "--format", "json"],
+     '{"command":"kron","params":{"k":0,"lambda":"[ 3, 3 ]","mu":"[2,2,1,1]","nu":null},"result":{"k":0,"lambda":"[3,3]","mu":"[2,2,1,1]","nu":"[6]","route":"TwoRowFormula","value":"0"},"version":"0.1.0"}\n'),
+    (["kron", "--lambda", "[3,2,1]", "--mu", "[3,2,1]", "--nu", "[3,2,1]", "--oracle"],
+     '5\n'),
+    (["kron", "--lambda", "[3,2,1]", "--mu", "[3,2,1]", "--nu", "[3,2,1]", "--oracle", "--format", "json"],
+     '{"command":"kron","params":{"k":null,"lambda":"[3,2,1]","mu":"[3,2,1]","nu":"[3,2,1]"},"result":{"lambda":"[3,2,1]","mu":"[3,2,1]","nu":"[3,2,1]","route":"CharacterOracle","value":"5"},"version":"0.1.0"}\n'),
+    (["kron", "--lambda", "[3,1]", "--mu", "[2,1,1]", "--nu", "[ 2,2 ]", "--oracle", "--format", "json"],
+     '{"command":"kron","params":{"k":null,"lambda":"[3,1]","mu":"[2,1,1]","nu":"[ 2,2 ]"},"result":{"lambda":"[3,1]","mu":"[2,1,1]","nu":"[2,2]","route":"CharacterOracle","value":"1"},"version":"0.1.0"}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,expected", GOLDEN)
+def test_lr_and_kron_output_is_byte_stable(argv, expected, capsys):
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_props_difference_identity_suite(capsys):
     assert run(["props", "--suite", "lemma12", "--max-n", "8"]) == 0
     assert _lines(capsys)[-1] == "PASS"

@@ -11,6 +11,7 @@ from qunimodal import (
     g_two_row,
     gaussian,
     lemma12_check,
+    lr,
     partitions_of,
     routes_check,
     semigroup_check,
@@ -146,6 +147,20 @@ def test_a_k_frozen_values():
     assert a_k(P((2, 2)), P((2, 2)), 0) == 1
     assert a_k(P((2, 2)), P((2, 2)), 1) == 1
     assert a_k(P((2, 2)), P((2, 2)), 2) == 2
+
+
+def test_a_k_matches_the_unrestricted_double_sum():
+    # no cap on alpha and beta: the pruning in a_k must lose no term
+    for n in range(1, 8):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                for k in range(n + 1):
+                    expected = sum(
+                        lr(lam, alpha, beta) * lr(mu, alpha, beta)
+                        for alpha in partitions_of(k)
+                        for beta in partitions_of(n - k)
+                    )
+                    assert a_k(lam, mu, k) == expected
 
 
 def test_g_two_row_frozen_values():

@@ -4,7 +4,6 @@ import pytest
 
 from qunimodal import (
     Box,
-    LRQuery,
     Partition,
     complement_in_box,
     lr,
@@ -30,7 +29,7 @@ def _hook_dimension(p: Partition) -> int:
 
 
 def _count(outer, left, right) -> int:
-    return lr(LRQuery(Partition(outer), Partition(left), Partition(right)))
+    return lr(Partition(outer), Partition(left), Partition(right))
 
 
 def test_frozen_values():
@@ -85,9 +84,7 @@ def test_conjugation_invariance():
                 for right in partitions_of(n - k):
                     for outer in partitions_of(n):
                         direct = _count(outer.parts, left.parts, right.parts)
-                        flipped = lr(
-                            LRQuery(outer.conjugate(), left.conjugate(), right.conjugate())
-                        )
+                        flipped = lr(outer.conjugate(), left.conjugate(), right.conjugate())
                         assert direct == flipped
 
 
@@ -129,19 +126,13 @@ def test_rectangle_rule_matches_general_count():
     for k in range(box.cells + 1):
         for left in partitions_of(k):
             for right in partitions_of(box.cells - k):
-                assert lr_rectangle(box, left, right) == lr(LRQuery(full, left, right))
+                assert lr_rectangle(box, left, right) == lr(full, left, right)
 
 
 def test_size_bound_guard():
     big = Partition((20, 20, 20, 1))
     with pytest.raises(ValueError):
-        lr(LRQuery(big, Partition((30, 1)), Partition((30,))))
+        lr(big, Partition((30, 1)), Partition((30,)))
     # a custom bound loosens the guard
     n = big.size
-    assert (
-        lr(
-            LRQuery(big, Partition((20, 20, 20)), Partition((1,))),
-            size_bound=n,
-        )
-        == 1
-    )
+    assert lr(big, Partition((20, 20, 20)), Partition((1,)), size_bound=n) == 1

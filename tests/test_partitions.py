@@ -9,6 +9,7 @@ from qunimodal import (
     fits_in_box,
     format_partition,
     parse_partition,
+    partitions_inside,
     partitions_of,
     rectangle,
 )
@@ -171,3 +172,16 @@ def test_partitions_of_five_frozen():
         "[2,1,1,1]",
         "[1,1,1,1,1]",
     ]
+
+
+def test_partitions_inside_is_the_filtered_enumeration():
+    for size in range(11):
+        for outer in partitions_of(size):
+            for k in range(size + 2):
+                expected = [p for p in partitions_of(k) if outer.contains(p)]
+                assert partitions_inside(outer, k) == expected
+
+
+def test_partitions_inside_rejects_negative_size():
+    with pytest.raises(ValueError):
+        partitions_inside(Partition((3, 1)), -1)
