@@ -41,7 +41,7 @@ conditions and witnesses are re-tested, so it accepts foreign
 certificates and rejects tampered ones regardless of origin.  It
 rejects, without expanding anything, a certificate of more than
 ``MAX_NODES`` entries or ``MAX_LEAVES`` distinct leaves, and any leaf of
-area above ``DIRECT_BOUND``.
+area above ``MAX_LEAF_AREA``.
 """
 
 from __future__ import annotations
@@ -49,15 +49,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .unimodality import DIRECT_BOUND, EXCEPTION_PAIRS, check_strict
+from .unimodality import EXCEPTION_PAIRS, check_strict
 
 _CHAIN_STEP = 8
 _VERSION = 2
 
 # Bounds on what verify will replay.  certify refuses a pair whose
-# table would exceed MAX_NODES and uses at most four distinct leaves.
+# table would exceed MAX_NODES and uses at most four distinct leaves,
+# all inside the registry window (largest area 225).
 MAX_NODES = 4096
 MAX_LEAVES = 64
+MAX_LEAF_AREA = 3600
 
 
 class NotCertifiableError(Exception):
@@ -136,16 +138,6 @@ class VerificationResult:
         return self.ok
 
 
-@dataclass(frozen=True)
-class BaseRegistry:
-    """The directly verified pairs certificates may use as leaves."""
-
-    pairs: frozenset[tuple[int, int]]
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
-
-
 def _registry_candidates() -> set[tuple[int, int]]:
     cands = {(l, m) for l in range(8, 16) for m in range(l, 16)}
     for l in range(5, 8):
@@ -156,8 +148,8 @@ def _registry_candidates() -> set[tuple[int, int]]:
     return cands
 
 
-def build_base_registry() -> BaseRegistry:
-    """Build the registry, re-verifying every candidate pair directly.
+def build_base_registry() -> frozenset[tuple[int, int]]:
+    """The pairs certificates may use as leaves, each verified directly.
 
     A candidate that fails the direct check must be one of the nine
     expected exceptional pairs; any other disagreement aborts, because
@@ -176,14 +168,13 @@ def build_base_registry() -> BaseRegistry:
                 f"base registry contradiction at ({a},{b}): "
                 f"strict={strict}, expected_exception={expected_exception}"
             )
-    pairs = frozenset(verified | {(b, a) for a, b in verified})
-    return BaseRegistry(pairs=pairs)
+    return frozenset(verified | {(b, a) for a, b in verified})
 
 
-_default_registry: "BaseRegistry | None" = None
+_default_registry: "frozenset[tuple[int, int]] | None" = None
 
 
-def default_registry() -> BaseRegistry:
+def default_registry() -> frozenset[tuple[int, int]]:
     global _default_registry
     if _default_registry is None:
         _default_registry = build_base_registry()
@@ -226,7 +217,7 @@ def _chain(base: Certificate, step: Certificate, count: int) -> Certificate:
     return acc
 
 
-def _build(a: int, b: int, reg: BaseRegistry) -> Certificate:
+def _build(a: int, b: int, reg: frozenset[tuple[int, int]]) -> Certificate:
     """Certificate concluding (a, b) for 5 <= a <= b, pair not exceptional."""
     if (a, b) in reg:
         return _base_cert(a, b)
@@ -238,7 +229,7 @@ def _build(a: int, b: int, reg: BaseRegistry) -> Certificate:
                 "exception", f"({a},{b}) is one of the nine non-strict pairs"
             )
         start = max(
-            (s for l, s in reg.pairs if l == a and s <= b and (b - s) % _CHAIN_STEP == 0),
+            (s for l, s in reg if l == a and s <= b and (b - s) % _CHAIN_STEP == 0),
             default=None,
         )
         if start is None:
@@ -253,7 +244,7 @@ def _build(a: int, b: int, reg: BaseRegistry) -> Certificate:
     return _transposed(_chain(acc, step, (a - a0) // _CHAIN_STEP))
 
 
-def certify(ell: int, m: int, *, registry: "BaseRegistry | None" = None) -> Certificate:
+def certify(ell: int, m: int) -> Certificate:
     """Build the canonical certificate that (ell, m) is strictly unimodal.
 
     Deterministic: the same pair always yields the same DAG.  Refuses
@@ -270,8 +261,7 @@ def certify(ell: int, m: int, *, registry: "BaseRegistry | None" = None) -> Cert
         raise NotCertifiableError(
             "small", f"({ell},{m}) has min side {a} < 5, below the certifiable region"
         )
-    reg = registry if registry is not None else default_registry()
-    cert = _build(a, b, reg)
+    cert = _build(a, b, default_registry())
     if ell > m:
         cert = _transposed(cert)
     try:
@@ -353,8 +343,8 @@ def verify(cert: Certificate) -> VerificationResult:
             ell, m = entry["base"]
             if ell < 1 or m < 1:
                 return reject("base pair sides must be positive", path)
-            if ell * m > DIRECT_BOUND:
-                return reject(f"base pair area exceeds DIRECT_BOUND = {DIRECT_BOUND}", path)
+            if ell * m > MAX_LEAF_AREA:
+                return reject(f"base pair area exceeds MAX_LEAF_AREA = {MAX_LEAF_AREA}", path)
             if not check_strict(ell, m).strict:
                 return reject(f"base pair ({ell},{m}) is not strictly unimodal", path)
             concluded.append((ell, m))

@@ -69,11 +69,6 @@ class QPolynomial:
             return self.coeffs[k]
         return 0
 
-    def difference_profile(self) -> tuple[int, ...]:
-        """Consecutive differences coeff(k) - coeff(k-1) for k = 0..degree."""
-        cs = self.coeffs
-        return tuple(cs[k] - (cs[k - 1] if k else 0) for k in range(len(cs)))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QPolynomial):
             return NotImplemented

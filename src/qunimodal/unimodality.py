@@ -19,10 +19,11 @@ is automatic, the vector being palindromic).  The chain starts at index
 * min >= 5: strict (``Strict``) except for exactly nine pairs where the
   middle three coefficients are equal (``Exception``).
 
-The min >= 5 answer is always derived from computation: a direct
-coefficient check when ell*m is within ``DIRECT_BOUND``, and a built and
-verified additivity certificate beyond it (all nine exceptional pairs
-are small, so the certificate route only ever sees strict pairs).
+The min >= 5 answer always comes from one route: a built and verified
+additivity certificate.  Inside the base registry window the certificate
+is a single leaf, which ``verify`` re-checks coefficient by coefficient;
+the nine exceptions are the window pairs the registry build finds
+non-strict, and ``certify`` refuses them.
 
 Behaviour for min(ell, m) = 1 is this library's own extension: the
 boundary cases ell*m <= 3 make the defining chain vacuous and
@@ -37,14 +38,10 @@ from dataclasses import dataclass
 
 from .qbinomial import gaussian
 
-# Area up to which classification recomputes coefficients directly;
-# beyond it, min >= 5 pairs are settled by certificates.
-DIRECT_BOUND = 3600
-
 # The nine non-strict pairs with min(ell, m) >= 5, in (min, max) order.
 # Used only as the expected failure set when building the certificate
-# base registry and in reproduction harnesses; classification itself
-# never consults it.
+# base registry, which raises if its direct checks disagree, and in
+# reproduction harnesses; classification never reads it.
 EXCEPTION_PAIRS: frozenset[tuple[int, int]] = frozenset(
     {(5, 6), (5, 10), (5, 14), (6, 6), (6, 7), (6, 9), (6, 11), (6, 13), (7, 10)}
 )
@@ -125,14 +122,15 @@ def classify(ell: int, m: int) -> PairClass:
         return PairClass.StrictSmall if b == 2 else PairClass.EllTwo
     if a in (3, 4):
         return PairClass.EllThreeFour
-    if a * b <= DIRECT_BOUND:
-        return PairClass.Strict if check_strict(a, b).strict else PairClass.Exception
-    # Large pair: settle by certificate.  Import here to avoid a module
-    # cycle (the certificate engine verifies its bases with check_strict).
-    from .certify import certify as _certify, verify as _verify
+    # Import here to avoid a module cycle (the certificate engine checks
+    # its leaves with check_strict).
+    from .certify import NotCertifiableError, certify, verify
 
-    cert = _certify(a, b)
-    outcome = _verify(cert)
+    try:
+        cert = certify(a, b)
+    except NotCertifiableError:
+        return PairClass.Exception
+    outcome = verify(cert)
     if not outcome.ok:
         raise RuntimeError(
             f"certificate for ({a},{b}) failed verification: {outcome.reason}"

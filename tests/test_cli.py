@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -313,6 +314,18 @@ def test_runtime_error_is_exit_two(monkeypatch, capsys):
     assert run(["scan", "--ell", "5", "--m", "7"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "internal error: classifier broke\n"
+    assert captured.out == ""
+
+
+def test_registry_contradiction_is_exit_two(monkeypatch, capsys):
+    cert_module = importlib.import_module("qunimodal.certify")
+    monkeypatch.setattr(cert_module, "EXCEPTION_PAIRS", cert_module.EXCEPTION_PAIRS - {(6, 6)})
+    monkeypatch.setattr(cert_module, "_default_registry", None)
+    assert run(["scan", "--ell", "6", "--m", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 

@@ -151,22 +151,6 @@ def test_rejects_negative_arguments():
         gaussian(3, -2)
 
 
-def test_difference_profile_frozen():
-    assert gaussian(2, 2).difference_profile() == (1, 0, 1, -1, 0)
-    assert gaussian(2, 3).difference_profile() == (1, 0, 1, 0, 0, -1, 0)
-    assert QPolynomial((1,)).difference_profile() == (1,)
-
-
-def test_difference_profile_telescopes():
-    poly = gaussian(4, 5)
-    prof = poly.difference_profile()
-    assert len(prof) == poly.degree + 1
-    running = 0
-    for k, d in enumerate(prof):
-        running += d
-        assert running == poly.coefficient(k)
-
-
 def test_qpolynomial_validation():
     with pytest.raises(ValueError):
         QPolynomial((1, 2, 0))

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from qunimodal import (
@@ -112,8 +114,36 @@ def test_classify_exceptions_and_strict():
     for ell, m in NINE:
         assert classify(ell, m) is PairClass.Exception
         assert classify(m, ell) is PairClass.Exception
-    for ell, m in [(5, 5), (5, 7), (8, 8), (7, 20), (25, 25)]:
+    for ell, m in [(5, 5), (5, 7), (8, 8), (7, 20), (25, 25), (5, 21), (16, 16), (60, 60)]:
         assert classify(ell, m) is PairClass.Strict
+        assert classify(m, ell) is PairClass.Strict
+
+
+def test_classify_expands_nothing_beyond_the_registry_window(monkeypatch):
+    # pairs outside the window are settled by a certificate whose leaves
+    # are registry pairs, of area at most 15 * 15, never by expanding
+    # the pair itself
+    expanded = []
+
+    def recording(ell, m):
+        expanded.append((ell, m))
+        return gaussian(ell, m)
+
+    monkeypatch.setattr("qunimodal.unimodality.gaussian", recording)
+    for ell, m in [(16, 16), (5, 21), (60, 60)]:
+        assert classify(ell, m) is PairClass.Strict
+    assert expanded
+    assert all(ell * m <= 225 for ell, m in expanded), expanded
+
+
+def test_classify_raises_when_the_registry_contradicts_the_exceptions(monkeypatch):
+    # with (6, 6) missing from the expected exceptions, the registry
+    # build finds (6, 6) non-strict and must not settle on any class
+    cert_module = importlib.import_module("qunimodal.certify")
+    monkeypatch.setattr(cert_module, "EXCEPTION_PAIRS", EXCEPTION_PAIRS - {(6, 6)})
+    monkeypatch.setattr(cert_module, "_default_registry", None)
+    with pytest.raises(RuntimeError, match=r"contradiction at \(6,6\)"):
+        classify(6, 6)
 
 
 def test_classify_large_pair_via_certificate():
