@@ -16,11 +16,14 @@ with irreducible characters computed by the border strip recursion
 sign (-1)^(height-1), and recurse).  Strips are located through beta
 numbers: first-column hook lengths b_i = lam_i + (L-1-i); removing a
 strip of size t replaces some b_i by b_i - t, and the sign counts the
-beta numbers crossed on the way down.  Character values are memoized
-globally on (shape, cycle type).  Class sizes come from the centralizer
-order formula |C_rho| = n! / prod(i^{m_i} m_i!) and are computed once
-per n, as a tuple aligned with ``partitions_of(n)``; ``g_oracle`` and
-``character_table`` share that memo.
+beta numbers crossed on the way down.  Characters are memoized once
+per shape, as the vector of chi^shape on every class of S_n, aligned
+with ``partitions_of(n)``: the classes with first part t all reuse one
+list of strips of size t, and read each smaller shape's vector at the
+index of rho minus its first part.  Class sizes come from the
+centralizer order formula |C_rho| = n! / prod(i^{m_i} m_i!) and are
+computed once per n in the same order, so ``g_oracle`` is one dot
+product of four vectors and ``character_table`` reads the same memo.
 
 For rectangles the two routes are tied together by exact identities:
 g(m^ell, m^ell, (n-k, k)) equals the difference p_k - p_{k-1} of
@@ -95,12 +98,17 @@ def _strip_removals(shape: tuple[int, ...], t: int) -> list[tuple[tuple[int, ...
 
 
 @lru_cache(maxsize=None)
-def _char(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    if not cycles:
-        return 1
-    t = cycles[0]
-    rest = cycles[1:]
-    return sum(sign * _char(smaller, rest) for smaller, sign in _strip_removals(shape, t))
+def _char(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """chi^shape on every class of S_n, aligned with ``partitions_of(n)``."""
+    if not shape:
+        return (1,)
+    strips: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    values = []
+    for t, j in _class_steps(sum(shape)):
+        if t not in strips:
+            strips[t] = [(sign, _char(smaller)) for smaller, sign in _strip_removals(shape, t)]
+        values.append(sum(sign * vec[j] for sign, vec in strips[t]))
+    return tuple(values)
 
 
 @lru_cache(maxsize=64)
@@ -115,6 +123,21 @@ def _class_sizes(n: int) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+@lru_cache(maxsize=64)
+def _class_steps(n: int) -> tuple[tuple[int, int], ...]:
+    """(t, j) for each rho in ``partitions_of(n)``, n >= 1: t is the first
+    part of rho and j the index of (rho_2, rho_3, ...) in
+    ``partitions_of(n - t)``."""
+    index: dict[int, dict[tuple[int, ...], int]] = {}
+    steps = []
+    for rho in partitions_of(n):
+        t = rho.parts[0]
+        if t not in index:
+            index[t] = {p.parts: j for j, p in enumerate(partitions_of(n - t))}
+        steps.append((t, index[t][rho.parts[1:]]))
+    return tuple(steps)
+
+
 def character_table(n: int, *, bound: int = DEFAULT_ORACLE_BOUND) -> CharacterTable:
     """The full character table of S_n (n <= bound)."""
     if n < 0:
@@ -123,7 +146,9 @@ def character_table(n: int, *, bound: int = DEFAULT_ORACLE_BOUND) -> CharacterTa
         raise ValueError(f"character table limited to n <= {bound}: got {n}")
     shapes = partitions_of(n)
     values = {
-        (lam, rho): _char(lam.parts, rho.parts) for lam in shapes for rho in shapes
+        (lam, rho): value
+        for lam in shapes
+        for rho, value in zip(shapes, _char(lam.parts))
     }
     sizes = dict(zip(shapes, _class_sizes(n)))
     return CharacterTable(n=n, values=values, class_sizes=sizes)
@@ -140,10 +165,12 @@ def g_oracle(
         )
     if n > bound:
         raise ValueError(f"character oracle limited to n <= {bound}: got {n}")
-    total = 0
-    for rho, size in zip(partitions_of(n), _class_sizes(n)):
-        c = rho.parts
-        total += size * _char(lam.parts, c) * _char(mu.parts, c) * _char(nu.parts, c)
+    total = sum(
+        size * a * b * c
+        for size, a, b, c in zip(
+            _class_sizes(n), _char(lam.parts), _char(mu.parts), _char(nu.parts)
+        )
+    )
     value, rem = divmod(total, factorial(n))
     if rem:
         raise InternalConsistencyError(

@@ -17,7 +17,9 @@ is automatic, the vector being palindromic).  The chain starts at index
 * min = 2 otherwise: consecutive equal pairs p_{2i} = p_{2i+1} (``EllTwo``);
 * min in {3, 4}: never strict (``EllThreeFour``);
 * min >= 5: strict (``Strict``) except for exactly nine pairs where the
-  middle three coefficients are equal (``Exception``).
+  chain stalls at the middle (``Exception``): eight have three equal
+  middle coefficients, and (6, 6) has p_16 = p_17 = 55 < p_18 = 58 >
+  p_19 = p_20 = 55, two equal pairs flanking a larger centre.
 
 The min >= 5 answer always comes from one route: a built and verified
 additivity certificate.  Inside the base registry window the certificate

@@ -1,3 +1,5 @@
+import hashlib
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -17,8 +19,20 @@ from qunimodal import (
     semigroup_check,
     two_row,
 )
+from qunimodal.kronecker import _char, _strip_removals
 
 P = Partition
+
+
+@lru_cache(maxsize=None)
+def _char_at(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    # one character value by the border strip recursion, memoized per
+    # (shape, cycle type): the library's vectors must agree entry by entry
+    if not cycles:
+        return 1
+    t = cycles[0]
+    rest = cycles[1:]
+    return sum(sign * _char_at(smaller, rest) for smaller, sign in _strip_removals(shape, t))
 
 
 def _hook_dimension(p: Partition) -> int:
@@ -91,6 +105,40 @@ def test_class_sizes_sum_to_group_order():
     for n in range(1, 9):
         table = character_table(n)
         assert sum(table.class_sizes.values()) == factorial(n)
+
+
+def test_character_vectors_match_per_class_recursion():
+    for n in range(13):
+        classes = partitions_of(n)
+        for lam in classes:
+            vector = _char(lam.parts)
+            assert len(vector) == len(classes)
+            for rho, value in zip(classes, vector):
+                assert value == _char_at(lam.parts, rho.parts), (lam, rho)
+
+
+def test_character_tables_unchanged():
+    digest = hashlib.sha256()
+    for n in range(9):
+        table = character_table(n)
+        shapes = partitions_of(n)
+        assert table.values == {
+            (lam, rho): _char_at(lam.parts, rho.parts) for lam in shapes for rho in shapes
+        }
+        values = sorted((a.parts, b.parts, v) for (a, b), v in table.values.items())
+        sizes = sorted((a.parts, v) for a, v in table.class_sizes.items())
+        digest.update(repr((values, sizes)).encode())
+    # the tables for n <= 8 as built by the per-(shape, class) memo
+    expected = "0421effed20238e3fe8ed11fa8404e452b664c4e1cd81ace62e5ff9e92c0fefd"
+    assert digest.hexdigest() == expected
+
+
+def test_character_memo_holds_one_entry_per_shape():
+    _char.cache_clear()
+    assert semigroup_check(samples=200, seed=0, max_total_size=18) == []
+    shapes = sum(len(partitions_of(k)) for k in range(19))
+    assert shapes == 1597
+    assert _char.cache_info().currsize <= shapes
 
 
 def test_oracle_frozen_values():

@@ -147,7 +147,7 @@ def test_classify_raises_when_the_registry_contradicts_the_exceptions(monkeypatc
 
 
 def test_classify_large_pair_via_certificate():
-    # beyond the direct-computation bound the answer comes from a
+    # outside the registry window the answer comes from a built and
     # verified certificate; it must agree with the direct computation
     assert classify(61, 61) is PairClass.Strict
     assert check_strict(61, 61).strict
