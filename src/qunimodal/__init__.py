@@ -20,12 +20,10 @@ from .certify import (
     verify,
 )
 from .kronecker import (
-    CharacterTable,
     InternalConsistencyError,
     Lemma12Result,
     SemigroupViolation,
     a_k,
-    character_table,
     g_oracle,
     g_two_row,
     lemma12_check,
@@ -33,19 +31,14 @@ from .kronecker import (
     semigroup_check,
     two_row,
 )
-from .lr import lr, lr_rectangle
+from .lr import lr
 from .partitions import (
-    Box,
     Partition,
     add,
-    complement_in_box,
-    enumerate_in_box,
-    fits_in_box,
     format_partition,
     parse_partition,
     partitions_inside,
     partitions_of,
-    rectangle,
 )
 from .qbinomial import QPolynomial, gaussian, gaussian_by_enumeration
 from .unimodality import (
@@ -62,10 +55,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AddNode",
     "BaseNode",
-    "Box",
     "Certificate",
     "CertificateFormatError",
-    "CharacterTable",
     "EXCEPTION_PAIRS",
     "InternalConsistencyError",
     "Lemma12Result",
@@ -82,13 +73,9 @@ __all__ = [
     "certificate_from_obj",
     "certificate_to_obj",
     "certify",
-    "character_table",
     "check_strict",
     "classify",
-    "complement_in_box",
     "default_registry",
-    "enumerate_in_box",
-    "fits_in_box",
     "format_partition",
     "g_oracle",
     "g_two_row",
@@ -96,12 +83,10 @@ __all__ = [
     "gaussian_by_enumeration",
     "lemma12_check",
     "lr",
-    "lr_rectangle",
     "parse_certificate",
     "parse_partition",
     "partitions_inside",
     "partitions_of",
-    "rectangle",
     "routes_check",
     "scan",
     "semigroup_check",

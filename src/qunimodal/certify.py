@@ -411,23 +411,23 @@ def _entry_cert(obj: object, certs: list[Certificate], path: str) -> Certificate
     )
 
 
-def certificate_from_obj(obj: object, path: str = "$") -> Certificate:
+def certificate_from_obj(obj: object) -> Certificate:
     if type(obj) is not dict or set(obj) != {"version", "conclusion", "nodes"}:
-        raise CertificateFormatError(path, 'expected keys ["conclusion", "nodes", "version"]')
+        raise CertificateFormatError("$", 'expected keys ["conclusion", "nodes", "version"]')
     if type(obj["version"]) is not int or obj["version"] != _VERSION:
-        raise CertificateFormatError(f"{path}.version", f"expected {_VERSION}")
+        raise CertificateFormatError("$.version", f"expected {_VERSION}")
     concl, nodes = obj["conclusion"], obj["nodes"]
     if type(concl) is not dict or set(concl) != {"ell", "m"} or not _ints(list(concl.values()), 2):
-        raise CertificateFormatError(f"{path}.conclusion", 'expected {"ell": int, "m": int}')
+        raise CertificateFormatError("$.conclusion", 'expected {"ell": int, "m": int}')
     if type(nodes) is not list or not 1 <= len(nodes) <= MAX_NODES:
-        raise CertificateFormatError(f"{path}.nodes", f"expected 1 to {MAX_NODES} entries")
+        raise CertificateFormatError("$.nodes", f"expected 1 to {MAX_NODES} entries")
     certs: list[Certificate] = []
     for at, item in enumerate(nodes):
-        certs.append(_entry_cert(item, certs, f"{path}.nodes[{at}]"))
+        certs.append(_entry_cert(item, certs, f"$.nodes[{at}]"))
     last = certs[-1]
     root = Certificate(ell=concl["ell"], m=concl["m"], node=last.node, transposed=last.transposed)
     if _table(root) != nodes:
-        raise CertificateFormatError(f"{path}.nodes", "not canonical: distinct, in walk order")
+        raise CertificateFormatError("$.nodes", "not canonical: distinct, in walk order")
     return root
 
 

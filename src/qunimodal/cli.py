@@ -42,7 +42,7 @@ from .repro import CLAIMS, repro_lemma12, repro_routes, repro_semigroup
 from .unimodality import UnimodalityReport, check_strict, scan
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -61,13 +61,6 @@ def _parse_span(text: str) -> range:
     if a < 1 or b < a:
         raise _UsageError(f"need 1 <= A <= B in range: got {text!r}")
     return range(a, b + 1)
-
-
-def _partition_arg(text: str):
-    try:
-        return parse_partition(text)
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
 
 
 def _envelope(command: str, params: dict, result) -> str:
@@ -199,9 +192,9 @@ def _run_scan(args) -> int:
 
 
 def _run_lr(args) -> int:
-    outer = _partition_arg(args.outer)
-    left = _partition_arg(args.left)
-    right = _partition_arg(args.right)
+    outer = parse_partition(args.outer)
+    left = parse_partition(args.left)
+    right = parse_partition(args.right)
     value = lr(outer, left, right, size_bound=args.size_bound)
     if args.format == "plain":
         print(value)
@@ -218,14 +211,14 @@ def _run_lr(args) -> int:
 
 
 def _run_kron(args) -> int:
-    lam = _partition_arg(args.lam)
-    mu = _partition_arg(args.mu)
+    lam = parse_partition(args.lam)
+    mu = parse_partition(args.mu)
     if args.oracle:
         if args.nu is None:
             raise _UsageError("--oracle needs --nu")
         if args.k is not None:
             raise _UsageError("--k and --nu are mutually exclusive")
-        nu = _partition_arg(args.nu)
+        nu = parse_partition(args.nu)
         value = g_oracle(lam, mu, nu)
         route = "CharacterOracle"
     else:
@@ -361,9 +354,6 @@ def run(argv: "list[str] | None" = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -23,7 +23,7 @@ list of strips of size t, and read each smaller shape's vector at the
 index of rho minus its first part.  Class sizes come from the
 centralizer order formula |C_rho| = n! / prod(i^{m_i} m_i!) and are
 computed once per n in the same order, so ``g_oracle`` is one dot
-product of four vectors and ``character_table`` reads the same memo.
+product of four vectors.
 
 For rectangles the two routes are tied together by exact identities:
 g(m^ell, m^ell, (n-k, k)) equals the difference p_k - p_{k-1} of
@@ -58,18 +58,6 @@ class InternalConsistencyError(RuntimeError):
     (a negative two-row difference, a character sum not divisible by
     n!).  Reaching this means a bug, not a bad input.
     """
-
-
-@dataclass(frozen=True)
-class CharacterTable:
-    """Full character table of S_n: values[(lam, rho)] and class sizes."""
-
-    n: int
-    values: "dict[tuple[Partition, Partition], int]"
-    class_sizes: "dict[Partition, int]"
-
-    def chi(self, lam: Partition, rho: Partition) -> int:
-        return self.values[(lam, rho)]
 
 
 def _strip_removals(shape: tuple[int, ...], t: int) -> list[tuple[tuple[int, ...], int]]:
@@ -136,22 +124,6 @@ def _class_steps(n: int) -> tuple[tuple[int, int], ...]:
             index[t] = {p.parts: j for j, p in enumerate(partitions_of(n - t))}
         steps.append((t, index[t][rho.parts[1:]]))
     return tuple(steps)
-
-
-def character_table(n: int, *, bound: int = DEFAULT_ORACLE_BOUND) -> CharacterTable:
-    """The full character table of S_n (n <= bound)."""
-    if n < 0:
-        raise ValueError(f"need n >= 0: got {n}")
-    if n > bound:
-        raise ValueError(f"character table limited to n <= {bound}: got {n}")
-    shapes = partitions_of(n)
-    values = {
-        (lam, rho): value
-        for lam in shapes
-        for rho, value in zip(shapes, _char(lam.parts))
-    }
-    sizes = dict(zip(shapes, _class_sizes(n)))
-    return CharacterTable(n=n, values=values, class_sizes=sizes)
 
 
 def g_oracle(

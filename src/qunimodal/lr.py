@@ -10,17 +10,13 @@ The search fills cells in reverse reading order, so the lattice
 condition is checked incrementally and failing branches die early; the
 multiset of still-unplaced values prunes the rest.  Results are
 memoized on the (outer, left, right) triple.
-
-``lr_rectangle`` is the constant-time special case for rectangular
-outer shapes, where the coefficient is 1 exactly when the two inner
-partitions are complements in the rectangle and 0 otherwise.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import Box, Partition, complement_in_box, fits_in_box
+from .partitions import Partition
 
 # Refuse outer shapes with more cells than this; enumeration beyond it
 # is not what this module is for.
@@ -84,13 +80,3 @@ def _lr_count(outer: tuple[int, ...], left: tuple[int, ...], right: tuple[int, .
         return total
 
     return fill(0)
-
-
-def lr_rectangle(box: Box, left: Partition, right: Partition) -> int:
-    """c^{rectangle}_{left,right}: 1 iff ``right`` is the complement of
-    ``left`` in ``box``, else 0."""
-    if not fits_in_box(left, box):
-        return 0
-    if left.size + right.size != box.cells:
-        return 0
-    return 1 if complement_in_box(left, box) == right else 0

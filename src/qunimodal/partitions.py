@@ -1,18 +1,18 @@
-"""Integer partitions and boxes.
+"""Integer partitions.
 
 A partition is a weakly decreasing tuple of positive parts; trailing
 zeros are stripped on construction so that equal partitions compare and
-hash equal.  A box is an ``rows x cols`` rectangle.  Everything else in
-this package indexes its objects through these two types.
+hash equal.  Everything else in this package indexes its objects through
+this type; an ell x m box is the rectangular partition ``(m,) * ell``.
 
 One enumerator, ``partitions_inside``, lists the partitions of k inside
-a given diagram; ``enumerate_in_box`` applies it to a rectangle and
-``partitions_of`` to the n x n square, memoized per n.
+a given diagram; ``partitions_of`` applies it to the n x n square,
+memoized per n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from functools import lru_cache, total_ordering
 from itertools import accumulate
 from typing import Iterable, Iterator
@@ -32,7 +32,7 @@ class Partition:
     size: int
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(int(p) for p in parts)
+        ps = tuple(map(operator.index, parts))
         while ps and ps[-1] == 0:
             ps = ps[:-1]
         for i, p in enumerate(ps):
@@ -97,44 +97,6 @@ class Partition:
         return Partition(cols)
 
 
-@dataclass(frozen=True)
-class Box:
-    """A rectangle with ``rows`` rows and ``cols`` columns, both >= 1."""
-
-    rows: int
-    cols: int
-
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"box sides must be >= 1: {self.rows} x {self.cols}")
-
-    @property
-    def cells(self) -> int:
-        return self.rows * self.cols
-
-
-def rectangle(box: Box) -> Partition:
-    """The full rectangular partition filling ``box``."""
-    return Partition((box.cols,) * box.rows)
-
-
-def fits_in_box(p: Partition, box: Box) -> bool:
-    """True when ``p`` has at most ``box.rows`` parts, each <= ``box.cols``."""
-    if len(p.parts) > box.rows:
-        return False
-    return not p.parts or p.parts[0] <= box.cols
-
-
-def complement_in_box(p: Partition, box: Box) -> Partition:
-    """Complement of ``p`` inside ``box``: the 180-degree rotation of the
-    unused cells.  Row ``i`` of the complement has ``cols - padded[rows-1-i]``
-    cells."""
-    if not fits_in_box(p, box):
-        raise ValueError(f"{p!r} does not fit in {box!r}")
-    padded = p.padded(box.rows)
-    return Partition(box.cols - padded[box.rows - 1 - i] for i in range(box.rows))
-
-
 def add(p: Partition, q: Partition) -> Partition:
     """Part-wise sum of two partitions."""
     n = max(len(p.parts), len(q.parts))
@@ -172,12 +134,6 @@ def partitions_inside(outer: Partition, k: int) -> list[Partition]:
 
     rec(k, 0, k)
     return out
-
-
-def enumerate_in_box(box: Box, k: int) -> list[Partition]:
-    """All partitions of ``k`` that fit in ``box``, in the order of
-    :func:`partitions_inside`."""
-    return partitions_inside(rectangle(box), k)
 
 
 @lru_cache(maxsize=64)

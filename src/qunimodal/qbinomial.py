@@ -27,10 +27,11 @@ one by one and shares no arithmetic with the packed product formula.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from math import comb
 
-from .partitions import Box, enumerate_in_box
+from .partitions import Partition, partitions_inside
 
 # gaussian_by_enumeration refuses boxes with more cells than this: the
 # oracle exists for cross-checks, not for production work.
@@ -50,7 +51,7 @@ class QPolynomial:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: "tuple[int, ...] | list[int]"):
-        cs = tuple(int(c) for c in coeffs)
+        cs = tuple(map(operator.index, coeffs))
         if not cs:
             raise ValueError("a polynomial needs at least its constant coefficient")
         if any(c < 0 for c in cs):
@@ -137,5 +138,5 @@ def gaussian_by_enumeration(ell: int, m: int) -> QPolynomial:
         raise ValueError(
             f"enumeration oracle is limited to ell*m <= {ENUMERATION_GUARD}: got {ell * m}"
         )
-    box = Box(ell, m)
-    return QPolynomial(tuple(len(enumerate_in_box(box, k)) for k in range(ell * m + 1)))
+    box = Partition((m,) * ell)
+    return QPolynomial(tuple(len(partitions_inside(box, k)) for k in range(ell * m + 1)))

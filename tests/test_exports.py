@@ -14,6 +14,19 @@ def test_export_list_has_no_duplicates():
 
 
 def test_removed_carriers_are_not_exported():
-    for name in ("LRQuery", "KroneckerValue", "Route"):
+    removed = (
+        "LRQuery",
+        "KroneckerValue",
+        "Route",
+        "Box",
+        "rectangle",
+        "fits_in_box",
+        "complement_in_box",
+        "enumerate_in_box",
+        "lr_rectangle",
+        "CharacterTable",
+        "character_table",
+    )
+    for name in removed:
         assert name not in qunimodal.__all__
         assert not hasattr(qunimodal, name)

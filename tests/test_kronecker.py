@@ -8,7 +8,6 @@ from qunimodal import (
     InternalConsistencyError,
     Partition,
     a_k,
-    character_table,
     g_oracle,
     g_two_row,
     gaussian,
@@ -19,7 +18,7 @@ from qunimodal import (
     semigroup_check,
     two_row,
 )
-from qunimodal.kronecker import _char, _strip_removals
+from qunimodal.kronecker import _char, _class_sizes, _strip_removals
 
 P = Partition
 
@@ -33,6 +32,14 @@ def _char_at(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     t = cycles[0]
     rest = cycles[1:]
     return sum(sign * _char_at(smaller, rest) for smaller, sign in _strip_removals(shape, t))
+
+
+def _table(n: int) -> tuple[dict, dict]:
+    # the character table of S_n read from the library's vectors:
+    # chi[(lam, rho)] and the class sizes |C_rho|
+    shapes = partitions_of(n)
+    chi = {(lam, rho): v for lam in shapes for rho, v in zip(shapes, _char(lam.parts))}
+    return chi, dict(zip(shapes, _class_sizes(n)))
 
 
 def _hook_dimension(p: Partition) -> int:
@@ -61,50 +68,47 @@ def test_two_row_shapes():
 
 def test_character_dimensions_match_hooks():
     for n in range(1, 9):
-        table = character_table(n)
+        chi, _ = _table(n)
         ones = P((1,) * n)
         for lam in partitions_of(n):
-            assert table.chi(lam, ones) == _hook_dimension(lam)
+            assert chi[lam, ones] == _hook_dimension(lam)
 
 
 def test_character_frozen_row():
-    table = character_table(3)
+    chi, _ = _table(3)
     lam = P((2, 1))
-    assert table.chi(lam, P((1, 1, 1))) == 2
-    assert table.chi(lam, P((2, 1))) == 0
-    assert table.chi(lam, P((3,))) == -1
+    assert chi[lam, P((1, 1, 1))] == 2
+    assert chi[lam, P((2, 1))] == 0
+    assert chi[lam, P((3,))] == -1
 
 
 def test_character_sign_and_trivial_rows():
     for n in range(1, 8):
-        table = character_table(n)
+        chi, _ = _table(n)
         trivial = P((n,))
         sign = P((1,) * n)
         for rho in partitions_of(n):
-            assert table.chi(trivial, rho) == 1
+            assert chi[trivial, rho] == 1
             # sign character: parity of n minus the number of cycles
             expected = (-1) ** (n - len(rho.parts))
-            assert table.chi(sign, rho) == expected
+            assert chi[sign, rho] == expected
 
 
 def test_row_orthogonality():
     for n in range(1, 8):
-        table = character_table(n)
+        chi, sizes = _table(n)
         order = factorial(n)
         shapes = partitions_of(n)
         for i, lam in enumerate(shapes):
             for mu in shapes[i:]:
-                inner = sum(
-                    table.class_sizes[rho] * table.chi(lam, rho) * table.chi(mu, rho)
-                    for rho in shapes
-                )
+                inner = sum(sizes[rho] * chi[lam, rho] * chi[mu, rho] for rho in shapes)
                 assert inner == (order if lam == mu else 0)
 
 
 def test_class_sizes_sum_to_group_order():
     for n in range(1, 9):
-        table = character_table(n)
-        assert sum(table.class_sizes.values()) == factorial(n)
+        _, sizes = _table(n)
+        assert sum(sizes.values()) == factorial(n)
 
 
 def test_character_vectors_match_per_class_recursion():
@@ -120,13 +124,13 @@ def test_character_vectors_match_per_class_recursion():
 def test_character_tables_unchanged():
     digest = hashlib.sha256()
     for n in range(9):
-        table = character_table(n)
+        chi, class_sizes = _table(n)
         shapes = partitions_of(n)
-        assert table.values == {
+        assert chi == {
             (lam, rho): _char_at(lam.parts, rho.parts) for lam in shapes for rho in shapes
         }
-        values = sorted((a.parts, b.parts, v) for (a, b), v in table.values.items())
-        sizes = sorted((a.parts, v) for a, v in table.class_sizes.items())
+        values = sorted((a.parts, b.parts, v) for (a, b), v in chi.items())
+        sizes = sorted((a.parts, v) for a, v in class_sizes.items())
         digest.update(repr((values, sizes)).encode())
     # the tables for n <= 8 as built by the per-(shape, class) memo
     expected = "0421effed20238e3fe8ed11fa8404e452b664c4e1cd81ace62e5ff9e92c0fefd"

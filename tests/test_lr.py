@@ -2,15 +2,7 @@ from math import comb, factorial
 
 import pytest
 
-from qunimodal import (
-    Box,
-    Partition,
-    complement_in_box,
-    lr,
-    lr_rectangle,
-    partitions_of,
-    rectangle,
-)
+from qunimodal import Partition, lr, partitions_of
 
 
 def _hook_dimension(p: Partition) -> int:
@@ -26,6 +18,33 @@ def _hook_dimension(p: Partition) -> int:
     q, rem = divmod(factorial(n), hooks)
     assert rem == 0
     return q
+
+
+def _complement_by_rotation(p: Partition, rows: int, cols: int) -> Partition:
+    # take the cell set, rotate the unused cells 180 degrees in the box
+    cells = {(r, c) for r in range(rows) for c in range(p.padded(rows)[r])}
+    rest = {
+        (rows - 1 - r, cols - 1 - c)
+        for r in range(rows)
+        for c in range(cols)
+        if (r, c) not in cells
+    }
+    counts = [0] * rows
+    for r, _ in rest:
+        counts[r] += 1
+    return Partition(counts)
+
+
+def _check_rectangle_rule(rows: int, cols: int) -> None:
+    # c^{rect}_{left,right} is 1 exactly when right is the complement of
+    # left in the rows x cols box, and 0 otherwise
+    rect = Partition((cols,) * rows)
+    for k in range(rect.size + 1):
+        for left in partitions_of(k):
+            fits = len(left) <= rows and (not left or left[0] <= cols)
+            comp = _complement_by_rotation(left, rows, cols) if fits else None
+            for right in partitions_of(rect.size - k):
+                assert lr(rect, left, right) == (right == comp), (left, right)
 
 
 def _count(outer, left, right) -> int:
@@ -102,31 +121,18 @@ def test_dimension_identity(k, n):
 
 
 def test_rectangle_complement_rule():
-    box = Box(3, 4)
-    full = rectangle(box)
-    for k in range(box.cells + 1):
-        for left in partitions_of(k):
-            if not full.contains(left):
-                continue
-            comp = complement_in_box(left, box)
-            for right in partitions_of(box.cells - k):
-                expected = 1 if right == comp else 0
-                assert lr_rectangle(box, left, right) == expected
+    _check_rectangle_rule(3, 4)
 
 
 def test_rectangle_rule_frozen_values():
-    assert lr_rectangle(Box(2, 2), Partition((1,)), Partition((2, 1))) == 1
-    assert lr_rectangle(Box(2, 2), Partition((1,)), Partition((1, 1, 1))) == 0
-    assert lr_rectangle(Box(3, 3), Partition((3, 1)), Partition((3, 2))) == 1
+    assert lr(Partition((2, 2)), Partition((1,)), Partition((2, 1))) == 1
+    assert lr(Partition((2, 2)), Partition((1,)), Partition((1, 1, 1))) == 0
+    assert lr(Partition((3, 3, 3)), Partition((3, 1)), Partition((3, 2))) == 1
+    assert lr(Partition((4, 4, 4)), Partition((3, 1)), Partition((4, 3, 1))) == 1
 
 
 def test_rectangle_rule_matches_general_count():
-    box = Box(2, 3)
-    full = rectangle(box)
-    for k in range(box.cells + 1):
-        for left in partitions_of(k):
-            for right in partitions_of(box.cells - k):
-                assert lr_rectangle(box, left, right) == lr(full, left, right)
+    _check_rectangle_rule(2, 3)
 
 
 def test_size_bound_guard():

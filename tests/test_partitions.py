@@ -1,17 +1,12 @@
 import pytest
 
 from qunimodal import (
-    Box,
     Partition,
     add,
-    complement_in_box,
-    enumerate_in_box,
-    fits_in_box,
     format_partition,
     parse_partition,
     partitions_inside,
     partitions_of,
-    rectangle,
 )
 
 
@@ -26,6 +21,13 @@ def test_constructor_rejects_bad_input():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((3, -1))
+
+
+def test_constructor_rejects_non_integers():
+    # parts are coerced by operator.index, so nothing is truncated or parsed
+    for parts in ((2.7, 1.2), (2.0,), ("3",)):
+        with pytest.raises(TypeError):
+            Partition(parts)
 
 
 def test_size_and_len():
@@ -77,59 +79,12 @@ def test_parse_rejects_garbage():
 
 
 def test_rectangle_and_fits():
-    box = Box(3, 4)
-    assert rectangle(box) == Partition((4, 4, 4))
-    assert fits_in_box(Partition((4, 2)), box)
-    assert not fits_in_box(Partition((5,)), box)
-    assert not fits_in_box(Partition((1, 1, 1, 1)), box)
-
-
-def test_box_rejects_degenerate():
-    with pytest.raises(ValueError):
-        Box(0, 4)
-    with pytest.raises(ValueError):
-        Box(3, -1)
-
-
-def _complement_by_rotation(p: Partition, box: Box) -> Partition:
-    # independent route: take the cell set, rotate 180 degrees in the box
-    cells = {(r, c) for r in range(box.rows) for c in range(p.padded(box.rows)[r])}
-    rest = {
-        (box.rows - 1 - r, box.cols - 1 - c)
-        for r in range(box.rows)
-        for c in range(box.cols)
-        if (r, c) not in cells
-    }
-    rows = [0] * box.rows
-    for r, _ in rest:
-        rows[r] += 1
-    return Partition(tuple(rows))
-
-
-@pytest.mark.parametrize("rows,cols", [(2, 2), (3, 4), (4, 3), (1, 5)])
-def test_complement_matches_rotation_oracle(rows, cols):
-    box = Box(rows, cols)
-    for k in range(rows * cols + 1):
-        for p in enumerate_in_box(box, k):
-            assert complement_in_box(p, box) == _complement_by_rotation(p, box)
-
-
-def test_complement_frozen_value():
-    assert complement_in_box(Partition((3, 1)), Box(3, 4)) == Partition((4, 3, 1))
-
-
-def test_complement_requires_fit():
-    with pytest.raises(ValueError):
-        complement_in_box(Partition((5,)), Box(2, 4))
-
-
-def test_complement_is_involution_and_size_balanced():
-    box = Box(3, 3)
-    for k in range(10):
-        for p in enumerate_in_box(box, k):
-            comp = complement_in_box(p, box)
-            assert p.size + comp.size == box.cells
-            assert complement_in_box(comp, box) == p
+    # a 3 x 4 box is the rectangle (4, 4, 4); fitting in it is containment
+    box = Partition((4,) * 3)
+    assert box.parts == (4, 4, 4)
+    assert box.contains(Partition((4, 2)))
+    assert not box.contains(Partition((5,)))
+    assert not box.contains(Partition((1, 1, 1, 1)))
 
 
 def test_add_partwise():
@@ -138,21 +93,21 @@ def test_add_partwise():
 
 
 def test_enumerate_in_box_counts_and_order():
-    got = enumerate_in_box(Box(2, 2), 2)
+    # an ell x m box is the rectangular partition (m,) * ell
+    got = partitions_inside(Partition((2, 2)), 2)
     assert got == [Partition((2,)), Partition((1, 1))]
-    # all results distinct, inside the box, of the right size
-    box = Box(3, 4)
-    for k in range(box.cells + 1):
-        items = enumerate_in_box(box, k)
+    # all results distinct, inside the 3 x 4 box, of the right size
+    for k in range(13):
+        items = partitions_inside(Partition((4, 4, 4)), k)
         assert len(set(items)) == len(items)
         for p in items:
-            assert p.size == k and fits_in_box(p, box)
+            assert p.size == k and len(p) <= 3 and (not p or p[0] <= 4)
 
 
 def test_enumerate_in_box_out_of_range():
-    assert enumerate_in_box(Box(2, 2), 5) == []
+    assert partitions_inside(Partition((2, 2)), 5) == []
     with pytest.raises(ValueError):
-        enumerate_in_box(Box(2, 2), -1)
+        partitions_inside(Partition((2, 2)), -1)
 
 
 def test_partitions_of_counts():

@@ -160,6 +160,13 @@ def test_qpolynomial_validation():
         QPolynomial(())
 
 
+def test_qpolynomial_rejects_non_integers():
+    # coefficients are coerced by operator.index, so nothing is truncated
+    for coeffs in ((1, 2.5), (1.0,), ("1",)):
+        with pytest.raises(TypeError):
+            QPolynomial(coeffs)
+
+
 def test_big_expansion_against_oracle():
     # one medium-large spot check of the packed evaluation
     assert gaussian(12, 17).coeffs == product_formula(12, 17)
