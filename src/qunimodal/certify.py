@@ -35,11 +35,15 @@ the order of a depth-first walk from the root (left before right):
 and j index earlier entries and {"t": i} concludes the mirror of entry
 i.  Serialization is canonical JSON (sorted keys, no whitespace).
 
-``verify`` replays the table from scratch: each distinct base leaf is
-re-checked by direct computation once and every additivity entry's side
-conditions and witnesses are re-tested, so it accepts foreign
-certificates and rejects tampered ones regardless of origin.  It
-rejects, without expanding anything, a certificate of more than
+The table is derived once per ``Certificate`` object and kept on it,
+outside its dataclass fields, for serialization and ``verify``; parsing
+validates each wire entry once and checks canonical order against it.
+
+``verify`` replays the table from scratch on every call: each distinct
+base leaf is re-checked by direct computation once and every additivity
+entry's side conditions and witnesses are re-tested, so it accepts
+foreign certificates and rejects tampered ones regardless of origin.
+It rejects, without expanding anything, a certificate of more than
 ``MAX_NODES`` entries or ``MAX_LEAVES`` distinct leaves, and any leaf of
 area above ``MAX_LEAF_AREA``.
 """
@@ -47,6 +51,7 @@ area above ``MAX_LEAF_AREA``.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 from .unimodality import EXCEPTION_PAIRS, check_strict
@@ -252,6 +257,7 @@ def certify(ell: int, m: int) -> Certificate:
     exceptional pairs) with a reasoned error, and raises ``ValueError``
     for a pair so large that its table would exceed ``MAX_NODES``.
     """
+    ell, m = operator.index(ell), operator.index(m)
     if ell < 1 or m < 1:
         raise ValueError(f"need ell, m >= 1: got ell={ell} m={m}")
     a, b = min(ell, m), max(ell, m)
@@ -275,24 +281,30 @@ def certify(ell: int, m: int) -> Certificate:
 # the table: one traversal behind serialize, parse and verify
 
 
-def _table(cert: Certificate) -> list[dict]:
-    """The distinct wire entries of ``cert``, children before parents.
+def _table(cert: Certificate) -> tuple[tuple, ...]:
+    """The distinct entries of ``cert``, children before parents.
 
+    Each entry is a key tuple: ``("base", l, m)``, ``("add", ell, i, j,
+    even, geq3)`` or ``("t", i)``, with i and j indexing earlier entries.
     Iterative, so depth costs no recursion; each object is visited once
-    and equal entries are merged.  Raises ``CertificateFormatError`` for
-    a value that is not a certificate or a table of over ``MAX_NODES``.
+    and equal entries are merged.  The first call on a root stores the
+    table on it, outside its fields, and later calls return that tuple.
+    Raises ``CertificateFormatError`` for a value that is not a
+    certificate or a table of over ``MAX_NODES``.
     """
-    entries: list[dict] = []
+    if type(cert) is Certificate and "_entries" in vars(cert):
+        return vars(cert)["_entries"]
+    entries: list[tuple] = []
     position: dict[tuple, int] = {}
     done: dict[int, int] = {}  # id(sub-certificate) -> its entry
 
-    def intern(key: tuple, entry: dict) -> int:
-        if key not in position:
-            if len(entries) == MAX_NODES:
+    def intern(key: tuple) -> int:
+        at = position.setdefault(key, len(entries))
+        if at == len(entries):
+            if at == MAX_NODES:
                 raise CertificateFormatError("$.nodes", f"over MAX_NODES = {MAX_NODES} entries")
-            position[key] = len(entries)
-            entries.append(entry)
-        return position[key]
+            entries.append(key)
+        return at
 
     stack = [cert]
     while stack:
@@ -302,69 +314,71 @@ def _table(cert: Certificate) -> list[dict]:
             continue
         node = cur.node if type(cur) is Certificate and type(cur.transposed) is bool else None
         if type(node) is BaseNode and type(node.ell) is type(node.m) is int:
-            at = intern(("base", node.ell, node.m), {"base": [node.ell, node.m]})
+            at = intern(("base", node.ell, node.m))
         elif type(node) is AddNode and type(node.ell) is int and (
             type(node.even_witness) is type(node.geq3_witness) is str
         ):
-            ell, ew, gw = node.ell, node.even_witness, node.geq3_witness
             i, j = done.get(id(node.left)), done.get(id(node.right))
             if i is None or j is None:
                 stack += (node.right, node.left)
                 continue
-            at = intern(("add", ell, i, j, ew, gw), {"add": [ell, i, j], "even": ew, "geq3": gw})
+            at = intern(("add", node.ell, i, j, node.even_witness, node.geq3_witness))
         else:
             raise CertificateFormatError(f"$.nodes[{len(entries)}]", "not a certificate")
-        done[id(cur)] = intern(("t", at), {"t": at}) if cur.transposed else at
+        done[id(cur)] = intern(("t", at)) if cur.transposed else at
         stack.pop()
-    return entries
+    table = tuple(entries)
+    object.__setattr__(cert, "_entries", table)
+    return table
 
 
 def verify(cert: Certificate) -> VerificationResult:
     """Replay a certificate: re-check every leaf and every side condition.
 
-    One loop over the table, so each distinct sub-certificate is checked
-    once and each distinct leaf pair re-computed once.  Never raises.
+    One loop over the table, which is derived once per object; every call
+    re-computes each distinct leaf pair once and re-checks every side
+    condition and witness.  Never raises.
     """
 
-    def reject(reason: str, path: str) -> VerificationResult:
+    def reject(reason: str, at: "int | str") -> VerificationResult:
+        path = at if type(at) is str else f"$.nodes[{at}]"
         return VerificationResult(ok=False, reason=reason, path=path)
 
     try:
         table = _table(cert)
     except CertificateFormatError as err:
         return reject(err.message, err.path)
-    leaves = sum(1 for entry in table if "base" in entry)
+    leaves = sum(1 for entry in table if entry[0] == "base")
     if leaves > MAX_LEAVES:
         return reject(f"{leaves} distinct leaves, more than MAX_LEAVES = {MAX_LEAVES}", "$.nodes")
     concluded: list[tuple[int, int]] = []
     for at, entry in enumerate(table):
-        path = f"$.nodes[{at}]"
-        if "base" in entry:
-            ell, m = entry["base"]
+        kind = entry[0]
+        if kind == "base":
+            _, ell, m = entry
             if ell < 1 or m < 1:
-                return reject("base pair sides must be positive", path)
+                return reject("base pair sides must be positive", at)
             if ell * m > MAX_LEAF_AREA:
-                return reject(f"base pair area exceeds MAX_LEAF_AREA = {MAX_LEAF_AREA}", path)
+                return reject(f"base pair area exceeds MAX_LEAF_AREA = {MAX_LEAF_AREA}", at)
             if not check_strict(ell, m).strict:
-                return reject(f"base pair ({ell},{m}) is not strictly unimodal", path)
+                return reject(f"base pair ({ell},{m}) is not strictly unimodal", at)
             concluded.append((ell, m))
             continue
-        if "t" in entry:
-            ell, m = concluded[entry["t"]]
+        if kind == "t":
+            ell, m = concluded[entry[1]]
             concluded.append((m, ell))
             continue
-        ell, i, j = entry["add"]
+        _, ell, i, j, ew, gw = entry
         (l1, m1), (l2, m2) = concluded[i], concluded[j]
         if l1 != ell or l2 != ell:
-            return reject(f"children conclude ell {l1}/{l2}, not the node's ell", path)
+            return reject(f"children conclude ell {l1}/{l2}, not the node's ell", at)
         members = {"ell": ell, "m1": m1, "m2": m2}
         if min(members.values()) < 2:
-            return reject(f"side condition failed: ell={ell} m1={m1} m2={m2} must be >= 2", path)
-        ew, gw = entry["even"], entry["geq3"]
+            return reject(f"side condition failed: ell={ell} m1={m1} m2={m2} must be >= 2", at)
         if ew not in members or members[ew] % 2 != 0:
-            return reject(f"even witness {ew!r} does not name an even member", path)
+            return reject(f"even witness {ew!r} does not name an even member", at)
         if gw not in members or members[gw] < 3:
-            return reject(f"size witness {gw!r} does not name a member >= 3", path)
+            return reject(f"size witness {gw!r} does not name a member >= 3", at)
         concluded.append((ell, m1 + m2))
     if concluded[-1] != (cert.ell, cert.m):
         ell, m = concluded[-1]
@@ -376,8 +390,17 @@ def verify(cert: Certificate) -> VerificationResult:
 # serialization
 
 
+def _wire(entry: tuple) -> dict:
+    if entry[0] == "base":
+        return {"base": [entry[1], entry[2]]}
+    if entry[0] == "t":
+        return {"t": entry[1]}
+    _, ell, i, j, ew, gw = entry
+    return {"add": [ell, i, j], "even": ew, "geq3": gw}
+
+
 def certificate_to_obj(cert: Certificate) -> dict:
-    nodes = _table(cert)
+    nodes = [_wire(entry) for entry in _table(cert)]
     return {"version": _VERSION, "conclusion": {"ell": cert.ell, "m": cert.m}, "nodes": nodes}
 
 
@@ -390,22 +413,25 @@ def _ints(v: object, n: int) -> bool:
     return type(v) is list and len(v) == n and all(type(x) is int for x in v)
 
 
-def _entry_cert(obj: object, certs: list[Certificate], path: str) -> Certificate:
-    """The sub-certificate of the next table entry, after those in ``certs``."""
-    keys = set(obj) if type(obj) is dict else set()
+def _entry_cert(obj: object, certs: list[Certificate]) -> tuple[tuple, Certificate]:
+    """The table entry and sub-certificate of the next wire entry, after
+    those in ``certs``."""
+    keys = obj.keys() if type(obj) is dict else None
     at = len(certs)
-    if keys == {"base"} and _ints(obj["base"], 2):
-        return _base_cert(*obj["base"])
-    if keys == {"t"} and type(obj["t"]) is int and 0 <= obj["t"] < at:
-        return _transposed(certs[obj["t"]])
-    if keys == {"add", "even", "geq3"} and _ints(obj["add"], 3) and type(obj["even"]) is str:
-        ell, i, j = obj["add"]
-        ew, gw = obj["even"], obj["geq3"]
-        if 0 <= i < at and 0 <= j < at and type(gw) is str:
-            node = AddNode(ell=ell, left=certs[i], right=certs[j], even_witness=ew, geq3_witness=gw)
-            return Certificate(ell=ell, m=certs[i].m + certs[j].m, node=node, transposed=False)
+    if keys == {"add", "even", "geq3"} and type(obj["add"]) is list and len(obj["add"]) == 3:
+        (ell, i, j), ew, gw = obj["add"], obj["even"], obj["geq3"]
+        if type(ell) is type(i) is type(j) is int and type(ew) is type(gw) is str and (
+            0 <= i < at and 0 <= j < at
+        ):
+            node = AddNode(ell, certs[i], certs[j], ew, gw)
+            return ("add", ell, i, j, ew, gw), Certificate(ell, certs[i].m + certs[j].m, node, False)
+    elif keys == {"base"} and _ints(obj["base"], 2):
+        l, m = obj["base"]
+        return ("base", l, m), _base_cert(l, m)
+    elif keys == {"t"} and type(obj["t"]) is int and 0 <= obj["t"] < at:
+        return ("t", obj["t"]), _transposed(certs[obj["t"]])
     raise CertificateFormatError(
-        path,
+        f"$.nodes[{at}]",
         'expected {"base": [l, m]}, {"add": [ell, i, j], "even": w, "geq3": w} or {"t": i}, '
         "where i and j index earlier entries",
     )
@@ -421,12 +447,15 @@ def certificate_from_obj(obj: object) -> Certificate:
         raise CertificateFormatError("$.conclusion", 'expected {"ell": int, "m": int}')
     if type(nodes) is not list or not 1 <= len(nodes) <= MAX_NODES:
         raise CertificateFormatError("$.nodes", f"expected 1 to {MAX_NODES} entries")
+    entries: list[tuple] = []
     certs: list[Certificate] = []
-    for at, item in enumerate(nodes):
-        certs.append(_entry_cert(item, certs, f"$.nodes[{at}]"))
+    for item in nodes:
+        entry, cert = _entry_cert(item, certs)
+        entries.append(entry)
+        certs.append(cert)
     last = certs[-1]
     root = Certificate(ell=concl["ell"], m=concl["m"], node=last.node, transposed=last.transposed)
-    if _table(root) != nodes:
+    if _table(root) != tuple(entries):
         raise CertificateFormatError("$.nodes", "not canonical: distinct, in walk order")
     return root
 

@@ -36,6 +36,7 @@ answers ``Trivial`` for every such pair.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 from .qbinomial import gaussian
@@ -78,6 +79,7 @@ class UnimodalityReport:
 
 def check_strict(ell: int, m: int) -> UnimodalityReport:
     """Evaluate the strict unimodality chain for binom(m+ell, m)_q."""
+    ell, m = operator.index(ell), operator.index(m)
     if ell < 1 or m < 1:
         raise ValueError(f"need ell, m >= 1: got ell={ell} m={m}")
     c = gaussian(ell, m).coeffs
@@ -115,6 +117,7 @@ def check_strict(ell: int, m: int) -> UnimodalityReport:
 
 def classify(ell: int, m: int) -> PairClass:
     """Classify the pair; symmetric in ell and m."""
+    ell, m = operator.index(ell), operator.index(m)
     if ell < 1 or m < 1:
         raise ValueError(f"need ell, m >= 1: got ell={ell} m={m}")
     a, b = min(ell, m), max(ell, m)

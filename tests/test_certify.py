@@ -11,11 +11,13 @@ from qunimodal import (
     CertificateFormatError,
     EXCEPTION_PAIRS,
     NotCertifiableError,
+    PairClass,
     build_base_registry,
     certificate_from_obj,
     certificate_to_obj,
     certify,
     check_strict,
+    classify,
     default_registry,
     parse_certificate,
     serialize_certificate,
@@ -85,6 +87,21 @@ def test_certify_refusals():
         assert info.value.reason == "exception"
 
 
+def test_non_integer_sides_are_refused():
+    # floats, strings and other non-integers are not truncated or compared
+    # as sides: they raise TypeError, as Partition and QPolynomial do
+    for call, ell, m in [
+        (classify, 5.5, 6),
+        (classify, 2.0, 7),
+        (check_strict, 5.5, 6),
+        (check_strict, 8, "8"),
+        (certify, 5, 8.5),
+        (certify, 8.0, 24),
+    ]:
+        with pytest.raises(TypeError):
+            call(ell, m)
+
+
 def test_certify_is_symmetric_via_transpose():
     cert = certify(24, 8)
     assert cert.ell == 24 and cert.m == 8
@@ -143,6 +160,7 @@ def test_verify_rejects_mismatched_ell():
 
 def test_verify_reports_path_of_failure():
     good = certify(5, 25)
+    text = serialize_certificate(good)
     obj = certificate_to_obj(good)
     # (5,25) = (5,17) + (5,8); keep the total at 25 so the failure
     # surfaces inside the table: (5,19) is strict, (5,6) is not
@@ -153,11 +171,25 @@ def test_verify_reports_path_of_failure():
     ]
     obj["nodes"][0] = {"base": [5, 19]}
     obj["nodes"][1] = {"base": [5, 6]}
+    tampered_text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     tampered = certificate_from_obj(obj)
+    # the table kept on a certificate shares nothing with the dicts it was
+    # parsed from or handed out as: mutating them changes no later answer
+    obj["nodes"][1]["base"][1] = 8
+    obj["nodes"][2]["add"][1:] = [1, 1]
+    obj["nodes"][2]["even"] = "m1"
+    obj["conclusion"]["m"] = 16
+    obj["nodes"].append({"t": 0})
     outcome = verify(tampered)
     assert not outcome.ok
     assert outcome.path == "$.nodes[1]"
     assert "(5,6)" in outcome.reason
+    assert serialize_certificate(tampered) == tampered_text
+    handed_out = certificate_to_obj(good)
+    handed_out["nodes"][0]["base"][1] = 19
+    handed_out["nodes"][2]["add"][0] = 6
+    handed_out["nodes"].pop()
+    assert serialize_certificate(good) == text
 
 
 def test_serialization_round_trip_and_determinism():
@@ -196,55 +228,57 @@ def test_serialized_form_uses_bare_nodes_for_plain_children():
         assert bool(users) == (at < len(nodes) - 1)
 
 
+_V2 = '{"version":2,"conclusion":{"ell":8,"m":%s},"nodes":[%s]}'
+_BASE, _DOUBLE = '{"base":[8,8]}', '{"add":[8,0,0],"even":"ell","geq3":"ell"}'
+MALFORMED_DOCUMENTS = [
+    # the version-1 nested form of certify(5, 17)
+    '{"conclusion":{"ell":5,"m":17},"node":{"base":{"ell":5,"m":17}},"transposed":false}',
+    # forward and self references
+    _V2 % (16, '{"add":[8,1,1],"even":"ell","geq3":"ell"},' + _BASE),
+    _V2 % (16, _BASE + ',{"add":[8,0,1],"even":"ell","geq3":"ell"}'),
+    _V2 % (8, '{"t":0}'),
+    _V2 % (16, _BASE + ',{"add":[8,-1,0],"even":"ell","geq3":"ell"}'),
+    # wrong version
+    _V2.replace('"version":2', '"version":1') % (8, _BASE),
+    _V2.replace('"version":2', '"version":3') % (8, _BASE),
+    _V2.replace('"version":2', '"version":"2"') % (8, _BASE),
+    _V2.replace('"version":2', '"version":2.0') % (8, _BASE),
+    '{"conclusion":{"ell":8,"m":8},"nodes":[{"base":[8,8]}]}',
+    # non-list fields
+    '{"version":2,"conclusion":{"ell":8,"m":8},"nodes":{"0":{"base":[8,8]}}}',
+    _V2 % (8, '{"base":{"ell":8,"m":8}}'),
+    _V2 % (16, _BASE + ',{"add":{"ell":8,"left":0,"right":0},"even":"ell","geq3":"ell"}'),
+    _V2 % (8, '{"base":[8,8,8]}'),
+    _V2 % (8, ""),
+    # true where an int belongs
+    _V2 % (8, '{"base":[true,8]}'),
+    _V2 % ("true", _BASE),
+    _V2 % (16, _BASE + ',{"add":[8,0,true],"even":"ell","geq3":"ell"}'),
+    _V2 % (8, _BASE + ',{"t":true}'),
+    # witnesses must be strings, and keys exact
+    _V2 % (16, _BASE + ',{"add":[8,0,0],"even":1,"geq3":"ell"}'),
+    _V2 % (16, _BASE + ',{"add":[8,0,0],"even":"ell"}'),
+    _V2 % (8, '{"base":[8,8],"x":1}'),
+    # not the canonical table: a duplicate, an unused entry, a
+    # transpose of a transpose, children in the wrong walk order
+    _V2 % (16, _BASE + "," + _BASE + ',{"add":[8,0,1],"even":"ell","geq3":"ell"}'),
+    _V2 % (16, _BASE + ',{"base":[8,9]},' + _DOUBLE),
+    _V2 % (8, _BASE + ',{"t":0},{"t":1}'),
+    '{"version":2,"conclusion":{"ell":8,"m":17},"nodes":[{"base":[8,9]},{"base":[8,8]},'
+    '{"add":[8,1,0],"even":"ell","geq3":"m1"}]}',
+    "not json",
+    "[]",
+    '{"conclusion":{"ell":5,"m":25},"transposed":false}',
+    '{"conclusion":{"ell":5},"node":{"base":{"ell":5,"m":5}},"transposed":false}',
+    '{"conclusion":{"ell":5,"m":5},"node":{"base":{"ell":5}},"transposed":false}',
+    '{"conclusion":{"ell":5,"m":5},"node":{"base":{"ell":5,"m":5,"x":1}},"transposed":false}',
+    '{"conclusion":{"ell":5,"m":5},"node":{"base":{"ell":5,"m":5}},"transposed":"no"}',
+    '{"conclusion":{"ell":5,"m":5},"node":{"base":{"ell":5,"m":5.5}},"transposed":false}',
+]
+
+
 def test_parse_rejects_malformed_documents():
-    v2 = '{"version":2,"conclusion":{"ell":8,"m":%s},"nodes":[%s]}'
-    base, double = '{"base":[8,8]}', '{"add":[8,0,0],"even":"ell","geq3":"ell"}'
-    cases = [
-        # the version-1 nested form of certify(5, 17)
-        '{"conclusion":{"ell":5,"m":17},"node":{"base":{"ell":5,"m":17}},"transposed":false}',
-        # forward and self references
-        v2 % (16, '{"add":[8,1,1],"even":"ell","geq3":"ell"},' + base),
-        v2 % (16, base + ',{"add":[8,0,1],"even":"ell","geq3":"ell"}'),
-        v2 % (8, '{"t":0}'),
-        v2 % (16, base + ',{"add":[8,-1,0],"even":"ell","geq3":"ell"}'),
-        # wrong version
-        v2.replace('"version":2', '"version":1') % (8, base),
-        v2.replace('"version":2', '"version":3') % (8, base),
-        v2.replace('"version":2', '"version":"2"') % (8, base),
-        v2.replace('"version":2', '"version":2.0') % (8, base),
-        '{"conclusion":{"ell":8,"m":8},"nodes":[{"base":[8,8]}]}',
-        # non-list fields
-        '{"version":2,"conclusion":{"ell":8,"m":8},"nodes":{"0":{"base":[8,8]}}}',
-        v2 % (8, '{"base":{"ell":8,"m":8}}'),
-        v2 % (16, base + ',{"add":{"ell":8,"left":0,"right":0},"even":"ell","geq3":"ell"}'),
-        v2 % (8, '{"base":[8,8,8]}'),
-        v2 % (8, ""),
-        # true where an int belongs
-        v2 % (8, '{"base":[true,8]}'),
-        v2 % ("true", base),
-        v2 % (16, base + ',{"add":[8,0,true],"even":"ell","geq3":"ell"}'),
-        v2 % (8, base + ',{"t":true}'),
-        # witnesses must be strings, and keys exact
-        v2 % (16, base + ',{"add":[8,0,0],"even":1,"geq3":"ell"}'),
-        v2 % (16, base + ',{"add":[8,0,0],"even":"ell"}'),
-        v2 % (8, '{"base":[8,8],"x":1}'),
-        # not the canonical table: a duplicate, an unused entry, a
-        # transpose of a transpose, children in the wrong walk order
-        v2 % (16, base + "," + base + ',{"add":[8,0,1],"even":"ell","geq3":"ell"}'),
-        v2 % (16, base + ',{"base":[8,9]},' + double.replace("0,0", "0,0")),
-        v2 % (8, base + ',{"t":0},{"t":1}'),
-        '{"version":2,"conclusion":{"ell":8,"m":17},"nodes":[{"base":[8,9]},{"base":[8,8]},'
-        '{"add":[8,1,0],"even":"ell","geq3":"m1"}]}',
-        "not json",
-        "[]",
-        '{"conclusion":{"ell":5,"m":25},"transposed":false}',
-        '{"conclusion":{"ell":5},"node":{"base":{"ell":5,"m":5}},"transposed":false}',
-        '{"conclusion":{"ell":5,"m":5},"node":{"base":{"ell":5}},"transposed":false}',
-        '{"conclusion":{"ell":5,"m":5},"node":{"base":{"ell":5,"m":5,"x":1}},"transposed":false}',
-        '{"conclusion":{"ell":5,"m":5},"node":{"base":{"ell":5,"m":5}},"transposed":"no"}',
-        '{"conclusion":{"ell":5,"m":5},"node":{"base":{"ell":5,"m":5.5}},"transposed":false}',
-    ]
-    for text in cases:
+    for text in MALFORMED_DOCUMENTS:
         with pytest.raises(CertificateFormatError):
             parse_certificate(text)
 
@@ -254,6 +288,28 @@ def test_parse_error_carries_a_path():
     with pytest.raises(CertificateFormatError) as info:
         parse_certificate(text)
     assert info.value.path.startswith("$")
+
+
+def test_each_certificate_object_is_walked_once(monkeypatch):
+    # a walk builds a new table; a table already derived for the object
+    # comes back as the same tuple, so distinct results count the walks
+    cert_module = importlib.import_module("qunimodal.certify")
+    walk = cert_module._table
+    tables = []
+
+    def spy(cert):
+        table = walk(cert)
+        tables.append(table)
+        return table
+
+    monkeypatch.setattr(cert_module, "_table", spy)
+    outcome = verify(parse_certificate(serialize_certificate(certify(33, 4700))))
+    assert outcome.ok
+    # certify's root, then the parse check; serialize and verify reuse them
+    assert len({id(table) for table in tables}) <= 2
+    tables.clear()
+    assert classify(550, 553) == PairClass.Strict
+    assert len({id(table) for table in tables}) == 1
 
 
 def test_default_registry_is_cached_instance():

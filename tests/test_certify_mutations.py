@@ -5,6 +5,11 @@ one mutation: an int replaced, a witness replaced, a reference
 replaced, a key dropped or added, or the table truncated.  Whatever
 comes out, ``verify`` must not raise, and it may accept only a
 conclusion that ``classify`` reports as Strict.
+
+A reference parse, which builds the objects entry by entry and then
+compares their walked wire table with the document, must reach the
+same decision as the library's parse on every such example and on
+every malformed document of ``test_certify``.
 """
 
 import atexit
@@ -16,6 +21,9 @@ import tempfile
 import pytest
 
 from qunimodal import (
+    AddNode,
+    BaseNode,
+    Certificate,
     CertificateFormatError,
     PairClass,
     certify,
@@ -24,6 +32,8 @@ from qunimodal import (
     serialize_certificate,
     verify,
 )
+from qunimodal.certify import MAX_NODES
+from test_certify import MALFORMED_DOCUMENTS
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -115,3 +125,116 @@ def test_verify_decides_every_mutation(text):
         assert classify(outcome.ell, outcome.m) == PairClass.Strict
     else:
         assert outcome.path.startswith("$") and outcome.reason
+
+
+# ---------------------------------------------------------------------------
+# reference parse: each wire entry becomes an object, then the objects
+# are walked back into wire dicts, which must equal the document's
+
+
+def _reference_table(cert):
+    entries, position, done = [], {}, {}
+
+    def intern(key, entry):
+        if key not in position:
+            if len(entries) == MAX_NODES:
+                raise CertificateFormatError("$.nodes", f"over MAX_NODES = {MAX_NODES} entries")
+            position[key] = len(entries)
+            entries.append(entry)
+        return position[key]
+
+    stack = [cert]
+    while stack:
+        cur = stack[-1]
+        if id(cur) in done:
+            stack.pop()
+            continue
+        node = cur.node if type(cur) is Certificate and type(cur.transposed) is bool else None
+        if type(node) is BaseNode and type(node.ell) is type(node.m) is int:
+            at = intern(("base", node.ell, node.m), {"base": [node.ell, node.m]})
+        elif type(node) is AddNode and type(node.ell) is int and (
+            type(node.even_witness) is type(node.geq3_witness) is str
+        ):
+            ell, ew, gw = node.ell, node.even_witness, node.geq3_witness
+            i, j = done.get(id(node.left)), done.get(id(node.right))
+            if i is None or j is None:
+                stack += (node.right, node.left)
+                continue
+            at = intern(("add", ell, i, j, ew, gw), {"add": [ell, i, j], "even": ew, "geq3": gw})
+        else:
+            raise CertificateFormatError(f"$.nodes[{len(entries)}]", "not a certificate")
+        done[id(cur)] = intern(("t", at), {"t": at}) if cur.transposed else at
+        stack.pop()
+    return entries
+
+
+def _ints(v, n):
+    return type(v) is list and len(v) == n and all(type(x) is int for x in v)
+
+
+def _reference_entry_cert(obj, certs, path):
+    keys = set(obj) if type(obj) is dict else set()
+    at = len(certs)
+    if keys == {"base"} and _ints(obj["base"], 2):
+        ell, m = obj["base"]
+        return Certificate(ell, m, BaseNode(ell, m), False)
+    if keys == {"t"} and type(obj["t"]) is int and 0 <= obj["t"] < at:
+        sub = certs[obj["t"]]
+        return Certificate(sub.m, sub.ell, sub.node, not sub.transposed)
+    if keys == {"add", "even", "geq3"} and _ints(obj["add"], 3) and type(obj["even"]) is str:
+        ell, i, j = obj["add"]
+        ew, gw = obj["even"], obj["geq3"]
+        if 0 <= i < at and 0 <= j < at and type(gw) is str:
+            node = AddNode(ell, certs[i], certs[j], ew, gw)
+            return Certificate(ell, certs[i].m + certs[j].m, node, False)
+    raise CertificateFormatError(
+        path,
+        'expected {"base": [l, m]}, {"add": [ell, i, j], "even": w, "geq3": w} or {"t": i}, '
+        "where i and j index earlier entries",
+    )
+
+
+def _reference_parse(text):
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as err:
+        raise CertificateFormatError("$", f"not valid JSON: {err}") from None
+    if type(obj) is not dict or set(obj) != {"version", "conclusion", "nodes"}:
+        raise CertificateFormatError("$", 'expected keys ["conclusion", "nodes", "version"]')
+    if type(obj["version"]) is not int or obj["version"] != 2:
+        raise CertificateFormatError("$.version", "expected 2")
+    concl, nodes = obj["conclusion"], obj["nodes"]
+    if type(concl) is not dict or set(concl) != {"ell", "m"} or not _ints(list(concl.values()), 2):
+        raise CertificateFormatError("$.conclusion", 'expected {"ell": int, "m": int}')
+    if type(nodes) is not list or not 1 <= len(nodes) <= MAX_NODES:
+        raise CertificateFormatError("$.nodes", f"expected 1 to {MAX_NODES} entries")
+    certs = []
+    for at, item in enumerate(nodes):
+        certs.append(_reference_entry_cert(item, certs, f"$.nodes[{at}]"))
+    last = certs[-1]
+    root = Certificate(concl["ell"], concl["m"], last.node, last.transposed)
+    if _reference_table(root) != nodes:
+        raise CertificateFormatError("$.nodes", "not canonical: distinct, in walk order")
+    return root
+
+
+def _decision(parse, text):
+    """What a reader learns from a document: the parse error, or the
+    conclusion, the verify outcome and the canonical bytes."""
+    try:
+        cert = parse(text)
+    except CertificateFormatError as err:
+        return "rejected", err.path, err.message
+    outcome = verify(cert)
+    return (cert.ell, cert.m), outcome.ok, outcome.reason, outcome.path, serialize_certificate(cert)
+
+
+@hypothesis.settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@hypothesis.given(mutated())
+def test_parse_matches_the_reference_on_every_mutation(text):
+    assert _decision(parse_certificate, text) == _decision(_reference_parse, text)
+
+
+def test_parse_matches_the_reference_on_malformed_and_valid_documents():
+    for text in MALFORMED_DOCUMENTS + [json.dumps(doc) for doc in DOCS]:
+        assert _decision(parse_certificate, text) == _decision(_reference_parse, text), text
