@@ -21,13 +21,10 @@ from .certify import (
 )
 from .kronecker import (
     InternalConsistencyError,
-    Lemma12Result,
-    SemigroupViolation,
     a_k,
     g_oracle,
     g_two_row,
     lemma12_check,
-    routes_check,
     semigroup_check,
     two_row,
 )
@@ -59,12 +56,10 @@ __all__ = [
     "CertificateFormatError",
     "EXCEPTION_PAIRS",
     "InternalConsistencyError",
-    "Lemma12Result",
     "NotCertifiableError",
     "PairClass",
     "Partition",
     "QPolynomial",
-    "SemigroupViolation",
     "UnimodalityReport",
     "VerificationResult",
     "a_k",
@@ -87,7 +82,6 @@ __all__ = [
     "parse_partition",
     "partitions_inside",
     "partitions_of",
-    "routes_check",
     "scan",
     "semigroup_check",
     "serialize_certificate",

@@ -53,6 +53,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from functools import cache
 
 from .unimodality import EXCEPTION_PAIRS, check_strict
 
@@ -176,14 +177,9 @@ def build_base_registry() -> frozenset[tuple[int, int]]:
     return frozenset(verified | {(b, a) for a, b in verified})
 
 
-_default_registry: "frozenset[tuple[int, int]] | None" = None
-
-
+@cache
 def default_registry() -> frozenset[tuple[int, int]]:
-    global _default_registry
-    if _default_registry is None:
-        _default_registry = build_base_registry()
-    return _default_registry
+    return build_base_registry()
 
 
 def _witnesses(ell: int, m1: int, m2: int) -> tuple[str, str]:

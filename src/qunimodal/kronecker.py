@@ -28,16 +28,16 @@ product of four vectors.
 For rectangles the two routes are tied together by exact identities:
 g(m^ell, m^ell, (n-k, k)) equals the difference p_k - p_{k-1} of
 Gaussian binomial coefficients, which ``lemma12_check`` confirms box by
-box, and ``routes_check`` confirms the two routes agree on general
-pairs.  ``semigroup_check`` samples pairs of positive triples and
-confirms g is positive and monotone under part-wise addition.
+box.  ``semigroup_check`` samples pairs of positive triples and
+confirms g is positive and monotone under part-wise addition.  Both
+return their counterexamples as a plain list, empty when the claim
+holds.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -197,21 +197,11 @@ def g_two_row(lam: Partition, mu: Partition, k: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Lemma12Result:
-    """Outcome of the rectangle difference identity check for one box."""
+def lemma12_check(ell: int, m: int, *, bound: int = DEFAULT_ORACLE_BOUND) -> list[int]:
+    """The k in 0..n/2 with g(m^ell, m^ell, (n-k, k)) != p_k - p_{k-1}.
 
-    ell: int
-    m: int
-    ok: bool
-    failed_k: int | None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def lemma12_check(ell: int, m: int, *, bound: int = DEFAULT_ORACLE_BOUND) -> Lemma12Result:
-    """Check g(m^ell, m^ell, (n-k, k)) == p_k - p_{k-1} for all 0 <= k <= n/2."""
+    Expected empty.
+    """
     if ell < 1 or m < 1:
         raise ValueError(f"need ell, m >= 1: got ell={ell} m={m}")
     n = ell * m
@@ -219,62 +209,32 @@ def lemma12_check(ell: int, m: int, *, bound: int = DEFAULT_ORACLE_BOUND) -> Lem
         raise ValueError(f"identity check limited to ell*m <= {bound}: got {n}")
     rect = Partition((m,) * ell)
     poly = gaussian(ell, m)
-    for k in range(n // 2 + 1):
-        expected = poly.coefficient(k) - poly.coefficient(k - 1)
-        if g_oracle(rect, rect, two_row(n, k), bound=bound) != expected:
-            return Lemma12Result(ell=ell, m=m, ok=False, failed_k=k)
-    return Lemma12Result(ell=ell, m=m, ok=True, failed_k=None)
-
-
-def routes_check(max_n: int = 10) -> list[tuple[Partition, Partition, int, int, int]]:
-    """Compare the two-row formula against the character oracle.
-
-    Runs over every unordered pair lam, mu of partitions of each
-    n <= max_n and every 0 <= k <= n/2; returns the mismatches as
-    (lam, mu, k, two_row_value, oracle_value).  Expected empty.
-    """
-    mismatches = []
-    for n in range(1, max_n + 1):
-        shapes = partitions_of(n)
-        for i, lam in enumerate(shapes):
-            for mu in shapes[i:]:
-                for k in range(n // 2 + 1):
-                    via_lr = g_two_row(lam, mu, k)
-                    via_chars = g_oracle(lam, mu, two_row(n, k))
-                    if via_lr != via_chars:
-                        mismatches.append((lam, mu, k, via_lr, via_chars))
-    return mismatches
-
-
-@dataclass(frozen=True)
-class SemigroupViolation:
-    first: tuple[Partition, Partition, Partition]
-    second: tuple[Partition, Partition, Partition]
-    g_first: int
-    g_second: int
-    g_sum: int
+    return [
+        k
+        for k in range(n // 2 + 1)
+        if g_oracle(rect, rect, two_row(n, k), bound=bound)
+        != poly.coefficient(k) - poly.coefficient(k - 1)
+    ]
 
 
 def semigroup_check(
-    samples: int = 1000,
-    seed: int = 0,
-    max_total_size: int = 18,
-) -> list[SemigroupViolation]:
+    samples: int, seed: int, max_total_size: int
+) -> list[tuple[tuple[Partition, ...], tuple[Partition, ...], int, int, int]]:
     """Sample pairs of triples with positive Kronecker coefficient and
     check positivity and monotonicity of the part-wise sum triple.
 
     A sample is a pair of triples (lam, mu, nu) and (alpha, beta, gamma)
     with g > 0 for both and combined size at most ``max_total_size``.
     For each, g(lam+alpha, mu+beta, nu+gamma) must be at least
-    max(g1, g2), in particular positive.  Returns violations; expected
-    empty.
+    max(g1, g2), in particular positive.  Returns the violations as
+    (first, second, g_first, g_second, g_sum); expected empty.
     """
     if samples < 0:
         raise ValueError(f"need samples >= 0: got {samples}")
     if max_total_size < 2:
         raise ValueError(f"need max_total_size >= 2: got {max_total_size}")
     rng = random.Random(seed)
-    violations: list[SemigroupViolation] = []
+    violations = []
     accepted = 0
     attempts = 0
     max_attempts = max(1, samples) * 400
@@ -300,9 +260,5 @@ def semigroup_check(
         summed = tuple(add(a, b) for a, b in zip(first, second))
         gs = g_oracle(*summed, bound=max_total_size)
         if gs <= 0 or gs < max(g1, g2):
-            violations.append(
-                SemigroupViolation(
-                    first=first, second=second, g_first=g1, g_second=g2, g_sum=gs
-                )
-            )
+            violations.append((first, second, g1, g2, gs))
     return violations

@@ -9,7 +9,15 @@ returns ``(ok, printable lines)``.  ``CLAIMS`` maps the names accepted by
 from __future__ import annotations
 
 from .certify import NotCertifiableError, certify, verify
-from .kronecker import DEFAULT_ORACLE_BOUND, lemma12_check, routes_check, semigroup_check
+from .kronecker import (
+    DEFAULT_ORACLE_BOUND,
+    g_oracle,
+    g_two_row,
+    lemma12_check,
+    semigroup_check,
+    two_row,
+)
+from .partitions import partitions_of
 from .qbinomial import gaussian
 from .unimodality import EXCEPTION_PAIRS, PairClass, check_strict, scan
 
@@ -65,8 +73,6 @@ def repro_ell2(max_m: int = 50) -> tuple[bool, list[str]]:
         poly = gaussian(2, m)
         n = 2 * m
         for i in range(0, (n + 3) // 4):
-            if 4 * i >= n:
-                break
             if poly.coefficient(2 * i) != poly.coefficient(2 * i + 1):
                 bad.append(f"m={m} i={i}")
     lines = [f"checked even/odd coefficient pairing for ell=2, m=1..{max_m}"]
@@ -98,9 +104,9 @@ def repro_lemma12(max_area: int = 16) -> tuple[bool, list[str]]:
     for ell in range(1, max_area + 1):
         for m in range(1, max_area // ell + 1):
             boxes += 1
-            res = lemma12_check(ell, m, bound=max(DEFAULT_ORACLE_BOUND, max_area))
-            if not res.ok:
-                bad.append(f"({ell},{m}) failed at k={res.failed_k}")
+            failed = lemma12_check(ell, m, bound=max(DEFAULT_ORACLE_BOUND, max_area))
+            if failed:
+                bad.append(f"({ell},{m}) failed at k={','.join(map(str, failed))}")
     lines = [f"checked the difference identity on {boxes} boxes with ell*m <= {max_area}"]
     if bad:
         lines.extend(bad)
@@ -109,7 +115,16 @@ def repro_lemma12(max_area: int = 16) -> tuple[bool, list[str]]:
 
 def repro_routes(max_n: int = 10) -> tuple[bool, list[str]]:
     """Two-row formula == character oracle on all pairs of partitions of n <= max_n."""
-    mismatches = routes_check(max_n)
+    mismatches = []
+    for n in range(1, max_n + 1):
+        shapes = partitions_of(n)
+        for i, lam in enumerate(shapes):
+            for mu in shapes[i:]:
+                for k in range(n // 2 + 1):
+                    via_lr = g_two_row(lam, mu, k)
+                    via_chars = g_oracle(lam, mu, two_row(n, k))
+                    if via_lr != via_chars:
+                        mismatches.append((lam, mu, k, via_lr, via_chars))
     lines = [f"compared the two routes on all partition pairs up to n={max_n}"]
     for lam, mu, k, via_lr, via_chars in mismatches[:20]:
         lines.append(f"g({lam},{mu},k={k}): two-row {via_lr} != oracle {via_chars}")
@@ -124,10 +139,8 @@ def repro_semigroup(
     lines = [
         f"sampled {samples} pairs of positive triples (seed={seed}, total size <= {max_total_size})"
     ]
-    for v in violations[:20]:
-        lines.append(
-            f"violation: {v.first} + {v.second}: g={v.g_first},{v.g_second} sum gives {v.g_sum}"
-        )
+    for first, second, g_first, g_second, g_sum in violations[:20]:
+        lines.append(f"violation: {first} + {second}: g={g_first},{g_second} sum gives {g_sum}")
     return not violations, lines
 
 

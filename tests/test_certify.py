@@ -357,12 +357,9 @@ def test_serialized_add_nodes_carry_valid_witnesses():
         assert concluded[-1] == (ell, m)
 
 
-def test_serialization_is_stable_across_registry_rebuilds(monkeypatch):
-    # the package's ``certify`` attribute is the function, not the module
-    cert_module = importlib.import_module("qunimodal.certify")
-    monkeypatch.setattr(cert_module, "_default_registry", None)
+def test_serialization_is_stable_across_registry_rebuilds(fresh_registry):
     first = serialize_certificate(certify(9, 41))
-    monkeypatch.setattr(cert_module, "_default_registry", None)
+    default_registry.cache_clear()
     second = serialize_certificate(certify(9, 41))
     assert first == second
 

@@ -317,10 +317,9 @@ def test_runtime_error_is_exit_two(monkeypatch, capsys):
     assert captured.out == ""
 
 
-def test_registry_contradiction_is_exit_two(monkeypatch, capsys):
+def test_registry_contradiction_is_exit_two(monkeypatch, capsys, fresh_registry):
     cert_module = importlib.import_module("qunimodal.certify")
     monkeypatch.setattr(cert_module, "EXCEPTION_PAIRS", cert_module.EXCEPTION_PAIRS - {(6, 6)})
-    monkeypatch.setattr(cert_module, "_default_registry", None)
     assert run(["scan", "--ell", "6", "--m", "6"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("internal error: ")

@@ -26,6 +26,9 @@ def test_removed_carriers_are_not_exported():
         "lr_rectangle",
         "CharacterTable",
         "character_table",
+        "Lemma12Result",
+        "SemigroupViolation",
+        "routes_check",
     )
     for name in removed:
         assert name not in qunimodal.__all__

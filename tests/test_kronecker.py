@@ -1,5 +1,6 @@
 import hashlib
 from functools import lru_cache
+from itertools import cycle
 from math import factorial
 
 import pytest
@@ -14,11 +15,12 @@ from qunimodal import (
     lemma12_check,
     lr,
     partitions_of,
-    routes_check,
     semigroup_check,
     two_row,
 )
+from qunimodal import kronecker
 from qunimodal.kronecker import _char, _class_sizes, _strip_removals
+from qunimodal.repro import repro_routes
 
 P = Partition
 
@@ -231,7 +233,8 @@ def test_g_two_row_rejects_bad_k():
 
 
 def test_routes_agree_small():
-    assert routes_check(7) == []
+    ok, lines = repro_routes(7)
+    assert ok, lines
 
 
 def test_routes_agree_on_rectangles():
@@ -248,9 +251,7 @@ def test_routes_agree_on_rectangles():
 def test_difference_identity_small_boxes():
     for ell in range(1, 5):
         for m in range(1, 5):
-            res = lemma12_check(ell, m)
-            assert res.ok, (ell, m, res.failed_k)
-            assert bool(res)
+            assert lemma12_check(ell, m) == [], (ell, m)
 
 
 def test_rectangle_difference_matches_expansion():
@@ -284,6 +285,25 @@ def test_semigroup_sampler_is_deterministic():
     first = semigroup_check(samples=25, seed=3, max_total_size=10)
     second = semigroup_check(samples=25, seed=3, max_total_size=10)
     assert first == second
+
+
+def test_claim_checks_return_plain_counterexample_lists(monkeypatch):
+    assert lemma12_check(3, 4) == []
+    # an oracle that reads 0 everywhere breaks the identity for (2, 2),
+    # whose differences are 1, 0, 1: the failure at k = 0 is reported
+    monkeypatch.setattr(kronecker, "g_oracle", lambda *triple, bound: 0)
+    assert lemma12_check(2, 2) == [0, 2]
+    # g1 = 2, g2 = 3 and a sum of 1 is one violation, as a plain tuple
+    values = cycle([2, 3, 1])
+    monkeypatch.setattr(kronecker, "g_oracle", lambda *triple, bound: next(values))
+    [violation] = semigroup_check(samples=1, seed=0, max_total_size=10)
+    assert type(violation) is tuple
+    first, second, g_first, g_second, g_sum = violation
+    assert (g_first, g_second, g_sum) == (2, 3, 1)
+    for triple in (first, second):
+        assert type(triple) is tuple and len(triple) == 3
+        assert all(isinstance(p, Partition) for p in triple)
+    assert first[0].size + second[0].size <= 10
 
 
 def test_internal_consistency_error_is_runtime_error():

@@ -68,14 +68,16 @@ def test_odd_degree_middle_equality_is_required_not_flagged():
 
 
 def test_report_matches_raw_coefficients():
-    for ell, m in [(3, 7), (4, 4), (6, 8), (2, 9)]:
-        rep = check_strict(ell, m)
-        coeffs = gaussian(ell, m).coeffs
-        n = ell * m
-        rising = all(coeffs[k - 1] < coeffs[k] for k in range(2, n // 2 + 1))
-        falling = all(coeffs[k - 1] > coeffs[k] for k in range(n // 2 + 1 + (n % 2), n))
-        middle = n % 2 == 0 or coeffs[n // 2] == coeffs[n // 2 + 1]
-        assert rep.strict == (rising and falling and middle)
+    # the whole defining chain (strict rise, middle equality for odd n,
+    # strict fall) against check_strict, which reads only the rise
+    for ell in range(1, 41):
+        for m in range(1, 41):
+            coeffs = gaussian(ell, m).coeffs
+            n = ell * m
+            rising = all(coeffs[k - 1] < coeffs[k] for k in range(2, n // 2 + 1))
+            falling = all(coeffs[k - 1] > coeffs[k] for k in range(n // 2 + 1 + (n % 2), n))
+            middle = n % 2 == 0 or coeffs[n // 2] == coeffs[n // 2 + 1]
+            assert check_strict(ell, m).strict == (rising and falling and middle), (ell, m)
 
 
 def test_plateaus_are_real_equal_runs():
@@ -136,12 +138,13 @@ def test_classify_expands_nothing_beyond_the_registry_window(monkeypatch):
     assert all(ell * m <= 225 for ell, m in expanded), expanded
 
 
-def test_classify_raises_when_the_registry_contradicts_the_exceptions(monkeypatch):
+def test_classify_raises_when_the_registry_contradicts_the_exceptions(
+    monkeypatch, fresh_registry
+):
     # with (6, 6) missing from the expected exceptions, the registry
     # build finds (6, 6) non-strict and must not settle on any class
     cert_module = importlib.import_module("qunimodal.certify")
     monkeypatch.setattr(cert_module, "EXCEPTION_PAIRS", EXCEPTION_PAIRS - {(6, 6)})
-    monkeypatch.setattr(cert_module, "_default_registry", None)
     with pytest.raises(RuntimeError, match=r"contradiction at \(6,6\)"):
         classify(6, 6)
 
