@@ -1,11 +1,11 @@
 """Command line interface.
 
-Subcommands: expand, check, scan, lr, kron, props, certify, verify,
-repro.  Exit code 0 means a computed answer (including negative answers
-such as "not strict" or a refused certificate), 1 a usage error, and 2
-an internal failure.  The CLI only parses arguments and formats
-results; the ``repro`` claims and the ``props`` suites run the harness
-in ``repro.py``.
+Subcommands: expand, check, scan, lr, kron, certify, verify, repro.
+Exit code 0 means a computed answer (including negative answers such as
+"not strict" or a refused certificate), 1 a usage error, and 2 an
+internal failure.  The CLI only parses arguments and formats results;
+``repro`` runs the claims in ``repro.py``, passing each claim only the
+options its signature names, with the defaults that signature holds.
 
 ``--format json`` wraps every result in a stable envelope
 {"command", "params", "result", "version"}; values that can be large
@@ -15,6 +15,7 @@ in ``repro.py``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import re
 import sys
@@ -28,17 +29,11 @@ from .certify import (
     serialize_certificate,
     verify,
 )
-from .kronecker import (
-    DEFAULT_ORACLE_BOUND,
-    InternalConsistencyError,
-    g_oracle,
-    g_two_row,
-    two_row,
-)
+from .kronecker import InternalConsistencyError, g_oracle, g_two_row, two_row
 from .lr import DEFAULT_SIZE_BOUND, lr
 from .partitions import format_partition, parse_partition
 from .qbinomial import gaussian
-from .repro import CLAIMS, repro_lemma12, repro_routes, repro_semigroup
+from .repro import CLAIMS
 from .unimodality import UnimodalityReport, check_strict, scan
 
 
@@ -61,6 +56,13 @@ def _parse_span(text: str) -> range:
     if a < 1 or b < a:
         raise _UsageError(f"need 1 <= A <= B in range: got {text!r}")
     return range(a, b + 1)
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1: got {value}")
+    return value
 
 
 def _envelope(command: str, params: dict, result) -> str:
@@ -129,13 +131,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--oracle", action="store_true", help="use the character oracle")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
 
-    p = sub.add_parser("props", help="bulk property checks")
-    p.add_argument("--suite", choices=("lemma12", "routes", "semigroup"), required=True)
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--format", choices=("plain", "json"), default="plain")
-
     p = sub.add_parser("certify", help="build an additivity certificate")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -147,7 +142,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("repro", help="re-run a shipped reproduction claim")
     p.add_argument("--claim", choices=tuple(CLAIMS), required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-n", type=_positive, help="size bound n; the claim says what n bounds")
+    p.add_argument("--samples", type=_positive)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--format", choices=("plain", "json"), default="plain")
 
     return parser
 
@@ -246,33 +244,6 @@ def _run_kron(args) -> int:
     return 0
 
 
-def _run_props(args) -> int:
-    if args.suite == "lemma12":
-        max_area = args.max_n if args.max_n is not None else 16
-        ok, lines = repro_lemma12(max_area)
-        params = {"suite": "lemma12", "max_n": max_area}
-    elif args.suite == "routes":
-        max_n = args.max_n if args.max_n is not None else 10
-        ok, lines = repro_routes(max_n)
-        params = {"suite": "routes", "max_n": max_n}
-    else:
-        max_total = args.max_n if args.max_n is not None else DEFAULT_ORACLE_BOUND
-        ok, lines = repro_semigroup(args.samples, args.seed, max_total)
-        params = {
-            "suite": "semigroup",
-            "samples": args.samples,
-            "seed": args.seed,
-            "max_n": max_total,
-        }
-    if args.format == "plain":
-        for line in lines:
-            print(line)
-        print("PASS" if ok else "FAIL")
-    else:
-        print(_envelope("props", params, {"pass": ok, "detail": lines}))
-    return 0
-
-
 def _run_certify(args) -> int:
     try:
         cert = certify(args.ell, args.m)
@@ -325,9 +296,27 @@ def _run_verify(args) -> int:
     return 0
 
 
+_CLAIM_FLAGS = {"max_n": "--max-n", "samples": "--samples", "seed": "--seed"}
+
+
 def _run_repro(args) -> int:
     claim = CLAIMS[args.claim]
-    ok, lines = claim(seed=args.seed) if claim is repro_semigroup else claim()
+    signature = inspect.signature(claim)
+    given = {name: value for name in _CLAIM_FLAGS if (value := getattr(args, name)) is not None}
+    refused = [_CLAIM_FLAGS[name] for name in given if name not in signature.parameters]
+    if refused:
+        accepted = [flag for name, flag in _CLAIM_FLAGS.items() if name in signature.parameters]
+        raise _UsageError(
+            f"--claim {args.claim} does not take {' '.join(refused)}; "
+            f"it takes {' '.join(accepted) or 'no options'}"
+        )
+    bound = signature.bind(**given)
+    bound.apply_defaults()
+    ok, lines = claim(**bound.arguments)
+    if args.format == "json":
+        params = {"claim": args.claim, **bound.arguments}
+        print(_envelope("repro", params, {"pass": ok, "detail": lines}))
+        return 0
     print(f"claim: {args.claim}")
     for line in lines:
         print(line)
@@ -341,7 +330,6 @@ _DISPATCH = {
     "scan": _run_scan,
     "lr": _run_lr,
     "kron": _run_kron,
-    "props": _run_props,
     "certify": _run_certify,
     "verify": _run_verify,
     "repro": _run_repro,

@@ -1,60 +1,63 @@
 """Reproduction harness: one function per shipped claim of the paper.
 
 Each ``repro_*`` function re-derives its claim by computation and
-returns ``(ok, printable lines)``.  ``CLAIMS`` maps the names accepted by
-``qunimodal repro --claim`` to these functions; the acceptance tests and
-``qunimodal props`` call them directly.
+returns ``(ok, printable lines)``.  Its signature holds the claim's only
+defaults: a size bound ``max_n`` (its docstring says what n bounds) and,
+for sampling claims, ``samples`` and ``seed``.  ``CLAIMS`` maps the names
+accepted by ``qunimodal repro --claim`` to these functions, and the CLI
+passes each claim only the options its signature names; the acceptance
+tests call the functions directly.
 """
 
 from __future__ import annotations
 
 from .certify import NotCertifiableError, certify, verify
-from .kronecker import (
-    DEFAULT_ORACLE_BOUND,
-    g_oracle,
-    g_two_row,
-    lemma12_check,
-    semigroup_check,
-    two_row,
-)
+from .kronecker import g_oracle, g_two_row, lemma12_check, semigroup_check, two_row
 from .partitions import partitions_of
 from .qbinomial import gaussian
-from .unimodality import EXCEPTION_PAIRS, PairClass, check_strict, scan
+from .unimodality import EXCEPTION_PAIRS, PairClass, check_strict, classify
+
+
+def _pairs(pairs) -> str:
+    return " ".join(f"({a},{b})" for a, b in pairs)
 
 
 def repro_exceptions() -> tuple[bool, list[str]]:
-    """Scan the two windows and re-derive the nine exceptional pairs."""
-    classified: dict[tuple[int, int], PairClass] = {}
-    for l, m, cls in scan(range(5, 8), range(5, 21)) + scan(range(8, 16), range(8, 16)):
-        classified[(l, m)] = cls
-    found = sorted(p for p, cls in classified.items() if cls is PairClass.Exception)
-    expected = sorted(EXCEPTION_PAIRS)
+    """Re-derive the nine exceptional pairs by direct checks over the two
+    windows, and check that ``classify`` agrees on every window pair."""
+    window = {(l, m) for l in range(5, 8) for m in range(l, 21)}
+    window |= {(l, m) for l in range(8, 16) for m in range(l, 16)}
+    reports = {p: check_strict(*p) for p in sorted(window)}
+    found = [p for p, rep in reports.items() if not rep.strict]
+    listed = sorted(EXCEPTION_PAIRS)
     lines = [
         "scanned ell in 5..7 x m in 5..20 and 8..15 x 8..15",
-        "exceptions found: " + " ".join(f"({a},{b})" for a, b in found),
+        "exceptions found: " + _pairs(found),
     ]
-    ok = found == expected
+    ok = found == listed
     if not ok:
-        lines.append("expected:        " + " ".join(f"({a},{b})" for a, b in expected))
-    others_strict = all(
-        cls is PairClass.Strict for p, cls in classified.items() if p not in expected
-    )
-    if not others_strict:
+        lines.append("expected:        " + _pairs(listed))
+    misclassified = [
+        p
+        for p in reports
+        if classify(*p) is not (PairClass.Exception if p in found else PairClass.Strict)
+    ]
+    if misclassified:
         ok = False
-        lines.append("some non-exceptional pair in the window failed to classify Strict")
+        lines.append("classify disagrees with the direct check on: " + _pairs(misclassified))
     middle_ok = True
     for a, b in found:
-        rep = check_strict(a, b)
+        rep = reports[(a, b)]
         half = rep.n // 2
         if (a, b) == (6, 6):
             # (6, 6) is the one pair whose equalities flank a strict peak:
             # p_16 = p_17 < p_18 > p_19 = p_20.  Three independent
             # computations of the coefficients agree on this shape.
-            expected = ((half - 2, half - 1), (half + 1, half + 2))
-            shape_ok = rep.plateaus == expected and rep.first_violation == half - 1
+            flanks = ((half - 2, half - 1), (half + 1, half + 2))
+            shape_ok = rep.plateaus == flanks and rep.first_violation == half - 1
         else:
             shape_ok = rep.plateaus == ((half - 1, half + 1),) and rep.first_violation == half
-        if rep.strict or not shape_ok:
+        if not shape_ok:
             middle_ok = False
             lines.append(f"({a},{b}): unexpected failure shape: {rep}")
     ok = ok and middle_ok
@@ -66,48 +69,53 @@ def repro_exceptions() -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def repro_ell2(max_m: int = 50) -> tuple[bool, list[str]]:
-    """p_{2i}(2, m) = p_{2i+1}(2, m) for all i < 2m/4, for every m <= max_m."""
+def repro_ell2(max_n: int = 50) -> tuple[bool, list[str]]:
+    """p_{2i}(2, m) = p_{2i+1}(2, m) for all i < 2m/4, for every m <= max_n."""
     bad: list[str] = []
-    for m in range(1, max_m + 1):
+    for m in range(1, max_n + 1):
         poly = gaussian(2, m)
         n = 2 * m
         for i in range(0, (n + 3) // 4):
             if poly.coefficient(2 * i) != poly.coefficient(2 * i + 1):
                 bad.append(f"m={m} i={i}")
-    lines = [f"checked even/odd coefficient pairing for ell=2, m=1..{max_m}"]
+    lines = [f"checked even/odd coefficient pairing for ell=2, m=1..{max_n}"]
     if bad:
         lines.append("failures: " + ", ".join(bad))
     return not bad, lines
 
 
-def repro_ell34(max_m: int = 30) -> tuple[bool, list[str]]:
-    """ell in {3, 4} is never strict, with a plateau beyond the forced middle."""
+def repro_ell34(max_n: int = 30) -> tuple[bool, list[str]]:
+    """ell in {3, 4} is never strict, with a plateau beyond the forced
+    middle, for every 3 <= m <= max_n."""
     bad: list[str] = []
     for ell in (3, 4):
-        for m in range(3, max_m + 1):
+        for m in range(3, max_n + 1):
             rep = check_strict(ell, m)
             forced = ((rep.n // 2, rep.n // 2 + 1),) if rep.n % 2 else ()
             witness = any(p not in forced for p in rep.plateaus)
             if rep.strict or not witness:
                 bad.append(f"({ell},{m}): strict={rep.strict} plateaus={rep.plateaus}")
-    lines = [f"checked ell in {{3,4}}, m=3..{max_m} for non-strictness with a witness plateau"]
+    lines = [f"checked ell in {{3,4}}, m=3..{max_n} for non-strictness with a witness plateau"]
     if bad:
         lines.extend(bad)
     return not bad, lines
 
 
-def repro_lemma12(max_area: int = 16) -> tuple[bool, list[str]]:
-    """Rectangle difference identity on every box with ell*m <= max_area."""
+def repro_lemma12(max_n: int = 16) -> tuple[bool, list[str]]:
+    """Rectangle difference identity on every box of area n = ell*m <= max_n.
+
+    ``lemma12_check`` keeps the oracle's default bound, so a ``max_n``
+    above ``DEFAULT_ORACLE_BOUND`` raises ValueError.
+    """
     bad: list[str] = []
     boxes = 0
-    for ell in range(1, max_area + 1):
-        for m in range(1, max_area // ell + 1):
+    for ell in range(1, max_n + 1):
+        for m in range(1, max_n // ell + 1):
             boxes += 1
-            failed = lemma12_check(ell, m, bound=max(DEFAULT_ORACLE_BOUND, max_area))
+            failed = lemma12_check(ell, m)
             if failed:
                 bad.append(f"({ell},{m}) failed at k={','.join(map(str, failed))}")
-    lines = [f"checked the difference identity on {boxes} boxes with ell*m <= {max_area}"]
+    lines = [f"checked the difference identity on {boxes} boxes with ell*m <= {max_n}"]
     if bad:
         lines.extend(bad)
     return not bad, lines
@@ -132,25 +140,24 @@ def repro_routes(max_n: int = 10) -> tuple[bool, list[str]]:
 
 
 def repro_semigroup(
-    samples: int = 1000, seed: int = 0, max_total_size: int = 18
+    samples: int = 1000, seed: int = 0, max_n: int = 18
 ) -> tuple[bool, list[str]]:
-    """Positivity and monotonicity of g under part-wise sums, sampled."""
-    violations = semigroup_check(samples=samples, seed=seed, max_total_size=max_total_size)
-    lines = [
-        f"sampled {samples} pairs of positive triples (seed={seed}, total size <= {max_total_size})"
-    ]
+    """Positivity and monotonicity of g under part-wise sums, sampled from
+    pairs of triples whose total size n is at most max_n."""
+    violations = semigroup_check(samples=samples, seed=seed, max_total_size=max_n)
+    lines = [f"sampled {samples} pairs of positive triples (seed={seed}, total size <= {max_n})"]
     for first, second, g_first, g_second, g_sum in violations[:20]:
         lines.append(f"violation: {first} + {second}: g={g_first},{g_second} sum gives {g_sum}")
     return not violations, lines
 
 
-def repro_certify_sweep(max_side: int = 40) -> tuple[bool, list[str]]:
-    """Certificates and direct checks agree on every 5 <= ell <= m <= max_side."""
+def repro_certify_sweep(max_n: int = 40) -> tuple[bool, list[str]]:
+    """Certificates and direct checks agree on every 5 <= ell <= m <= max_n."""
     bad: list[str] = []
     certified = 0
     refused = 0
-    for ell in range(5, max_side + 1):
-        for m in range(ell, max_side + 1):
+    for ell in range(5, max_n + 1):
+        for m in range(ell, max_n + 1):
             direct = check_strict(ell, m).strict
             if (ell, m) in EXCEPTION_PAIRS:
                 try:
@@ -176,7 +183,7 @@ def repro_certify_sweep(max_side: int = 40) -> tuple[bool, list[str]]:
                 bad.append(f"({ell},{m}): certificate exists but direct check is not strict")
     lines = [
         f"built and verified {certified} certificates, confirmed {refused} refusals, "
-        f"5 <= ell <= m <= {max_side}"
+        f"5 <= ell <= m <= {max_n}"
     ]
     if bad:
         lines.extend(bad[:20])

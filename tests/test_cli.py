@@ -173,30 +173,85 @@ def test_lr_and_kron_output_is_byte_stable(argv, expected, capsys):
     assert capsys.readouterr().out == expected
 
 
-def test_props_difference_identity_suite(capsys):
-    assert run(["props", "--suite", "lemma12", "--max-n", "8"]) == 0
-    assert _lines(capsys)[-1] == "PASS"
+def test_repro_lemma12_with_max_n(capsys):
+    assert run(["repro", "--claim", "lemma12", "--max-n", "8"]) == 0
+    out = _lines(capsys)
+    assert out[1] == "checked the difference identity on 20 boxes with ell*m <= 8"
+    assert out[-1] == "PASS"
 
 
-def test_props_semigroup_json(capsys):
-    code = run(
-        [
-            "props",
-            "--suite",
-            "semigroup",
-            "--samples",
-            "20",
-            "--seed",
-            "5",
-            "--max-n",
-            "10",
-            "--format",
-            "json",
-        ]
+def test_repro_semigroup_json(capsys):
+    argv = ["repro", "--claim", "semigroup", "--samples", "20", "--seed", "5", "--max-n", "10"]
+    assert run(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"command":"repro","params":{"claim":"semigroup","max_n":10,"samples":20,"seed":5},'
+        '"result":{"detail":["sampled 20 pairs of positive triples (seed=5, total size <= 10)"],'
+        '"pass":true},"version":"0.1.0"}\n'
     )
-    assert code == 0
+
+
+def test_repro_json_params_hold_the_signature_defaults(capsys):
+    assert run(["repro", "--claim", "ell2", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
+    assert doc["command"] == "repro"
+    assert doc["params"] == {"claim": "ell2", "max_n": 50}
     assert doc["result"]["pass"] is True
+    assert doc["result"]["detail"] == ["checked even/odd coefficient pairing for ell=2, m=1..50"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["props", "--suite", "lemma12"],
+        ["repro", "--claim", "exceptions", "--seed", "3"],
+        ["repro", "--claim", "routes", "--samples", "5"],
+        ["repro", "--claim", "routes", "--max-n", "0"],
+        ["repro", "--claim", "lemma12", "--max-n", "-3"],
+        ["repro", "--claim", "semigroup", "--samples", "0"],
+        ["repro", "--claim", "lemma12", "--max-n", "19"],
+    ],
+    ids=[
+        "props-is-gone",
+        "exceptions-takes-no-seed",
+        "routes-takes-no-samples",
+        "routes-max-n-zero",
+        "lemma12-max-n-negative",
+        "semigroup-no-samples",
+        "lemma12-over-oracle-bound",
+    ],
+)
+def test_repro_usage_errors(argv, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_repro_refused_flag_names_the_accepted_ones(capsys):
+    assert run(["repro", "--claim", "routes", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == "error: --claim routes does not take --seed; it takes --max-n\n"
+
+
+def test_repro_exceptions_fails_on_a_wrong_list(monkeypatch):
+    from qunimodal import repro
+
+    monkeypatch.setattr(repro, "EXCEPTION_PAIRS", repro.EXCEPTION_PAIRS - {(6, 6)})
+    ok, lines = repro.repro_exceptions()
+    assert ok is False
+    assert lines[2] == "expected:        " + " ".join(
+        f"({a},{b})" for a, b in sorted(repro.EXCEPTION_PAIRS)
+    )
+
+
+def test_repro_exceptions_checks_classify_against_direct_checks(monkeypatch):
+    from qunimodal import repro
+
+    monkeypatch.setattr(repro, "classify", lambda ell, m: repro.PairClass.Strict)
+    ok, lines = repro.repro_exceptions()
+    assert ok is False
+    assert lines[1] == "exceptions found: (5,6) (5,10) (5,14) (6,6) (6,7) (6,9) (6,11) (6,13) (7,10)"
+    assert lines[2] == "classify disagrees with the direct check on: " + lines[1][18:]
 
 
 def test_certify_verify_round_trip(tmp_path, capsys):
