@@ -224,15 +224,18 @@ def semigroup_check(
     check positivity and monotonicity of the part-wise sum triple.
 
     A sample is a pair of triples (lam, mu, nu) and (alpha, beta, gamma)
-    with g > 0 for both and combined size at most ``max_total_size``.
+    with g > 0 for both and combined size at most ``max_total_size``,
+    which the character oracle bounds by ``DEFAULT_ORACLE_BOUND``.
     For each, g(lam+alpha, mu+beta, nu+gamma) must be at least
     max(g1, g2), in particular positive.  Returns the violations as
     (first, second, g_first, g_second, g_sum); expected empty.
     """
     if samples < 0:
         raise ValueError(f"need samples >= 0: got {samples}")
-    if max_total_size < 2:
-        raise ValueError(f"need max_total_size >= 2: got {max_total_size}")
+    if not 2 <= max_total_size <= DEFAULT_ORACLE_BOUND:
+        raise ValueError(
+            f"need 2 <= max_total_size <= {DEFAULT_ORACLE_BOUND}: got {max_total_size}"
+        )
     rng = random.Random(seed)
     violations = []
     accepted = 0
@@ -250,15 +253,15 @@ def semigroup_check(
         pool2 = partitions_of(n2)
         first = tuple(rng.choice(pool1) for _ in range(3))
         second = tuple(rng.choice(pool2) for _ in range(3))
-        g1 = g_oracle(*first, bound=max_total_size)
+        g1 = g_oracle(*first, bound=DEFAULT_ORACLE_BOUND)
         if g1 == 0:
             continue
-        g2 = g_oracle(*second, bound=max_total_size)
+        g2 = g_oracle(*second, bound=DEFAULT_ORACLE_BOUND)
         if g2 == 0:
             continue
         accepted += 1
         summed = tuple(add(a, b) for a, b in zip(first, second))
-        gs = g_oracle(*summed, bound=max_total_size)
+        gs = g_oracle(*summed, bound=DEFAULT_ORACLE_BOUND)
         if gs <= 0 or gs < max(g1, g2):
             violations.append((first, second, g1, g2, gs))
     return violations

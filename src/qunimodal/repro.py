@@ -12,7 +12,14 @@ tests call the functions directly.
 from __future__ import annotations
 
 from .certify import NotCertifiableError, certify, verify
-from .kronecker import g_oracle, g_two_row, lemma12_check, semigroup_check, two_row
+from .kronecker import (
+    DEFAULT_ORACLE_BOUND,
+    g_oracle,
+    g_two_row,
+    lemma12_check,
+    semigroup_check,
+    two_row,
+)
 from .partitions import partitions_of
 from .qbinomial import gaussian
 from .unimodality import EXCEPTION_PAIRS, PairClass, check_strict, classify
@@ -122,7 +129,15 @@ def repro_lemma12(max_n: int = 16) -> tuple[bool, list[str]]:
 
 
 def repro_routes(max_n: int = 10) -> tuple[bool, list[str]]:
-    """Two-row formula == character oracle on all pairs of partitions of n <= max_n."""
+    """Two-row formula == character oracle on all pairs of partitions of n <= max_n.
+
+    A ``max_n`` above ``DEFAULT_ORACLE_BOUND`` raises ValueError before
+    any pair is compared.
+    """
+    if max_n > DEFAULT_ORACLE_BOUND:
+        raise ValueError(
+            f"character oracle limited to n <= {DEFAULT_ORACLE_BOUND}: got max_n={max_n}"
+        )
     mismatches = []
     for n in range(1, max_n + 1):
         shapes = partitions_of(n)
@@ -143,7 +158,10 @@ def repro_semigroup(
     samples: int = 1000, seed: int = 0, max_n: int = 18
 ) -> tuple[bool, list[str]]:
     """Positivity and monotonicity of g under part-wise sums, sampled from
-    pairs of triples whose total size n is at most max_n."""
+    pairs of triples whose total size n is at most max_n, where
+    2 <= max_n <= ``DEFAULT_ORACLE_BOUND``."""
+    if not 2 <= max_n <= DEFAULT_ORACLE_BOUND:
+        raise ValueError(f"need 2 <= max_n <= {DEFAULT_ORACLE_BOUND}: got max_n={max_n}")
     violations = semigroup_check(samples=samples, seed=seed, max_total_size=max_n)
     lines = [f"sampled {samples} pairs of positive triples (seed={seed}, total size <= {max_n})"]
     for first, second, g_first, g_second, g_sum in violations[:20]:

@@ -38,6 +38,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
+from itertools import compress
 
 from .qbinomial import gaussian
 
@@ -88,21 +89,19 @@ def check_strict(ell: int, m: int) -> UnimodalityReport:
 
     # The vector is palindromic, so the middle equality for odd n and the
     # strict fall mirror the rise: the rising half decides the chain.
-    first_violation = None
-    for k in range(2, half + 1):
-        if c[k - 1] >= c[k]:
-            first_violation = k
-            break
+    stalls = map(operator.ge, c[1:half], c[2 : half + 1])
+    first_violation = next(compress(range(2, half + 1), stalls), None)
 
+    # Equal neighbours c[k] = c[k+1], 1 <= k <= n-2: palindromy maps k to
+    # n-1-k, so the rising half's equalities and their mirror images are all.
+    mid = (n - 1) // 2
+    low = list(compress(range(1, mid + 1), map(operator.eq, c[1 : mid + 1], c[2 : mid + 2])))
     plateaus: list[tuple[int, int]] = []
-    k = 1
-    while k < n - 1:
-        j = k
-        while j + 1 <= n - 1 and c[j + 1] == c[k]:
-            j += 1
-        if j > k:
-            plateaus.append((k, j))
-        k = j + 1
+    for k in low + [n - 1 - k for k in reversed(low) if 2 * k < n - 1]:
+        if plateaus and plateaus[-1][1] == k:
+            plateaus[-1] = (plateaus[-1][0], k + 1)
+        else:
+            plateaus.append((k, k + 1))
 
     return UnimodalityReport(
         ell=ell,

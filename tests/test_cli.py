@@ -4,6 +4,7 @@ import json
 import pytest
 
 from qunimodal.cli import run
+from qunimodal.kronecker import DEFAULT_ORACLE_BOUND
 
 
 def _lines(capsys):
@@ -226,6 +227,28 @@ def test_repro_usage_errors(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_repro_routes_refuses_max_n_above_the_oracle_bound_at_once(monkeypatch, capsys):
+    from qunimodal import repro
+
+    # the guard comes before the sweep: not one pair is compared
+    monkeypatch.setattr(repro, "partitions_of", lambda n: pytest.fail("swept before refusing"))
+    assert run(["repro", "--claim", "routes", "--max-n", "19"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: character oracle limited to n <= {DEFAULT_ORACLE_BOUND}: got max_n=19\n"
+    )
+
+
+@pytest.mark.parametrize("max_n", ["1", "19"])
+def test_repro_semigroup_reports_max_n_out_of_range(max_n, capsys):
+    argv = ["repro", "--claim", "semigroup", "--samples", "5", "--max-n", max_n]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: need 2 <= max_n <= {DEFAULT_ORACLE_BOUND}: got max_n={max_n}\n"
+    )
 
 
 def test_repro_refused_flag_names_the_accepted_ones(capsys):

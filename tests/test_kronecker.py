@@ -19,7 +19,7 @@ from qunimodal import (
     two_row,
 )
 from qunimodal import kronecker
-from qunimodal.kronecker import _char, _class_sizes, _strip_removals
+from qunimodal.kronecker import DEFAULT_ORACLE_BOUND, _char, _class_sizes, _strip_removals
 from qunimodal.repro import repro_routes
 
 P = Partition
@@ -279,6 +279,14 @@ def test_sum_of_positive_triples_stays_positive():
 
 def test_semigroup_sampler_finds_no_violations():
     assert semigroup_check(samples=60, seed=7, max_total_size=12) == []
+
+
+@pytest.mark.parametrize("size", [1, DEFAULT_ORACLE_BOUND + 1])
+def test_semigroup_sampler_keeps_to_the_oracle_bound(size, monkeypatch):
+    # refused before any sample is drawn, so the oracle guard is never lifted
+    monkeypatch.setattr(kronecker, "g_oracle", lambda *triple, bound: pytest.fail("sampled"))
+    with pytest.raises(ValueError, match=rf"max_total_size <= {DEFAULT_ORACLE_BOUND}: got {size}$"):
+        semigroup_check(samples=5, seed=0, max_total_size=size)
 
 
 def test_semigroup_sampler_is_deterministic():

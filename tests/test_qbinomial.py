@@ -1,8 +1,10 @@
+import random
 from math import comb
 
 import pytest
 
 from qunimodal import QPolynomial, gaussian, gaussian_by_enumeration
+from qunimodal.qbinomial import _unpack
 
 
 def _polymul(a, b):
@@ -79,9 +81,27 @@ def test_matches_packed_recurrence_grid():
             assert gaussian(ell, m).coeffs == packed_recurrence(ell, m), (ell, m)
 
 
-@pytest.mark.parametrize("ell,m", [(60, 60), (12, 1175), (1175, 12), (10, 2000)])
+# The last five widen their limbs many times while the partial box grows,
+# and then pair numerators with denominators half their size.
+@pytest.mark.parametrize(
+    "ell,m",
+    [(60, 60), (12, 1175), (1175, 12), (10, 2000),
+     (63, 64), (89, 90), (40, 100), (75, 107), (110, 110)],
+)
 def test_matches_packed_recurrence_large(ell, m):
     assert gaussian(ell, m).coeffs == packed_recurrence(ell, m)
+
+
+@pytest.mark.parametrize("nbytes", range(1, 34))
+def test_unpack_matches_from_bytes(nbytes):
+    rng = random.Random(nbytes)
+    limbs = [0, 1, (1 << (8 * nbytes)) - 1] + [rng.getrandbits(8 * nbytes) for _ in range(20)]
+    raw = b"".join(v.to_bytes(nbytes, "little") for v in limbs)
+    expected = tuple(
+        int.from_bytes(raw[o : o + nbytes], "little") for o in range(0, len(raw), nbytes)
+    )
+    assert expected == tuple(limbs)
+    assert _unpack(raw, nbytes, len(limbs)) == expected
 
 
 @pytest.mark.parametrize("ell,m", [(41, 42), (42, 41)])

@@ -80,6 +80,41 @@ def test_report_matches_raw_coefficients():
             assert check_strict(ell, m).strict == (rising and falling and middle), (ell, m)
 
 
+def _reference_report(coeffs):
+    """first_violation and plateaus by plain loops over the whole vector."""
+    n = len(coeffs) - 1
+    first_violation = None
+    for k in range(2, n // 2 + 1):
+        if coeffs[k - 1] >= coeffs[k]:
+            first_violation = k
+            break
+    plateaus = []
+    k = 1
+    while k < n - 1:
+        j = k
+        while j + 1 <= n - 1 and coeffs[j + 1] == coeffs[k]:
+            j += 1
+        if j > k:
+            plateaus.append((k, j))
+        k = j + 1
+    return first_violation is None, tuple(plateaus), first_violation
+
+
+@pytest.mark.parametrize(
+    "boxes",
+    [
+        [(ell, m) for ell in range(1, 41) for m in range(1, 41)],
+        [(2, 500), (3, 400), (4, 300), (5, 400), (6, 6)],
+    ],
+    ids=["grid-40", "thin-and-six-six"],
+)
+def test_report_matches_reference_loops(boxes):
+    for ell, m in boxes:
+        rep = check_strict(ell, m)
+        expected = _reference_report(gaussian(ell, m).coeffs)
+        assert (rep.strict, rep.plateaus, rep.first_violation) == expected, (ell, m)
+
+
 def test_plateaus_are_real_equal_runs():
     for ell, m in [(3, 5), (4, 7), (6, 6)]:
         rep = check_strict(ell, m)
