@@ -24,7 +24,6 @@ from .kronecker import (
     a_k,
     g_oracle,
     g_two_row,
-    lemma12_check,
     semigroup_check,
     two_row,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "g_two_row",
     "gaussian",
     "gaussian_by_enumeration",
-    "lemma12_check",
     "lr",
     "parse_certificate",
     "parse_partition",

@@ -122,14 +122,39 @@ class Certificate:
     when true the node concludes (m, ell) and the claim is its mirror.
     Only the root's claim is read by ``verify`` and the serializer; the
     conclusions of sub-certificates are derived from their nodes.
-    Dataclass ``==`` and ``repr`` expand shared sub-certificates into a
-    tree, so compare large certificates by their serialized bytes.
+    ``==``, ``hash`` and ``repr`` read the claim and the table, never the
+    expanded tree, so they stay cheap on a large shared DAG; an object
+    that is not a valid certificate compares by identity.
     """
 
     ell: int
     m: int
     node: "BaseNode | AddNode"
     transposed: bool
+
+    def _key(self) -> "tuple | None":
+        try:
+            return self.ell, self.m, _table(self)
+        except CertificateFormatError:
+            return None
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Certificate:
+            return NotImplemented
+        key = self._key()
+        return self is other or (key is not None and key == other._key())
+
+    def __hash__(self) -> int:
+        key = self._key()
+        return object.__hash__(self) if key is None else hash(key)
+
+    def __repr__(self) -> str:
+        key = self._key()
+        size = "invalid" if key is None else len(key[2])
+        return (
+            f"Certificate(ell={self.ell!r}, m={self.m!r}, "
+            f"transposed={self.transposed!r}, entries={size})"
+        )
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ options its signature names, with the defaults that signature holds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import re
@@ -30,7 +31,7 @@ from .certify import (
     verify,
 )
 from .kronecker import InternalConsistencyError, g_oracle, g_two_row, two_row
-from .lr import DEFAULT_SIZE_BOUND, lr
+from .lr import lr
 from .partitions import format_partition, parse_partition
 from .qbinomial import gaussian
 from .repro import CLAIMS
@@ -75,17 +76,6 @@ def _envelope(command: str, params: dict, result) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _report_result(rep: UnimodalityReport) -> dict:
-    return {
-        "ell": rep.ell,
-        "m": rep.m,
-        "n": rep.n,
-        "strict": rep.strict,
-        "plateaus": [list(p) for p in rep.plateaus],
-        "first_violation": rep.first_violation,
-    }
-
-
 def _print_report(rep: UnimodalityReport) -> None:
     print(f"ell={rep.ell} m={rep.m} n={rep.n}")
     print(f"strict: {'true' if rep.strict else 'false'}")
@@ -120,15 +110,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--outer", required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--size-bound", type=int, default=DEFAULT_SIZE_BOUND)
     p.add_argument("--format", choices=("plain", "json"), default="plain")
 
     p = sub.add_parser("kron", help="Kronecker coefficient (two-row or oracle route)")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--k", type=int, help="two-row route: third partition (n-k, k)")
-    p.add_argument("--nu", help="general third partition (requires --oracle)")
-    p.add_argument("--oracle", action="store_true", help="use the character oracle")
+    p.add_argument("--nu", help="character oracle route: any third partition")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
 
     p = sub.add_parser("certify", help="build an additivity certificate")
@@ -173,7 +161,7 @@ def _run_check(args) -> int:
     if args.format == "plain":
         _print_report(rep)
     else:
-        print(_envelope("check", {"ell": args.ell, "m": args.m}, _report_result(rep)))
+        print(_envelope("check", {"ell": args.ell, "m": args.m}, dataclasses.asdict(rep)))
     return 0
 
 
@@ -193,7 +181,7 @@ def _run_lr(args) -> int:
     outer = parse_partition(args.outer)
     left = parse_partition(args.left)
     right = parse_partition(args.right)
-    value = lr(outer, left, right, size_bound=args.size_bound)
+    value = lr(outer, left, right)
     if args.format == "plain":
         print(value)
     else:
@@ -211,19 +199,13 @@ def _run_lr(args) -> int:
 def _run_kron(args) -> int:
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
-    if args.oracle:
-        if args.nu is None:
-            raise _UsageError("--oracle needs --nu")
-        if args.k is not None:
-            raise _UsageError("--k and --nu are mutually exclusive")
+    if (args.k is None) == (args.nu is None):
+        raise _UsageError("pass one of --k (two-row formula) or --nu (character oracle)")
+    if args.nu is not None:
         nu = parse_partition(args.nu)
         value = g_oracle(lam, mu, nu)
         route = "CharacterOracle"
     else:
-        if args.k is None:
-            raise _UsageError("pass --k for the two-row route, or --nu with --oracle")
-        if args.nu is not None:
-            raise _UsageError("--nu needs --oracle; the two-row route derives nu from --k")
         nu = two_row(lam.size, args.k)
         value = g_two_row(lam, mu, args.k)
         route = "TwoRowFormula"

@@ -9,7 +9,8 @@ every prefix contains at least as many i's as (i+1)'s.
 The search fills cells in reverse reading order, so the lattice
 condition is checked incrementally and failing branches die early; the
 multiset of still-unplaced values prunes the rest.  Results are
-memoized on the (outer, left, right) triple.
+memoized on the (outer, left, right) triple.  Outer shapes of more than
+``DEFAULT_SIZE_BOUND`` (60) cells are refused with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ from .partitions import Partition
 DEFAULT_SIZE_BOUND = 60
 
 
-def lr(
-    outer: Partition, left: Partition, right: Partition, *, size_bound: int = DEFAULT_SIZE_BOUND
-) -> int:
+def lr(outer: Partition, left: Partition, right: Partition) -> int:
     """The Littlewood-Richardson coefficient c^outer_{left,right}."""
-    if outer.size > size_bound:
+    if outer.size > DEFAULT_SIZE_BOUND:
         raise ValueError(
-            f"instance too large: size(outer) = {outer.size} exceeds bound {size_bound}"
+            f"instance too large: size(outer) = {outer.size} exceeds bound {DEFAULT_SIZE_BOUND}"
         )
     if left.size + right.size != outer.size:
         return 0

@@ -188,13 +188,16 @@ def _product_coeffs(ell: int, m: int) -> tuple[int, ...]:
     return half + half[n - h - 1 :: -1]
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def gaussian(ell: int, m: int) -> QPolynomial:
     """Gaussian binomial binom(m+ell, m)_q as a QPolynomial of degree ell*m.
 
     ``ell`` and ``m`` are the box sides; either may be 0, in which case
-    the result is the constant 1.
+    the result is the constant 1.  A side that is not an integer raises
+    ``TypeError``; the memo is typed, so a cached ``(2, 3)`` never
+    answers ``(2.0, 3)``.
     """
+    ell, m = operator.index(ell), operator.index(m)
     if ell < 0 or m < 0:
         raise ValueError(f"box sides must be non-negative: ell={ell} m={m}")
     if ell == 0 or m == 0:

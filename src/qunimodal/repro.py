@@ -12,21 +12,21 @@ tests call the functions directly.
 from __future__ import annotations
 
 from .certify import NotCertifiableError, certify, verify
-from .kronecker import (
-    DEFAULT_ORACLE_BOUND,
-    g_oracle,
-    g_two_row,
-    lemma12_check,
-    semigroup_check,
-    two_row,
-)
-from .partitions import partitions_of
+from .kronecker import DEFAULT_ORACLE_BOUND, g_oracle, g_two_row, semigroup_check, two_row
+from .partitions import Partition, partitions_of
 from .qbinomial import gaussian
 from .unimodality import EXCEPTION_PAIRS, PairClass, check_strict, classify
 
 
 def _pairs(pairs) -> str:
     return " ".join(f"({a},{b})" for a, b in pairs)
+
+
+def _check_oracle_bound(max_n: int) -> None:
+    if max_n > DEFAULT_ORACLE_BOUND:
+        raise ValueError(
+            f"character oracle limited to n <= {DEFAULT_ORACLE_BOUND}: got max_n={max_n}"
+        )
 
 
 def repro_exceptions() -> tuple[bool, list[str]]:
@@ -109,17 +109,27 @@ def repro_ell34(max_n: int = 30) -> tuple[bool, list[str]]:
 
 
 def repro_lemma12(max_n: int = 16) -> tuple[bool, list[str]]:
-    """Rectangle difference identity on every box of area n = ell*m <= max_n.
+    """Rectangle difference identity on every box of area n = ell*m <= max_n:
+    g(m^ell, m^ell, (n-k, k)) = p_k - p_{k-1} for every 0 <= k <= n/2.
 
-    ``lemma12_check`` keeps the oracle's default bound, so a ``max_n``
-    above ``DEFAULT_ORACLE_BOUND`` raises ValueError.
+    A ``max_n`` above ``DEFAULT_ORACLE_BOUND`` raises ValueError before
+    any box is computed.
     """
+    _check_oracle_bound(max_n)
     bad: list[str] = []
     boxes = 0
     for ell in range(1, max_n + 1):
         for m in range(1, max_n // ell + 1):
             boxes += 1
-            failed = lemma12_check(ell, m)
+            n = ell * m
+            rect = Partition((m,) * ell)
+            poly = gaussian(ell, m)
+            failed = [
+                k
+                for k in range(n // 2 + 1)
+                if g_oracle(rect, rect, two_row(n, k))
+                != poly.coefficient(k) - poly.coefficient(k - 1)
+            ]
             if failed:
                 bad.append(f"({ell},{m}) failed at k={','.join(map(str, failed))}")
     lines = [f"checked the difference identity on {boxes} boxes with ell*m <= {max_n}"]
@@ -134,10 +144,7 @@ def repro_routes(max_n: int = 10) -> tuple[bool, list[str]]:
     A ``max_n`` above ``DEFAULT_ORACLE_BOUND`` raises ValueError before
     any pair is compared.
     """
-    if max_n > DEFAULT_ORACLE_BOUND:
-        raise ValueError(
-            f"character oracle limited to n <= {DEFAULT_ORACLE_BOUND}: got max_n={max_n}"
-        )
+    _check_oracle_bound(max_n)
     mismatches = []
     for n in range(1, max_n + 1):
         shapes = partitions_of(n)

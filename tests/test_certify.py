@@ -471,3 +471,23 @@ def test_verify_never_raises_on_malformed_objects():
         outcome = verify(bad)
         assert not outcome.ok, bad
         assert outcome.path.startswith("$"), bad
+
+
+def test_repr_and_eq_read_the_table_not_the_expanded_tree():
+    cert = certify(8, 24)
+    assert repr(cert) == "Certificate(ell=8, m=24, transposed=False, entries=3)"
+    again = parse_certificate(serialize_certificate(cert))
+    assert cert == again and hash(cert) == hash(again)
+    assert cert != certify(24, 8) and cert != certify(8, 32)
+    # a DAG of 61 entries whose expanded tree has about 2^60 leaves
+    start = time.perf_counter()
+    big = certify(8, 8 * 2**60)
+    text = repr(big)
+    same = big == certify(8, 8 * 2**60)
+    assert time.perf_counter() - start < 1.0
+    assert text == f"Certificate(ell=8, m={8 * 2**60}, transposed=False, entries=61)"
+    assert same
+    # an object that is not a certificate compares by identity
+    bad = Certificate(8, 8, None, False)
+    assert bad == bad and bad != Certificate(8, 8, None, False)
+    assert repr(bad) == "Certificate(ell=8, m=8, transposed=False, entries=invalid)"

@@ -1,5 +1,8 @@
 import importlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -106,7 +109,6 @@ def test_kron_oracle_json(capsys):
             "[3,1]",
             "--nu",
             "[3,1]",
-            "--oracle",
             "--format",
             "json",
         ]
@@ -118,12 +120,17 @@ def test_kron_oracle_json(capsys):
 
 
 def test_kron_requires_route_choice(capsys):
-    assert run(["kron", "--lambda", "[2,2]", "--mu", "[2,2]"]) == 1
-    assert run(["kron", "--lambda", "[2,2]", "--mu", "[2,2]", "--nu", "[2,2]"]) == 1
-    assert (
-        run(["kron", "--lambda", "[2,2]", "--mu", "[2,2]", "--k", "1", "--nu", "[2,2]"]) == 1
-    )
-    capsys.readouterr()
+    # the route follows from the input: --nu alone is the character oracle
+    assert run(["kron", "--lambda", "[2,2]", "--mu", "[2,2]", "--nu", "[2,2]"]) == 0
+    assert _lines(capsys) == ["1"]
+    # neither or both is one usage error
+    for extra in ([], ["--k", "1", "--nu", "[2,2]"]):
+        assert run(["kron", "--lambda", "[2,2]", "--mu", "[2,2]", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: pass one of --k (two-row formula) or --nu (character oracle)\n"
+        )
 
 
 def test_kron_two_row_includes_derived_nu(capsys):
@@ -159,11 +166,11 @@ GOLDEN = [
      '{"command":"kron","params":{"k":2,"lambda":"[4,2]","mu":"[3,2,1]","nu":null},"result":{"k":2,"lambda":"[4,2]","mu":"[3,2,1]","nu":"[4,2]","route":"TwoRowFormula","value":"2"},"version":"0.1.0"}\n'),
     (["kron", "--lambda", "[ 3, 3 ]", "--mu", "[2,2,1,1]", "--k", "0", "--format", "json"],
      '{"command":"kron","params":{"k":0,"lambda":"[ 3, 3 ]","mu":"[2,2,1,1]","nu":null},"result":{"k":0,"lambda":"[3,3]","mu":"[2,2,1,1]","nu":"[6]","route":"TwoRowFormula","value":"0"},"version":"0.1.0"}\n'),
-    (["kron", "--lambda", "[3,2,1]", "--mu", "[3,2,1]", "--nu", "[3,2,1]", "--oracle"],
+    (["kron", "--lambda", "[3,2,1]", "--mu", "[3,2,1]", "--nu", "[3,2,1]"],
      '5\n'),
-    (["kron", "--lambda", "[3,2,1]", "--mu", "[3,2,1]", "--nu", "[3,2,1]", "--oracle", "--format", "json"],
+    (["kron", "--lambda", "[3,2,1]", "--mu", "[3,2,1]", "--nu", "[3,2,1]", "--format", "json"],
      '{"command":"kron","params":{"k":null,"lambda":"[3,2,1]","mu":"[3,2,1]","nu":"[3,2,1]"},"result":{"lambda":"[3,2,1]","mu":"[3,2,1]","nu":"[3,2,1]","route":"CharacterOracle","value":"5"},"version":"0.1.0"}\n'),
-    (["kron", "--lambda", "[3,1]", "--mu", "[2,1,1]", "--nu", "[ 2,2 ]", "--oracle", "--format", "json"],
+    (["kron", "--lambda", "[3,1]", "--mu", "[2,1,1]", "--nu", "[ 2,2 ]", "--format", "json"],
      '{"command":"kron","params":{"k":null,"lambda":"[3,1]","mu":"[2,1,1]","nu":"[ 2,2 ]"},"result":{"lambda":"[3,1]","mu":"[2,1,1]","nu":"[2,2]","route":"CharacterOracle","value":"1"},"version":"0.1.0"}\n'),
 ]
 
@@ -235,6 +242,17 @@ def test_repro_routes_refuses_max_n_above_the_oracle_bound_at_once(monkeypatch, 
     # the guard comes before the sweep: not one pair is compared
     monkeypatch.setattr(repro, "partitions_of", lambda n: pytest.fail("swept before refusing"))
     assert run(["repro", "--claim", "routes", "--max-n", "19"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: character oracle limited to n <= {DEFAULT_ORACLE_BOUND}: got max_n=19\n"
+    )
+
+
+def test_repro_lemma12_refuses_max_n_above_the_oracle_bound_at_once(monkeypatch, capsys):
+    from qunimodal import repro
+
+    # the guard comes before the sweep: not one box is expanded
+    monkeypatch.setattr(repro, "gaussian", lambda ell, m: pytest.fail("swept before refusing"))
+    assert run(["repro", "--claim", "lemma12", "--max-n", "19"]) == 1
     assert capsys.readouterr().err == (
         f"error: character oracle limited to n <= {DEFAULT_ORACLE_BOUND}: got max_n=19\n"
     )
@@ -410,10 +428,12 @@ def test_removed_options_are_usage_errors(capsys):
     for argv in (
         ["scan", "--ell", "5..6", "--m", "5..7", "--threads", "2"],
         ["certify", "--ell", "9", "--m", "41", "--no-cache"],
+        ["kron", "--lambda", "[3,1]", "--mu", "[3,1]", "--nu", "[3,1]", "--oracle"],
+        ["lr", "--outer", "[4,2]", "--left", "[2,1]", "--right", "[2,1]", "--size-bound", "70"],
     ):
         assert run(argv) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
@@ -438,3 +458,21 @@ def test_unknown_command_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "expand" in capsys.readouterr().out
+
+
+def _readme_cli_lines() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"\n## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    argvs = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1:] for argv in argvs if argv and argv[0] == "qunimodal"]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argvs = _readme_cli_lines()
+    assert ["verify", "--in", "cert.json"] in argvs
+    for argv in argvs:
+        assert run(argv) == 0, argv
+        out = capsys.readouterr().out
+        if argv[0] == "verify":
+            assert out.startswith("ACCEPTED"), out

@@ -158,7 +158,7 @@ def test_kron_oracle_decides_every_partition_string(texts):
         lambda: g_oracle(parse_partition(lam), parse_partition(mu), parse_partition(nu))
     )
     _check(
-        ["kron", f"--lambda={lam}", f"--mu={mu}", f"--nu={nu}", "--oracle"],
+        ["kron", f"--lambda={lam}", f"--mu={mu}", f"--nu={nu}"],
         None if value is None else f"{value}\n",
     )
 

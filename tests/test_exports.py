@@ -1,7 +1,13 @@
 """The package's export list: every name resolves, none is listed twice,
-and names removed from the API stay removed."""
+and names removed from the API stay removed.  The number of exports and
+of settable values (CLI options and keyword defaults of exported
+functions) is pinned, so a new one is a deliberate change."""
+
+import argparse
+import inspect
 
 import qunimodal
+from qunimodal.cli import _build_parser
 
 
 def test_every_exported_name_resolves():
@@ -29,7 +35,38 @@ def test_removed_carriers_are_not_exported():
         "Lemma12Result",
         "SemigroupViolation",
         "routes_check",
+        "lemma12_check",
     )
     for name in removed:
         assert name not in qunimodal.__all__
         assert not hasattr(qunimodal, name)
+
+
+def test_export_count_is_pinned():
+    assert len(qunimodal.__all__) == 36
+
+
+def test_cli_option_count_is_pinned():
+    [subcommands] = [
+        action
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = [
+        f"{name} {action.option_strings[0]}"
+        for name, sub in subcommands.choices.items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+    ]
+    assert len(options) == 28, options
+
+
+def test_exported_functions_have_no_keyword_defaults():
+    defaults = [
+        (name, param.name)
+        for name in qunimodal.__all__
+        if callable(obj := getattr(qunimodal, name)) and not isinstance(obj, type)
+        for param in inspect.signature(obj).parameters.values()
+        if param.default is not param.empty
+    ]
+    assert defaults == []

@@ -12,7 +12,6 @@ from qunimodal import (
     g_oracle,
     g_two_row,
     gaussian,
-    lemma12_check,
     lr,
     partitions_of,
     semigroup_check,
@@ -20,7 +19,8 @@ from qunimodal import (
 )
 from qunimodal import kronecker
 from qunimodal.kronecker import DEFAULT_ORACLE_BOUND, _char, _class_sizes, _strip_removals
-from qunimodal.repro import repro_routes
+from qunimodal import repro
+from qunimodal.repro import repro_lemma12, repro_routes
 
 P = Partition
 
@@ -191,10 +191,12 @@ def test_oracle_size_mismatch_rejected():
 
 
 def test_oracle_bound_guard():
-    big = P((19,))
-    with pytest.raises(ValueError):
+    big = P((DEFAULT_ORACLE_BOUND + 1,))
+    with pytest.raises(ValueError, match=rf"limited to n <= {DEFAULT_ORACLE_BOUND}: got 19$"):
         g_oracle(big, big, big)
-    assert g_oracle(big, big, big, bound=19) == 1
+    # the bound itself is allowed
+    top = P((DEFAULT_ORACLE_BOUND,))
+    assert g_oracle(top, top, top) == 1
 
 
 def test_a_k_frozen_values():
@@ -249,9 +251,10 @@ def test_routes_agree_on_rectangles():
 
 
 def test_difference_identity_small_boxes():
-    for ell in range(1, 5):
-        for m in range(1, 5):
-            assert lemma12_check(ell, m) == [], (ell, m)
+    # up to the oracle bound itself, which the claim accepts
+    ok, lines = repro_lemma12(DEFAULT_ORACLE_BOUND)
+    assert ok, lines
+    assert lines == ["checked the difference identity on 58 boxes with ell*m <= 18"]
 
 
 def test_rectangle_difference_matches_expansion():
@@ -284,7 +287,7 @@ def test_semigroup_sampler_finds_no_violations():
 @pytest.mark.parametrize("size", [1, DEFAULT_ORACLE_BOUND + 1])
 def test_semigroup_sampler_keeps_to_the_oracle_bound(size, monkeypatch):
     # refused before any sample is drawn, so the oracle guard is never lifted
-    monkeypatch.setattr(kronecker, "g_oracle", lambda *triple, bound: pytest.fail("sampled"))
+    monkeypatch.setattr(kronecker, "g_oracle", lambda *triple: pytest.fail("sampled"))
     with pytest.raises(ValueError, match=rf"max_total_size <= {DEFAULT_ORACLE_BOUND}: got {size}$"):
         semigroup_check(samples=5, seed=0, max_total_size=size)
 
@@ -296,14 +299,17 @@ def test_semigroup_sampler_is_deterministic():
 
 
 def test_claim_checks_return_plain_counterexample_lists(monkeypatch):
-    assert lemma12_check(3, 4) == []
-    # an oracle that reads 0 everywhere breaks the identity for (2, 2),
-    # whose differences are 1, 0, 1: the failure at k = 0 is reported
-    monkeypatch.setattr(kronecker, "g_oracle", lambda *triple, bound: 0)
-    assert lemma12_check(2, 2) == [0, 2]
+    # an oracle that reads 0 everywhere breaks the identity wherever the
+    # difference p_k - p_{k-1} is positive: for (2, 2), whose differences
+    # are 1, 0, 1, at k = 0 and k = 2, and the claim fails without raising
+    monkeypatch.setattr(repro, "g_oracle", lambda *triple: 0)
+    ok, lines = repro_lemma12(4)
+    assert not ok
+    assert "(2,2) failed at k=0,2" in lines
+    assert "(1,1) failed at k=0" in lines
     # g1 = 2, g2 = 3 and a sum of 1 is one violation, as a plain tuple
     values = cycle([2, 3, 1])
-    monkeypatch.setattr(kronecker, "g_oracle", lambda *triple, bound: next(values))
+    monkeypatch.setattr(kronecker, "g_oracle", lambda *triple: next(values))
     [violation] = semigroup_check(samples=1, seed=0, max_total_size=10)
     assert type(violation) is tuple
     first, second, g_first, g_second, g_sum = violation

@@ -190,3 +190,13 @@ def test_qpolynomial_rejects_non_integers():
 def test_big_expansion_against_oracle():
     # one medium-large spot check of the packed evaluation
     assert gaussian(12, 17).coeffs == product_formula(12, 17)
+
+
+def test_memo_never_answers_a_non_integer_side():
+    # the memo is typed: a cached (2, 3) must not answer (2.0, 3), which
+    # raises before and after the integer pair is cached
+    gaussian.cache_clear()
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            gaussian(2.0, 3)
+        assert gaussian(2, 3).coeffs == (1, 1, 2, 2, 2, 1, 1)
