@@ -19,7 +19,7 @@ Construction is deterministic:
 * min(ell, m) <= 15: keep ell fixed, start from the largest registered
   (ell, s) with s <= m and s = m mod 8, and add (m - s) / 8 steps of
   (ell, 8) by binary doubling: the step added to itself (both halves one
-  shared object) gives (ell, 16), (ell, 32), ..., and the powers named
+  entry) gives (ell, 16), (ell, 32), ..., and the powers named
   by the binary digits of (m - s) / 8 are added onto the base.  Steps of
   8 dodge every exceptional pair, which steps of 10 would not (ell = 5
   and 7 have exceptions at m = 10 itself).
@@ -35,9 +35,14 @@ the order of a depth-first walk from the root (left before right):
 and j index earlier entries and {"t": i} concludes the mirror of entry
 i.  Serialization is canonical JSON (sorted keys, no whitespace).
 
-The table is derived once per ``Certificate`` object and kept on it,
-outside its dataclass fields, for serialization and ``verify``; parsing
-validates each wire entry once and checks canonical order against it.
+``certify`` builds the table directly, doubling on indices, and
+``parse_certificate`` validates each wire entry into its table entry
+once; both put or check canonical order with one index walk (``_walk``)
+and return a ``Certificate`` that holds the table.  Serialization,
+``verify``, ``==``, ``hash`` and ``repr`` read that table; the object
+DAG behind ``Certificate.node`` is built from it only when first read.
+A certificate built by hand from ``BaseNode``/``AddNode`` objects gets
+its table from one walk of those objects, kept on it after first use.
 
 ``verify`` replays the table from scratch on every call: each distinct
 base leaf is re-checked by direct computation once and every additivity
@@ -122,15 +127,29 @@ class Certificate:
     when true the node concludes (m, ell) and the claim is its mirror.
     Only the root's claim is read by ``verify`` and the serializer; the
     conclusions of sub-certificates are derived from their nodes.
-    ``==``, ``hash`` and ``repr`` read the claim and the table, never the
-    expanded tree, so they stay cheap on a large shared DAG; an object
-    that is not a valid certificate compares by identity.
+
+    ``certify`` and ``parse_certificate`` return one that holds the claim,
+    ``transposed`` and the table; its ``node`` is built from the table on
+    first read and kept.  One built by hand holds its ``node`` and gets
+    its table from one walk of the objects on first use.  ``==``,
+    ``hash`` and ``repr`` read the claim and the table, never the node or
+    the expanded tree, so they stay cheap on a large shared DAG; an
+    object that is not a valid certificate compares by identity.
     """
 
     ell: int
     m: int
     node: "BaseNode | AddNode"
     transposed: bool
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: the node of a
+        # certificate that holds a table and no node yet
+        table = vars(self).get("_entries")
+        if name != "node" or table is None:
+            raise AttributeError(f"'Certificate' object has no attribute {name!r}")
+        node = vars(self)["node"] = _objects(table)[-1].node
+        return node
 
     def _key(self) -> "tuple | None":
         try:
@@ -217,37 +236,55 @@ def _witnesses(ell: int, m1: int, m2: int) -> tuple[str, str]:
     return even, geq3
 
 
-def _base_cert(ell: int, m: int) -> Certificate:
-    return Certificate(ell=ell, m=m, node=BaseNode(ell=ell, m=m), transposed=False)
+class _Builder:
+    """A table under construction: entries merged by key, each kept with
+    the pair it concludes."""
+
+    def __init__(self) -> None:
+        self.entries: list[tuple] = []
+        self.pairs: list[tuple[int, int]] = []
+        self.position: dict[tuple, int] = {}
+
+    def _intern(self, key: tuple, pair: tuple[int, int]) -> int:
+        at = self.position.setdefault(key, len(self.entries))
+        if at == len(self.entries):
+            if at == MAX_NODES:
+                raise ValueError(f"the certificate would need over MAX_NODES = {MAX_NODES} entries")
+            self.entries.append(key)
+            self.pairs.append(pair)
+        return at
+
+    def base(self, ell: int, m: int) -> int:
+        return self._intern(("base", ell, m), (ell, m))
+
+    def add(self, i: int, j: int) -> int:
+        (ell, m1), (_, m2) = self.pairs[i], self.pairs[j]
+        return self._intern(("add", ell, i, j, *_witnesses(ell, m1, m2)), (ell, m1 + m2))
+
+    def mirror(self, i: int) -> int:
+        ell, m = self.pairs[i]
+        return self._intern(("t", i), (m, ell))
 
 
-def _add_cert(ell: int, left: Certificate, right: Certificate) -> Certificate:
-    even, geq3 = _witnesses(ell, left.m, right.m)
-    node = AddNode(ell=ell, left=left, right=right, even_witness=even, geq3_witness=geq3)
-    return Certificate(ell=ell, m=left.m + right.m, node=node, transposed=False)
-
-
-def _transposed(cert: Certificate) -> Certificate:
-    return Certificate(ell=cert.m, m=cert.ell, node=cert.node, transposed=not cert.transposed)
-
-
-def _chain(base: Certificate, step: Certificate, count: int) -> Certificate:
-    """``base`` plus ``count`` copies of ``step``, by binary doubling."""
-    acc = base
+def _chain(table: _Builder, acc: int, step: int, count: int) -> int:
+    """Entry ``acc`` plus ``count`` copies of entry ``step``, by binary doubling."""
     while count:
         if count & 1:
-            acc = _add_cert(base.ell, acc, step)
+            acc = table.add(acc, step)
         count >>= 1
         if count:
-            step = _add_cert(base.ell, step, step)
+            step = table.add(step, step)
     return acc
 
 
-def _build(a: int, b: int, reg: frozenset[tuple[int, int]]) -> Certificate:
-    """Certificate concluding (a, b) for 5 <= a <= b, pair not exceptional."""
+def _build(ell: int, m: int, reg: frozenset[tuple[int, int]], table: _Builder) -> int:
+    """The entry concluding (ell, m), for min side >= 5, pair not
+    exceptional; choosing the orientation here means no entry is a
+    mirror of a mirror or unreachable from the root."""
+    a, b = min(ell, m), max(ell, m)
     if (a, b) in reg:
-        return _base_cert(a, b)
-    if a <= 15:
+        at = table.base(a, b)
+    elif a <= 15:
         if a <= 7 and b <= 20:
             # inside the directly-computed window but not registered:
             # one of the nine exceptional pairs
@@ -261,22 +298,25 @@ def _build(a: int, b: int, reg: frozenset[tuple[int, int]]) -> Certificate:
         if start is None:
             raise RuntimeError(f"no chain base found for ({a},{b})")
         count = (b - start) // _CHAIN_STEP
-        return _chain(_base_cert(a, start), _base_cert(a, _CHAIN_STEP), count)
-    # both sides beyond the base window: grow the smaller side in steps
-    # of 8, larger side fixed, via transposed children
-    a0 = 8 + (a - 8) % _CHAIN_STEP
-    acc = _transposed(_build(a0, b, reg))
-    step = _transposed(_build(_CHAIN_STEP, b, reg))
-    return _transposed(_chain(acc, step, (a - a0) // _CHAIN_STEP))
+        at = _chain(table, table.base(a, start), table.base(a, _CHAIN_STEP), count)
+    else:
+        # both sides beyond the base window: grow the smaller side in
+        # steps of 8, larger side fixed, from mirrored children; the
+        # chain concludes (b, a)
+        a0 = 8 + (a - 8) % _CHAIN_STEP
+        acc, step = _build(b, a0, reg, table), _build(b, _CHAIN_STEP, reg, table)
+        grown = _chain(table, acc, step, (a - a0) // _CHAIN_STEP)
+        return grown if ell > m else table.mirror(grown)
+    return table.mirror(at) if ell > m else at
 
 
 def certify(ell: int, m: int) -> Certificate:
     """Build the canonical certificate that (ell, m) is strictly unimodal.
 
-    Deterministic: the same pair always yields the same DAG.  Refuses
+    Deterministic: the same pair always yields the same table.  Refuses
     pairs outside the certifiable region (min < 5 or one of the nine
     exceptional pairs) with a reasoned error, and raises ``ValueError``
-    for a pair so large that its table would exceed ``MAX_NODES``.
+    as soon as the table would exceed ``MAX_NODES`` entries.
     """
     ell, m = operator.index(ell), operator.index(m)
     if ell < 1 or m < 1:
@@ -288,33 +328,98 @@ def certify(ell: int, m: int) -> Certificate:
         raise NotCertifiableError(
             "small", f"({ell},{m}) has min side {a} < 5, below the certifiable region"
         )
-    cert = _build(a, b, default_registry())
-    if ell > m:
-        cert = _transposed(cert)
-    try:
-        _table(cert)
-    except CertificateFormatError as err:
-        raise ValueError(f"the certificate would need {err.message}") from None
-    return cert
+    table = _Builder()
+    root = _build(ell, m, default_registry(), table)
+    return _tabled(ell, m, _walk(table.entries, root))
 
 
 # ---------------------------------------------------------------------------
-# the table: one traversal behind serialize, parse and verify
+# the table: what serialize, parse and verify read
+#
+# Each entry is a key tuple: ("base", l, m), ("add", ell, i, j, even,
+# geq3) or ("t", i), with i and j indexing earlier entries.
+
+
+def _walk(table: "list[tuple] | tuple[tuple, ...]", root: int) -> tuple[tuple, ...]:
+    """The entries that entry ``root`` of ``table`` reaches, in canonical order.
+
+    Depth-first, children before parents, left before right; equal
+    entries are merged and a mirror of a mirror folds back to its inner
+    entry.  Every reference in ``table`` must name an earlier entry.
+    Iterative, so depth costs no recursion, and each entry is settled once.
+    """
+    out: list[tuple] = []
+    position: dict[tuple, int] = {}
+    new = [-1] * len(table)  # entry of table -> its entry of out
+    stack = [root]
+    while stack:
+        at = stack[-1]
+        if new[at] >= 0:
+            stack.pop()
+            continue
+        key = table[at]
+        if key[0] == "add":
+            i, j = new[key[2]], new[key[3]]
+            if i < 0 or j < 0:
+                stack += (key[3], key[2])
+                continue
+            key = ("add", key[1], i, j, key[4], key[5])
+        elif key[0] == "t":
+            i = new[key[1]]
+            if i < 0:
+                stack.append(key[1])
+                continue
+            # a mirror of a mirror is the inner entry, already in out
+            key = out[out[i][1]] if out[i][0] == "t" else ("t", i)
+        stack.pop()
+        new[at] = position.setdefault(key, len(out))
+        if new[at] == len(out):
+            out.append(key)
+    return tuple(out)
+
+
+def _tabled(ell: int, m: int, table: tuple[tuple, ...]) -> Certificate:
+    """A certificate for the claim (ell, m) that holds ``table`` and no node."""
+    cert = object.__new__(Certificate)
+    vars(cert).update(ell=ell, m=m, transposed=table[-1][0] == "t", _entries=table)
+    return cert
+
+
+def _objects(table: tuple[tuple, ...]) -> list[Certificate]:
+    """One object certificate per entry of ``table``; an entry named twice
+    is one shared object."""
+    certs: list[Certificate] = []
+    for key in table:
+        if key[0] == "base":
+            certs.append(Certificate(key[1], key[2], BaseNode(key[1], key[2]), False))
+        elif key[0] == "t":
+            sub = certs[key[1]]
+            certs.append(Certificate(sub.m, sub.ell, sub.node, not sub.transposed))
+        else:
+            _, ell, i, j, ew, gw = key
+            node = AddNode(ell, certs[i], certs[j], ew, gw)
+            certs.append(Certificate(ell, certs[i].m + certs[j].m, node, False))
+    return certs
 
 
 def _table(cert: Certificate) -> tuple[tuple, ...]:
-    """The distinct entries of ``cert``, children before parents.
-
-    Each entry is a key tuple: ``("base", l, m)``, ``("add", ell, i, j,
-    even, geq3)`` or ``("t", i)``, with i and j indexing earlier entries.
-    Iterative, so depth costs no recursion; each object is visited once
-    and equal entries are merged.  The first call on a root stores the
-    table on it, outside its fields, and later calls return that tuple.
-    Raises ``CertificateFormatError`` for a value that is not a
-    certificate or a table of over ``MAX_NODES``.
-    """
+    """The table ``cert`` holds, or for a certificate built by hand, the
+    one ``_object_walk`` derives, stored on it on first use."""
     if type(cert) is Certificate and "_entries" in vars(cert):
         return vars(cert)["_entries"]
+    table = _object_walk(cert)
+    object.__setattr__(cert, "_entries", table)
+    return table
+
+
+def _object_walk(cert: Certificate) -> tuple[tuple, ...]:
+    """The distinct entries of a certificate built from objects, in
+    canonical order.
+
+    Iterative, so depth costs no recursion; each object is visited once
+    and equal entries are merged.  Raises ``CertificateFormatError`` for
+    a value that is not a certificate or a table of over ``MAX_NODES``.
+    """
     entries: list[tuple] = []
     position: dict[tuple, int] = {}
     done: dict[int, int] = {}  # id(sub-certificate) -> its entry
@@ -348,17 +453,15 @@ def _table(cert: Certificate) -> tuple[tuple, ...]:
             raise CertificateFormatError(f"$.nodes[{len(entries)}]", "not a certificate")
         done[id(cur)] = intern(("t", at)) if cur.transposed else at
         stack.pop()
-    table = tuple(entries)
-    object.__setattr__(cert, "_entries", table)
-    return table
+    return tuple(entries)
 
 
 def verify(cert: Certificate) -> VerificationResult:
     """Replay a certificate: re-check every leaf and every side condition.
 
-    One loop over the table, which is derived once per object; every call
-    re-computes each distinct leaf pair once and re-checks every side
-    condition and witness.  Never raises.
+    One loop over the table the certificate holds; every call re-computes
+    each distinct leaf pair once and re-checks every side condition and
+    witness.  Never raises.
     """
 
     def reject(reason: str, at: "int | str") -> VerificationResult:
@@ -434,23 +537,20 @@ def _ints(v: object, n: int) -> bool:
     return type(v) is list and len(v) == n and all(type(x) is int for x in v)
 
 
-def _entry_cert(obj: object, certs: list[Certificate]) -> tuple[tuple, Certificate]:
-    """The table entry and sub-certificate of the next wire entry, after
-    those in ``certs``."""
+def _entry(obj: object, at: int) -> tuple:
+    """The table entry of wire entry ``at``, whose references must name
+    earlier entries."""
     keys = obj.keys() if type(obj) is dict else None
-    at = len(certs)
     if keys == {"add", "even", "geq3"} and type(obj["add"]) is list and len(obj["add"]) == 3:
         (ell, i, j), ew, gw = obj["add"], obj["even"], obj["geq3"]
         if type(ell) is type(i) is type(j) is int and type(ew) is type(gw) is str and (
             0 <= i < at and 0 <= j < at
         ):
-            node = AddNode(ell, certs[i], certs[j], ew, gw)
-            return ("add", ell, i, j, ew, gw), Certificate(ell, certs[i].m + certs[j].m, node, False)
+            return ("add", ell, i, j, ew, gw)
     elif keys == {"base"} and _ints(obj["base"], 2):
-        l, m = obj["base"]
-        return ("base", l, m), _base_cert(l, m)
+        return ("base", *obj["base"])
     elif keys == {"t"} and type(obj["t"]) is int and 0 <= obj["t"] < at:
-        return ("t", obj["t"]), _transposed(certs[obj["t"]])
+        return ("t", obj["t"])
     raise CertificateFormatError(
         f"$.nodes[{at}]",
         'expected {"base": [l, m]}, {"add": [ell, i, j], "even": w, "geq3": w} or {"t": i}, '
@@ -468,17 +568,10 @@ def certificate_from_obj(obj: object) -> Certificate:
         raise CertificateFormatError("$.conclusion", 'expected {"ell": int, "m": int}')
     if type(nodes) is not list or not 1 <= len(nodes) <= MAX_NODES:
         raise CertificateFormatError("$.nodes", f"expected 1 to {MAX_NODES} entries")
-    entries: list[tuple] = []
-    certs: list[Certificate] = []
-    for item in nodes:
-        entry, cert = _entry_cert(item, certs)
-        entries.append(entry)
-        certs.append(cert)
-    last = certs[-1]
-    root = Certificate(ell=concl["ell"], m=concl["m"], node=last.node, transposed=last.transposed)
-    if _table(root) != tuple(entries):
+    entries = tuple([_entry(item, at) for at, item in enumerate(nodes)])
+    if _walk(entries, len(entries) - 1) != entries:
         raise CertificateFormatError("$.nodes", "not canonical: distinct, in walk order")
-    return root
+    return _tabled(concl["ell"], concl["m"], entries)
 
 
 def parse_certificate(text: "str | bytes") -> Certificate:

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import importlib
 import json
+import pickle
 import time
 
 import pytest
@@ -23,7 +26,7 @@ from qunimodal import (
     serialize_certificate,
     verify,
 )
-from qunimodal.certify import MAX_LEAVES, MAX_NODES
+from qunimodal.certify import MAX_LEAVES, MAX_NODES, _witnesses
 
 
 def test_registry_contains_verified_bases_only():
@@ -291,25 +294,34 @@ def test_parse_error_carries_a_path():
 
 
 def test_each_certificate_object_is_walked_once(monkeypatch):
-    # a walk builds a new table; a table already derived for the object
-    # comes back as the same tuple, so distinct results count the walks
+    # certify and parse each run the index walk once and never the object
+    # walk; nothing after them builds the node of the certificate
     cert_module = importlib.import_module("qunimodal.certify")
-    walk = cert_module._table
-    tables = []
+    calls = {"_walk": 0, "_object_walk": 0}
+    for name in calls:
 
-    def spy(cert):
-        table = walk(cert)
-        tables.append(table)
-        return table
+        def spy(*args, real=getattr(cert_module, name), name=name):
+            calls[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(cert_module, "_table", spy)
-    outcome = verify(parse_certificate(serialize_certificate(certify(33, 4700))))
-    assert outcome.ok
-    # certify's root, then the parse check; serialize and verify reuse them
-    assert len({id(table) for table in tables}) <= 2
-    tables.clear()
+        monkeypatch.setattr(cert_module, name, spy)
+    cert = certify(33, 4700)
+    assert calls == {"_walk": 1, "_object_walk": 0}
+    parsed = parse_certificate(serialize_certificate(cert))
+    assert calls == {"_walk": 2, "_object_walk": 0}
+    for held in (cert, parsed):
+        assert verify(held).ok
+        serialize_certificate(held)
+        repr(held)
+    assert cert == parsed and hash(cert) == hash(parsed)
+    verified = []
+    real_verify = cert_module.verify
+    monkeypatch.setattr(cert_module, "verify", lambda c: verified.append(c) or real_verify(c))
     assert classify(550, 553) == PairClass.Strict
-    assert len({id(table) for table in tables}) == 1
+    assert calls == {"_walk": 3, "_object_walk": 0}
+    assert len(verified) == 1
+    for held in (cert, parsed, *verified):
+        assert "node" not in vars(held)
 
 
 def test_default_registry_is_cached_instance():
@@ -491,3 +503,130 @@ def test_repr_and_eq_read_the_table_not_the_expanded_tree():
     bad = Certificate(8, 8, None, False)
     assert bad == bad and bad != Certificate(8, 8, None, False)
     assert repr(bad) == "Certificate(ell=8, m=8, transposed=False, entries=invalid)"
+
+
+# ---------------------------------------------------------------------------
+# a second route to certify: the builder that made the DAG from objects,
+# each step a new Certificate, before certify built the table on indices
+
+
+def _oracle_base(ell, m):
+    return Certificate(ell=ell, m=m, node=BaseNode(ell=ell, m=m), transposed=False)
+
+
+def _oracle_add(ell, left, right):
+    even, geq3 = _witnesses(ell, left.m, right.m)
+    node = AddNode(ell=ell, left=left, right=right, even_witness=even, geq3_witness=geq3)
+    return Certificate(ell=ell, m=left.m + right.m, node=node, transposed=False)
+
+
+def _oracle_transposed(cert):
+    return Certificate(ell=cert.m, m=cert.ell, node=cert.node, transposed=not cert.transposed)
+
+
+def _oracle_chain(base, step, count):
+    acc = base
+    while count:
+        if count & 1:
+            acc = _oracle_add(base.ell, acc, step)
+        count >>= 1
+        if count:
+            step = _oracle_add(base.ell, step, step)
+    return acc
+
+
+def _oracle_build(a, b, reg):
+    if (a, b) in reg:
+        return _oracle_base(a, b)
+    if a <= 15:
+        start = max(s for l, s in reg if l == a and s <= b and (b - s) % 8 == 0)
+        return _oracle_chain(_oracle_base(a, start), _oracle_base(a, 8), (b - start) // 8)
+    a0 = 8 + (a - 8) % 8
+    acc = _oracle_transposed(_oracle_build(a0, b, reg))
+    step = _oracle_transposed(_oracle_build(8, b, reg))
+    return _oracle_transposed(_oracle_chain(acc, step, (a - a0) // 8))
+
+
+def _oracle_certify(ell, m):
+    cert = _oracle_build(min(ell, m), max(ell, m), default_registry())
+    return _oracle_transposed(cert) if ell > m else cert
+
+
+def _assert_same_shape(got, want):
+    """Field by field the same DAG, and every node whose two children are
+    one object in ``want`` has one object as children in ``got`` too."""
+    seen = set()
+    stack = [(got, want)]
+    while stack:
+        g, w = stack.pop()
+        if (id(g), id(w)) in seen:
+            continue
+        seen.add((id(g), id(w)))
+        assert type(g) is Certificate and type(g.node) is type(w.node)
+        assert (g.ell, g.m, g.transposed) == (w.ell, w.m, w.transposed)
+        if type(w.node) is BaseNode:
+            assert g.node == w.node
+            continue
+        gn, wn = g.node, w.node
+        assert (gn.ell, gn.even_witness, gn.geq3_witness) == (wn.ell, wn.even_witness, wn.geq3_witness)
+        if wn.left is wn.right:
+            assert gn.left is gn.right
+        stack += [(gn.left, wn.left), (gn.right, wn.right)]
+
+
+def test_certify_matches_the_object_builder():
+    pairs = [(ell, m) for ell in range(5, 61) for m in range(5, 61)]
+    for ell, m in pairs + [(11, 29500), (29500, 11), (550, 550), (8, 30000)]:
+        if (min(ell, m), max(ell, m)) in EXCEPTION_PAIRS:
+            continue
+        cert, want = certify(ell, m), _oracle_certify(ell, m)
+        assert serialize_certificate(cert) == serialize_certificate(want), (ell, m)
+        assert cert == want, (ell, m)
+        _assert_same_shape(cert, want)
+
+
+def _held(ell, m):
+    cert = certify(ell, m)
+    return cert, parse_certificate(serialize_certificate(cert))
+
+
+def test_node_of_a_mirrored_root_is_built_from_the_table():
+    # (33, 470) is the mirror of a chain at ell = 470 that concludes
+    # (470, 33); (470, 33) is that chain, grown from mirrored leaves
+    for ell, m, transposed in [(33, 470, True), (470, 33, False)]:
+        for cert in _held(ell, m):
+            assert cert.transposed is transposed
+            assert type(cert.node) is AddNode and cert.node.ell == 470
+            assert cert.node.left.m + cert.node.right.m == 33
+            assert cert.node.left.node.left == certify(470, 9)
+            _assert_same_shape(cert, _oracle_certify(ell, m))
+            assert cert.node is cert.node
+
+
+def test_certificates_holding_a_table_copy_pickle_and_replace():
+    for cert in _held(33, 470):
+        text = serialize_certificate(cert)
+        copies = [pickle.loads(pickle.dumps(cert)), copy.copy(cert), copy.deepcopy(cert)]
+        assert all("node" not in vars(twin) for twin in copies)
+        # replace reads every field, so it builds the node and returns a
+        # certificate made of objects; pickle the one holding its node too
+        copies += [dataclasses.replace(cert), pickle.loads(pickle.dumps(cert))]
+        assert "node" in vars(cert)
+        for twin in copies:
+            assert twin == cert and hash(twin) == hash(cert)
+            assert serialize_certificate(twin) == text
+            assert verify(twin).ok
+            _assert_same_shape(twin, _oracle_certify(33, 470))
+        moved = dataclasses.replace(cert, m=471)
+        assert moved != cert and not verify(moved).ok
+
+
+def test_unknown_attributes_raise_without_recursing():
+    bare = object.__new__(Certificate)
+    for cert in (*_held(8, 24), bare):
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            cert.nope
+        assert not hasattr(cert, "__getnewargs__")
+    for name in ("node", "ell", "_entries"):
+        with pytest.raises(AttributeError):
+            getattr(bare, name)
