@@ -2,10 +2,11 @@
 
 Subcommands: expand, check, scan, lr, kron, certify, verify, repro.
 Exit code 0 means a computed answer (including negative answers such as
-"not strict" or a refused certificate), 1 a usage error, and 2 an
-internal failure.  The CLI only parses arguments and formats results;
-``repro`` runs the claims in ``repro.py``, passing each claim only the
-options its signature names, with the defaults that signature holds.
+"not strict" or a refused certificate), 1 a usage error or a reader that
+closed stdout early, and 2 an internal failure.  The CLI only parses
+arguments and formats results; ``repro`` runs the claims in
+``repro.py``, passing each claim only the options its signature names,
+with the defaults that signature holds.
 
 ``--format json`` wraps every result in a stable envelope
 {"command", "params", "result", "version"}; values that can be large
@@ -18,6 +19,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import os
 import re
 import sys
 
@@ -338,4 +340,12 @@ def run(argv: "list[str] | None" = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head -n 1` does): point stdout at
+        # devnull so that the flush at shutdown writes nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

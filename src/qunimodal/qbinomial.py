@@ -29,12 +29,21 @@ the limbs widen once more, to hold coefficients below comb(a+b, a).
 From then on the width stays at h+1 limbs, so every remaining factor is
 a unit of the one ring Z[q]/(q^{h+1}); the factors commute, only the
 final product must be a polynomial with coefficients that fit a limb,
-and intermediate values may wrap.  A remaining numerator N = d*2^t meets
-a remaining denominator d as (1 - q^N)/(1 - q^d) = prod_{s<t} (1 +
-q^{d*2^s}): t shift-and-adds, where the two apart cost one
-shift-and-subtract and about log2(h/d) + 1 shift-and-adds.  Each
-numerator takes the first unused such d, halving N while it stays even;
-the numerators and denominators left over are applied one by one.
+and intermediate values may wrap.  A numerator above h is 1 there and is
+dropped.  A remaining numerator N meets a remaining denominator d that
+divides it as the geometric sum (1 - q^N)/(1 - q^d) = 1 + q^d + ... +
+q^{(k-1)d}, k = N/d, computed by doubling on the bits of k:
+S_{2j} = S_j (1 + q^{jd}) and S_{2j+1} = 1 + q^d S_{2j}, so
+bitlen(k) - 1 + popcount(k) - 1 shift-and-adds.  Apart, the two cost one
+shift-and-subtract for N and the series for d, which is the same sum
+with k at ceil((h+1)/d), beyond which every term vanishes, rounded up
+to a power of two: about log2(h/d) + 1 shift-and-adds; a pair's
+k = N/d <= h/d stays below that cap.  Each numerator, from the largest
+down, takes the unused divisor with the largest saving over leaving the
+two apart, and none when no saving is positive: on (5, 247), N = 252
+over d = 4 gives k = 63, which costs 10 shift-and-adds where the two
+apart cost 9.  The numerators and denominators left over are applied
+one by one.
 
 Unpacking widens limbs of up to 8 bytes to 8 by the same strided copy
 and reads them as unsigned 64-bit words with ``struct``; wider limbs are
@@ -80,6 +89,14 @@ class QPolynomial:
         if len(cs) > 1 and cs[-1] == 0:
             raise ValueError("trailing zero beyond the declared degree")
         self.coeffs = cs
+
+    @classmethod
+    def _of(cls, coeffs: tuple[int, ...]) -> "QPolynomial":
+        """Wrap a tuple of non-negative ints with no trailing zero, as
+        :func:`gaussian` builds it, without copying or scanning it again."""
+        poly = object.__new__(cls)
+        poly.coeffs = coeffs
+        return poly
 
     @property
     def degree(self) -> int:
@@ -139,12 +156,54 @@ def _repack(x: int, nbytes: int, count: int, bound: int) -> tuple[int, int]:
     return int.from_bytes(_widen(raw, nbytes, need, count), "little"), need
 
 
-def _series(x: int, shift: int, stop: int, mask: int) -> int:
-    """x * prod (1 + 2^s) over s = shift, 2*shift, 4*shift, ... below stop, modulo mask + 1."""
-    while shift < stop:
-        x = (x + (x << shift)) & mask
-        shift <<= 1
-    return x
+def _passes(k: int) -> int:
+    """Shift-and-adds that :func:`_geometric` spends on a sum of k terms."""
+    return k.bit_length() + k.bit_count() - 2
+
+
+def _geometric(x: int, shift: int, k: int, mask: int) -> int:
+    """x * (1 + 2^shift + ... + 2^((k-1)*shift)) modulo mask + 1, by
+    doubling on the bits of k: S_2j = S_j (1 + 2^(j*shift)) and
+    S_2j+1 = 1 + 2^shift S_2j."""
+    y, j = x, 1
+    for bit in bin(k)[3:]:
+        y = (y + (y << (shift * j))) & mask
+        j *= 2
+        if bit == "1":
+            y = (x + (y << shift)) & mask
+            j += 1
+    return y
+
+
+def _factors(a: int, b: int, h: int, grow: int) -> list[tuple[int, int]]:
+    """The factors left after the grow phase, as (d, k): the sum 1 + q^d +
+    ... + q^((k-1)d) for k >= 1, and the numerator 1 - q^d for k = 0.
+
+    Each numerator N from b+a down to b+grow+1, those above h dropped,
+    takes the unused denominator d = N/k with the largest saving over
+    the shift-and-subtract plus the series for d, if that saving is
+    positive, and the largest such d on a tie; the unpaired denominators
+    follow as series.
+    """
+    # 1/(1 - q^d) needs the terms q^(jd) with jd <= h; their count, rounded
+    # up to a power of two, costs no more than the count itself
+    series = {d: 1 << (h // d).bit_length() for d in range(grow + 1, a + 1)}
+    out = []
+    for num in range(min(b + a, h), b + grow, -1):
+        save, pair = 0, 0
+        for k in range(-(-num // a), num // (grow + 1) + 1):
+            d, r = divmod(num, k)
+            if r == 0 and d in series:
+                gain = 1 + _passes(series[d]) - _passes(k)
+                if gain > save:
+                    save, pair = gain, d
+        if pair:
+            del series[pair]
+            out.append((pair, num // pair))
+        else:
+            out.append((num, 0))
+    out.extend(series.items())
+    return out
 
 
 def _product_coeffs(ell: int, m: int) -> tuple[int, ...]:
@@ -163,27 +222,17 @@ def _product_coeffs(ell: int, m: int) -> tuple[int, ...]:
         limb = 8 * nbytes
         mask = (1 << (limb * size)) - 1
         x = (x - (x << (limb * (b + i)))) & mask
-        x = _series(x, limb * i, limb * size, mask)
+        x = _geometric(x, limb * i, 1 << ((size - 1) // i).bit_length(), mask)
     # The width is now h+1 limbs, so the remaining factors act on
-    # Z[q]/(q^(h+1)) and commute.  A numerator N = d*2^t over a remaining
-    # denominator d is the product of the 1 + q^(d*2^s) with s < t.
+    # Z[q]/(q^(h+1)) and commute.
     x, nbytes = _repack(x, nbytes, h + 1, comb(a + b, a))
     limb = 8 * nbytes
-    width = limb * (h + 1)
-    mask = (1 << width) - 1
-    dens = set(range(grow + 1, a + 1))
-    for num in range(b + grow + 1, b + a + 1):
-        d = num
-        while not d & 1:
-            d >>= 1
-            if d in dens:
-                dens.remove(d)
-                x = _series(x, limb * d, min(limb * num, width), mask)
-                break
+    mask = (1 << (limb * (h + 1))) - 1
+    for d, k in _factors(a, b, h, grow):
+        if k:
+            x = _geometric(x, limb * d, k, mask)
         else:
-            x = (x - (x << (limb * num))) & mask
-    for d in dens:
-        x = _series(x, limb * d, width, mask)
+            x = (x - (x << (limb * d))) & mask
     half = _unpack(x.to_bytes(nbytes * (h + 1), "little"), nbytes, h + 1)
     return half + half[n - h - 1 :: -1]
 
@@ -202,7 +251,7 @@ def gaussian(ell: int, m: int) -> QPolynomial:
         raise ValueError(f"box sides must be non-negative: ell={ell} m={m}")
     if ell == 0 or m == 0:
         return QPolynomial((1,))
-    return QPolynomial(_product_coeffs(ell, m))
+    return QPolynomial._of(_product_coeffs(ell, m))
 
 
 def gaussian_by_enumeration(ell: int, m: int) -> QPolynomial:

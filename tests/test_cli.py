@@ -1,7 +1,10 @@
 import importlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,6 +39,21 @@ def test_expand_json_envelope(capsys):
 def test_expand_rejects_negative(capsys):
     assert run(["expand", "--ell", "-1", "--m", "3"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_closed_stdout_ends_quietly_with_exit_1():
+    # `qunimodal expand ... | head -n 1`: the reader closes the pipe long
+    # before the 40,001 rows are written
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    argv = [sys.executable, "-m", "qunimodal", "expand", "--ell", "200", "--m", "200"]
+    argv += ["--format", "csv"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"0,1\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 1
 
 
 def test_check_plain(capsys):

@@ -3,8 +3,8 @@ from math import comb
 
 import pytest
 
-from qunimodal import QPolynomial, gaussian, gaussian_by_enumeration
-from qunimodal.qbinomial import _unpack
+from qunimodal import QPolynomial, gaussian, gaussian_by_enumeration, qbinomial
+from qunimodal.qbinomial import _factors, _geometric, _passes, _unpack
 
 
 def _polymul(a, b):
@@ -81,15 +81,83 @@ def test_matches_packed_recurrence_grid():
             assert gaussian(ell, m).coeffs == packed_recurrence(ell, m), (ell, m)
 
 
-# The last five widen their limbs many times while the partial box grows,
-# and then pair numerators with denominators half their size.
+# (63, 64) to (110, 110) widen their limbs many times while the partial
+# box grows, and then pair numerators with denominators a half or a third
+# their size; (45, 45) pairs the odd quotient 3, and (5, 247) and (5, 311)
+# decline the pairs that would cost more than the two factors apart.
 @pytest.mark.parametrize(
     "ell,m",
     [(60, 60), (12, 1175), (1175, 12), (10, 2000),
-     (63, 64), (89, 90), (40, 100), (75, 107), (110, 110)],
+     (63, 64), (89, 90), (40, 100), (75, 107), (110, 110),
+     (5, 247), (5, 311), (45, 45)],
 )
 def test_matches_packed_recurrence_large(ell, m):
     assert gaussian(ell, m).coeffs == packed_recurrence(ell, m)
+
+
+def _pack(coeffs, limb=16):
+    return sum(c << (limb * i) for i, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
+def test_geometric_matches_list_reference(d):
+    # x * (1 + q^d + ... + q^((k-1)d)) truncated to q^(h+1), for sums that
+    # stop short of q^(h+1) and sums that run past it
+    size = 41  # h + 1
+    rng = random.Random(d)
+    x = [rng.randrange(16) for _ in range(size)]
+    mask = (1 << (16 * size)) - 1
+    for k in range(1, 71):
+        ref = [sum(x[i - j * d] for j in range(k) if 0 <= i - j * d) for i in range(size)]
+        assert _geometric(_pack(x), 16 * d, k, mask) == _pack(ref), (d, k)
+    # a series: every term below q^(h+1), as 1/(1 - q^d) truncated, with
+    # the count of terms rounded up to a power of two
+    ref = [sum(x[i - j * d] for j in range(size) if 0 <= i - j * d) for i in range(size)]
+    k = 1 << ((size - 1) // d).bit_length()
+    assert _geometric(_pack(x), 16 * d, k, mask) == _pack(ref)
+
+
+def _plan(a, b):
+    h = a * b // 2
+    return _factors(a, b, h, -(-h // b))
+
+
+@pytest.mark.parametrize(
+    "a,b,passes",
+    [(63, 64, 102), (89, 90, 151), (110, 110, 190), (45, 45, 70), (5, 247, 17), (5, 311, 18)],
+)
+def test_full_width_passes(a, b, passes):
+    # each numerator alone is one shift-and-subtract (k = 0); the counts
+    # without pairing by odd quotients were 127, 193, 244, 85, 17 and 18
+    assert sum(_passes(k) if k else 1 for _, k in _plan(a, b)) == passes
+
+
+def test_pairs_are_declined_when_they_save_nothing():
+    # 252 = 4 * 63, 316 = 4 * 79 and 315 = 5 * 63 each cost 10 passes as a
+    # pair and 1 + 8 apart
+    assert _plan(5, 247) == [(252, 0), (251, 0), (4, 256), (5, 128)]
+    assert _plan(5, 311) == [(316, 0), (315, 0), (4, 256), (5, 256)]
+    # the numerator 7 is above h = 6, so it is 1 modulo q^7 and dropped
+    assert _plan(3, 4) == [(3, 4)]
+    # 87 = 3 * 29, 81 = 3 * 27 and 75 = 3 * 25 pair with an odd quotient
+    assert {(29, 3), (27, 3), (25, 3)} <= set(_plan(45, 45))
+
+
+def test_no_doubling_step_shifts_past_the_width(monkeypatch):
+    # a shift by the whole width or more adds nothing modulo 2^K: every
+    # sum, in the grow phase too, stops where its terms vanish
+    calls = []
+
+    def spy(x, shift, k, mask):
+        calls.append((shift, k, mask.bit_length()))
+        return _geometric(x, shift, k, mask)
+
+    monkeypatch.setattr(qbinomial, "_geometric", spy)
+    for ell, m in [(63, 64), (45, 45), (5, 247), (12, 1175), (3, 4)]:
+        assert qbinomial._product_coeffs(ell, m) == packed_recurrence(ell, m)
+    assert calls
+    for shift, k, width in calls:
+        assert shift * max(1, k // 2) < width, (shift, k, width)
 
 
 @pytest.mark.parametrize("nbytes", range(1, 34))
