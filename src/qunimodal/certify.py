@@ -17,7 +17,8 @@ Construction is deterministic:
   registry is built.  (5,22) and (6,21) must be bases: every two-part
   split of them lands on an exceptional pair or has no even member.
 * min(ell, m) <= 15: keep ell fixed, start from the largest registered
-  (ell, s) with s <= m and s = m mod 8, and add (m - s) / 8 steps of
+  (ell, s) with s <= m and s = m mod 8 (read from a table of starts per
+  (ell, m mod 8), built once per registry), and add (m - s) / 8 steps of
   (ell, 8) by binary doubling: the step added to itself (both halves one
   entry) gives (ell, 16), (ell, 32), ..., and the powers named
   by the binary digits of (m - s) / 8 are added onto the base.  Steps of
@@ -50,7 +51,8 @@ entry's side conditions and witnesses are re-tested, so it accepts
 foreign certificates and rejects tampered ones regardless of origin.
 It rejects, without expanding anything, a certificate of more than
 ``MAX_NODES`` entries or ``MAX_LEAVES`` distinct leaves, and any leaf of
-area above ``MAX_LEAF_AREA``.
+area above ``MAX_LEAF_AREA``; ``parse_certificate`` rejects a document
+of more than ``MAX_BYTES`` bytes (2 MiB) before reading it as JSON.
 """
 
 from __future__ import annotations
@@ -71,6 +73,12 @@ _VERSION = 2
 MAX_NODES = 4096
 MAX_LEAVES = 64
 MAX_LEAF_AREA = 3600
+# The most bytes parse_certificate reads, above all that certify writes.
+# Only the x entries of the outer chain of a min >= 16 pair carry a large
+# side, and that side's y binary digits take y entries of its own chain,
+# so x + y <= MAX_NODES and the output peaks near x = y = 2048:
+# 1,451,805 bytes for (8 * 2^2046, 8 * 2^2046 + 8), the largest found.
+MAX_BYTES = 1 << 21
 
 
 class NotCertifiableError(Exception):
@@ -226,6 +234,17 @@ def default_registry() -> frozenset[tuple[int, int]]:
     return build_base_registry()
 
 
+@cache
+def _chain_starts(reg: frozenset[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """(a, r) -> the largest registered (a, s) with a <= 15 and s = r mod 8:
+    where the chain for (a, b), b = r mod 8, starts."""
+    starts: dict[tuple[int, int], int] = {}
+    for a, s in sorted(reg):
+        if a <= 15:
+            starts[a, s % _CHAIN_STEP] = s
+    return starts
+
+
 def _witnesses(ell: int, m1: int, m2: int) -> tuple[str, str]:
     members = (("ell", ell), ("m1", m1), ("m2", m2))
     even = next(name for name, v in members if v % 2 == 0)
@@ -291,10 +310,8 @@ def _build(ell: int, m: int, reg: frozenset[tuple[int, int]], table: _Builder) -
             raise NotCertifiableError(
                 "exception", f"({a},{b}) is one of the nine non-strict pairs"
             )
-        start = max(
-            (s for l, s in reg if l == a and s <= b and (b - s) % _CHAIN_STEP == 0),
-            default=None,
-        )
+        # for every b that reaches this branch the start found is below b
+        start = _chain_starts(reg).get((a, b % _CHAIN_STEP))
         if start is None:
             raise RuntimeError(f"no chain base found for ({a},{b})")
         count = (b - start) // _CHAIN_STEP
@@ -575,6 +592,8 @@ def certificate_from_obj(obj: object) -> Certificate:
 
 
 def parse_certificate(text: "str | bytes") -> Certificate:
+    if len(text) > MAX_BYTES:
+        raise CertificateFormatError("$", f"over MAX_BYTES = {MAX_BYTES} bytes")
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as err:

@@ -25,6 +25,7 @@ import sys
 
 from . import __version__
 from .certify import (
+    MAX_BYTES,
     CertificateFormatError,
     NotCertifiableError,
     certify,
@@ -250,7 +251,8 @@ def _run_certify(args) -> int:
 def _run_verify(args) -> int:
     try:
         with open(args.infile, "rb") as fh:
-            text = fh.read()
+            # one byte over the bound is enough for parse to reject it
+            text = fh.read(MAX_BYTES + 1)
     except OSError as err:
         raise _UsageError(f"cannot read {args.infile}: {err}") from None
     try:

@@ -4,8 +4,13 @@ Two independent routes are implemented and kept separate on purpose.
 
 The *two-row formula* computes g(lam, mu, (n-k, k)) as a_k - a_{k-1},
 where a_k(lam, mu) sums c^lam_{alpha,beta} * c^mu_{alpha,beta} over all
-alpha of size k and beta of size n-k, with a_{-1} = 0.  Only two-row
-third arguments are reachable this way.
+alpha of size k and beta of size n-k, with a_{-1} = 0.  Since
+s_{lam/alpha} = sum_beta c^lam_{alpha,beta} s_beta, a_k is the sum over
+alpha inside both shapes of the inner product of the skew expansions of
+lam/alpha and mu/alpha: one sparse dot product of the two skew tables
+that ``lr.skew`` enumerates and memoizes per (shape, alpha), with the
+alpha of each intersection and size listed once.  Only two-row third
+arguments are reachable this way.
 
 The *character oracle* evaluates
 
@@ -22,8 +27,11 @@ with ``partitions_of(n)``: the classes with first part t all reuse one
 list of strips of size t, and read each smaller shape's vector at the
 index of rho minus its first part.  Class sizes come from the
 centralizer order formula |C_rho| = n! / prod(i^{m_i} m_i!) and are
-computed once per n in the same order, so ``g_oracle`` is one dot
-product of four vectors.
+computed once per n in the same order.  Each shape also memoizes its
+weighted vector |C_rho| chi^shape(rho), so ``g_oracle`` is one dot
+product of three vectors.  Both memos hold 64-bit arrays (``array('q')``):
+at n <= 18 the largest |chi| has 24 bits and the largest weighted value
+49, and a value that does not fit raises ``OverflowError``, never wraps.
 
 The oracle refuses n above ``DEFAULT_ORACLE_BOUND`` (18).  For
 rectangles the two routes are tied together by exact identities:
@@ -38,16 +46,20 @@ holds.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import Counter
 from functools import lru_cache
+from itertools import repeat
 from math import factorial
+from operator import mul
 
-from .lr import lr
+# Not used in this module: perfbench/tracing.py wraps ``kronecker.lr``
+# and ``kronecker.gaussian``, and its traced run fails on a layer it
+# cannot find.  Drop these two imports with the next change to the
+# benchmark.
+from .lr import lr  # noqa: F401
+from .lr import check_size, skew
 from .partitions import Partition, add, partitions_inside, partitions_of
-
-# Not used in this module: perfbench/tracing.py wraps
-# ``kronecker.gaussian``, and its traced run fails on a layer it cannot
-# find.  Drop this import with the next change to the benchmark.
 from .qbinomial import gaussian  # noqa: F401
 
 # Largest n for which the character oracle will build rows; the full
@@ -91,17 +103,23 @@ def _strip_removals(shape: tuple[int, ...], t: int) -> list[tuple[tuple[int, ...
 
 
 @lru_cache(maxsize=None)
-def _char(shape: tuple[int, ...]) -> tuple[int, ...]:
+def _char(shape: tuple[int, ...]) -> array:
     """chi^shape on every class of S_n, aligned with ``partitions_of(n)``."""
     if not shape:
-        return (1,)
-    strips: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    values = []
+        return array("q", (1,))
+    strips: dict[int, list[tuple[int, array]]] = {}
+    values = array("q")
     for t, j in _class_steps(sum(shape)):
         if t not in strips:
             strips[t] = [(sign, _char(smaller)) for smaller, sign in _strip_removals(shape, t)]
         values.append(sum(sign * vec[j] for sign, vec in strips[t]))
-    return tuple(values)
+    return values
+
+
+@lru_cache(maxsize=None)
+def _weighted(shape: tuple[int, ...]) -> array:
+    """|C_rho| chi^shape(rho) on every class of S_n, in the same order."""
+    return array("q", map(mul, _class_sizes(sum(shape)), _char(shape)))
 
 
 @lru_cache(maxsize=64)
@@ -140,12 +158,7 @@ def g_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
         )
     if n > DEFAULT_ORACLE_BOUND:
         raise ValueError(f"character oracle limited to n <= {DEFAULT_ORACLE_BOUND}: got {n}")
-    total = sum(
-        size * a * b * c
-        for size, a, b, c in zip(
-            _class_sizes(n), _char(lam.parts), _char(mu.parts), _char(nu.parts)
-        )
-    )
+    total = sum(map(mul, _weighted(lam.parts), map(mul, _char(mu.parts), _char(nu.parts))))
     value, rem = divmod(total, factorial(n))
     if rem:
         raise InternalConsistencyError(
@@ -163,19 +176,22 @@ def a_k(lam: Partition, mu: Partition, k: int) -> int:
         raise ValueError(f"size mismatch: |{lam}| = {lam.size}, |{mu}| = {mu.size}")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}: got {k}")
-    # alpha and beta lie inside both lam and mu, so inside their intersection
-    cap = Partition(map(min, lam, mu))
-    betas = partitions_inside(cap, n - k)
+    check_size(lam)
+    # a_k = sum over alpha of <s_{lam/alpha}, s_{mu/alpha}>, alpha inside
+    # both shapes and so inside their intersection
     total = 0
-    for alpha in partitions_inside(cap, k):
-        for beta in betas:
-            c1 = lr(lam, alpha, beta)
-            if c1 == 0:
-                continue
-            c2 = lr(mu, alpha, beta)
-            if c2:
-                total += c1 * c2
+    for alpha in _inside(tuple(map(min, lam, mu)), k):
+        left, right = skew(lam.parts, alpha), skew(mu.parts, alpha)
+        # c^lam_{alpha,beta} * c^mu_{alpha,beta} over the beta of lam/alpha
+        total += sum(map(mul, left.values(), map(right.get, left, repeat(0))))
     return total
+
+
+@lru_cache(maxsize=4096)
+def _inside(cap: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
+    """The parts of every partition of k inside ``cap``; memoized, since
+    building the Partition objects anew took half of a warm ``a_k``."""
+    return tuple(alpha.parts for alpha in partitions_inside(Partition(cap), k))
 
 
 def two_row(n: int, k: int) -> Partition:

@@ -6,11 +6,17 @@ strictly increase top to bottom, and whose reverse reading word (rows
 top to bottom, each row read right to left) is a lattice word, meaning
 every prefix contains at least as many i's as (i+1)'s.
 
-The search fills cells in reverse reading order, so the lattice
-condition is checked incrementally and failing branches die early; the
-multiset of still-unplaced values prunes the rest.  Results are
-memoized on the (outer, left, right) triple.  Outer shapes of more than
-``DEFAULT_SIZE_BOUND`` (60) cells are refused with ``ValueError``.
+One filler, ``_fill``, fills cells in reverse reading order, so the
+lattice condition is checked incrementally and failing branches die
+early.  Given a content it places only the values still unplaced, which
+prunes the rest; given none it enumerates every lattice-word filling of
+the skew shape once (entries are at most the number of rows) and counts
+them by content, which is the skew expansion s_{outer/inner} =
+sum_beta c^outer_{inner,beta} s_beta.  Single counts (``lr``) are
+memoized on the (outer, left, right) triple and skew tables (``skew``)
+on the (outer, inner) pair.  Outer shapes of more than
+``DEFAULT_SIZE_BOUND`` (60) cells are refused with ``ValueError`` by
+``lr`` and by ``check_size``, which callers of ``skew`` run first.
 """
 
 from __future__ import annotations
@@ -24,12 +30,17 @@ from .partitions import Partition
 DEFAULT_SIZE_BOUND = 60
 
 
-def lr(outer: Partition, left: Partition, right: Partition) -> int:
-    """The Littlewood-Richardson coefficient c^outer_{left,right}."""
+def check_size(outer: Partition) -> None:
+    """Refuse an outer shape of more than ``DEFAULT_SIZE_BOUND`` cells."""
     if outer.size > DEFAULT_SIZE_BOUND:
         raise ValueError(
             f"instance too large: size(outer) = {outer.size} exceeds bound {DEFAULT_SIZE_BOUND}"
         )
+
+
+def lr(outer: Partition, left: Partition, right: Partition) -> int:
+    """The Littlewood-Richardson coefficient c^outer_{left,right}."""
+    check_size(outer)
     if left.size + right.size != outer.size:
         return 0
     if not outer.contains(left):
@@ -39,22 +50,44 @@ def lr(outer: Partition, left: Partition, right: Partition) -> int:
 
 @lru_cache(maxsize=None)
 def _lr_count(outer: tuple[int, ...], left: tuple[int, ...], right: tuple[int, ...]) -> int:
-    if not right:
-        # empty content: only the empty filling, which exists iff the
-        # skew shape has no cells; sizes were checked by the caller
-        return 1
+    return _fill(outer, left, right).get(right, 0)
+
+
+@lru_cache(maxsize=None)
+def skew(outer: tuple[int, ...], inner: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """{beta: c^outer_{inner,beta}} over the beta whose coefficient is
+    nonzero, all as parts tuples, for ``inner`` inside ``outer``: the skew
+    expansion of outer/inner.  The caller keeps to ``check_size``; the
+    dict is the memo's own, not to be mutated."""
+    return _fill(outer, inner, None)
+
+
+def _fill(
+    outer: tuple[int, ...], inner: tuple[int, ...], content: tuple[int, ...] | None
+) -> dict[tuple[int, ...], int]:
+    """The LR fillings of outer/inner counted by content; only ``content``
+    when one is given, every content when it is None.  Sizes and
+    containment were checked by the caller."""
     nrows = len(outer)
-    inner = left + (0,) * (nrows - len(left))
+    inner = inner + (0,) * (nrows - len(inner))
     # cells in reverse reading order: top row first, right to left
     cells = [(r, c) for r in range(nrows) for c in range(outer[r] - 1, inner[r] - 1, -1)]
-    nvals = len(right)
-    remaining = list(right)
+    ncells = len(cells)
+    if content is None:
+        nvals, remaining = nrows, [ncells] * nrows
+    else:
+        nvals, remaining = len(content), list(content)
     counts = [0] * (nvals + 2)  # counts[v] = placed copies of v; counts[0] unused
     grid = [dict() for _ in range(nrows)]  # grid[r][c] = value
+    table: dict[tuple[int, ...], int] = {}
 
-    def fill(idx: int) -> int:
-        if idx == len(cells):
-            return 1
+    def fill(idx: int) -> None:
+        if idx == ncells:
+            # a lattice word: counts[1:] is weakly decreasing, so the
+            # content ends at the first zero
+            key = tuple(counts[1 : counts.index(0, 1)])
+            table[key] = table.get(key, 0) + 1
+            return
         r, c = cells[idx]
         lo = 1
         if r > 0 and c < outer[r - 1] and c >= inner[r - 1]:
@@ -62,7 +95,6 @@ def _lr_count(outer: tuple[int, ...], left: tuple[int, ...], right: tuple[int, .
         hi = nvals
         if c + 1 < outer[r]:
             hi = grid[r][c + 1]  # rows weakly increase; right neighbour filled first
-        total = 0
         for v in range(lo, hi + 1):
             if remaining[v - 1] == 0:
                 continue
@@ -71,11 +103,11 @@ def _lr_count(outer: tuple[int, ...], left: tuple[int, ...], right: tuple[int, .
             grid[r][c] = v
             counts[v] += 1
             remaining[v - 1] -= 1
-            total += fill(idx + 1)
+            fill(idx + 1)
             remaining[v - 1] += 1
             counts[v] -= 1
         if c in grid[r]:
             del grid[r][c]
-        return total
 
-    return fill(0)
+    fill(0)
+    return table

@@ -26,7 +26,7 @@ from qunimodal import (
     serialize_certificate,
     verify,
 )
-from qunimodal.certify import MAX_LEAVES, MAX_NODES, _witnesses
+from qunimodal.certify import MAX_BYTES, MAX_LEAVES, MAX_NODES, _chain_starts, _witnesses
 
 
 def test_registry_contains_verified_bases_only():
@@ -466,6 +466,29 @@ def test_certify_refuses_pairs_whose_table_exceeds_max_nodes():
         certify(8, m + 8)
 
 
+def test_largest_certify_output_round_trips_under_max_bytes():
+    # the outer chain and the large side's own chain share MAX_NODES
+    # entries about equally: the largest output found by search
+    side = 8 * 2**2046
+    text = serialize_certificate(certify(side, side + 8))
+    assert len(text) == 1_451_805 <= MAX_BYTES
+    assert len(json.loads(text)["nodes"]) == MAX_NODES
+    assert serialize_certificate(parse_certificate(text)) == text
+    with pytest.raises(ValueError, match="MAX_NODES"):
+        certify(2 * side, 2 * side + 8)
+
+
+def test_parse_rejects_documents_over_max_bytes():
+    # trailing whitespace is valid JSON, so only the bound can reject it
+    text = serialize_certificate(certify(9, 41))
+    padded = text + " " * (MAX_BYTES - len(text))
+    for doc in (padded, padded.encode()):
+        assert parse_certificate(doc) == certify(9, 41)
+        with pytest.raises(CertificateFormatError) as err:
+            parse_certificate(doc + doc[-1:])
+        assert (err.value.path, err.value.message) == ("$", f"over MAX_BYTES = {MAX_BYTES} bytes")
+
+
 def test_verify_never_raises_on_malformed_objects():
     leaf = Certificate(8, 8, BaseNode(8, 8), False)
     for bad in (
@@ -535,11 +558,17 @@ def _oracle_chain(base, step, count):
     return acc
 
 
+def _scanned_start(a, b, reg):
+    # the chain start by a full scan of the registry: the largest
+    # registered (a, s) with s <= b and s = b mod 8
+    return max(s for l, s in reg if l == a and s <= b and (b - s) % 8 == 0)
+
+
 def _oracle_build(a, b, reg):
     if (a, b) in reg:
         return _oracle_base(a, b)
     if a <= 15:
-        start = max(s for l, s in reg if l == a and s <= b and (b - s) % 8 == 0)
+        start = _scanned_start(a, b, reg)
         return _oracle_chain(_oracle_base(a, start), _oracle_base(a, 8), (b - start) // 8)
     a0 = 8 + (a - 8) % 8
     acc = _oracle_transposed(_oracle_build(a0, b, reg))
@@ -583,6 +612,22 @@ def test_certify_matches_the_object_builder():
         assert serialize_certificate(cert) == serialize_certificate(want), (ell, m)
         assert cert == want, (ell, m)
         _assert_same_shape(cert, want)
+
+
+def test_chain_start_lookup_matches_the_registry_scan():
+    reg = default_registry()
+    for a in range(5, 16):
+        for b in range(a, 401):
+            if (a, b) in reg or (a, b) in EXCEPTION_PAIRS or (a <= 7 and b <= 20):
+                continue
+            assert _chain_starts(reg)[a, b % 8] == _scanned_start(a, b, reg), (a, b)
+    for ell in range(5, 16):
+        for m in range(5, 401):
+            if (min(ell, m), max(ell, m)) in EXCEPTION_PAIRS:
+                continue
+            for pair in ((ell, m), (m, ell)):
+                want = serialize_certificate(_oracle_certify(*pair))
+                assert serialize_certificate(certify(*pair)) == want, pair
 
 
 def _held(ell, m):

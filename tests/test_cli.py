@@ -389,6 +389,24 @@ def test_verify_rejects_table_over_max_nodes(tmp_path, capsys):
     assert result["path"] == "$.nodes"
 
 
+def test_verify_rejects_input_over_max_bytes(tmp_path, capsys):
+    # read no further than one byte past the bound; both formats give the
+    # same reason and path
+    from qunimodal.certify import MAX_BYTES
+
+    big = tmp_path / "big.json"
+    big.write_bytes(b" " * (MAX_BYTES + 1))
+    reason = f"$: over MAX_BYTES = {MAX_BYTES} bytes"
+    assert run(["verify", "--in", str(big)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"REJECTED: malformed certificate ({reason})\n"
+    assert captured.err == ""
+    assert run(["verify", "--in", str(big), "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["result"] == {"accepted": False, "reason": reason, "path": "$"}
+    assert captured.err == ""
+
+
 def test_certify_too_large_pair_is_usage_error(capsys):
     from qunimodal.certify import MAX_NODES
 

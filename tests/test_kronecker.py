@@ -18,8 +18,14 @@ from qunimodal import (
     two_row,
 )
 from qunimodal import kronecker
-from qunimodal.kronecker import DEFAULT_ORACLE_BOUND, _char, _class_sizes, _strip_removals
-from qunimodal import repro
+from qunimodal.kronecker import (
+    DEFAULT_ORACLE_BOUND,
+    _char,
+    _class_sizes,
+    _strip_removals,
+    _weighted,
+)
+from qunimodal import partitions_inside, repro
 from qunimodal.repro import repro_lemma12, repro_routes
 
 P = Partition
@@ -141,10 +147,26 @@ def test_character_tables_unchanged():
 
 def test_character_memo_holds_one_entry_per_shape():
     _char.cache_clear()
+    _weighted.cache_clear()
     assert semigroup_check(samples=200, seed=0, max_total_size=18) == []
     shapes = sum(len(partitions_of(k)) for k in range(19))
     assert shapes == 1597
     assert _char.cache_info().currsize <= shapes
+    assert _weighted.cache_info().currsize <= shapes
+
+
+def test_memoized_vectors_fit_in_64_bits():
+    # array("q") raises OverflowError rather than wrapping; up to the
+    # oracle bound the largest |chi| has 24 bits and |C| chi 49
+    peak_chi = peak_weighted = 0
+    for n in range(DEFAULT_ORACLE_BOUND + 1):
+        for lam in partitions_of(n):
+            weighted = _weighted(lam.parts)
+            assert list(weighted) == [s * c for s, c in zip(_class_sizes(n), _char(lam.parts))]
+            peak_chi = max(peak_chi, *map(abs, _char(lam.parts)))
+            peak_weighted = max(peak_weighted, *map(abs, weighted))
+    assert peak_weighted.bit_length() <= 63
+    assert (peak_chi.bit_length(), peak_weighted.bit_length()) == (24, 49)
 
 
 def test_oracle_frozen_values():
@@ -203,6 +225,34 @@ def test_a_k_frozen_values():
     assert a_k(P((2, 2)), P((2, 2)), 0) == 1
     assert a_k(P((2, 2)), P((2, 2)), 1) == 1
     assert a_k(P((2, 2)), P((2, 2)), 2) == 2
+
+
+def a_k_by_pairs(lam: Partition, mu: Partition, k: int) -> int:
+    # the double loop over (alpha, beta) inside both shapes, one lr call
+    # per coefficient: a second route to the skew-table dot products
+    cap = Partition(map(min, lam, mu))
+    betas = partitions_inside(cap, lam.size - k)
+    total = 0
+    for alpha in partitions_inside(cap, k):
+        for beta in betas:
+            c1 = lr(lam, alpha, beta)
+            if c1:
+                total += c1 * lr(mu, alpha, beta)
+    return total
+
+
+def test_a_k_matches_the_pairwise_lr_sum():
+    for n in range(10):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                for k in range(n + 1):
+                    assert a_k(lam, mu, k) == a_k_by_pairs(lam, mu, k), (lam, mu, k)
+
+
+def test_a_k_keeps_the_lr_size_bound():
+    big = P((31, 30))
+    with pytest.raises(ValueError, match="size\\(outer\\) = 61 exceeds bound 60$"):
+        a_k(big, big, 1)
 
 
 def test_a_k_matches_the_unrestricted_double_sum():

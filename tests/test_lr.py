@@ -2,7 +2,8 @@ from math import comb, factorial
 
 import pytest
 
-from qunimodal import Partition, lr, partitions_of
+from qunimodal import Partition, lr, partitions_inside, partitions_of
+from qunimodal.lr import _lr_count, skew
 
 
 def _hook_dimension(p: Partition) -> int:
@@ -141,3 +142,25 @@ def test_size_bound_guard():
         lr(big, Partition((30, 1)), Partition((30,)))
     # the bound itself is allowed
     assert lr(Partition((20, 20, 20)), Partition((20, 20)), Partition((20,))) == 1
+
+
+def test_skew_tables_match_fixed_content_counts():
+    # second route to each skew table: the fixed-content count of every
+    # beta of the right size, so a beta missing from a table has lr == 0
+    for n in range(10):
+        for outer in partitions_of(n):
+            for k in range(n + 1):
+                betas = partitions_of(n - k)
+                for inner in partitions_inside(outer, k):
+                    table = skew(outer.parts, inner.parts)
+                    assert set(table) <= {beta.parts for beta in betas}
+                    assert all(count > 0 for count in table.values())
+                    for beta in betas:
+                        assert table.get(beta.parts, 0) == lr(outer, inner, beta)
+
+
+def test_single_queries_keep_the_fixed_content_count():
+    # one lr query counts its own content, not the whole skew table
+    _lr_count.cache_clear()
+    assert lr(Partition((5, 4, 3, 2, 1)), Partition((3, 2, 1)), Partition((4, 3, 2))) == 6
+    assert _lr_count.cache_info().misses == 1
