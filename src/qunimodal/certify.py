@@ -45,10 +45,10 @@ DAG behind ``Certificate.node`` is built from it only when first read.
 A certificate built by hand from ``BaseNode``/``AddNode`` objects gets
 its table from one walk of those objects, kept on it after first use.
 
-``verify`` replays the table from scratch on every call: each distinct
-base leaf is re-checked by direct computation once and every additivity
-entry's side conditions and witnesses are re-tested, so it accepts
-foreign certificates and rejects tampered ones regardless of origin.
+``verify`` replays the table on every call, re-testing every additivity
+entry's side conditions and witnesses, and checks each distinct leaf
+directly once per process (``_leaf_strict``), so it accepts foreign
+certificates and rejects tampered ones regardless of origin.
 It rejects, without expanding anything, a certificate of more than
 ``MAX_NODES`` entries or ``MAX_LEAVES`` distinct leaves, and any leaf of
 area above ``MAX_LEAF_AREA``; ``parse_certificate`` rejects a document
@@ -206,6 +206,13 @@ def _registry_candidates() -> set[tuple[int, int]]:
     return cands
 
 
+@cache
+def _leaf_strict(a: int, b: int) -> bool:
+    """Whether leaf (a, b), a <= b, is strict, checked once per process.
+    Callers keep to ``MAX_LEAF_AREA``, so at most 15,060 pairs are held."""
+    return check_strict(a, b).strict
+
+
 def build_base_registry() -> frozenset[tuple[int, int]]:
     """The pairs certificates may use as leaves, each verified directly.
 
@@ -215,7 +222,7 @@ def build_base_registry() -> frozenset[tuple[int, int]]:
     """
     verified: set[tuple[int, int]] = set()
     for a, b in sorted(_registry_candidates()):
-        strict = check_strict(a, b).strict
+        strict = _leaf_strict(a, b)
         expected_exception = (a, b) in EXCEPTION_PAIRS
         if strict and not expected_exception:
             verified.add((a, b))
@@ -476,9 +483,9 @@ def _object_walk(cert: Certificate) -> tuple[tuple, ...]:
 def verify(cert: Certificate) -> VerificationResult:
     """Replay a certificate: re-check every leaf and every side condition.
 
-    One loop over the table the certificate holds; every call re-computes
-    each distinct leaf pair once and re-checks every side condition and
-    witness.  Never raises.
+    One loop over the table the certificate holds; every call re-checks
+    every side condition and witness, and each distinct leaf pair is
+    computed directly once per process.  Never raises.
     """
 
     def reject(reason: str, at: "int | str") -> VerificationResult:
@@ -501,7 +508,7 @@ def verify(cert: Certificate) -> VerificationResult:
                 return reject("base pair sides must be positive", at)
             if ell * m > MAX_LEAF_AREA:
                 return reject(f"base pair area exceeds MAX_LEAF_AREA = {MAX_LEAF_AREA}", at)
-            if not check_strict(ell, m).strict:
+            if not _leaf_strict(min(ell, m), max(ell, m)):
                 return reject(f"base pair ({ell},{m}) is not strictly unimodal", at)
             concluded.append((ell, m))
             continue

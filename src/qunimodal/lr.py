@@ -12,9 +12,9 @@ early.  Given a content it places only the values still unplaced, which
 prunes the rest; given none it enumerates every lattice-word filling of
 the skew shape once (entries are at most the number of rows) and counts
 them by content, which is the skew expansion s_{outer/inner} =
-sum_beta c^outer_{inner,beta} s_beta.  Single counts (``lr``) are
-memoized on the (outer, left, right) triple and skew tables (``skew``)
-on the (outer, inner) pair.  Outer shapes of more than
+sum_beta c^outer_{inner,beta} s_beta.  ``lr`` counts afresh on every
+call; ``skew`` memoizes its tables per (outer, inner), which the
+two-row formula reuses.  Outer shapes of more than
 ``DEFAULT_SIZE_BOUND`` (60) cells are refused with ``ValueError`` by
 ``lr`` and by ``check_size``, which callers of ``skew`` run first.
 """
@@ -45,12 +45,7 @@ def lr(outer: Partition, left: Partition, right: Partition) -> int:
         return 0
     if not outer.contains(left):
         return 0
-    return _lr_count(outer.parts, left.parts, right.parts)
-
-
-@lru_cache(maxsize=None)
-def _lr_count(outer: tuple[int, ...], left: tuple[int, ...], right: tuple[int, ...]) -> int:
-    return _fill(outer, left, right).get(right, 0)
+    return _fill(outer.parts, left.parts, right.parts).get(right.parts, 0)
 
 
 @lru_cache(maxsize=None)

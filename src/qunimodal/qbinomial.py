@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import operator
 import struct
-from functools import lru_cache
 from itertools import repeat
 from math import comb
 
@@ -138,7 +137,7 @@ def _unpack(raw: bytes, nbytes: int, count: int) -> tuple[int, ...]:
     Limbs of up to 8 bytes are widened to 8 and read as unsigned 64-bit
     words.  Wider limbs are cut one at a time by a lazy iterator: holding
     all of them as bytes objects at once leaves the small-object heap
-    fragmented, and peak memory grows with every expansion memoised.
+    fragmented, which raises peak memory across expansions.
     """
     if nbytes > 8:
         limbs = map(operator.itemgetter(0), struct.iter_unpack(f"{nbytes}s", raw))
@@ -237,14 +236,12 @@ def _product_coeffs(ell: int, m: int) -> tuple[int, ...]:
     return half + half[n - h - 1 :: -1]
 
 
-@lru_cache(maxsize=1024, typed=True)
 def gaussian(ell: int, m: int) -> QPolynomial:
     """Gaussian binomial binom(m+ell, m)_q as a QPolynomial of degree ell*m.
 
     ``ell`` and ``m`` are the box sides; either may be 0, in which case
     the result is the constant 1.  A side that is not an integer raises
-    ``TypeError``; the memo is typed, so a cached ``(2, 3)`` never
-    answers ``(2.0, 3)``.
+    ``TypeError``.
     """
     ell, m = operator.index(ell), operator.index(m)
     if ell < 0 or m < 0:

@@ -1,6 +1,7 @@
 import pytest
 
 from qunimodal import default_registry
+from qunimodal.certify import _leaf_strict
 
 
 @pytest.fixture
@@ -11,3 +12,13 @@ def fresh_registry():
     default_registry.cache_clear()
     yield
     default_registry.cache_clear()
+
+
+@pytest.fixture
+def fresh_verdicts():
+    """Empty the leaf-verdict memo before and after the test: the test
+    counts the leaves that are checked directly, which a verdict kept
+    from an earlier test would hide."""
+    _leaf_strict.cache_clear()
+    yield
+    _leaf_strict.cache_clear()

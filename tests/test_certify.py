@@ -26,7 +26,15 @@ from qunimodal import (
     serialize_certificate,
     verify,
 )
-from qunimodal.certify import MAX_BYTES, MAX_LEAVES, MAX_NODES, _chain_starts, _witnesses
+from qunimodal.certify import (
+    MAX_BYTES,
+    MAX_LEAF_AREA,
+    MAX_LEAVES,
+    MAX_NODES,
+    _chain_starts,
+    _leaf_strict,
+    _witnesses,
+)
 
 
 def test_registry_contains_verified_bases_only():
@@ -418,6 +426,24 @@ def test_verify_rejects_oversized_leaf_without_expanding_it(monkeypatch):
         assert "MAX_LEAF_AREA" in outcome.reason
 
 
+def test_leaf_verdicts_are_kept_by_min_max_within_the_area_bound(monkeypatch, fresh_verdicts):
+    # leaves that fail the sides or area check never reach the memo, and
+    # a leaf and its mirror share one direct check
+    checked = []
+
+    def counting(ell, m):
+        checked.append((ell, m))
+        return check_strict(ell, m)
+
+    monkeypatch.setattr(importlib.import_module("qunimodal.certify"), "check_strict", counting)
+    for (ell, m), ok in [((13, 277), False), ((-8, -1), False), ((450, 8), True), ((8, 450), True)]:
+        doc = {"version": 2, "conclusion": {"ell": ell, "m": m}, "nodes": [{"base": [ell, m]}]}
+        assert verify(parse_certificate(json.dumps(doc))).ok is ok, (ell, m)
+    assert checked == [(8, 450)]
+    assert _leaf_strict.cache_info().currsize == len(checked)
+    assert all(a <= b and a * b <= MAX_LEAF_AREA for a, b in checked)
+
+
 def test_verify_rejects_tables_over_max_nodes():
     # base, step and MAX_NODES - 1 chain entries: one entry too many
     cert = _chain(9, 10, MAX_NODES - 1)
@@ -612,6 +638,20 @@ def test_certify_matches_the_object_builder():
         assert serialize_certificate(cert) == serialize_certificate(want), (ell, m)
         assert cert == want, (ell, m)
         _assert_same_shape(cert, want)
+
+
+def _chain_gaps(reg):
+    """What keeps the chain recipe from reaching every pair with min side
+    in 5..15: a residue with no start, or no step (a, 8)."""
+    starts = _chain_starts(reg)
+    gaps = [("no start", a, r) for a in range(5, 16) for r in range(8) if (a, r) not in starts]
+    return gaps + [("no step", a, 8) for a in range(5, 16) if (a, 8) not in reg]
+
+
+def test_chain_starts_are_total():
+    assert _chain_gaps(default_registry()) == []
+    # (5, 22) is the only start for ell = 5 and m = 6 mod 8
+    assert _chain_gaps(default_registry() - {(5, 22), (22, 5)}) == [("no start", 5, 6)]
 
 
 def test_chain_start_lookup_matches_the_registry_scan():

@@ -260,10 +260,8 @@ def test_big_expansion_against_oracle():
     assert gaussian(12, 17).coeffs == product_formula(12, 17)
 
 
-def test_memo_never_answers_a_non_integer_side():
-    # the memo is typed: a cached (2, 3) must not answer (2.0, 3), which
-    # raises before and after the integer pair is cached
-    gaussian.cache_clear()
+def test_gaussian_refuses_a_non_integer_side():
+    # (2.0, 3) raises before and after the integer pair is expanded
     for _ in range(2):
         with pytest.raises(TypeError):
             gaussian(2.0, 3)

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import pytest
 
@@ -156,7 +157,7 @@ def test_classify_exceptions_and_strict():
         assert classify(m, ell) is PairClass.Strict
 
 
-def test_classify_expands_nothing_beyond_the_registry_window(monkeypatch):
+def test_classify_expands_nothing_beyond_the_registry_window(monkeypatch, fresh_verdicts):
     # pairs outside the window are settled by a certificate whose leaves
     # are registry pairs, of area at most 15 * 15, never by expanding
     # the pair itself
@@ -171,6 +172,22 @@ def test_classify_expands_nothing_beyond_the_registry_window(monkeypatch):
         assert classify(ell, m) is PairClass.Strict
     assert expanded
     assert all(ell * m <= 225 for ell, m in expanded), expanded
+
+
+def test_expansions_hold_no_memory_afterwards():
+    # nothing keeps a coefficient vector once its check is done: 30
+    # distinct boxes near 60 x 60, about 100 KB of vector each, hold
+    # under 1 MB between them afterwards
+    boxes = [(ell, ell + k) for ell in range(56, 62) for k in range(5)]
+    check_strict(5, 5)  # first-call allocations happen before tracing
+    tracemalloc.start()
+    try:
+        for ell, m in boxes:
+            assert check_strict(ell, m).strict
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20, held
 
 
 def test_classify_raises_when_the_registry_contradicts_the_exceptions(
