@@ -39,11 +39,11 @@ i.  Serialization is canonical JSON (sorted keys, no whitespace).
 ``certify`` builds the table directly, doubling on indices, and
 ``parse_certificate`` validates each wire entry into its table entry
 once; both put or check canonical order with one index walk (``_walk``)
-and return a ``Certificate`` that holds the table.  Serialization,
-``verify``, ``==``, ``hash`` and ``repr`` read that table; the object
-DAG behind ``Certificate.node`` is built from it only when first read.
-A certificate built by hand from ``BaseNode``/``AddNode`` objects gets
-its table from one walk of those objects, kept on it after first use.
+and return a ``Certificate`` that holds only the table (its ``node`` is
+``None``).  Serialization, ``verify``, ``==``, ``hash`` and ``repr``
+read that table.  A certificate built by hand from ``BaseNode``/``AddNode``
+objects is read through one walk of those objects on each use, and is
+never changed by it.
 
 ``verify`` replays the table on every call, re-testing every additivity
 entry's side conditions and witnesses, and checks each distinct leaf
@@ -137,27 +137,18 @@ class Certificate:
     conclusions of sub-certificates are derived from their nodes.
 
     ``certify`` and ``parse_certificate`` return one that holds the claim,
-    ``transposed`` and the table; its ``node`` is built from the table on
-    first read and kept.  One built by hand holds its ``node`` and gets
-    its table from one walk of the objects on first use.  ``==``,
-    ``hash`` and ``repr`` read the claim and the table, never the node or
-    the expanded tree, so they stay cheap on a large shared DAG; an
-    object that is not a valid certificate compares by identity.
+    ``transposed`` and the table, with ``node`` set to ``None``.  One
+    built by hand holds its ``node`` and is read through one walk of the
+    objects on each use.  ``==``, ``hash`` and ``repr`` read the claim and
+    the table, never the expanded tree, so they stay cheap on a large
+    shared DAG; an object that is not a valid certificate compares by
+    identity.
     """
 
     ell: int
     m: int
-    node: "BaseNode | AddNode"
+    node: "BaseNode | AddNode | None"
     transposed: bool
-
-    def __getattr__(self, name: str):
-        # reached only for an attribute the instance lacks: the node of a
-        # certificate that holds a table and no node yet
-        table = vars(self).get("_entries")
-        if name != "node" or table is None:
-            raise AttributeError(f"'Certificate' object has no attribute {name!r}")
-        node = vars(self)["node"] = _objects(table)[-1].node
-        return node
 
     def _key(self) -> "tuple | None":
         try:
@@ -405,35 +396,16 @@ def _walk(table: "list[tuple] | tuple[tuple, ...]", root: int) -> tuple[tuple, .
 def _tabled(ell: int, m: int, table: tuple[tuple, ...]) -> Certificate:
     """A certificate for the claim (ell, m) that holds ``table`` and no node."""
     cert = object.__new__(Certificate)
-    vars(cert).update(ell=ell, m=m, transposed=table[-1][0] == "t", _entries=table)
+    vars(cert).update(ell=ell, m=m, node=None, transposed=table[-1][0] == "t", _entries=table)
     return cert
-
-
-def _objects(table: tuple[tuple, ...]) -> list[Certificate]:
-    """One object certificate per entry of ``table``; an entry named twice
-    is one shared object."""
-    certs: list[Certificate] = []
-    for key in table:
-        if key[0] == "base":
-            certs.append(Certificate(key[1], key[2], BaseNode(key[1], key[2]), False))
-        elif key[0] == "t":
-            sub = certs[key[1]]
-            certs.append(Certificate(sub.m, sub.ell, sub.node, not sub.transposed))
-        else:
-            _, ell, i, j, ew, gw = key
-            node = AddNode(ell, certs[i], certs[j], ew, gw)
-            certs.append(Certificate(ell, certs[i].m + certs[j].m, node, False))
-    return certs
 
 
 def _table(cert: Certificate) -> tuple[tuple, ...]:
     """The table ``cert`` holds, or for a certificate built by hand, the
-    one ``_object_walk`` derives, stored on it on first use."""
+    one ``_object_walk`` derives."""
     if type(cert) is Certificate and "_entries" in vars(cert):
         return vars(cert)["_entries"]
-    table = _object_walk(cert)
-    object.__setattr__(cert, "_entries", table)
-    return table
+    return _object_walk(cert)
 
 
 def _object_walk(cert: Certificate) -> tuple[tuple, ...]:

@@ -90,9 +90,7 @@ def _strip_removals(shape: tuple[int, ...], t: int) -> list[tuple[tuple[int, ...
         if nb < 0 or nb in bset:
             continue
         crossed = sum(1 for x in beta if nb < x < b)
-        nbeta = sorted((x for x in beta if x != b), reverse=True)
-        nbeta.append(nb)
-        nbeta.sort(reverse=True)
+        nbeta = sorted([x for x in beta if x != b] + [nb], reverse=True)
         smaller = []
         for i, x in enumerate(nbeta):
             part = x - (length - 1 - i)
