@@ -36,10 +36,11 @@ the order of a depth-first walk from the root (left before right):
 and j index earlier entries and {"t": i} concludes the mirror of entry
 i.  Serialization is canonical JSON (sorted keys, no whitespace).
 
-``certify`` builds the table directly, doubling on indices, and
-``parse_certificate`` validates each wire entry into its table entry
-once; both put or check canonical order with one index walk (``_walk``)
-and return a ``Certificate`` that holds only the table (its ``node`` is
+``certify`` builds the table directly, doubling on indices, and its
+builder already interns entries in canonical order.  ``parse_certificate``
+validates each wire entry into its table entry in one forward loop, then
+checks canonical order in one reverse loop over the table (``_canonical``).
+Both return a ``Certificate`` that holds only the table (its ``node`` is
 ``None``).  Serialization, ``verify``, ``==``, ``hash`` and ``repr``
 read that table.  A certificate built by hand from ``BaseNode``/``AddNode``
 objects is read through one walk of those objects on each use, and is
@@ -344,8 +345,8 @@ def certify(ell: int, m: int) -> Certificate:
             "small", f"({ell},{m}) has min side {a} < 5, below the certifiable region"
         )
     table = _Builder()
-    root = _build(ell, m, default_registry(), table)
-    return _tabled(ell, m, _walk(table.entries, root))
+    _build(ell, m, default_registry(), table)
+    return _tabled(ell, m, tuple(table.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -355,42 +356,37 @@ def certify(ell: int, m: int) -> Certificate:
 # geq3) or ("t", i), with i and j indexing earlier entries.
 
 
-def _walk(table: "list[tuple] | tuple[tuple, ...]", root: int) -> tuple[tuple, ...]:
-    """The entries that entry ``root`` of ``table`` reaches, in canonical order.
-
-    Depth-first, children before parents, left before right; equal
-    entries are merged and a mirror of a mirror folds back to its inner
-    entry.  Every reference in ``table`` must name an earlier entry.
-    Iterative, so depth costs no recursion, and each entry is settled once.
-    """
-    out: list[tuple] = []
-    position: dict[tuple, int] = {}
-    new = [-1] * len(table)  # entry of table -> its entry of out
-    stack = [root]
-    while stack:
-        at = stack[-1]
-        if new[at] >= 0:
-            stack.pop()
-            continue
-        key = table[at]
-        if key[0] == "add":
-            i, j = new[key[2]], new[key[3]]
-            if i < 0 or j < 0:
-                stack += (key[3], key[2])
-                continue
-            key = ("add", key[1], i, j, key[4], key[5])
-        elif key[0] == "t":
-            i = new[key[1]]
-            if i < 0:
-                stack.append(key[1])
-                continue
-            # a mirror of a mirror is the inner entry, already in out
-            key = out[out[i][1]] if out[i][0] == "t" else ("t", i)
-        stack.pop()
-        new[at] = position.setdefault(key, len(out))
-        if new[at] == len(out):
-            out.append(key)
-    return tuple(out)
+def _canonical(entries: tuple[tuple, ...]) -> bool:
+    """Whether ``entries`` (references name earlier entries) is the
+    canonical table of its last entry: distinct, no mirror of a mirror, in
+    depth-first order, children before parents and left before right.  In
+    that order the root brings in the block [0, n - 1], and an entry with
+    block [s, p] hands [s, i] to a left child i >= s, then what follows,
+    up to j, to a right child j at or above that.  Blocks nest, so none is
+    handed twice; an entry handed none is unreachable or out of order."""
+    n = len(entries)
+    if len(set(entries)) != n:
+        return False
+    start = [-1] * n  # entry -> the first entry of its block
+    start[-1] = 0
+    for p in range(n - 1, -1, -1):
+        s, key = start[p], entries[p]
+        if s < 0:
+            return False
+        kind = key[0]
+        if kind == "add":
+            i, j = key[2], key[3]
+            if i >= s:
+                start[i], s = s, i + 1
+            if j >= s:
+                start[j] = s
+        elif kind == "t":
+            i = key[1]
+            if entries[i][0] == "t":
+                return False
+            if i >= s:
+                start[i] = s
+    return True
 
 
 def _tabled(ell: int, m: int, table: tuple[tuple, ...]) -> Certificate:
@@ -492,12 +488,12 @@ def verify(cert: Certificate) -> VerificationResult:
         (l1, m1), (l2, m2) = concluded[i], concluded[j]
         if l1 != ell or l2 != ell:
             return reject(f"children conclude ell {l1}/{l2}, not the node's ell", at)
-        members = {"ell": ell, "m1": m1, "m2": m2}
-        if min(members.values()) < 2:
+        if min(ell, m1, m2) < 2:
             return reject(f"side condition failed: ell={ell} m1={m1} m2={m2} must be >= 2", at)
-        if ew not in members or members[ew] % 2 != 0:
+        # a name that is no member reads as 1, which is odd and below 3
+        if (ell if ew == "ell" else m1 if ew == "m1" else m2 if ew == "m2" else 1) % 2:
             return reject(f"even witness {ew!r} does not name an even member", at)
-        if gw not in members or members[gw] < 3:
+        if (ell if gw == "ell" else m1 if gw == "m1" else m2 if gw == "m2" else 1) < 3:
             return reject(f"size witness {gw!r} does not name a member >= 3", at)
         concluded.append((ell, m1 + m2))
     if concluded[-1] != (cert.ell, cert.m):
@@ -529,45 +525,47 @@ def serialize_certificate(cert: Certificate) -> str:
     return json.dumps(certificate_to_obj(cert), sort_keys=True, separators=(",", ":"))
 
 
-def _ints(v: object, n: int) -> bool:
-    return type(v) is list and len(v) == n and all(type(x) is int for x in v)
-
-
-def _entry(obj: object, at: int) -> tuple:
-    """The table entry of wire entry ``at``, whose references must name
-    earlier entries."""
-    keys = obj.keys() if type(obj) is dict else None
-    if keys == {"add", "even", "geq3"} and type(obj["add"]) is list and len(obj["add"]) == 3:
-        (ell, i, j), ew, gw = obj["add"], obj["even"], obj["geq3"]
-        if type(ell) is type(i) is type(j) is int and type(ew) is type(gw) is str and (
-            0 <= i < at and 0 <= j < at
-        ):
-            return ("add", ell, i, j, ew, gw)
-    elif keys == {"base"} and _ints(obj["base"], 2):
-        return ("base", *obj["base"])
-    elif keys == {"t"} and type(obj["t"]) is int and 0 <= obj["t"] < at:
-        return ("t", obj["t"])
-    raise CertificateFormatError(
-        f"$.nodes[{at}]",
-        'expected {"base": [l, m]}, {"add": [ell, i, j], "even": w, "geq3": w} or {"t": i}, '
-        "where i and j index earlier entries",
-    )
-
-
 def certificate_from_obj(obj: object) -> Certificate:
     if type(obj) is not dict or set(obj) != {"version", "conclusion", "nodes"}:
         raise CertificateFormatError("$", 'expected keys ["conclusion", "nodes", "version"]')
     if type(obj["version"]) is not int or obj["version"] != _VERSION:
         raise CertificateFormatError("$.version", f"expected {_VERSION}")
     concl, nodes = obj["conclusion"], obj["nodes"]
-    if type(concl) is not dict or set(concl) != {"ell", "m"} or not _ints(list(concl.values()), 2):
+    if type(concl) is not dict or set(concl) != {"ell", "m"} or not (
+        type(concl["ell"]) is type(concl["m"]) is int
+    ):
         raise CertificateFormatError("$.conclusion", 'expected {"ell": int, "m": int}')
     if type(nodes) is not list or not 1 <= len(nodes) <= MAX_NODES:
         raise CertificateFormatError("$.nodes", f"expected 1 to {MAX_NODES} entries")
-    entries = tuple([_entry(item, at) for at, item in enumerate(nodes)])
-    if _walk(entries, len(entries) - 1) != entries:
+    # each wire entry into its key; an entry of one or three keys whose
+    # values all check has exactly the keys named
+    entries: list[tuple] = []
+    for at, item in enumerate(nodes):
+        if type(item) is dict:
+            if len(item) == 3:
+                add, ew, gw = item.get("add"), item.get("even"), item.get("geq3")
+                if type(add) is list and len(add) == 3 and type(ew) is type(gw) is str:
+                    ell, i, j = add
+                    if type(ell) is type(i) is type(j) is int and 0 <= i < at and 0 <= j < at:
+                        entries.append(("add", ell, i, j, ew, gw))
+                        continue
+            elif len(item) == 1:
+                base, t = item.get("base"), item.get("t")
+                if type(base) is list and len(base) == 2 and type(base[0]) is type(base[1]) is int:
+                    entries.append(("base", base[0], base[1]))
+                    continue
+                if type(t) is int and 0 <= t < at:
+                    entries.append(("t", t))
+                    continue
+        raise CertificateFormatError(
+            f"$.nodes[{at}]",
+            'expected {"base": [l, m]}, {"add": [ell, i, j], "even": w, "geq3": w} or {"t": i}, '
+            "where i and j index earlier entries",
+        )
+    table = tuple(entries)
+    if not _canonical(table):
         raise CertificateFormatError("$.nodes", "not canonical: distinct, in walk order")
-    return _tabled(concl["ell"], concl["m"], entries)
+    return _tabled(concl["ell"], concl["m"], table)
 
 
 def parse_certificate(text: "str | bytes") -> Certificate:

@@ -1,8 +1,10 @@
+import collections
 import copy
 import dataclasses
 import importlib
 import json
 import pickle
+import random
 import time
 
 import pytest
@@ -31,8 +33,10 @@ from qunimodal.certify import (
     MAX_LEAF_AREA,
     MAX_LEAVES,
     MAX_NODES,
+    _canonical,
     _chain_starts,
     _leaf_strict,
+    _table,
     _witnesses,
 )
 
@@ -162,6 +166,48 @@ def test_verify_rejects_mismatched_ell():
     node = AddNode(5, left, right, "m1", "m2")
     outcome = verify(Certificate(5, 16, node, False))
     assert not outcome.ok
+
+
+def _rejected(nodes, ell, m):
+    """The reason and path of verify's rejection of a wire table."""
+    doc = {"version": 2, "conclusion": {"ell": ell, "m": m}, "nodes": nodes}
+    outcome = verify(certificate_from_obj(doc))
+    assert not outcome.ok
+    return outcome.reason, outcome.path
+
+
+def _doubled(ell, m, even, geq3):
+    return [{"base": [ell, m]}, {"add": [ell, 0, 0], "even": even, "geq3": geq3}]
+
+
+def test_verify_pins_the_reasons_of_the_add_branch():
+    for name in ("x", "", "M1", "m3"):
+        reason = f"even witness {name!r} does not name an even member"
+        assert _rejected(_doubled(8, 8, name, "ell"), 8, 16) == (reason, "$.nodes[1]")
+        reason = f"size witness {name!r} does not name a member >= 3"
+        assert _rejected(_doubled(8, 8, "ell", name), 8, 16) == (reason, "$.nodes[1]")
+    # a named member that is odd, or below 3: (5, 5) and (2, 2) are strict
+    reason = "even witness 'm2' does not name an even member"
+    assert _rejected(_doubled(5, 5, "m2", "ell"), 5, 10) == (reason, "$.nodes[1]")
+    reason = "size witness 'm1' does not name a member >= 3"
+    assert _rejected(_doubled(2, 2, "ell", "m1"), 2, 4) == (reason, "$.nodes[1]")
+    # a side of 1, as ell and as both parts: (1, 2) is strict by the direct check
+    reason = "side condition failed: ell=1 m1=2 m2=2 must be >= 2"
+    assert _rejected(_doubled(1, 2, "m1", "m1"), 1, 4) == (reason, "$.nodes[1]")
+    reason = "side condition failed: ell=2 m1=1 m2=1 must be >= 2"
+    assert _rejected(_doubled(2, 1, "ell", "ell"), 2, 2) == (reason, "$.nodes[1]")
+    # children of mismatched ell, on either side
+    for left, right in (([5, 8], [6, 8]), ([6, 8], [5, 8])):
+        nodes = [{"base": left}, {"base": right}, {"add": [5, 0, 1], "even": "m2", "geq3": "ell"}]
+        reason = f"children conclude ell {left[0]}/{right[0]}, not the node's ell"
+        assert _rejected(nodes, 5, 16) == (reason, "$.nodes[2]")
+    # a witness that is not a str can only come from objects built by hand;
+    # the object walk rejects that node before it walks the children
+    leaf = Certificate(8, 8, BaseNode(8, 8), False)
+    for witness in (1, None, ["ell"]):
+        for node in (AddNode(8, leaf, leaf, witness, "ell"), AddNode(8, leaf, leaf, "ell", witness)):
+            outcome = verify(Certificate(8, 16, node, False))
+            assert (outcome.ok, outcome.reason, outcome.path) == (False, "not a certificate", "$.nodes[0]")
 
 
 def test_verify_reports_path_of_failure():
@@ -297,10 +343,11 @@ def test_parse_error_carries_a_path():
 
 
 def test_each_certificate_object_is_walked_once(monkeypatch):
-    # certify and parse each run the index walk once and never the object
-    # walk; nothing after them builds the node of the certificate
+    # certify runs no check (its builder interns in canonical order),
+    # parse checks canonical order once, and neither runs the object walk;
+    # nothing after them builds the node of the certificate
     cert_module = importlib.import_module("qunimodal.certify")
-    calls = {"_walk": 0, "_object_walk": 0}
+    calls = {"_canonical": 0, "_object_walk": 0}
     for name in calls:
 
         def spy(*args, real=getattr(cert_module, name), name=name):
@@ -309,9 +356,9 @@ def test_each_certificate_object_is_walked_once(monkeypatch):
 
         monkeypatch.setattr(cert_module, name, spy)
     cert = certify(33, 4700)
-    assert calls == {"_walk": 1, "_object_walk": 0}
+    assert calls == {"_canonical": 0, "_object_walk": 0}
     parsed = parse_certificate(serialize_certificate(cert))
-    assert calls == {"_walk": 2, "_object_walk": 0}
+    assert calls == {"_canonical": 1, "_object_walk": 0}
     for held in (cert, parsed):
         assert verify(held).ok
         serialize_certificate(held)
@@ -321,7 +368,7 @@ def test_each_certificate_object_is_walked_once(monkeypatch):
     real_verify = cert_module.verify
     monkeypatch.setattr(cert_module, "verify", lambda c: verified.append(c) or real_verify(c))
     assert classify(550, 553) == PairClass.Strict
-    assert calls == {"_walk": 3, "_object_walk": 0}
+    assert calls == {"_canonical": 1, "_object_walk": 0}
     assert len(verified) == 1
     for held in (cert, parsed, *verified):
         assert held.node is None
@@ -610,6 +657,101 @@ def test_certify_matches_the_object_builder():
         cert, want = certify(ell, m), _oracle_certify(ell, m)
         assert serialize_certificate(cert) == serialize_certificate(want), (ell, m)
         assert cert == want, (ell, m)
+        # certify checks nothing: its builder interns in canonical order
+        assert _canonical(_table(cert)), (ell, m)
+
+
+# ---------------------------------------------------------------------------
+# a second route to parse's canonical-order check: the index walk that
+# rebuilt a table from its root, which the table must then equal
+
+
+def _ref_walk(table, root):
+    """The entries that entry ``root`` of ``table`` reaches, in canonical order.
+
+    Depth-first, children before parents, left before right; equal
+    entries are merged and a mirror of a mirror folds back to its inner
+    entry.  Every reference in ``table`` must name an earlier entry.
+    """
+    out, position = [], {}
+    new = [-1] * len(table)  # entry of table -> its entry of out
+    stack = [root]
+    while stack:
+        at = stack[-1]
+        if new[at] >= 0:
+            stack.pop()
+            continue
+        key = table[at]
+        if key[0] == "add":
+            i, j = new[key[2]], new[key[3]]
+            if i < 0 or j < 0:
+                stack += (key[3], key[2])
+                continue
+            key = ("add", key[1], i, j, key[4], key[5])
+        elif key[0] == "t":
+            i = new[key[1]]
+            if i < 0:
+                stack.append(key[1])
+                continue
+            key = out[out[i][1]] if out[i][0] == "t" else ("t", i)
+        stack.pop()
+        new[at] = position.setdefault(key, len(out))
+        if new[at] == len(out):
+            out.append(key)
+    return tuple(out)
+
+
+def _random_table(rng, n):
+    """n entries over few keys, each referring to earlier entries only."""
+    table = [("base", 8, rng.choice((8, 9)))]
+    for at in range(1, n):
+        roll = rng.random()
+        if roll < 0.3:
+            table.append(("base", 8, rng.choice((8, 9))))
+        elif roll < 0.75:
+            table.append(("add", 8, rng.randrange(at), rng.randrange(at), "ell", "ell"))
+        else:
+            table.append(("t", rng.randrange(at)))
+    return tuple(table)
+
+
+def _children(key):
+    return key[2:4] if key[0] == "add" else key[1:] if key[0] == "t" else ()
+
+
+def _features(table):
+    users = collections.Counter(i for key in table for i in set(_children(key)))
+    reached, stack = set(), [len(table) - 1]
+    while stack:
+        at = stack.pop()
+        if at not in reached:
+            reached.add(at)
+            stack += _children(table[at])
+    found = {
+        "duplicate": len(set(table)) < len(table),
+        "mirror of a mirror": any(key[0] == "t" and table[key[1]][0] == "t" for key in table),
+        "unreachable": len(reached) < len(table),
+        "i == j": any(key[0] == "add" and key[2] == key[3] for key in table),
+        "shared child": any(count > 1 for count in users.values()),
+        "swapped order": any(key[0] == "add" and key[2] > key[3] for key in table),
+    }
+    return {name for name, present in found.items() if present}
+
+
+def test_canonical_check_matches_the_reference_walk_on_random_tables():
+    rng = random.Random(19)
+    seen = collections.Counter()
+    for _ in range(100_000):
+        table = _random_table(rng, rng.randint(1, 8))
+        canonical = _ref_walk(table, len(table) - 1) == table
+        assert _canonical(table) == canonical, table
+        seen.update((name, canonical) for name in _features(table) | {"any"})
+    # each feature shows up in tables the check must reject, and those a
+    # canonical table can have show up in canonical ones too
+    for name in ("duplicate", "mirror of a mirror", "unreachable"):
+        assert seen[name, False] >= 1000 and seen[name, True] == 0, name
+    for name in ("any", "i == j", "shared child", "swapped order"):
+        assert seen[name, False] >= 1000 and seen[name, True] >= 1000, name
 
 
 def _chain_gaps(reg):
