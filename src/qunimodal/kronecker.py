@@ -23,13 +23,16 @@ numbers: first-column hook lengths b_i = lam_i + (L-1-i); removing a
 strip of size t replaces some b_i by b_i - t, and the sign counts the
 beta numbers crossed on the way down.  Characters are memoized once
 per shape, as the vector of chi^shape on every class of S_n, aligned
-with ``partitions_of(n)``: the classes with first part t all reuse one
-list of strips of size t, and read each smaller shape's vector at the
-index of rho minus its first part.  Class sizes come from the
-centralizer order formula |C_rho| = n! / prod(i^{m_i} m_i!) and are
-computed once per n in the same order.  Each shape also memoizes its
-weighted vector |C_rho| chi^shape(rho), so ``g_oracle`` is one dot
-product of three vectors.  Both memos hold 64-bit arrays (``array('q')``):
+with ``partitions_of(n)``.  There the classes with first part t form
+one block, and their remainders, rho minus its first part, are in the
+same order the tail of ``partitions_of(n - t)`` with no part above t.
+So the block is the signed sum of that slice of each smaller shape's
+vector, one per strip of size t, or zeros when there is none.  Class
+sizes come from the centralizer order formula
+|C_rho| = n! / prod(i^{m_i} m_i!) and are computed once per n in the
+same order.  Each shape also memoizes its weighted vector
+|C_rho| chi^shape(rho), so ``g_oracle`` is one dot product of three
+vectors.  Both memos hold 64-bit arrays (``array('q')``):
 at n <= 18 the largest |chi| has 24 bits and the largest weighted value
 49, and a value that does not fit raises ``OverflowError``, never wraps.
 
@@ -38,20 +41,22 @@ rectangles the two routes are tied together by exact identities:
 g(m^ell, m^ell, (n-k, k)) equals the difference p_k - p_{k-1} of
 Gaussian binomial coefficients, which ``repro.repro_lemma12`` confirms
 box by box.  ``semigroup_check`` samples pairs of positive triples and
-confirms g is positive and monotone under part-wise addition; it
+confirms g is positive and monotone under part-wise addition; it works
+on part tuples, builds ``Partition`` objects only for a violation, and
 returns its counterexamples as a plain list, empty when the claim
 holds.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from array import array
 from collections import Counter
 from functools import lru_cache
-from itertools import repeat
+from itertools import repeat, zip_longest
 from math import factorial
-from operator import mul
+from operator import add, mul, sub
 
 # Not used in this module: perfbench/tracing.py wraps ``kronecker.lr``
 # and ``kronecker.gaussian``, and its traced run fails on a layer it
@@ -59,7 +64,7 @@ from operator import mul
 # benchmark.
 from .lr import lr  # noqa: F401
 from .lr import check_size, skew
-from .partitions import Partition, add, partitions_inside, partitions_of
+from .partitions import Partition, partitions_inside, partitions_of
 from .qbinomial import gaussian  # noqa: F401
 
 # Largest n for which the character oracle will build rows; the full
@@ -105,12 +110,12 @@ def _char(shape: tuple[int, ...]) -> array:
     """chi^shape on every class of S_n, aligned with ``partitions_of(n)``."""
     if not shape:
         return array("q", (1,))
-    strips: dict[int, list[tuple[int, array]]] = {}
     values = array("q")
-    for t, j in _class_steps(sum(shape)):
-        if t not in strips:
-            strips[t] = [(sign, _char(smaller)) for smaller, sign in _strip_removals(shape, t)]
-        values.append(sum(sign * vec[j] for sign, vec in strips[t]))
+    for t, start, stop in _class_blocks(sum(shape)):
+        block = repeat(0, stop - start)
+        for smaller, sign in _strip_removals(shape, t):
+            block = map(add if sign > 0 else sub, block, _char(smaller)[start:stop])
+        values.extend(block)
     return values
 
 
@@ -133,18 +138,18 @@ def _class_sizes(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=64)
-def _class_steps(n: int) -> tuple[tuple[int, int], ...]:
-    """(t, j) for each rho in ``partitions_of(n)``, n >= 1: t is the first
-    part of rho and j the index of (rho_2, rho_3, ...) in
-    ``partitions_of(n - t)``."""
-    index: dict[int, dict[tuple[int, ...], int]] = {}
-    steps = []
-    for rho in partitions_of(n):
-        t = rho.parts[0]
-        if t not in index:
-            index[t] = {p.parts: j for j, p in enumerate(partitions_of(n - t))}
-        steps.append((t, index[t][rho.parts[1:]]))
-    return tuple(steps)
+def _class_blocks(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(t, start, stop) for t = n, ..., 1, n >= 1: the classes rho in
+    ``partitions_of(n)`` with first part t are consecutive, and their
+    remainders (rho_2, rho_3, ...) are, in the same order, the entries
+    [start, stop) of ``partitions_of(n - t)``: the suffix with no part
+    above t."""
+    blocks = []
+    for t in range(n, 0, -1):
+        pool = partitions_of(n - t)
+        start = next(j for j, rho in enumerate(pool) if rho.parts[:1] <= (t,))
+        blocks.append((t, start, len(pool)))
+    return tuple(blocks)
 
 
 def g_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -156,8 +161,17 @@ def g_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
         )
     if n > DEFAULT_ORACLE_BOUND:
         raise ValueError(f"character oracle limited to n <= {DEFAULT_ORACLE_BOUND}: got {n}")
-    total = sum(map(mul, _weighted(lam.parts), map(mul, _char(mu.parts), _char(nu.parts))))
+    return _g(lam.parts, mu.parts, nu.parts)
+
+
+def _g(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
+    """The character sum on the parts of three partitions of one n no
+    larger than the oracle bound; the callers check both."""
+    n = sum(lam)
+    total = sum(map(mul, _weighted(lam), map(mul, _char(mu), _char(nu))))
     value, rem = divmod(total, factorial(n))
+    if rem or value < 0:
+        lam, mu, nu = map(Partition, (lam, mu, nu))
     if rem:
         raise InternalConsistencyError(
             f"character sum for g({lam},{mu},{nu}) is not divisible by {n}!"
@@ -169,7 +183,7 @@ def g_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 def a_k(lam: Partition, mu: Partition, k: int) -> int:
     """sum over |alpha| = k, |beta| = n - k of c^lam_{alpha,beta} c^mu_{alpha,beta}."""
-    n = lam.size
+    n, k = lam.size, operator.index(k)
     if mu.size != n:
         raise ValueError(f"size mismatch: |{lam}| = {lam.size}, |{mu}| = {mu.size}")
     if not 0 <= k <= n:
@@ -194,6 +208,7 @@ def _inside(cap: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
 
 def two_row(n: int, k: int) -> Partition:
     """The two-row partition (n-k, k); requires 0 <= k <= n/2."""
+    k = operator.index(k)
     if not 0 <= 2 * k <= n:
         raise ValueError(f"need 0 <= k <= n/2 = {n / 2}: got k={k}")
     return Partition((n - k, k))
@@ -201,7 +216,7 @@ def two_row(n: int, k: int) -> Partition:
 
 def g_two_row(lam: Partition, mu: Partition, k: int) -> int:
     """Kronecker coefficient g(lam, mu, (n-k, k)) = a_k - a_{k-1}."""
-    n = lam.size
+    n, k = lam.size, operator.index(k)
     if mu.size != n:
         raise ValueError(f"size mismatch: |{lam}| = {lam.size}, |{mu}| = {mu.size}")
     if not 0 <= 2 * k <= n:
@@ -227,6 +242,7 @@ def semigroup_check(
     max(g1, g2), in particular positive.  Returns the violations as
     (first, second, g_first, g_second, g_sum); expected empty.
     """
+    samples, max_total_size = operator.index(samples), operator.index(max_total_size)
     if samples < 0:
         raise ValueError(f"need samples >= 0: got {samples}")
     if not 2 <= max_total_size <= DEFAULT_ORACLE_BOUND:
@@ -248,17 +264,18 @@ def semigroup_check(
         n2 = rng.randint(1, max_total_size - n1)
         pool1 = partitions_of(n1)
         pool2 = partitions_of(n2)
-        first = tuple(rng.choice(pool1) for _ in range(3))
-        second = tuple(rng.choice(pool2) for _ in range(3))
-        g1 = g_oracle(*first)
+        first = tuple(rng.choice(pool1).parts for _ in range(3))
+        second = tuple(rng.choice(pool2).parts for _ in range(3))
+        g1 = _g(*first)
         if g1 == 0:
             continue
-        g2 = g_oracle(*second)
+        g2 = _g(*second)
         if g2 == 0:
             continue
         accepted += 1
-        summed = tuple(add(a, b) for a, b in zip(first, second))
-        gs = g_oracle(*summed)
+        summed = (tuple(map(sum, zip_longest(a, b, fillvalue=0))) for a, b in zip(first, second))
+        gs = _g(*summed)
         if gs <= 0 or gs < max(g1, g2):
+            first, second = (tuple(map(Partition, triple)) for triple in (first, second))
             violations.append((first, second, g1, g2, gs))
     return violations

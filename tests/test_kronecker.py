@@ -1,4 +1,6 @@
 import hashlib
+import random
+from array import array
 from functools import lru_cache
 from itertools import cycle
 from math import factorial
@@ -25,7 +27,7 @@ from qunimodal.kronecker import (
     _strip_removals,
     _weighted,
 )
-from qunimodal import partitions_inside, repro
+from qunimodal import add, partitions_inside, repro
 from qunimodal.repro import repro_lemma12, repro_routes
 
 P = Partition
@@ -127,6 +129,108 @@ def test_character_vectors_match_per_class_recursion():
             assert len(vector) == len(classes)
             for rho, value in zip(classes, vector):
                 assert value == _char_at(lam.parts, rho.parts), (lam, rho)
+
+
+@lru_cache(maxsize=None)
+def _class_steps(n: int) -> tuple[tuple[int, int], ...]:
+    # (t, j) for each rho in partitions_of(n): t is the first part of rho
+    # and j the index of (rho_2, rho_3, ...) in partitions_of(n - t), found
+    # by lookup rather than by the block structure the library relies on
+    index: dict[int, dict[tuple[int, ...], int]] = {}
+    steps = []
+    for rho in partitions_of(n):
+        t = rho.parts[0]
+        if t not in index:
+            index[t] = {p.parts: j for j, p in enumerate(partitions_of(n - t))}
+        steps.append((t, index[t][rho.parts[1:]]))
+    return tuple(steps)
+
+
+@lru_cache(maxsize=None)
+def _char_by_class(shape: tuple[int, ...]) -> array:
+    # the vector built one class at a time from the steps above: a second
+    # route to the library's block-built vectors
+    if not shape:
+        return array("q", (1,))
+    strips: dict[int, list[tuple[int, array]]] = {}
+    values = array("q")
+    for t, j in _class_steps(sum(shape)):
+        if t not in strips:
+            strips[t] = [
+                (sign, _char_by_class(smaller)) for smaller, sign in _strip_removals(shape, t)
+            ]
+        values.append(sum(sign * vec[j] for sign, vec in strips[t]))
+    return values
+
+
+def test_class_blocks_expand_to_the_per_class_steps():
+    for n in range(1, DEFAULT_ORACLE_BOUND + 1):
+        steps = tuple(
+            (t, j) for t, start, stop in kronecker._class_blocks(n) for j in range(start, stop)
+        )
+        assert steps == _class_steps(n), n
+
+
+def test_block_built_vectors_match_the_per_class_build():
+    shapes = [lam.parts for n in range(1, DEFAULT_ORACLE_BOUND + 1) for lam in partitions_of(n)]
+    assert len(shapes) == 1596
+    for shape in shapes:
+        assert _char(shape) == _char_by_class(shape), shape
+
+
+def _semigroup_by_partitions(samples, seed, max_total_size, g):
+    # the sampling loop on Partition objects and add(), as it was before
+    # the library moved to part tuples: same draws, same triples, same order
+    rng = random.Random(seed)
+    violations = []
+    accepted = 0
+    while accepted < samples:
+        n1 = rng.randint(1, max_total_size - 1)
+        n2 = rng.randint(1, max_total_size - n1)
+        pool1 = partitions_of(n1)
+        pool2 = partitions_of(n2)
+        first = tuple(rng.choice(pool1) for _ in range(3))
+        second = tuple(rng.choice(pool2) for _ in range(3))
+        g1 = g(*first)
+        if g1 == 0:
+            continue
+        g2 = g(*second)
+        if g2 == 0:
+            continue
+        accepted += 1
+        gs = g(*(add(a, b) for a, b in zip(first, second)))
+        if gs <= 0 or gs < max(g1, g2):
+            violations.append((first, second, g1, g2, gs))
+    return violations
+
+
+def test_semigroup_sampling_matches_the_partition_loop(monkeypatch):
+    expected = []
+
+    def by_partitions(lam, mu, nu):
+        value = g_oracle(lam, mu, nu)
+        expected.append(((lam.parts, mu.parts, nu.parts), value))
+        return value
+
+    seen = []
+    inner = kronecker._g
+
+    def by_parts(*triple):
+        value = inner(*triple)
+        seen.append((triple, value))
+        return value
+
+    for seed in range(300):
+        assert _semigroup_by_partitions(3, seed, 18, by_partitions) == []
+    monkeypatch.setattr(kronecker, "_g", by_parts)
+    for seed in range(300):
+        assert semigroup_check(3, seed, 18) == []
+    assert len(seen) == 5199
+    assert seen == expected
+    # the same calls, read off the Partition-object loop in the library
+    # before it moved to part tuples
+    digest = hashlib.sha256(repr(seen).encode()).hexdigest()
+    assert digest == "47191e07692248b582c9dd35c569f4923790c6ae8c58aa6706857a9497bca557"
 
 
 def test_character_tables_unchanged():
@@ -284,6 +388,21 @@ def test_g_two_row_rejects_bad_k():
         g_two_row(P((2, 1)), P((2, 2)), 1)
 
 
+def test_float_k_is_refused_cold_and_warm():
+    # a float k once missed the _inside memo (TypeError) on a cold process
+    # and hit it (an answer) once k = 2 had filled it
+    lam, mu = P((3, 2, 1)), P((4, 2))
+    kronecker._inside.cache_clear()
+    for _ in ("cold", "warm"):
+        with pytest.raises(TypeError):
+            g_two_row(lam, mu, 2.0)
+        with pytest.raises(TypeError):
+            a_k(lam, mu, 2.0)
+        with pytest.raises(TypeError):
+            two_row(6, 2.0)
+        assert g_two_row(lam, mu, 2) == 2
+
+
 def test_routes_agree_small():
     ok, lines = repro_routes(7)
     assert ok, lines
@@ -337,9 +456,18 @@ def test_semigroup_sampler_finds_no_violations():
 @pytest.mark.parametrize("size", [1, DEFAULT_ORACLE_BOUND + 1])
 def test_semigroup_sampler_keeps_to_the_oracle_bound(size, monkeypatch):
     # refused before any sample is drawn, so the oracle guard is never lifted
-    monkeypatch.setattr(kronecker, "g_oracle", lambda *triple: pytest.fail("sampled"))
+    for name in ("g_oracle", "_g"):
+        monkeypatch.setattr(kronecker, name, lambda *triple: pytest.fail("sampled"))
     with pytest.raises(ValueError, match=rf"max_total_size <= {DEFAULT_ORACLE_BOUND}: got {size}$"):
         semigroup_check(samples=5, seed=0, max_total_size=size)
+
+
+def test_semigroup_sampler_refuses_non_integer_sizes(monkeypatch):
+    monkeypatch.setattr(kronecker, "_g", lambda *triple: pytest.fail("sampled"))
+    with pytest.raises(TypeError):
+        semigroup_check(samples=1.5, seed=0, max_total_size=10)
+    with pytest.raises(TypeError):
+        semigroup_check(samples=2, seed=0, max_total_size=10.0)
 
 
 def test_semigroup_sampler_is_deterministic():
@@ -359,7 +487,7 @@ def test_claim_checks_return_plain_counterexample_lists(monkeypatch):
     assert "(1,1) failed at k=0" in lines
     # g1 = 2, g2 = 3 and a sum of 1 is one violation, as a plain tuple
     values = cycle([2, 3, 1])
-    monkeypatch.setattr(kronecker, "g_oracle", lambda *triple: next(values))
+    monkeypatch.setattr(kronecker, "_g", lambda *triple: next(values))
     [violation] = semigroup_check(samples=1, seed=0, max_total_size=10)
     assert type(violation) is tuple
     first, second, g_first, g_second, g_sum = violation
