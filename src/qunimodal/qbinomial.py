@@ -17,14 +17,22 @@ one shift-and-subtract, and dividing by 1 - 2^{Ld} multiplies by the
 2-adic series prod_j (1 + 2^{Ld*2^j}), one shift-and-add per factor
 until the shift reaches K.
 
-The limbs widen as the box grows.  For i = 1..i0, i0 = ceil(h/b), step i
-takes binom(b+i-1, i-1)_q to binom(b+i, i)_q, of degree i*b, in
-min(h, i*b)+1 limbs.  Its coefficients are below comb(b+i, i), so L is
-that bit length rounded up to whole bytes; when a step needs a wider
-limb, the packed value is re-laid once by strided byte copies
-(``out[j::new] = raw[j::old]``), which is exact because after a whole
-step every limb holds a true, non-negative coefficient.  After step i0
-the limbs widen once more, to hold coefficients below comb(a+b, a).
+The partial boxes grow at half width, in limbs that widen as they go.
+For i = 1..i0, i0 = ceil(h/b), step i takes binom(b+i-1, i-1)_q to
+binom(b+i, i)_q, of degree i*b, but only modulo q^(c+1) with c =
+floor(i*b/2), up to its centre; this is exact for the same reason as the
+final half.  Its coefficients are below comb(b+i, i), so L is that bit
+length rounded up to whole bytes; when a step needs a wider limb, the
+packed value is re-laid once by strided byte copies (``out[j::new] =
+raw[j::old]``).  The next step reads up to its own centre, so the vector
+is first extended by its mirror image, p_j = p_{i*b-j}: those limbs are
+cut out of the known part, put in reverse order (one strided copy per
+byte, then a big-endian read) and ORed in above it.  Re-laying and
+mirroring are exact because after a whole step every limb holds a true,
+non-negative coefficient.  After step i0 the mirror extends the vector
+to h+1 limbs, and the limbs widen once more, to hold coefficients below
+comb(a+b, a).  Against steps at full degree, this cuts the bytes that
+the series passes touch by about a fifth on squares.
 
 From then on the width stays at h+1 limbs, so every remaining factor is
 a unit of the one ring Z[q]/(q^{h+1}); the factors commute, only the
@@ -65,6 +73,11 @@ from .partitions import Partition, partitions_inside
 # gaussian_by_enumeration refuses boxes with more cells than this: the
 # oracle exists for cross-checks, not for production work.
 ENUMERATION_GUARD = 64
+
+# gaussian refuses a box whose packed rising half, h+1 limbs of the byte
+# length of comb(a+b, a), would take more bytes than this; (200, 200)
+# takes 1,000,050 and expands in about a second.
+EXPANSION_GUARD = 1 << 22
 
 
 class QPolynomial:
@@ -155,6 +168,24 @@ def _repack(x: int, nbytes: int, count: int, bound: int) -> tuple[int, int]:
     return int.from_bytes(_widen(raw, nbytes, need, count), "little"), need
 
 
+def _mirror(x: int, nbytes: int, known: int, degree: int, size: int) -> int:
+    """``x``, the lowest ``known`` limbs of ``nbytes`` bytes of a palindrome
+    of the given degree, extended to ``size`` limbs by limb j = limb
+    degree-j; needs known > degree/2 and size <= degree+1."""
+    count = size - known
+    low = degree - size + 1
+    # limbs low..degree-known, the bytes of each reversed (no copy for
+    # one-byte limbs), read as one big-endian number come out in reverse
+    # order
+    raw = (x >> (8 * nbytes * low)).to_bytes(nbytes * (known - low), "little")
+    if nbytes > 1:
+        out = bytearray(nbytes * count)
+        for j in range(nbytes):
+            out[nbytes - 1 - j :: nbytes] = raw[j : nbytes * count : nbytes]
+        raw = out
+    return x | int.from_bytes(raw[: nbytes * count], "big") << (8 * nbytes * known)
+
+
 def _passes(k: int) -> int:
     """Shift-and-adds that :func:`_geometric` spends on a sum of k terms."""
     return k.bit_length() + k.bit_count() - 2
@@ -211,17 +242,20 @@ def _product_coeffs(ell: int, m: int) -> tuple[int, ...]:
     n = a * b
     h = n // 2
     grow = -(-h // b)
-    x, nbytes, size, bound = 1, 1, 1, 1
+    x, nbytes, size, bound = 1, 1, b // 2 + 1, 1
     for i in range(1, grow + 1):
-        # x is binom(b+i-1, i-1)_q; the next box, (i, b), has degree i*b
-        # and every coefficient below comb(b+i, i).
+        # x is binom(b+i-1, i-1)_q in size limbs, up to the centre of the
+        # next box, (i, b), which has every coefficient below comb(b+i, i)
         bound = bound * (b + i) // i
         x, nbytes = _repack(x, nbytes, size, bound)
-        size = min(h, i * b) + 1
         limb = 8 * nbytes
         mask = (1 << (limb * size)) - 1
         x = (x - (x << (limb * (b + i)))) & mask
         x = _geometric(x, limb * i, 1 << ((size - 1) // i).bit_length(), mask)
+        # mirrored out to the centre of the next box, or to h after the last
+        top = (i + 1) * b // 2 + 1 if i < grow else h + 1
+        x = _mirror(x, nbytes, size, i * b, top)
+        size = top
     # The width is now h+1 limbs, so the remaining factors act on
     # Z[q]/(q^(h+1)) and commute.
     x, nbytes = _repack(x, nbytes, h + 1, comb(a + b, a))
@@ -241,13 +275,24 @@ def gaussian(ell: int, m: int) -> QPolynomial:
 
     ``ell`` and ``m`` are the box sides; either may be 0, in which case
     the result is the constant 1.  A side that is not an integer raises
-    ``TypeError``.
+    ``TypeError``; a box whose packed rising half would take more than
+    ``EXPANSION_GUARD`` bytes raises ``ValueError`` before any expansion.
     """
     ell, m = operator.index(ell), operator.index(m)
     if ell < 0 or m < 0:
         raise ValueError(f"box sides must be non-negative: ell={ell} m={m}")
     if ell == 0 or m == 0:
         return QPolynomial((1,))
+    # every limb takes a byte or more, so the first test bounds ell+m, and
+    # with it the work of comb, before the second one calls it
+    limbs = ell * m // 2 + 1
+    if limbs > EXPANSION_GUARD or (
+        limbs * ((comb(ell + m, m).bit_length() + 7) // 8) > EXPANSION_GUARD
+    ):
+        raise ValueError(
+            f"box too large to expand: ell={ell} m={m} packs its rising half "
+            f"in more than {EXPANSION_GUARD} bytes"
+        )
     return QPolynomial._of(_product_coeffs(ell, m))
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qunimodal import qbinomial
 from qunimodal.cli import run
 from qunimodal.kronecker import DEFAULT_ORACLE_BOUND
 
@@ -83,6 +84,20 @@ def test_check_json(capsys):
         "plateaus": [],
         "first_violation": None,
     }
+
+
+def test_oversize_box_is_one_line_and_exit_1(monkeypatch, capsys):
+    # refused before any expansion, in one line on stderr
+    def unreachable(*args):
+        raise AssertionError("expanded a box above the guard")
+
+    monkeypatch.setattr(qbinomial, "_product_coeffs", unreachable)
+    for command in ("check", "expand"):
+        assert run([command, "--ell", "5", "--m", "10000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: box too large to expand: ell=5 m=10000000000 ")
 
 
 def test_scan_csv(capsys):

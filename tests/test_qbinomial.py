@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from qunimodal import QPolynomial, gaussian, gaussian_by_enumeration, qbinomial
-from qunimodal.qbinomial import _factors, _geometric, _passes, _unpack
+from qunimodal.qbinomial import _factors, _geometric, _mirror, _passes, _unpack
 
 
 def _polymul(a, b):
@@ -84,15 +84,54 @@ def test_matches_packed_recurrence_grid():
 # (63, 64) to (110, 110) widen their limbs many times while the partial
 # box grows, and then pair numerators with denominators a half or a third
 # their size; (45, 45) pairs the odd quotient 3, and (5, 247) and (5, 311)
-# decline the pairs that would cost more than the two factors apart.
+# decline the pairs that would cost more than the two factors apart.  The
+# last three cross the seams of the half-width grow phase (see
+# test_seams_of_the_grow_phase).
 @pytest.mark.parametrize(
     "ell,m",
     [(60, 60), (12, 1175), (1175, 12), (10, 2000),
      (63, 64), (89, 90), (40, 100), (75, 107), (110, 110),
-     (5, 247), (5, 311), (45, 45)],
+     (5, 247), (5, 311), (45, 45),
+     (33, 67), (2, 2001), (21, 300)],
 )
 def test_matches_packed_recurrence_large(ell, m):
     assert gaussian(ell, m).coeffs == packed_recurrence(ell, m)
+
+
+def _limb_bytes(bound):
+    return (bound.bit_length() + 7) // 8
+
+
+def test_seams_of_the_grow_phase():
+    # box (a, b) grows in ceil(h/b) steps; step i has degree i*b and limbs
+    # of the byte length of comb(b+i, i), widened to that of comb(a+b, a)
+    # after the last.  (33, 67): 17 steps, of odd degree at every odd
+    # step, so the centre falls between two coefficients
+    assert -(-(33 * 67 // 2) // 67) == 17 and 67 % 2 == 1
+    # (2, 2001): one step, of odd degree, in 2-byte limbs that widen to 3
+    # right after the mirror that extends them to h+1
+    assert -(-(2 * 2001 // 2) // 2001) == 1
+    assert [_limb_bytes(comb(2002, 1)), _limb_bytes(comb(2003, 2))] == [2, 3]
+    # (21, 300): step 11 widens from 8 to 9 bytes the limbs that the
+    # mirror after step 10 wrote
+    assert [_limb_bytes(comb(300 + i, i)) for i in (10, 11)] == [8, 9]
+
+
+@pytest.mark.parametrize("nbytes", [1, 2, 3, 9])
+def test_mirror_matches_reversed_list(nbytes):
+    # the known part of a palindrome, extended to size limbs, equals the
+    # first size entries of the whole coefficient list
+    rng = random.Random(nbytes)
+    for degree in range(0, 30):
+        rising = [rng.getrandbits(8 * nbytes) for _ in range(degree // 2 + 1)]
+        coeffs = rising + rising[: (degree + 1) // 2][::-1]
+        assert coeffs == coeffs[::-1]
+        for known in range(degree // 2 + 1, degree + 2):
+            for size in range(known, degree + 2):
+                x = _pack(coeffs[:known], 8 * nbytes)
+                assert _mirror(x, nbytes, known, degree, size) == _pack(
+                    coeffs[:size], 8 * nbytes
+                ), (degree, known, size)
 
 
 def _pack(coeffs, limb=16):
@@ -158,6 +197,55 @@ def test_no_doubling_step_shifts_past_the_width(monkeypatch):
     assert calls
     for shift, k, width in calls:
         assert shift * max(1, k // 2) < width, (shift, k, width)
+
+
+def test_series_bytes_at_half_width(monkeypatch):
+    # bytes touched by the shift-and-adds of every series, summed over an
+    # expansion, against a grow phase at full degree
+    full_degree = [4_943_557, 19_818_672, 45_428_854, 6_440_005]
+    total = []
+
+    def spy(x, shift, k, mask):
+        total[-1] += _passes(k) * (mask.bit_length() // 8)
+        return _geometric(x, shift, k, mask)
+
+    monkeypatch.setattr(qbinomial, "_geometric", spy)
+    for ell, m in [(63, 64), (89, 90), (110, 110), (12, 1175)]:
+        total.append(0)
+        qbinomial._product_coeffs(ell, m)
+    assert total == [3_808_048, 15_346_312, 35_529_084, 5_650_318]
+    assert all(map(int.__lt__, total, full_degree))
+
+
+def test_gaussian_refuses_an_oversize_box_before_any_work(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("expanded or sized a box above the guard")
+
+    monkeypatch.setattr(qbinomial, "_product_coeffs", unreachable)
+    monkeypatch.setattr(qbinomial, "comb", unreachable)
+    # more limbs than the guard has bytes: refused before comb is called
+    for ell, m in [(5, 10**10), (10**10, 5), (10**40, 10**40), (1, 2 * qbinomial.EXPANSION_GUARD)]:
+        with pytest.raises(ValueError, match="too large"):
+            gaussian(ell, m)
+
+
+def test_expansion_guard_counts_the_packed_bytes(monkeypatch):
+    # (8, 8) packs h+1 = 33 limbs of 2 bytes (comb(16, 8) = 12,870)
+    monkeypatch.setattr(qbinomial, "EXPANSION_GUARD", 66)
+    assert gaussian(8, 8).coeffs == packed_recurrence(8, 8)
+    monkeypatch.setattr(qbinomial, "EXPANSION_GUARD", 65)
+    with pytest.raises(ValueError, match="too large"):
+        gaussian(8, 8)
+    assert gaussian(5, 6).coeffs == packed_recurrence(5, 6)
+
+
+def test_expansion_guard_admits_the_largest_box_in_use(monkeypatch):
+    # `expand --ell 200 --m 200` packs 20,001 limbs of 50 bytes
+    seen = []
+    monkeypatch.setattr(qbinomial, "_product_coeffs", lambda ell, m: seen.append((ell, m)) or (1,))
+    gaussian(200, 200)
+    assert seen == [(200, 200)]
+    assert 20_001 * _limb_bytes(comb(400, 200)) == 1_000_050
 
 
 @pytest.mark.parametrize("nbytes", range(1, 34))
