@@ -30,7 +30,6 @@ from .kronecker import (
 from .lr import lr
 from .partitions import (
     Partition,
-    add,
     format_partition,
     parse_partition,
     partitions_inside,
@@ -62,7 +61,6 @@ __all__ = [
     "UnimodalityReport",
     "VerificationResult",
     "a_k",
-    "add",
     "build_base_registry",
     "certificate_from_obj",
     "certificate_to_obj",

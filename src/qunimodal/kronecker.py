@@ -8,9 +8,11 @@ alpha of size k and beta of size n-k, with a_{-1} = 0.  Since
 s_{lam/alpha} = sum_beta c^lam_{alpha,beta} s_beta, a_k is the sum over
 alpha inside both shapes of the inner product of the skew expansions of
 lam/alpha and mu/alpha: one sparse dot product of the two skew tables
-that ``lr.skew`` enumerates and memoizes per (shape, alpha), with the
-alpha of each intersection and size listed once.  Only two-row third
-arguments are reachable this way.
+that ``lr.skew`` enumerates and memoizes per (shape, alpha).  The
+alphas of each intersection and size are listed once, as part tuples
+from ``partitions.parts_inside`` behind a memo; the route builds no
+``Partition`` object.  Only two-row third arguments are reachable this
+way.
 
 The *character oracle* evaluates
 
@@ -64,7 +66,7 @@ from operator import add, mul, sub
 # benchmark.
 from .lr import lr  # noqa: F401
 from .lr import check_size, skew
-from .partitions import Partition, partitions_inside, partitions_of
+from .partitions import Partition, partitions_of, parts_inside
 from .qbinomial import gaussian  # noqa: F401
 
 # Largest n for which the character oracle will build rows; the full
@@ -199,11 +201,9 @@ def a_k(lam: Partition, mu: Partition, k: int) -> int:
     return total
 
 
-@lru_cache(maxsize=4096)
-def _inside(cap: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
-    """The parts of every partition of k inside ``cap``; memoized, since
-    building the Partition objects anew took half of a warm ``a_k``."""
-    return tuple(alpha.parts for alpha in partitions_inside(Partition(cap), k))
+# a_k meets the same (intersection, k) again and again, so the listing is
+# memoized: on the benchmark's routes ops it saves about a quarter
+_inside = lru_cache(maxsize=4096)(parts_inside)
 
 
 def two_row(n: int, k: int) -> Partition:

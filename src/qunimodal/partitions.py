@@ -2,12 +2,14 @@
 
 A partition is a weakly decreasing tuple of positive parts; trailing
 zeros are stripped on construction so that equal partitions compare and
-hash equal.  Everything else in this package indexes its objects through
-this type; an ell x m box is the rectangular partition ``(m,) * ell``.
+hash equal.  ``Partition`` is the type of the public API; inside the
+package the computations work on plain part tuples, and an ell x m box
+is the cap ``(m,) * ell``.
 
-One enumerator, ``partitions_inside``, lists the partitions of k inside
-a given diagram; ``partitions_of`` applies it to the n x n square,
-memoized per n.
+One enumerator, ``parts_inside``, lists the part tuples of the
+partitions of k inside a given cap.  The public ``partitions_inside``
+and ``partitions_of`` (the n x n square, memoized per n) wrap its
+results as ``Partition`` objects.
 """
 
 from __future__ import annotations
@@ -74,12 +76,6 @@ class Partition:
     def __str__(self) -> str:
         return format_partition(self)
 
-    def padded(self, length: int) -> tuple[int, ...]:
-        """Parts padded with zeros up to ``length`` entries."""
-        if length < len(self.parts):
-            raise ValueError(f"cannot pad {self!r} down to length {length}")
-        return self.parts + (0,) * (length - len(self.parts))
-
     def contains(self, other: "Partition") -> bool:
         """Containment of Young diagrams, part by part."""
         if len(other.parts) > len(self.parts):
@@ -97,30 +93,24 @@ class Partition:
         return Partition(cols)
 
 
-def add(p: Partition, q: Partition) -> Partition:
-    """Part-wise sum of two partitions."""
-    n = max(len(p.parts), len(q.parts))
-    return Partition(a + b for a, b in zip(p.padded(n), q.padded(n)))
-
-
-def partitions_inside(outer: Partition, k: int) -> list[Partition]:
-    """All partitions of ``k`` whose Young diagram lies inside ``outer``.
+def parts_inside(cap: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
+    """The parts of every partition of ``k`` whose Young diagram lies
+    inside the partition with parts ``cap``.
 
     The order is deterministic: lexicographically decreasing on the
-    zero-padded part vectors, so e.g. (2) precedes (1,1).  A branch is
+    zero-padded part vectors, so e.g. (2,) precedes (1, 1).  A branch is
     cut as soon as the rows left cannot hold the cells still to place,
-    either under ``outer`` or with no part above the one just placed.
+    either under ``cap`` or with no part above the one just placed.
     """
     if k < 0:
         raise ValueError(f"cannot partition a negative number: {k}")
-    cap = outer.parts
     room = list(accumulate(reversed(cap), initial=0))[::-1]  # room[i] = sum(cap[i:])
-    out: list[Partition] = []
+    out: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
     def rec(remaining: int, row: int, max_part: int) -> None:
         if remaining == 0:
-            out.append(Partition(prefix))
+            out.append(tuple(prefix))
             return
         if room[row] < remaining:
             return
@@ -133,14 +123,19 @@ def partitions_inside(outer: Partition, k: int) -> list[Partition]:
             prefix.pop()
 
     rec(k, 0, k)
-    return out
+    return tuple(out)
+
+
+def partitions_inside(outer: Partition, k: int) -> list[Partition]:
+    """All partitions of ``k`` inside ``outer``, in the order of :func:`parts_inside`."""
+    return list(map(Partition, parts_inside(outer.parts, k)))
 
 
 @lru_cache(maxsize=64)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of ``n``, lexicographically decreasing; memoized
     per ``n``, which is why the result is an immutable tuple."""
-    return tuple(partitions_inside(Partition((n,) * n), n))
+    return tuple(map(Partition, parts_inside((n,) * n, n)))
 
 
 def parse_partition(text: str) -> Partition:

@@ -53,9 +53,10 @@ over d = 4 gives k = 63, which costs 10 shift-and-adds where the two
 apart cost 9.  The numerators and denominators left over are applied
 one by one.
 
-Unpacking widens limbs of up to 8 bytes to 8 by the same strided copy
-and reads them as unsigned 64-bit words with ``struct``; wider limbs are
-read one by one with ``int.from_bytes``.
+Unpacking reads limbs of 1, 2, 4 or 8 bytes with ``struct`` as
+unsigned words of their own width; a limb of 3 or 5 to 7 bytes is first
+widened to the next of these widths by the same strided copy, and wider
+limbs are read one by one with ``int.from_bytes``.
 
 The independent oracle ``gaussian_by_enumeration`` counts box partitions
 one by one and shares no arithmetic with the packed product formula.
@@ -68,7 +69,7 @@ import struct
 from itertools import repeat
 from math import comb
 
-from .partitions import Partition, partitions_inside
+from .partitions import parts_inside
 
 # gaussian_by_enumeration refuses boxes with more cells than this: the
 # oracle exists for cross-checks, not for production work.
@@ -147,15 +148,20 @@ def _widen(raw: bytes, old: int, new: int, count: int) -> bytearray:
 def _unpack(raw: bytes, nbytes: int, count: int) -> tuple[int, ...]:
     """The ``count`` little-endian limbs of ``nbytes`` bytes in ``raw``, as ints.
 
-    Limbs of up to 8 bytes are widened to 8 and read as unsigned 64-bit
-    words.  Wider limbs are cut one at a time by a lazy iterator: holding
-    all of them as bytes objects at once leaves the small-object heap
-    fragmented, which raises peak memory across expansions.
+    Limbs of up to 8 bytes are widened to the next width of 1, 2, 4 or
+    8 bytes, if they are not that wide already, and read as unsigned
+    words of that width.  Wider limbs are cut one at a time by a lazy
+    iterator: holding all of them as bytes objects at once leaves the
+    small-object heap fragmented, which raises peak memory across
+    expansions.
     """
     if nbytes > 8:
         limbs = map(operator.itemgetter(0), struct.iter_unpack(f"{nbytes}s", raw))
         return tuple(map(int.from_bytes, limbs, repeat("little")))
-    return struct.unpack(f"<{count}Q", _widen(raw, nbytes, 8, count))
+    width = 1 << (nbytes - 1).bit_length()
+    if width != nbytes:
+        raw = _widen(raw, nbytes, width, count)
+    return struct.unpack(f"<{count}{'BHIQ'[width.bit_length() - 1]}", raw)
 
 
 def _repack(x: int, nbytes: int, count: int, bound: int) -> tuple[int, int]:
@@ -309,5 +315,4 @@ def gaussian_by_enumeration(ell: int, m: int) -> QPolynomial:
         raise ValueError(
             f"enumeration oracle is limited to ell*m <= {ENUMERATION_GUARD}: got {ell * m}"
         )
-    box = Partition((m,) * ell)
-    return QPolynomial(tuple(len(partitions_inside(box, k)) for k in range(ell * m + 1)))
+    return QPolynomial(tuple(len(parts_inside((m,) * ell, k)) for k in range(ell * m + 1)))

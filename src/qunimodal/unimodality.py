@@ -50,6 +50,12 @@ EXCEPTION_PAIRS: frozenset[tuple[int, int]] = frozenset(
     {(5, 6), (5, 10), (5, 14), (6, 6), (6, 7), (6, 9), (6, 11), (6, 13), (7, 10)}
 )
 
+# scan refuses a rectangle of more pairs than this, counted before any
+# list or pair set is built.  On a 2-vCPU VM the 196 x 196 rectangle
+# 5..200 x 5..200 takes about 2 s, and a full rectangle of 65,536
+# distinct pairs 7 to 17 s in under 30 MB.
+SCAN_GUARD = 1 << 16
+
 
 class PairClass(enum.Enum):
     Trivial = "Trivial"
@@ -141,14 +147,30 @@ def classify(ell: int, m: int) -> PairClass:
     return PairClass.Strict
 
 
+def _length(span: "range | list[int]") -> int:
+    """len(span) in O(1), also for a range longer than sys.maxsize, where
+    len raises OverflowError."""
+    if isinstance(span, range):
+        return max(0, -((span.start - span.stop) // span.step))
+    return len(span)
+
+
 def scan(
     ell_range: "range | list[int]", m_range: "range | list[int]"
 ) -> list[tuple[int, int, PairClass]]:
     """Classify every pair in the Cartesian product of the two ranges.
 
     Pairs are normalised to ell <= m, deduplicated, and returned sorted,
-    so the output is deterministic regardless of range order.
+    so the output is deterministic regardless of range order.  A
+    rectangle of more than ``SCAN_GUARD`` pairs raises ``ValueError``
+    before any work.
     """
+    rows, cols = _length(ell_range), _length(m_range)
+    if rows * cols > SCAN_GUARD:
+        raise ValueError(
+            f"scan rectangle too large: {rows} x {cols} = {rows * cols} pairs, "
+            f"more than {SCAN_GUARD}"
+        )
     ells = list(ell_range)
     ms = list(m_range)
     if not ells or not ms:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qunimodal import qbinomial
+from qunimodal import qbinomial, unimodality
 from qunimodal.cli import run
 from qunimodal.kronecker import DEFAULT_ORACLE_BOUND
 
@@ -109,6 +109,20 @@ def test_scan_csv(capsys):
         "6,6,Exception",
         "6,7,Exception",
     ]
+
+
+def test_oversize_scan_is_one_line_and_exit_1(monkeypatch, capsys):
+    # refused before any pair is listed or classified
+    def unreachable(ell, m):
+        raise AssertionError("classified a pair of a refused rectangle")
+
+    monkeypatch.setattr(unimodality, "classify", unreachable)
+    for m in ("5..100000", "1..100000000000000000000"):
+        assert run(["scan", "--ell", "5..100000", "--m", m]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: scan rectangle too large: 99996 x ")
 
 
 def test_scan_bad_range(capsys):

@@ -36,14 +36,16 @@ def test_removed_carriers_are_not_exported():
         "SemigroupViolation",
         "routes_check",
         "lemma12_check",
+        "add",
     )
     for name in removed:
         assert name not in qunimodal.__all__
         assert not hasattr(qunimodal, name)
+    assert not hasattr(qunimodal.Partition, "padded")
 
 
 def test_export_count_is_pinned():
-    assert len(qunimodal.__all__) == 36
+    assert len(qunimodal.__all__) == 35
 
 
 def test_cli_option_count_is_pinned():

@@ -2,7 +2,7 @@ import hashlib
 import random
 from array import array
 from functools import lru_cache
-from itertools import cycle
+from itertools import cycle, zip_longest
 from math import factorial
 
 import pytest
@@ -27,7 +27,8 @@ from qunimodal.kronecker import (
     _strip_removals,
     _weighted,
 )
-from qunimodal import add, partitions_inside, repro
+from qunimodal import partitions_inside, repro
+from qunimodal.partitions import parts_inside
 from qunimodal.repro import repro_lemma12, repro_routes
 
 P = Partition
@@ -56,7 +57,7 @@ def _hook_dimension(p: Partition) -> int:
     n = p.size
     if n == 0:
         return 1
-    conj = p.conjugate().padded(p.parts[0])
+    conj = p.conjugate().parts
     hooks = 1
     for r, row in enumerate(p.parts):
         for c in range(row):
@@ -179,8 +180,8 @@ def test_block_built_vectors_match_the_per_class_build():
 
 
 def _semigroup_by_partitions(samples, seed, max_total_size, g):
-    # the sampling loop on Partition objects and add(), as it was before
-    # the library moved to part tuples: same draws, same triples, same order
+    # the sampling loop on Partition objects, as it was before the library
+    # moved to part tuples: same draws, same triples, same order
     rng = random.Random(seed)
     violations = []
     accepted = 0
@@ -198,7 +199,7 @@ def _semigroup_by_partitions(samples, seed, max_total_size, g):
         if g2 == 0:
             continue
         accepted += 1
-        gs = g(*(add(a, b) for a, b in zip(first, second)))
+        gs = g(*(P(map(sum, zip_longest(a, b, fillvalue=0))) for a, b in zip(first, second)))
         if gs <= 0 or gs < max(g1, g2):
             violations.append((first, second, g1, g2, gs))
     return violations
@@ -386,6 +387,15 @@ def test_g_two_row_rejects_bad_k():
         g_two_row(P((2, 2)), P((2, 2)), -1)
     with pytest.raises(ValueError):
         g_two_row(P((2, 1)), P((2, 2)), 1)
+
+
+def test_inside_is_a_memo_over_the_tuple_enumerator():
+    kronecker._inside.cache_clear()
+    assert kronecker._inside.__wrapped__ is parts_inside
+    assert kronecker._inside((3, 2, 1), 3) == parts_inside((3, 2, 1), 3)
+    assert kronecker._inside((3, 2, 1), 3) is kronecker._inside((3, 2, 1), 3)
+    info = kronecker._inside.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (2, 1, 4096)
 
 
 def test_float_k_is_refused_cold_and_warm():

@@ -11,7 +11,7 @@ def _hook_dimension(p: Partition) -> int:
     n = p.size
     if n == 0:
         return 1
-    conj = p.conjugate().padded(p.parts[0])
+    conj = p.conjugate().parts
     hooks = 1
     for r, row in enumerate(p.parts):
         for c in range(row):
@@ -23,7 +23,7 @@ def _hook_dimension(p: Partition) -> int:
 
 def _complement_by_rotation(p: Partition, rows: int, cols: int) -> Partition:
     # take the cell set, rotate the unused cells 180 degrees in the box
-    cells = {(r, c) for r in range(rows) for c in range(p.padded(rows)[r])}
+    cells = {(r, c) for r, row in enumerate(p.parts) for c in range(row)}
     rest = {
         (rows - 1 - r, cols - 1 - c)
         for r in range(rows)

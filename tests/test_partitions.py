@@ -2,12 +2,12 @@ import pytest
 
 from qunimodal import (
     Partition,
-    add,
     format_partition,
     parse_partition,
     partitions_inside,
     partitions_of,
 )
+from qunimodal.partitions import parts_inside
 
 
 def test_constructor_strips_trailing_zeros():
@@ -46,12 +46,6 @@ def test_ordering_is_lexicographic_on_padded_parts():
     ]
 
 
-def test_padded():
-    assert Partition((3, 1)).padded(4) == (3, 1, 0, 0)
-    with pytest.raises(ValueError):
-        Partition((3, 1, 1)).padded(2)
-
-
 def test_contains():
     assert Partition((4, 2)).contains(Partition((3, 2)))
     assert Partition((4, 2)).contains(Partition(()))
@@ -85,11 +79,6 @@ def test_rectangle_and_fits():
     assert box.contains(Partition((4, 2)))
     assert not box.contains(Partition((5,)))
     assert not box.contains(Partition((1, 1, 1, 1)))
-
-
-def test_add_partwise():
-    assert add(Partition((3, 1)), Partition((2, 2, 1))) == Partition((5, 3, 1))
-    assert add(Partition(()), Partition((2,))) == Partition((2,))
 
 
 def test_enumerate_in_box_counts_and_order():
@@ -140,3 +129,19 @@ def test_partitions_inside_is_the_filtered_enumeration():
 def test_partitions_inside_rejects_negative_size():
     with pytest.raises(ValueError):
         partitions_inside(Partition((3, 1)), -1)
+
+
+def test_parts_inside_is_the_filtered_enumeration_on_tuples():
+    # every cap of size <= 7, the empty cap and k = 0 included; the public
+    # enumerator is the tuple one with each result wrapped
+    for size in range(8):
+        for outer in partitions_of(size):
+            for k in range(size + 2):
+                got = parts_inside(outer.parts, k)
+                assert type(got) is tuple and all(type(p) is tuple for p in got)
+                assert got == tuple(p.parts for p in partitions_of(k) if outer.contains(p))
+                assert partitions_inside(outer, k) == [Partition(p) for p in got]
+    assert parts_inside((), 0) == ((),)
+    assert parts_inside((), 1) == ()
+    with pytest.raises(ValueError):
+        parts_inside((3, 1), -1)

@@ -249,7 +249,17 @@ def test_expansion_guard_admits_the_largest_box_in_use(monkeypatch):
 
 
 @pytest.mark.parametrize("nbytes", range(1, 34))
-def test_unpack_matches_from_bytes(nbytes):
+def test_unpack_matches_from_bytes(monkeypatch, nbytes):
+    # limbs of 1, 2, 4 and 8 bytes are read as they are; 3 widens to 4 and
+    # 5 to 7 widen to 8; wider limbs are never widened
+    widened = []
+    widen = qbinomial._widen
+
+    def spy(raw, old, new, count):
+        widened.append(new)
+        return widen(raw, old, new, count)
+
+    monkeypatch.setattr(qbinomial, "_widen", spy)
     rng = random.Random(nbytes)
     limbs = [0, 1, (1 << (8 * nbytes)) - 1] + [rng.getrandbits(8 * nbytes) for _ in range(20)]
     raw = b"".join(v.to_bytes(nbytes, "little") for v in limbs)
@@ -258,6 +268,7 @@ def test_unpack_matches_from_bytes(nbytes):
     )
     assert expected == tuple(limbs)
     assert _unpack(raw, nbytes, len(limbs)) == expected
+    assert widened == {3: [4], 5: [8], 6: [8], 7: [8]}.get(nbytes, [])
 
 
 @pytest.mark.parametrize("ell,m", [(41, 42), (42, 41)])

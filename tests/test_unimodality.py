@@ -10,6 +10,7 @@ from qunimodal import (
     classify,
     gaussian,
     scan,
+    unimodality,
 )
 
 NINE = sorted(
@@ -238,3 +239,46 @@ def test_scan_normalises_and_sorts():
 def test_scan_rejects_empty_range():
     with pytest.raises(ValueError):
         scan(range(5, 5), range(1, 3))
+
+
+def _no_classify(monkeypatch):
+    def unreachable(ell, m):
+        raise AssertionError("classified a pair of a refused rectangle")
+
+    monkeypatch.setattr(unimodality, "classify", unreachable)
+
+
+def test_scan_refuses_an_oversize_rectangle_before_any_work(monkeypatch):
+    _no_classify(monkeypatch)
+    with pytest.raises(ValueError, match=r"99996 x 99996 = 9999200016 pairs, more than 65536"):
+        scan(range(5, 100001), range(5, 100001))
+    # longer than sys.maxsize, where len() itself raises OverflowError
+    with pytest.raises(ValueError, match=r"1 x 100000000000000000000 = "):
+        scan(range(5, 6), range(1, 10**20 + 1))
+
+
+def test_scan_guard_counts_pairs_before_deduplication(monkeypatch):
+    monkeypatch.setattr(unimodality, "SCAN_GUARD", 6)
+    assert len(scan(range(5, 7), range(5, 8))) == 5
+    assert len(scan([5, 6], [5, 6, 7])) == 5
+    _no_classify(monkeypatch)
+    # 9 pairs before deduplication, 6 after: refused
+    for ells, ms in ((range(5, 8), range(5, 8)), ([5, 6, 7], [5, 6, 7])):
+        with pytest.raises(ValueError, match="3 x 3 = 9 pairs, more than 6"):
+            scan(ells, ms)
+
+
+def test_scan_guard_admits_the_largest_scan_in_use(monkeypatch):
+    # 5..200 x 5..200, 196 x 196 = 38,416 pairs and 19,306 after
+    # deduplication, with every pair classified as Strict
+    monkeypatch.setattr(unimodality, "classify", lambda ell, m: PairClass.Strict)
+    assert len(scan(range(5, 201), range(5, 201))) == 19_306
+
+
+def test_scan_length_matches_len_on_ranges():
+    for start in range(-4, 5):
+        for stop in range(-4, 5):
+            for step in (1, 2, 3, -1, -2, -3):
+                r = range(start, stop, step)
+                assert unimodality._length(r) == len(r), r
+    assert unimodality._length([3, 1, 2]) == 3
