@@ -10,7 +10,11 @@ with the defaults that signature holds.
 
 ``--format json`` wraps every result in a stable envelope
 {"command", "params", "result", "version"}; values that can be large
-(coefficients, counts) are serialized as decimal strings.
+(coefficients, counts) are serialized as decimal strings.  Each
+subcommand body returns ``(params, result, text)`` and prints nothing;
+``run`` alone prints: the envelope under ``--format json``, else each
+line of ``text`` (plain, or csv for ``expand`` and ``scan``, which
+``expand`` streams; ``certify`` has no ``--format``).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable
 
 from . import __version__
 from .certify import (
@@ -79,15 +84,15 @@ def _envelope(command: str, params: dict, result) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _print_report(rep: UnimodalityReport) -> None:
-    print(f"ell={rep.ell} m={rep.m} n={rep.n}")
-    print(f"strict: {'true' if rep.strict else 'false'}")
+def _report_lines(rep: UnimodalityReport) -> list[str]:
     fv = rep.first_violation
-    print(f"first_violation: {fv if fv is not None else 'none'}")
-    if rep.plateaus:
-        print("plateaus: " + " ".join(f"[{a},{b}]" for a, b in rep.plateaus))
-    else:
-        print("plateaus: none")
+    plateaus = " ".join(f"[{a},{b}]" for a, b in rep.plateaus)
+    return [
+        f"ell={rep.ell} m={rep.m} n={rep.n}",
+        f"strict: {'true' if rep.strict else 'false'}",
+        f"first_violation: {fv if fv is not None else 'none'}",
+        f"plateaus: {plateaus or 'none'}",
+    ]
 
 
 def _build_parser() -> _Parser:
@@ -142,64 +147,50 @@ def _build_parser() -> _Parser:
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# subcommand bodies: each returns the envelope's params and result and the
+# lines printed without --format json, and prints nothing
+
+_Output = tuple[dict | None, object, Iterable]
 
 
-def _run_expand(args) -> int:
-    poly = gaussian(args.ell, args.m)
-    if args.format == "plain":
-        for c in poly.coeffs:
-            print(c)
-    elif args.format == "csv":
-        for k, c in enumerate(poly.coeffs):
-            print(f"{k},{c}")
-    else:
-        result = {"ell": args.ell, "m": args.m, "coeffs": [str(c) for c in poly.coeffs]}
-        print(_envelope("expand", {"ell": args.ell, "m": args.m}, result))
-    return 0
-
-
-def _run_check(args) -> int:
-    rep = check_strict(args.ell, args.m)
-    if args.format == "plain":
-        _print_report(rep)
-    else:
-        print(_envelope("check", {"ell": args.ell, "m": args.m}, dataclasses.asdict(rep)))
-    return 0
-
-
-def _run_scan(args) -> int:
-    rows = scan(_parse_span(args.ell), _parse_span(args.m))
+def _run_expand(args) -> _Output:
+    coeffs = gaussian(args.ell, args.m).coeffs
+    params = {"ell": args.ell, "m": args.m}
+    if args.format == "json":
+        return params, {**params, "coeffs": [str(c) for c in coeffs]}, ()
     if args.format == "csv":
-        for l, m, cls in rows:
-            print(f"{l},{m},{cls.value}")
-    else:
-        result = [{"ell": l, "m": m, "class": cls.value} for l, m, cls in rows]
-        params = {"ell": args.ell, "m": args.m}
-        print(_envelope("scan", params, result))
-    return 0
+        return params, None, (f"{k},{c}" for k, c in enumerate(coeffs))
+    return params, None, coeffs
 
 
-def _run_lr(args) -> int:
+def _run_check(args) -> _Output:
+    rep = check_strict(args.ell, args.m)
+    return {"ell": args.ell, "m": args.m}, dataclasses.asdict(rep), _report_lines(rep)
+
+
+def _run_scan(args) -> _Output:
+    rows = scan(_parse_span(args.ell), _parse_span(args.m))
+    result = [{"ell": l, "m": m, "class": cls.value} for l, m, cls in rows]
+    text = (f"{l},{m},{cls.value}" for l, m, cls in rows)
+    return {"ell": args.ell, "m": args.m}, result, text
+
+
+def _run_lr(args) -> _Output:
     outer = parse_partition(args.outer)
     left = parse_partition(args.left)
     right = parse_partition(args.right)
     value = lr(outer, left, right)
-    if args.format == "plain":
-        print(value)
-    else:
-        result = {
-            "outer": format_partition(outer),
-            "left": format_partition(left),
-            "right": format_partition(right),
-            "coefficient": str(value),
-        }
-        params = {"outer": args.outer, "left": args.left, "right": args.right}
-        print(_envelope("lr", params, result))
-    return 0
+    result = {
+        "outer": format_partition(outer),
+        "left": format_partition(left),
+        "right": format_partition(right),
+        "coefficient": str(value),
+    }
+    params = {"outer": args.outer, "left": args.left, "right": args.right}
+    return params, result, [value]
 
 
-def _run_kron(args) -> int:
+def _run_kron(args) -> _Output:
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     if (args.k is None) == (args.nu is None):
@@ -212,29 +203,24 @@ def _run_kron(args) -> int:
         nu = two_row(lam.size, args.k)
         value = g_two_row(lam, mu, args.k)
         route = "TwoRowFormula"
-    if args.format == "plain":
-        print(value)
-    else:
-        result = {
-            "lambda": format_partition(lam),
-            "mu": format_partition(mu),
-            "nu": format_partition(nu),
-            "value": str(value),
-            "route": route,
-        }
-        if args.k is not None:
-            result["k"] = args.k
-        params = {"lambda": args.lam, "mu": args.mu, "k": args.k, "nu": args.nu}
-        print(_envelope("kron", params, result))
-    return 0
+    result = {
+        "lambda": format_partition(lam),
+        "mu": format_partition(mu),
+        "nu": format_partition(nu),
+        "value": str(value),
+        "route": route,
+    }
+    if args.k is not None:
+        result["k"] = args.k
+    params = {"lambda": args.lam, "mu": args.mu, "k": args.k, "nu": args.nu}
+    return params, result, [value]
 
 
-def _run_certify(args) -> int:
+def _run_certify(args) -> _Output:
     try:
         cert = certify(args.ell, args.m)
     except NotCertifiableError as err:
-        print(f"REFUSED ({err.reason}): {err}")
-        return 0
+        return None, None, [f"REFUSED ({err.reason}): {err}"]
     text = serialize_certificate(cert)
     if args.out:
         try:
@@ -242,50 +228,42 @@ def _run_certify(args) -> int:
                 fh.write(text + "\n")
         except OSError as err:
             raise _UsageError(f"cannot write {args.out}: {err}") from None
-        print(f"wrote certificate for ({args.ell},{args.m}) to {args.out}")
-    else:
-        print(text)
-    return 0
+        text = f"wrote certificate for ({args.ell},{args.m}) to {args.out}"
+    return None, None, [text]
 
 
-def _run_verify(args) -> int:
+def _run_verify(args) -> _Output:
     try:
         with open(args.infile, "rb") as fh:
             # one byte over the bound is enough for parse to reject it
-            text = fh.read(MAX_BYTES + 1)
+            data = fh.read(MAX_BYTES + 1)
     except OSError as err:
         raise _UsageError(f"cannot read {args.infile}: {err}") from None
+    params = {"in": args.infile}
     try:
-        cert = parse_certificate(text)
+        cert = parse_certificate(data)
     except CertificateFormatError as err:
-        if args.format == "plain":
-            print(f"REJECTED: malformed certificate ({err})")
-        else:
-            result = {"accepted": False, "reason": str(err), "path": err.path}
-            print(_envelope("verify", {"in": args.infile}, result))
-        return 0
+        result = {"accepted": False, "reason": str(err), "path": err.path}
+        return params, result, [f"REJECTED: malformed certificate ({err})"]
     outcome = verify(cert)
-    if args.format == "plain":
-        if outcome.ok:
-            print(f"ACCEPTED: ({outcome.ell},{outcome.m}) is strictly unimodal per certificate")
-        else:
-            print(f"REJECTED at {outcome.path}: {outcome.reason}")
+    result = {
+        "accepted": outcome.ok,
+        "ell": outcome.ell,
+        "m": outcome.m,
+        "reason": outcome.reason,
+        "path": outcome.path,
+    }
+    if outcome.ok:
+        line = f"ACCEPTED: ({outcome.ell},{outcome.m}) is strictly unimodal per certificate"
     else:
-        result = {
-            "accepted": outcome.ok,
-            "ell": outcome.ell,
-            "m": outcome.m,
-            "reason": outcome.reason,
-            "path": outcome.path,
-        }
-        print(_envelope("verify", {"in": args.infile}, result))
-    return 0
+        line = f"REJECTED at {outcome.path}: {outcome.reason}"
+    return params, result, [line]
 
 
 _CLAIM_FLAGS = {"max_n": "--max-n", "samples": "--samples", "seed": "--seed"}
 
 
-def _run_repro(args) -> int:
+def _run_repro(args) -> _Output:
     claim = CLAIMS[args.claim]
     signature = inspect.signature(claim)
     given = {name: value for name in _CLAIM_FLAGS if (value := getattr(args, name)) is not None}
@@ -299,15 +277,9 @@ def _run_repro(args) -> int:
     bound = signature.bind(**given)
     bound.apply_defaults()
     ok, lines = claim(**bound.arguments)
-    if args.format == "json":
-        params = {"claim": args.claim, **bound.arguments}
-        print(_envelope("repro", params, {"pass": ok, "detail": lines}))
-        return 0
-    print(f"claim: {args.claim}")
-    for line in lines:
-        print(line)
-    print("PASS" if ok else "FAIL")
-    return 0
+    params = {"claim": args.claim, **bound.arguments}
+    text = [f"claim: {args.claim}", *lines, "PASS" if ok else "FAIL"]
+    return params, {"pass": ok, "detail": lines}, text
 
 
 _DISPATCH = {
@@ -327,7 +299,13 @@ def run(argv: "list[str] | None" = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        params, result, text = _DISPATCH[args.command](args)
+        if getattr(args, "format", None) == "json":  # certify has no --format
+            print(_envelope(args.command, params, result))
+        else:
+            for line in text:
+                print(line)
+        return 0
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

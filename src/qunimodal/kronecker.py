@@ -74,6 +74,10 @@ from .qbinomial import gaussian  # noqa: F401
 # stays at or below it.
 DEFAULT_ORACLE_BOUND = 18
 
+# semigroup_check refuses more samples than this before drawing any; on a
+# 2-vCPU VM 10,000 samples at total size 18 take about 1.8 s.
+MAX_SAMPLES = 10_000
+
 
 class InternalConsistencyError(RuntimeError):
     """A mathematically guaranteed invariant failed inside a computation.
@@ -238,13 +242,14 @@ def semigroup_check(
     A sample is a pair of triples (lam, mu, nu) and (alpha, beta, gamma)
     with g > 0 for both and combined size at most ``max_total_size``,
     which the character oracle bounds by ``DEFAULT_ORACLE_BOUND``.
+    More than ``MAX_SAMPLES`` samples raise ValueError before any is drawn.
     For each, g(lam+alpha, mu+beta, nu+gamma) must be at least
     max(g1, g2), in particular positive.  Returns the violations as
     (first, second, g_first, g_second, g_sum); expected empty.
     """
     samples, max_total_size = operator.index(samples), operator.index(max_total_size)
-    if samples < 0:
-        raise ValueError(f"need samples >= 0: got {samples}")
+    if not 0 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"need 0 <= samples <= {MAX_SAMPLES}: got {samples}")
     if not 2 <= max_total_size <= DEFAULT_ORACLE_BOUND:
         raise ValueError(
             f"need 2 <= max_total_size <= {DEFAULT_ORACLE_BOUND}: got {max_total_size}"

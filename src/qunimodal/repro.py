@@ -22,11 +22,17 @@ def _pairs(pairs) -> str:
     return " ".join(f"({a},{b})" for a, b in pairs)
 
 
-def _check_oracle_bound(max_n: int) -> None:
-    if max_n > DEFAULT_ORACLE_BOUND:
-        raise ValueError(
-            f"character oracle limited to n <= {DEFAULT_ORACLE_BOUND}: got max_n={max_n}"
-        )
+# The largest max_n each sweep admits; a larger one raises ValueError
+# before any work.  On a 2-vCPU VM the largest admitted run of ell2 and
+# ell34 takes about 0.3 s, of certify-sweep about 1.5 s (100 took 18 s).
+ELL2_MAX_N = 1000
+ELL34_MAX_N = 400
+CERTIFY_SWEEP_MAX_N = 60
+
+
+def _check_max_n(max_n: int, bound: int, what: str) -> None:
+    if max_n > bound:
+        raise ValueError(f"{what} limited to n <= {bound}: got max_n={max_n}")
 
 
 def repro_exceptions() -> tuple[bool, list[str]]:
@@ -77,7 +83,9 @@ def repro_exceptions() -> tuple[bool, list[str]]:
 
 
 def repro_ell2(max_n: int = 50) -> tuple[bool, list[str]]:
-    """p_{2i}(2, m) = p_{2i+1}(2, m) for all i < 2m/4, for every m <= max_n."""
+    """p_{2i}(2, m) = p_{2i+1}(2, m) for all i < 2m/4, for every m <= max_n
+    <= ``ELL2_MAX_N``."""
+    _check_max_n(max_n, ELL2_MAX_N, "ell2 claim")
     bad: list[str] = []
     for m in range(1, max_n + 1):
         poly = gaussian(2, m)
@@ -93,7 +101,8 @@ def repro_ell2(max_n: int = 50) -> tuple[bool, list[str]]:
 
 def repro_ell34(max_n: int = 30) -> tuple[bool, list[str]]:
     """ell in {3, 4} is never strict, with a plateau beyond the forced
-    middle, for every 3 <= m <= max_n."""
+    middle, for every 3 <= m <= max_n <= ``ELL34_MAX_N``."""
+    _check_max_n(max_n, ELL34_MAX_N, "ell34 claim")
     bad: list[str] = []
     for ell in (3, 4):
         for m in range(3, max_n + 1):
@@ -115,7 +124,7 @@ def repro_lemma12(max_n: int = 16) -> tuple[bool, list[str]]:
     A ``max_n`` above ``DEFAULT_ORACLE_BOUND`` raises ValueError before
     any box is computed.
     """
-    _check_oracle_bound(max_n)
+    _check_max_n(max_n, DEFAULT_ORACLE_BOUND, "character oracle")
     bad: list[str] = []
     boxes = 0
     for ell in range(1, max_n + 1):
@@ -144,7 +153,7 @@ def repro_routes(max_n: int = 10) -> tuple[bool, list[str]]:
     A ``max_n`` above ``DEFAULT_ORACLE_BOUND`` raises ValueError before
     any pair is compared.
     """
-    _check_oracle_bound(max_n)
+    _check_max_n(max_n, DEFAULT_ORACLE_BOUND, "character oracle")
     mismatches = []
     for n in range(1, max_n + 1):
         shapes = partitions_of(n)
@@ -166,7 +175,7 @@ def repro_semigroup(
 ) -> tuple[bool, list[str]]:
     """Positivity and monotonicity of g under part-wise sums, sampled from
     pairs of triples whose total size n is at most max_n, where
-    2 <= max_n <= ``DEFAULT_ORACLE_BOUND``."""
+    2 <= max_n <= ``DEFAULT_ORACLE_BOUND`` and samples <= ``kronecker.MAX_SAMPLES``."""
     if not 2 <= max_n <= DEFAULT_ORACLE_BOUND:
         raise ValueError(f"need 2 <= max_n <= {DEFAULT_ORACLE_BOUND}: got max_n={max_n}")
     violations = semigroup_check(samples=samples, seed=seed, max_total_size=max_n)
@@ -177,7 +186,9 @@ def repro_semigroup(
 
 
 def repro_certify_sweep(max_n: int = 40) -> tuple[bool, list[str]]:
-    """Certificates and direct checks agree on every 5 <= ell <= m <= max_n."""
+    """Certificates and direct checks agree on every 5 <= ell <= m <= max_n
+    <= ``CERTIFY_SWEEP_MAX_N``."""
+    _check_max_n(max_n, CERTIFY_SWEEP_MAX_N, "certify-sweep claim")
     bad: list[str] = []
     certified = 0
     refused = 0

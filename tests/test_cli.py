@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import os
 import re
@@ -196,8 +197,15 @@ def test_kron_two_row_bad_k_is_usage_error(capsys):
     assert captured.err == "error: need 0 <= k <= n/2 = 2.0: got k=3\n"
 
 
-# (argv, stdout) pairs; the envelopes are pinned byte for byte, params
-# included, so both kron routes and lr keep their exact output.
+# (argv, stdout) pairs for every subcommand and format; each runs in an
+# empty directory holding GOLDEN_FILES, exits 0 and writes nothing to
+# stderr.  The envelopes are pinned byte for byte, params included.
+GOLDEN_FILES = {
+    "accepted.json": '{"conclusion":{"ell":8,"m":24},"nodes":[{"base":[8,8]},{"add":[8,0,0],"even":"ell","geq3":"m1"},{"add":[8,0,1],"even":"ell","geq3":"m1"}],"version":2}\n',
+    # (5,25) = (5,19) + (5,6): the second leaf is not strict
+    "rejected.json": '{"conclusion":{"ell":5,"m":25},"nodes":[{"base":[5,19]},{"base":[5,6]},{"add":[5,0,1],"even":"m2","geq3":"ell"}],"version":2}\n',
+    "malformed.json": '{"conclusion":{"ell":8,"m":24},"nodes":[{"base":[8,8]}],"version":3}\n',
+}
 GOLDEN = [
     (["lr", "--outer", "[4,2]", "--left", "[2,1]", "--right", "[2,1]"],
      '1\n'),
@@ -219,13 +227,57 @@ GOLDEN = [
      '{"command":"kron","params":{"k":null,"lambda":"[3,2,1]","mu":"[3,2,1]","nu":"[3,2,1]"},"result":{"lambda":"[3,2,1]","mu":"[3,2,1]","nu":"[3,2,1]","route":"CharacterOracle","value":"5"},"version":"0.1.0"}\n'),
     (["kron", "--lambda", "[3,1]", "--mu", "[2,1,1]", "--nu", "[ 2,2 ]", "--format", "json"],
      '{"command":"kron","params":{"k":null,"lambda":"[3,1]","mu":"[2,1,1]","nu":"[ 2,2 ]"},"result":{"lambda":"[3,1]","mu":"[2,1,1]","nu":"[2,2]","route":"CharacterOracle","value":"1"},"version":"0.1.0"}\n'),
+    (["expand", "--ell", "2", "--m", "3"],
+     '1\n1\n2\n2\n2\n1\n1\n'),
+    (["expand", "--ell", "2", "--m", "3", "--format", "csv"],
+     '0,1\n1,1\n2,2\n3,2\n4,2\n5,1\n6,1\n'),
+    (["expand", "--ell", "2", "--m", "3", "--format", "json"],
+     '{"command":"expand","params":{"ell":2,"m":3},"result":{"coeffs":["1","1","2","2","2","1","1"],"ell":2,"m":3},"version":"0.1.0"}\n'),
+    (["check", "--ell", "5", "--m", "7"],
+     'ell=5 m=7 n=35\nstrict: true\nfirst_violation: none\nplateaus: [17,18]\n'),
+    (["check", "--ell", "5", "--m", "7", "--format", "json"],
+     '{"command":"check","params":{"ell":5,"m":7},"result":{"ell":5,"first_violation":null,"m":7,"n":35,"plateaus":[[17,18]],"strict":true},"version":"0.1.0"}\n'),
+    (["check", "--ell", "6", "--m", "7"],
+     'ell=6 m=7 n=42\nstrict: false\nfirst_violation: 21\nplateaus: [20,22]\n'),
+    (["check", "--ell", "6", "--m", "7", "--format", "json"],
+     '{"command":"check","params":{"ell":6,"m":7},"result":{"ell":6,"first_violation":21,"m":7,"n":42,"plateaus":[[20,22]],"strict":false},"version":"0.1.0"}\n'),
+    (["scan", "--ell", "5..6", "--m", "5..7"],
+     '5,5,Strict\n5,6,Exception\n5,7,Strict\n6,6,Exception\n6,7,Exception\n'),
+    (["scan", "--ell", "5..6", "--m", "5..7", "--format", "json"],
+     '{"command":"scan","params":{"ell":"5..6","m":"5..7"},"result":[{"class":"Strict","ell":5,"m":5},{"class":"Exception","ell":5,"m":6},{"class":"Strict","ell":5,"m":7},{"class":"Exception","ell":6,"m":6},{"class":"Exception","ell":6,"m":7}],"version":"0.1.0"}\n'),
+    (["certify", "--ell", "8", "--m", "24"],
+     GOLDEN_FILES["accepted.json"]),
+    (["certify", "--ell", "6", "--m", "6"],
+     'REFUSED (exception): (6,6) is one of the nine non-strict pairs\n'),
+    (["certify", "--ell", "8", "--m", "24", "--out", "cert.json"],
+     'wrote certificate for (8,24) to cert.json\n'),
+    (["verify", "--in", "accepted.json"],
+     'ACCEPTED: (8,24) is strictly unimodal per certificate\n'),
+    (["verify", "--in", "accepted.json", "--format", "json"],
+     '{"command":"verify","params":{"in":"accepted.json"},"result":{"accepted":true,"ell":8,"m":24,"path":null,"reason":null},"version":"0.1.0"}\n'),
+    (["verify", "--in", "rejected.json"],
+     'REJECTED at $.nodes[1]: base pair (5,6) is not strictly unimodal\n'),
+    (["verify", "--in", "rejected.json", "--format", "json"],
+     '{"command":"verify","params":{"in":"rejected.json"},"result":{"accepted":false,"ell":null,"m":null,"path":"$.nodes[1]","reason":"base pair (5,6) is not strictly unimodal"},"version":"0.1.0"}\n'),
+    (["verify", "--in", "malformed.json"],
+     'REJECTED: malformed certificate ($.version: expected 2)\n'),
+    (["verify", "--in", "malformed.json", "--format", "json"],
+     '{"command":"verify","params":{"in":"malformed.json"},"result":{"accepted":false,"path":"$.version","reason":"$.version: expected 2"},"version":"0.1.0"}\n'),
+    (["repro", "--claim", "ell34", "--max-n", "5"],
+     'claim: ell34\nchecked ell in {3,4}, m=3..5 for non-strictness with a witness plateau\nPASS\n'),
+    (["repro", "--claim", "ell2", "--max-n", "4", "--format", "json"],
+     '{"command":"repro","params":{"claim":"ell2","max_n":4},"result":{"detail":["checked even/odd coefficient pairing for ell=2, m=1..4"],"pass":true},"version":"0.1.0"}\n'),
 ]
 
 
 @pytest.mark.parametrize("argv,expected", GOLDEN)
-def test_lr_and_kron_output_is_byte_stable(argv, expected, capsys):
+def test_lr_and_kron_output_is_byte_stable(argv, expected, tmp_path, monkeypatch, capsys):
+    # every subcommand is pinned here, not only lr and kron
+    monkeypatch.chdir(tmp_path)
+    for name, content in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(content)
     assert run(argv) == 0
-    assert capsys.readouterr().out == expected
+    assert capsys.readouterr() == (expected, "")
 
 
 def test_repro_lemma12_with_max_n(capsys):
@@ -314,6 +366,41 @@ def test_repro_semigroup_reports_max_n_out_of_range(max_n, capsys):
     assert captured.err == (
         f"error: need 2 <= max_n <= {DEFAULT_ORACLE_BOUND}: got max_n={max_n}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "claim,flag,layer,expected",
+    [
+        ("ell2", "--max-n", "repro.gaussian", "ell2 claim limited to n <= 1000: got max_n="),
+        ("ell34", "--max-n", "repro.check_strict", "ell34 claim limited to n <= 400: got max_n="),
+        ("certify-sweep", "--max-n", "repro.check_strict",
+         "certify-sweep claim limited to n <= 60: got max_n="),
+        ("semigroup", "--samples", "kronecker._g", "need 0 <= samples <= 10000: got "),
+    ],
+)
+def test_repro_oversize_claim_is_one_line_and_exit_1(
+    claim, flag, layer, expected, monkeypatch, capsys
+):
+    # refused before any work: the claim's first computation is never reached
+    monkeypatch.setattr(f"qunimodal.{layer}", lambda *args: pytest.fail("worked before refusing"))
+    assert run(["repro", "--claim", claim, flag, "100000000000000"]) == 1
+    assert capsys.readouterr() == ("", f"error: {expected}100000000000000\n")
+
+
+def test_repro_bounds_admit_the_defaults_and_refuse_one_above(monkeypatch, capsys):
+    from qunimodal import repro
+
+    for name, bound in [
+        ("repro_ell2", repro.ELL2_MAX_N),
+        ("repro_ell34", repro.ELL34_MAX_N),
+        ("repro_certify_sweep", repro.CERTIFY_SWEEP_MAX_N),
+    ]:
+        assert inspect.signature(getattr(repro, name)).parameters["max_n"].default <= bound
+    monkeypatch.setattr(repro, "ELL2_MAX_N", 3)
+    assert run(["repro", "--claim", "ell2", "--max-n", "3"]) == 0
+    assert capsys.readouterr().out.endswith("PASS\n")
+    assert run(["repro", "--claim", "ell2", "--max-n", "4"]) == 1
+    assert capsys.readouterr().err == "error: ell2 claim limited to n <= 3: got max_n=4\n"
 
 
 def test_repro_refused_flag_names_the_accepted_ones(capsys):

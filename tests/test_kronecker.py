@@ -22,6 +22,7 @@ from qunimodal import (
 from qunimodal import kronecker
 from qunimodal.kronecker import (
     DEFAULT_ORACLE_BOUND,
+    MAX_SAMPLES,
     _char,
     _class_sizes,
     _strip_removals,
@@ -470,6 +471,20 @@ def test_semigroup_sampler_keeps_to_the_oracle_bound(size, monkeypatch):
         monkeypatch.setattr(kronecker, name, lambda *triple: pytest.fail("sampled"))
     with pytest.raises(ValueError, match=rf"max_total_size <= {DEFAULT_ORACLE_BOUND}: got {size}$"):
         semigroup_check(samples=5, seed=0, max_total_size=size)
+
+
+def test_semigroup_sampler_refuses_more_than_max_samples(monkeypatch):
+    # refused before any sample is drawn
+    with monkeypatch.context() as patch:
+        patch.setattr(kronecker, "_g", lambda *triple: pytest.fail("sampled"))
+        too_many = MAX_SAMPLES + 1
+        with pytest.raises(ValueError, match=rf"^need 0 <= samples <= {MAX_SAMPLES}: got {too_many}$"):
+            semigroup_check(samples=too_many, seed=0, max_total_size=10)
+    # the bound itself is admitted
+    monkeypatch.setattr(kronecker, "MAX_SAMPLES", 2)
+    assert semigroup_check(samples=2, seed=0, max_total_size=10) == []
+    with pytest.raises(ValueError, match=r"^need 0 <= samples <= 2: got 3$"):
+        semigroup_check(samples=3, seed=0, max_total_size=10)
 
 
 def test_semigroup_sampler_refuses_non_integer_sizes(monkeypatch):
