@@ -96,7 +96,14 @@ def _report_lines(rep: UnimodalityReport) -> list[str]:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="qunimodal", description=__doc__)
+    parser = _Parser(
+        prog="qunimodal",
+        description="Strict unimodality of Gaussian binomial coefficients, with "
+        "Littlewood-Richardson and Kronecker coefficients and additivity "
+        "certificates.  Exit status: 0 a computed answer, a negative one such as "
+        '"not strict" or REJECTED included; 1 a usage error or a reader that '
+        "closed stdout early; 2 an internal failure.",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", help="coefficient vector of binom(m+ell, m)_q")

@@ -20,23 +20,24 @@ The *character oracle* evaluates
 
 with irreducible characters computed by the border strip recursion
 (remove a strip whose size is the largest remaining cycle length, with
-sign (-1)^(height-1), and recurse).  Strips are located through beta
-numbers: first-column hook lengths b_i = lam_i + (L-1-i); removing a
-strip of size t replaces some b_i by b_i - t, and the sign counts the
-beta numbers crossed on the way down.  Characters are memoized once
-per shape, as the vector of chi^shape on every class of S_n, aligned
-with ``partitions_of(n)``.  There the classes with first part t form
-one block, and their remainders, rho minus its first part, are in the
-same order the tail of ``partitions_of(n - t)`` with no part above t.
-So the block is the signed sum of that slice of each smaller shape's
-vector, one per strip of size t, or zeros when there is none.  Class
-sizes come from the centralizer order formula
+sign (-1)^(height-1), and recurse).  Strips are located on the abacus
+of beta numbers, the first-column hook lengths b_i = lam_i + (L-1-i),
+computed once per shape: removing a strip of size t moves one bead b
+to a free place b - t >= 0, the sign is the parity of the beads it
+passes, and the smaller shape is read off the moved beads.  Characters
+are memoized once per shape, as the vector of chi^shape on every class
+of S_n, aligned with ``partitions_of(n)``.  There the classes with
+first part t form one block, and their remainders, rho minus its first
+part, are in the same order the tail of ``partitions_of(n - t)`` with
+no part above t.  So the block is the signed sum of that slice of each
+smaller shape's vector, one per strip of size t, or zeros when there is
+none.  Class sizes come from the centralizer order formula
 |C_rho| = n! / prod(i^{m_i} m_i!) and are computed once per n in the
-same order.  Each shape also memoizes its weighted vector
-|C_rho| chi^shape(rho), so ``g_oracle`` is one dot product of three
-vectors.  Both memos hold 64-bit arrays (``array('q')``):
-at n <= 18 the largest |chi| has 24 bits and the largest weighted value
-49, and a value that does not fit raises ``OverflowError``, never wraps.
+same order, so ``g_oracle`` is one dot product of the class sizes with
+the product of three character vectors, summed in Python ints.  The
+character memo is the oracle's only per-shape memo; it holds 64-bit
+arrays (``array('q')``): at n <= 18 the largest |chi| has 24 bits, and
+a value that does not fit raises ``OverflowError``, never wraps.
 
 The oracle refuses n above ``DEFAULT_ORACLE_BOUND`` (18).  For
 rectangles the two routes are tied together by exact identities:
@@ -54,6 +55,7 @@ from __future__ import annotations
 import operator
 import random
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from itertools import repeat, zip_longest
@@ -88,47 +90,30 @@ class InternalConsistencyError(RuntimeError):
     """
 
 
-def _strip_removals(shape: tuple[int, ...], t: int) -> list[tuple[tuple[int, ...], int]]:
-    """All ways to remove a border strip of size t: (smaller shape, sign)."""
-    length = len(shape)
-    if length == 0:
-        return []
-    beta = [shape[i] + (length - 1 - i) for i in range(length)]
-    bset = set(beta)
-    out = []
-    for b in beta:
-        nb = b - t
-        if nb < 0 or nb in bset:
-            continue
-        crossed = sum(1 for x in beta if nb < x < b)
-        nbeta = sorted([x for x in beta if x != b] + [nb], reverse=True)
-        smaller = []
-        for i, x in enumerate(nbeta):
-            part = x - (length - 1 - i)
-            if part:
-                smaller.append(part)
-        out.append((tuple(smaller), -1 if crossed % 2 else 1))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _char(shape: tuple[int, ...]) -> array:
     """chi^shape on every class of S_n, aligned with ``partitions_of(n)``."""
     if not shape:
         return array("q", (1,))
+    length = len(shape)
+    # beta numbers in ascending order, the beads of the shape's abacus
+    beads = [part + i for i, part in enumerate(reversed(shape))]
+    places = range(length - 1, -1, -1)
     values = array("q")
     for t, start, stop in _class_blocks(sum(shape)):
         block = repeat(0, stop - start)
-        for smaller, sign in _strip_removals(shape, t):
-            block = map(add if sign > 0 else sub, block, _char(smaller)[start:stop])
+        # a strip of size t: bead i moves down to a free place c, past
+        # the beads j..i-1, and the sign is the parity of their count
+        for i in range(bisect_left(beads, t), length):
+            c = beads[i] - t
+            j = bisect_left(beads, c)
+            if beads[j] == c:
+                continue
+            moved = beads[:j] + [c] + beads[j:i] + beads[i + 1 :]
+            smaller = tuple(filter(None, map(sub, reversed(moved), places)))
+            block = map(sub if (i - j) % 2 else add, block, _char(smaller)[start:stop])
         values.extend(block)
     return values
-
-
-@lru_cache(maxsize=None)
-def _weighted(shape: tuple[int, ...]) -> array:
-    """|C_rho| chi^shape(rho) on every class of S_n, in the same order."""
-    return array("q", map(mul, _class_sizes(sum(shape)), _char(shape)))
 
 
 @lru_cache(maxsize=64)
@@ -174,7 +159,8 @@ def _g(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
     """The character sum on the parts of three partitions of one n no
     larger than the oracle bound; the callers check both."""
     n = sum(lam)
-    total = sum(map(mul, _weighted(lam), map(mul, _char(mu), _char(nu))))
+    chis = map(mul, _char(lam), map(mul, _char(mu), _char(nu)))
+    total = sum(map(mul, _class_sizes(n), chis))
     value, rem = divmod(total, factorial(n))
     if rem or value < 0:
         lam, mu, nu = map(Partition, (lam, mu, nu))

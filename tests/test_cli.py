@@ -612,6 +612,15 @@ def test_help_exits_zero(capsys):
     assert "expand" in capsys.readouterr().out
 
 
+def test_help_states_the_exit_codes_and_no_implementation_notes(capsys):
+    assert run(["--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for code in ("0 a computed answer", "1 a usage error", "2 an internal failure"):
+        assert code in out
+    assert "``" not in out
+    assert "(params, result, text)" not in out
+
+
 def _readme_cli_lines() -> list[list[str]]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"\n## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)

@@ -20,19 +20,43 @@ from qunimodal import (
     two_row,
 )
 from qunimodal import kronecker
+from qunimodal.cli import run
 from qunimodal.kronecker import (
     DEFAULT_ORACLE_BOUND,
     MAX_SAMPLES,
     _char,
     _class_sizes,
-    _strip_removals,
-    _weighted,
 )
 from qunimodal import partitions_inside, repro
 from qunimodal.partitions import parts_inside
 from qunimodal.repro import repro_lemma12, repro_routes
 
 P = Partition
+
+
+def _strip_removals(shape: tuple[int, ...], t: int) -> list[tuple[tuple[int, ...], int]]:
+    # every way to remove a border strip of size t, as (smaller shape, sign):
+    # the border strip reference for _char_at and _char_by_class, sharing no
+    # strip code with the library's abacus
+    length = len(shape)
+    if length == 0:
+        return []
+    beta = [shape[i] + (length - 1 - i) for i in range(length)]
+    bset = set(beta)
+    out = []
+    for b in beta:
+        nb = b - t
+        if nb < 0 or nb in bset:
+            continue
+        crossed = sum(1 for x in beta if nb < x < b)
+        nbeta = sorted([x for x in beta if x != b] + [nb], reverse=True)
+        smaller = []
+        for i, x in enumerate(nbeta):
+            part = x - (length - 1 - i)
+            if part:
+                smaller.append(part)
+        out.append((tuple(smaller), -1 if crossed % 2 else 1))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -253,26 +277,45 @@ def test_character_tables_unchanged():
 
 def test_character_memo_holds_one_entry_per_shape():
     _char.cache_clear()
-    _weighted.cache_clear()
     assert semigroup_check(samples=200, seed=0, max_total_size=18) == []
     shapes = sum(len(partitions_of(k)) for k in range(19))
     assert shapes == 1597
     assert _char.cache_info().currsize <= shapes
-    assert _weighted.cache_info().currsize <= shapes
 
 
 def test_memoized_vectors_fit_in_64_bits():
     # array("q") raises OverflowError rather than wrapping; up to the
-    # oracle bound the largest |chi| has 24 bits and |C| chi 49
-    peak_chi = peak_weighted = 0
+    # oracle bound the largest |chi| has 24 bits
+    peak_chi = 0
     for n in range(DEFAULT_ORACLE_BOUND + 1):
         for lam in partitions_of(n):
-            weighted = _weighted(lam.parts)
-            assert list(weighted) == [s * c for s, c in zip(_class_sizes(n), _char(lam.parts))]
             peak_chi = max(peak_chi, *map(abs, _char(lam.parts)))
-            peak_weighted = max(peak_weighted, *map(abs, weighted))
-    assert peak_weighted.bit_length() <= 63
-    assert (peak_chi.bit_length(), peak_weighted.bit_length()) == (24, 49)
+    assert peak_chi.bit_length() == 24
+
+
+# the class sizes of S_3 are (2, 3, 1) and chi^(2,1) is (-1, 0, 2), so the
+# sum for g([2,1],[2,1],[2,1]) is 2*(-1) + 3*0 + 1*8 = 6 = 3!; each tuple below
+# breaks one invariant of that sum
+_BROKEN_SIZES = [
+    ((2, 3, 2), "character sum for g([2,1],[2,1],[2,1]) is not divisible by 3!"),
+    ((14, 3, 1), "negative g([2,1],[2,1],[2,1]) = -1"),
+]
+
+
+@pytest.mark.parametrize("sizes,message", _BROKEN_SIZES, ids=("indivisible", "negative"))
+def test_a_broken_character_sum_is_an_internal_consistency_error(
+    sizes, message, monkeypatch, capsys
+):
+    assert _class_sizes(3) == (2, 3, 1)
+    monkeypatch.setattr(kronecker, "_class_sizes", lambda n: sizes)
+    with pytest.raises(InternalConsistencyError) as err:
+        g_oracle(P((2, 1)), P((2, 1)), P((2, 1)))
+    assert str(err.value) == message
+    # through the CLI: exit 2, one line on stderr and nothing on stdout
+    assert run(["kron", "--lambda", "[2,1]", "--mu", "[2,1]", "--nu", "[2,1]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal consistency error: {message}\n"
 
 
 def test_oracle_frozen_values():
