@@ -15,7 +15,15 @@ the mirror image of the lower.  Reduction mod 2^K is a ring map and each
 1 - 2^{Ld} is odd, hence a unit: multiplying by a numerator factor is
 one shift-and-subtract, and dividing by 1 - 2^{Ld} multiplies by the
 2-adic series prod_j (1 + 2^{Ld*2^j}), one shift-and-add per factor
-until the shift reaches K.
+until the shift reaches K.  Each pass works on non-negative values of
+about K bits: a numerator pass subtracts the shifted value cut to K
+bits, x - ((x << s) mod 2^K), and adds 2^K back when that is negative,
+so no difference is wider than K bits and no negative value is masked (a
+bitwise and of a negative int works on a two's complement copy); a
+series, like each geometric sum below, cuts only each shifted term to K
+bits, lets the running sum carry a few bits past K, and masks it once
+when it returns.  The modulus 2^K and the mask are computed once per
+width.
 
 The partial boxes grow at half width, in limbs that widen as they go.
 For i = 1..i0, i0 = ceil(h/b), step i takes binom(b+i-1, i-1)_q to
@@ -77,7 +85,7 @@ ENUMERATION_GUARD = 64
 
 # gaussian refuses a box whose packed rising half, h+1 limbs of the byte
 # length of comb(a+b, a), would take more bytes than this; (200, 200)
-# takes 1,000,050 and expands in about a second.
+# takes 1,000,050 and expands in about 0.4 s (2-vCPU x86_64 VM, Python 3.11).
 EXPANSION_GUARD = 1 << 22
 
 
@@ -197,18 +205,27 @@ def _passes(k: int) -> int:
     return k.bit_length() + k.bit_count() - 2
 
 
+def _numerator(x: int, shift: int, mask: int, modulus: int) -> int:
+    """x * (1 - 2^shift) modulo ``modulus`` = mask + 1, for 0 <= x <= mask:
+    the masked shift is subtracted, and the modulus added back if that
+    went below zero, so no negative value is masked."""
+    x -= (x << shift) & mask
+    return x + modulus if x < 0 else x
+
+
 def _geometric(x: int, shift: int, k: int, mask: int) -> int:
     """x * (1 + 2^shift + ... + 2^((k-1)*shift)) modulo mask + 1, by
     doubling on the bits of k: S_2j = S_j (1 + 2^(j*shift)) and
-    S_2j+1 = 1 + 2^shift S_2j."""
+    S_2j+1 = 1 + 2^shift S_2j.  Only the shifted term is masked, so the
+    sum may carry a few bits past the mask until the one mask at the end."""
     y, j = x, 1
     for bit in bin(k)[3:]:
-        y = (y + (y << (shift * j))) & mask
+        y += (y << (shift * j)) & mask
         j *= 2
         if bit == "1":
-            y = (x + (y << shift)) & mask
+            y = x + ((y << shift) & mask)
             j += 1
-    return y
+    return y & mask
 
 
 def _factors(a: int, b: int, h: int, grow: int) -> list[tuple[int, int]]:
@@ -255,8 +272,9 @@ def _product_coeffs(ell: int, m: int) -> tuple[int, ...]:
         bound = bound * (b + i) // i
         x, nbytes = _repack(x, nbytes, size, bound)
         limb = 8 * nbytes
-        mask = (1 << (limb * size)) - 1
-        x = (x - (x << (limb * (b + i)))) & mask
+        modulus = 1 << (limb * size)
+        mask = modulus - 1
+        x = _numerator(x, limb * (b + i), mask, modulus)
         x = _geometric(x, limb * i, 1 << ((size - 1) // i).bit_length(), mask)
         # mirrored out to the centre of the next box, or to h after the last
         top = (i + 1) * b // 2 + 1 if i < grow else h + 1
@@ -266,12 +284,13 @@ def _product_coeffs(ell: int, m: int) -> tuple[int, ...]:
     # Z[q]/(q^(h+1)) and commute.
     x, nbytes = _repack(x, nbytes, h + 1, comb(a + b, a))
     limb = 8 * nbytes
-    mask = (1 << (limb * (h + 1))) - 1
+    modulus = 1 << (limb * (h + 1))
+    mask = modulus - 1
     for d, k in _factors(a, b, h, grow):
         if k:
             x = _geometric(x, limb * d, k, mask)
         else:
-            x = (x - (x << (limb * d))) & mask
+            x = _numerator(x, limb * d, mask, modulus)
     half = _unpack(x.to_bytes(nbytes * (h + 1), "little"), nbytes, h + 1)
     return half + half[n - h - 1 :: -1]
 

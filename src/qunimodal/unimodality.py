@@ -94,14 +94,17 @@ def check_strict(ell: int, m: int) -> UnimodalityReport:
     half = n // 2
 
     # The vector is palindromic, so the middle equality for odd n and the
-    # strict fall mirror the rise: the rising half decides the chain.
-    stalls = map(operator.ge, c[1:half], c[2 : half + 1])
-    first_violation = next(compress(range(2, half + 1), stalls), None)
+    # strict fall mirror the rise: the rising half decides the chain.  One
+    # scan lists its stalls c[k-1] >= c[k], 2 <= k <= half.
+    stalls = list(compress(range(2, half + 1), map(operator.ge, c[1:half], c[2 : half + 1])))
+    first_violation = stalls[0] if stalls else None
 
     # Equal neighbours c[k] = c[k+1], 1 <= k <= n-2: palindromy maps k to
-    # n-1-k, so the rising half's equalities and their mirror images are all.
-    mid = (n - 1) // 2
-    low = list(compress(range(1, mid + 1), map(operator.eq, c[1 : mid + 1], c[2 : mid + 2])))
+    # n-1-k, so the rising half's equalities, which are among its stalls,
+    # the middle pair forced equal for odd n, and their mirror images are all.
+    low = [k - 1 for k in stalls if c[k - 1] == c[k]]
+    if n % 2 and half:
+        low.append(half)
     plateaus: list[tuple[int, int]] = []
     for k in low + [n - 1 - k for k in reversed(low) if 2 * k < n - 1]:
         if plateaus and plateaus[-1][1] == k:

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from qunimodal import QPolynomial, gaussian, gaussian_by_enumeration, qbinomial
-from qunimodal.qbinomial import _factors, _geometric, _mirror, _passes, _unpack
+from qunimodal.qbinomial import _factors, _geometric, _mirror, _numerator, _passes, _unpack
 
 
 def _polymul(a, b):
@@ -141,19 +141,43 @@ def _pack(coeffs, limb=16):
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
 def test_geometric_matches_list_reference(d):
     # x * (1 + q^d + ... + q^((k-1)d)) truncated to q^(h+1), for sums that
-    # stop short of q^(h+1) and sums that run past it
+    # stop short of q^(h+1) and sums that run past it.  Small coefficients
+    # never fill a limb; full 16-bit ones wrap, as intermediate values of
+    # an expansion may, and the packed result is then the sum modulo 2^width
     size = 41  # h + 1
     rng = random.Random(d)
-    x = [rng.randrange(16) for _ in range(size)]
     mask = (1 << (16 * size)) - 1
-    for k in range(1, 71):
-        ref = [sum(x[i - j * d] for j in range(k) if 0 <= i - j * d) for i in range(size)]
-        assert _geometric(_pack(x), 16 * d, k, mask) == _pack(ref), (d, k)
-    # a series: every term below q^(h+1), as 1/(1 - q^d) truncated, with
-    # the count of terms rounded up to a power of two
-    ref = [sum(x[i - j * d] for j in range(size) if 0 <= i - j * d) for i in range(size)]
-    k = 1 << ((size - 1) // d).bit_length()
-    assert _geometric(_pack(x), 16 * d, k, mask) == _pack(ref)
+    for top in (16, 1 << 16):
+        x = [rng.randrange(top) for _ in range(size)]
+        for k in range(1, 71):
+            ref = [sum(x[i - j * d] for j in range(k) if 0 <= i - j * d) for i in range(size)]
+            y = _geometric(_pack(x), 16 * d, k, mask)
+            assert y == _pack(ref) & mask, (d, k, top)
+            # the sum may carry past the width between doubling steps; the
+            # one mask at the end keeps every result below 2^width
+            assert 0 <= y <= mask, (d, k, top)
+        # a series: every term below q^(h+1), as 1/(1 - q^d) truncated, with
+        # the count of terms rounded up to a power of two
+        ref = [sum(x[i - j * d] for j in range(size) if 0 <= i - j * d) for i in range(size)]
+        k = 1 << ((size - 1) // d).bit_length()
+        y = _geometric(_pack(x), 16 * d, k, mask)
+        assert y == _pack(ref) & mask, (d, top)
+        assert 0 <= y <= mask, (d, top)
+
+
+@pytest.mark.parametrize("width", [1, 8, 64, 65, 1000])
+def test_numerator_matches_the_masked_reference(width):
+    # x * (1 - 2^s) modulo 2^width, against (x - (x << s)) & mask, which
+    # builds a negative temporary
+    modulus = 1 << width
+    mask = modulus - 1
+    rng = random.Random(width)
+    xs = [0, mask] + [rng.getrandbits(width) for _ in range(30)]
+    shifts = [0, 1, width // 2, width - 1, width, width + 1, 3 * width]
+    shifts += [rng.randrange(1, width + 1) for _ in range(10)]
+    for x in xs:
+        for s in shifts:
+            assert _numerator(x, s, mask, modulus) == (x - (x << s)) & mask, (x, s)
 
 
 def _plan(a, b):

@@ -1,5 +1,7 @@
 import importlib
+import operator
 import tracemalloc
+from itertools import compress
 
 import pytest
 
@@ -12,6 +14,7 @@ from qunimodal import (
     scan,
     unimodality,
 )
+from qunimodal.unimodality import UnimodalityReport
 
 NINE = sorted(
     [(5, 6), (5, 10), (5, 14), (6, 6), (6, 7), (6, 9), (6, 11), (6, 13), (7, 10)]
@@ -115,6 +118,53 @@ def test_report_matches_reference_loops(boxes):
         rep = check_strict(ell, m)
         expected = _reference_report(gaussian(ell, m).coeffs)
         assert (rep.strict, rep.plateaus, rep.first_violation) == expected, (ell, m)
+
+
+def _two_scan_report(ell, m):
+    """check_strict as it was before its single scan: a >= scan of the
+    rising half for the first violation, then a second == scan for the
+    equal neighbours."""
+    c = gaussian(ell, m).coeffs
+    n = ell * m
+    half = n // 2
+    stalls = map(operator.ge, c[1:half], c[2 : half + 1])
+    first_violation = next(compress(range(2, half + 1), stalls), None)
+    mid = (n - 1) // 2
+    low = list(compress(range(1, mid + 1), map(operator.eq, c[1 : mid + 1], c[2 : mid + 2])))
+    plateaus = []
+    for k in low + [n - 1 - k for k in reversed(low) if 2 * k < n - 1]:
+        if plateaus and plateaus[-1][1] == k:
+            plateaus[-1] = (plateaus[-1][0], k + 1)
+        else:
+            plateaus.append((k, k + 1))
+    return UnimodalityReport(
+        ell=ell,
+        m=m,
+        n=n,
+        strict=first_violation is None,
+        plateaus=tuple(plateaus),
+        first_violation=first_violation,
+    )
+
+
+# the pairs that repro_exceptions checks directly, (6, 6) among them
+REPRO_WINDOW = [(l, m) for l in range(5, 8) for m in range(l, 21)] + [
+    (l, m) for l in range(8, 16) for m in range(l, 16)
+]
+
+
+@pytest.mark.parametrize(
+    "boxes",
+    [
+        [(ell, m) for ell in range(1, 41) for m in range(1, 41)],
+        REPRO_WINDOW,
+        [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)],
+    ],
+    ids=["grid-40", "repro-window", "area-at-most-3"],
+)
+def test_single_scan_matches_the_two_scan_reference(boxes):
+    for ell, m in boxes:
+        assert check_strict(ell, m) == _two_scan_report(ell, m), (ell, m)
 
 
 def test_plateaus_are_real_equal_runs():
