@@ -34,7 +34,9 @@ the order of a depth-first walk from the root (left before right):
 {"version": 2, "conclusion": {"ell", "m"}, "nodes": [{"base": [l, m]} |
 {"add": [ell, i, j], "even": w, "geq3": w} | {"t": i}, ...]}, where i
 and j index earlier entries and {"t": i} concludes the mirror of entry
-i.  Serialization is canonical JSON (sorted keys, no whitespace).
+i.  Serialization writes the canonical JSON text (sorted keys, no
+whitespace) straight from the table, one format string per entry kind,
+and ``certificate_to_obj`` is the parse of that text.
 
 ``certify`` builds the table directly, doubling on indices, and its
 builder already interns entries in canonical order.  ``parse_certificate``
@@ -245,12 +247,18 @@ def _chain_starts(reg: frozenset[tuple[int, int]]) -> dict[tuple[int, int], int]
 
 
 def _witnesses(ell: int, m1: int, m2: int) -> tuple[str, str]:
-    members = (("ell", ell), ("m1", m1), ("m2", m2))
-    even = next(name for name, v in members if v % 2 == 0)
-    geq3 = next(
-        (name for name, v in members if v >= 3 and name != even),
-        next(name for name, v in members if v >= 3),
-    )
+    """The names of the first even member of (ell, m1, m2) and of the first
+    other member >= 3, or of the even one itself when no other is >= 3."""
+    if ell % 2 == 0:
+        even, geq3 = "ell", "m1" if m1 >= 3 else "m2" if m2 >= 3 else "ell" if ell >= 3 else ""
+    elif m1 % 2 == 0:
+        even, geq3 = "m1", "ell" if ell >= 3 else "m2" if m2 >= 3 else "m1" if m1 >= 3 else ""
+    elif m2 % 2 == 0:
+        even, geq3 = "m2", "ell" if ell >= 3 else "m1" if m1 >= 3 else "m2" if m2 >= 3 else ""
+    else:
+        even = geq3 = ""
+    if not geq3:
+        raise ValueError(f"({ell},{m1},{m2}) lacks an even member or a member >= 3")
     return even, geq3
 
 
@@ -506,23 +514,38 @@ def verify(cert: Certificate) -> VerificationResult:
 # serialization
 
 
-def _wire(entry: tuple) -> dict:
-    if entry[0] == "base":
-        return {"base": [entry[1], entry[2]]}
-    if entry[0] == "t":
-        return {"t": entry[1]}
-    _, ell, i, j, ew, gw = entry
-    return {"add": [ell, i, j], "even": ew, "geq3": gw}
+# the JSON forms of the witness names certify writes; any other name is
+# encoded by json.dumps
+_NAMES = {name: f'"{name}"' for name in ("ell", "m1", "m2")}
 
 
-def certificate_to_obj(cert: Certificate) -> dict:
-    nodes = [_wire(entry) for entry in _table(cert)]
-    return {"version": _VERSION, "conclusion": {"ell": cert.ell, "m": cert.m}, "nodes": nodes}
+def _json(value: object) -> str:
+    # a conclusion built by hand may hold any value, written as json.dumps would
+    return str(value) if type(value) is int else json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def serialize_certificate(cert: Certificate) -> str:
-    """Canonical JSON: sorted keys, no whitespace, byte-stable."""
-    return json.dumps(certificate_to_obj(cert), sort_keys=True, separators=(",", ":"))
+    """Canonical JSON (sorted keys, no whitespace, byte-stable), written
+    straight from the table, one format string per entry kind."""
+    nodes = []
+    for entry in _table(cert):
+        kind = entry[0]
+        if kind == "add":
+            _, ell, i, j, ew, gw = entry
+            ew, gw = _NAMES.get(ew) or json.dumps(ew), _NAMES.get(gw) or json.dumps(gw)
+            nodes.append('{"add":[%d,%d,%d],"even":%s,"geq3":%s}' % (ell, i, j, ew, gw))
+        elif kind == "base":
+            nodes.append('{"base":[%d,%d]}' % (entry[1], entry[2]))
+        else:
+            nodes.append('{"t":%d}' % entry[1])
+    return '{"conclusion":{"ell":%s,"m":%s},"nodes":[%s],"version":%d}' % (
+        _json(cert.ell), _json(cert.m), ",".join(nodes), _VERSION
+    )
+
+
+def certificate_to_obj(cert: Certificate) -> dict:
+    """The parse of ``serialize_certificate(cert)``."""
+    return json.loads(serialize_certificate(cert))
 
 
 def certificate_from_obj(obj: object) -> Certificate:

@@ -1,12 +1,17 @@
+import atexit
 import collections
 import copy
 import dataclasses
+import hashlib
 import importlib
 import json
 import pickle
 import random
+import shutil
+import tempfile
 import time
 
+import hypothesis
 import pytest
 
 from qunimodal import (
@@ -39,6 +44,14 @@ from qunimodal.certify import (
     _table,
     _witnesses,
 )
+
+st = hypothesis.strategies
+
+# Hypothesis caches constants it mines from source files, from test
+# collection on; keep them in a temporary directory, not the checkout.
+_HOME = tempfile.mkdtemp(prefix="qunimodal-hypothesis-")
+atexit.register(shutil.rmtree, _HOME, True)
+hypothesis.configuration.set_hypothesis_home_dir(_HOME)
 
 
 def test_registry_contains_verified_bases_only():
@@ -379,21 +392,28 @@ def test_default_registry_is_cached_instance():
 
 
 def test_complete_over_region_to_one_hundred():
-    # every non-exceptional pair with both sides in 5..100 goes through
-    # certify -> serialize -> parse -> verify, keeps its bytes and its
-    # conclusion; exceptions are refused
-    for ell in range(5, 101):
-        for m in range(5, 101):
-            if (min(ell, m), max(ell, m)) in EXCEPTION_PAIRS:
-                with pytest.raises(NotCertifiableError):
-                    certify(ell, m)
-                continue
-            text = serialize_certificate(certify(ell, m))
-            parsed = parse_certificate(text)
-            assert serialize_certificate(parsed) == text
-            outcome = verify(parsed)
-            assert outcome.ok, (ell, m, outcome.reason, outcome.path)
-            assert (outcome.ell, outcome.m) == (ell, m)
+    # every non-exceptional pair with both sides in 5..100, and five far
+    # ones, goes through certify -> serialize -> parse -> verify, keeps
+    # its bytes and its conclusion; exceptions are refused.  Each text,
+    # or "refused", on a line: the digest pins the bytes of the format
+    pairs = [(ell, m) for ell in range(5, 101) for m in range(5, 101)]
+    pairs += [(11, 29500), (550, 550), (8, 30000), (29500, 11), (100, 7)]
+    digest = hashlib.sha256()
+    for ell, m in pairs:
+        if (min(ell, m), max(ell, m)) in EXCEPTION_PAIRS:
+            with pytest.raises(NotCertifiableError):
+                certify(ell, m)
+            digest.update(b"refused\n")
+            continue
+        text = serialize_certificate(certify(ell, m))
+        digest.update(text.encode() + b"\n")
+        parsed = parse_certificate(text)
+        assert serialize_certificate(parsed) == text
+        outcome = verify(parsed)
+        assert outcome.ok, (ell, m, outcome.reason, outcome.path)
+        assert (outcome.ell, outcome.m) == (ell, m)
+    assert len(pairs) == 9221
+    assert digest.hexdigest() == "d7d0271a2c12777d2d6045e1f36287d905f1e4b985846f4102c8c6fb97c98116"
 
 
 def test_serialized_add_nodes_carry_valid_witnesses():
@@ -606,7 +626,7 @@ def _oracle_base(ell, m):
 
 
 def _oracle_add(ell, left, right):
-    even, geq3 = _witnesses(ell, left.m, right.m)
+    even, geq3 = _ref_witnesses(ell, left.m, right.m)
     node = AddNode(ell=ell, left=left, right=right, even_witness=even, geq3_witness=geq3)
     return Certificate(ell=ell, m=left.m + right.m, node=node, transposed=False)
 
@@ -825,3 +845,136 @@ def test_reading_a_hand_built_certificate_leaves_it_unchanged():
     assert cert == Certificate(8, 8, BaseNode(8, 8), False)
     assert hash(cert) == hash(certify(8, 8))
     assert vars(cert) == before
+
+
+# ---------------------------------------------------------------------------
+# the witness names and the wire text against the routes they replaced:
+# names found by generators, and every entry turned into a dict that
+# json.dumps wrote with sorted keys
+
+
+def _ref_witnesses(ell, m1, m2):
+    members = (("ell", ell), ("m1", m1), ("m2", m2))
+    even = next(name for name, v in members if v % 2 == 0)
+    geq3 = next(
+        (name for name, v in members if v >= 3 and name != even),
+        next(name for name, v in members if v >= 3),
+    )
+    return even, geq3
+
+
+def test_witness_names_match_the_generator_reference():
+    for ell in range(1, 13):
+        for m1 in range(1, 13):
+            for m2 in range(1, 13):
+                members = (ell, m1, m2)
+                if any(v % 2 == 0 for v in members) and max(members) >= 3:
+                    assert _witnesses(ell, m1, m2) == _ref_witnesses(ell, m1, m2), members
+                else:
+                    with pytest.raises(ValueError, match=rf"\({ell},{m1},{m2}\)"):
+                        _witnesses(ell, m1, m2)
+
+
+def _ref_wire(entry):
+    if entry[0] == "base":
+        return {"base": [entry[1], entry[2]]}
+    if entry[0] == "t":
+        return {"t": entry[1]}
+    _, ell, i, j, ew, gw = entry
+    return {"add": [ell, i, j], "even": ew, "geq3": gw}
+
+
+def _ref_obj(cert):
+    nodes = [_ref_wire(entry) for entry in _table(cert)]
+    return {"version": 2, "conclusion": {"ell": cert.ell, "m": cert.m}, "nodes": nodes}
+
+
+def _ref_text(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+# st.text() over all of Unicode costs seconds of set-up per process;
+# every plane below the emoji block, controls included, is enough here
+_TEXT = st.text(st.characters(max_codepoint=0x1F7FF), max_size=6)
+_NAME = st.one_of(
+    st.sampled_from(["ell", "m1", "m2", "", '"', "\\", '\\"', "\x00", "\x1f\x7f", "\u00e9", "\u2028", "\U0001f600"]),
+    _TEXT,
+)
+_SIDE = st.one_of(st.integers(-20, 40), st.integers(-(10**300), 10**300))
+_CONCLUSION = st.one_of(
+    _SIDE,
+    st.sampled_from([True, False, None, 2.0, -0.0, float("inf"), "8", "\u00e9\"", [], {}]),
+    st.floats(allow_nan=False),
+    _TEXT,
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(_TEXT, st.integers(), max_size=3),
+)
+_FACTOR = st.sampled_from([-3, -2, -1, 1, 2, 3, 10**299 + 7, -(10**300)])
+_PAIR = st.one_of(
+    st.tuples(st.integers(5, 60), st.integers(5, 60)),
+    st.tuples(st.integers(5, 10**40), st.integers(5, 10**40)),
+).filter(lambda pair: (min(pair), max(pair)) not in EXCEPTION_PAIRS)
+
+
+@st.composite
+def _parsed(draw):
+    """A table of certify's, read back from a document whose witnesses
+    are drawn names, taken in turn, and whose sides are scaled by a
+    drawn factor."""
+    k = draw(_FACTOR)
+    names = draw(st.lists(_NAME, min_size=1, max_size=4))
+    obj = _ref_obj(certify(*draw(_PAIR)))
+    for at, node in enumerate(obj["nodes"]):
+        if "base" in node:
+            node["base"] = [v * k for v in node["base"]]
+        elif "add" in node:
+            node["add"][0] *= k
+            node["even"], node["geq3"] = names[at % len(names)], names[(at + 1) % len(names)]
+    obj["conclusion"] = {"ell": draw(_SIDE), "m": draw(_SIDE)}
+    return parse_certificate(_ref_text(obj))
+
+
+# nodes and flags that are not a certificate's
+_BROKEN = st.sampled_from([
+    ("node", False),
+    (None, True),
+    (BaseNode("8", 8), False),
+    (BaseNode(True, 8), False),
+    (BaseNode(8, 8.0), True),
+    (BaseNode(8, 8), 0),
+])
+_PICK, _ONE_IN_20 = st.integers(0, 5), st.integers(0, 19)
+
+
+@st.composite
+def _hand_built(draw):
+    """A certificate from objects: leaves, add steps over earlier
+    certificates and mirrors, with drawn names, sides and conclusions;
+    now and then one node or flag that is not a certificate's."""
+    certs = []
+    for _ in range(draw(_PICK) + 1):
+        if certs and draw(st.booleans()):
+            left, right = certs[draw(_PICK) % len(certs)], certs[draw(_PICK) % len(certs)]
+            node = AddNode(draw(_SIDE), left, right, draw(_NAME), draw(_NAME))
+        else:
+            node = BaseNode(draw(_SIDE), draw(_SIDE))
+        node, flag = draw(_BROKEN) if draw(_ONE_IN_20) == 0 else (node, draw(st.booleans()))
+        certs.append(Certificate(draw(_CONCLUSION), draw(_CONCLUSION), node, flag))
+    return certs[-1]
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@hypothesis.given(st.one_of(_PAIR.map(lambda pair: certify(*pair)), _parsed(), _hand_built()))
+@hypothesis.example(Certificate(True, False, BaseNode(8, 8), False))
+@hypothesis.example(Certificate(None, 2.0, BaseNode(8, 8), True))
+@hypothesis.example(Certificate("8", {"m": [8]}, BaseNode(8, 8), False))
+def test_serializer_matches_the_dict_route(cert):
+    try:
+        want = _ref_obj(cert)
+    except CertificateFormatError:
+        for write in (serialize_certificate, certificate_to_obj):
+            with pytest.raises(CertificateFormatError):
+                write(cert)
+        return
+    assert serialize_certificate(cert) == _ref_text(want)
+    assert certificate_to_obj(cert) == want
