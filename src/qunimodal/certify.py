@@ -43,26 +43,25 @@ builder already interns entries in canonical order.  ``parse_certificate``
 validates each wire entry into its table entry in one forward loop, then
 checks canonical order in one reverse loop over the table (``_canonical``).
 Both return a ``Certificate`` that holds only the table (its ``node`` is
-``None``).  Serialization, ``verify``, ``==``, ``hash`` and ``repr``
-read that table.  A certificate built by hand from ``BaseNode``/``AddNode``
-objects is read through one walk of those objects on each use, and is
-never changed by it.
+``None``); one built by hand from ``BaseNode``/``AddNode`` objects splices
+its children's tables when it is made.  Serialization, ``verify``,
+``==``, ``hash`` and ``repr`` read that table and nothing else.
 
 ``verify`` replays the table on every call, re-testing every additivity
 entry's side conditions and witnesses, and checks each distinct leaf
 directly once per process (``_leaf_strict``), so it accepts foreign
 certificates and rejects tampered ones regardless of origin.
-It rejects, without expanding anything, a certificate of more than
-``MAX_NODES`` entries or ``MAX_LEAVES`` distinct leaves, and any leaf of
-area above ``MAX_LEAF_AREA``; ``parse_certificate`` rejects a document
-of more than ``MAX_BYTES`` bytes (2 MiB) before reading it as JSON.
+No certificate holds over ``MAX_NODES`` entries, and ``verify`` rejects,
+without expanding anything, one of over ``MAX_LEAVES`` distinct leaves
+and any leaf of area above ``MAX_LEAF_AREA``; ``parse_certificate``
+rejects a document of over ``MAX_BYTES`` bytes (2 MiB) before reading it.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 from .unimodality import EXCEPTION_PAIRS, check_strict
@@ -132,50 +131,76 @@ class AddNode:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A claimed conclusion (ell, m) plus the DAG that supports it.
+    """A claimed conclusion (ell, m) plus the table that supports it.
 
-    When ``transposed`` is false the node concludes (ell, m) directly;
-    when true the node concludes (m, ell) and the claim is its mirror.
-    Only the root's claim is read by ``verify`` and the serializer; the
-    conclusions of sub-certificates are derived from their nodes.
+    ``entries`` is the canonical table, root last; ``transposed`` is true
+    when the root is a mirror entry.  Only the root's claim is read by
+    ``verify`` and the serializer; sub-certificates conclude what their
+    entries derive.
 
     ``certify`` and ``parse_certificate`` return one that holds the claim,
-    ``transposed`` and the table, with ``node`` set to ``None``.  One
-    built by hand holds its ``node`` and is read through one walk of the
-    objects on each use.  ``==``, ``hash`` and ``repr`` read the claim and
-    the table, never the expanded tree, so they stay cheap on a large
-    shared DAG; an object that is not a valid certificate compares by
-    identity.
+    ``transposed`` and the table, with ``node`` set to ``None``.  One built
+    by hand gets its table when it is made: the left child's entries as
+    they are, then the right child's, renumbered and appended where new,
+    then its own entry and, when ``transposed`` is true, the mirror of it.
+    That is the order of a depth-first walk of the objects from the root.
+    A node or flag that is not a certificate's, or a table of over
+    ``MAX_NODES`` entries, raises ``CertificateFormatError`` then, so
+    ``dataclasses.replace`` on a certificate with no ``node`` raises too.
+    ``==`` and ``hash`` read ``(ell, m, entries)``, never ``node``.
     """
 
     ell: int
     m: int
-    node: "BaseNode | AddNode | None"
-    transposed: bool
+    node: "BaseNode | AddNode | None" = field(compare=False)
+    transposed: bool = field(compare=False)
+    entries: tuple[tuple, ...] = field(init=False)
 
-    def _key(self) -> "tuple | None":
-        try:
-            return self.ell, self.m, _table(self)
-        except CertificateFormatError:
-            return None
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Certificate:
-            return NotImplemented
-        key = self._key()
-        return self is other or (key is not None and key == other._key())
-
-    def __hash__(self) -> int:
-        key = self._key()
-        return object.__hash__(self) if key is None else hash(key)
+    def __post_init__(self) -> None:
+        node, table, extra, own = self.node, (), [], None
+        if type(node) is AddNode:
+            left, right = node.left, node.right
+            if not (_holds_table(left) and _holds_table(right)):
+                raise CertificateFormatError("$.nodes", "not a certificate")
+            # the right child's entries are distinct, and stay so when
+            # renumbered: each is found in the left child's table or is new
+            table, new = left.entries, []  # new: entry of right -> its entry here
+            for key in right.entries:
+                if key[0] == "add":
+                    key = ("add", key[1], new[key[2]], new[key[3]], key[4], key[5])
+                elif key[0] == "t":
+                    key = ("t", new[key[1]])
+                try:
+                    new.append(table.index(key))
+                except ValueError:
+                    new.append(len(table) + len(extra))
+                    extra.append(key)
+            ew, gw = node.even_witness, node.geq3_witness
+            if type(node.ell) is int and type(ew) is type(gw) is str:
+                own = ("add", node.ell, len(table) - 1, new[-1], ew, gw)
+        elif type(node) is BaseNode and type(node.ell) is type(node.m) is int:
+            own = ("base", node.ell, node.m)
+        at = len(table) + len(extra)
+        if own is None or type(self.transposed) is not bool:
+            raise CertificateFormatError(f"$.nodes[{at}]", "not a certificate")
+        extra.append(own)
+        if self.transposed:
+            extra.append(("t", at))
+        entries = table + tuple(extra)
+        if len(entries) > MAX_NODES:
+            raise CertificateFormatError("$.nodes", f"over MAX_NODES = {MAX_NODES} entries")
+        object.__setattr__(self, "entries", entries)
 
     def __repr__(self) -> str:
-        key = self._key()
-        size = "invalid" if key is None else len(key[2])
         return (
             f"Certificate(ell={self.ell!r}, m={self.m!r}, "
-            f"transposed={self.transposed!r}, entries={size})"
+            f"transposed={self.transposed!r}, entries={len(self.entries)})"
         )
+
+
+def _holds_table(obj: object) -> bool:
+    """Whether ``obj`` is a certificate holding a table (``object.__new__`` makes none)."""
+    return type(obj) is Certificate and "entries" in vars(obj)
 
 
 @dataclass(frozen=True)
@@ -400,60 +425,8 @@ def _canonical(entries: tuple[tuple, ...]) -> bool:
 def _tabled(ell: int, m: int, table: tuple[tuple, ...]) -> Certificate:
     """A certificate for the claim (ell, m) that holds ``table`` and no node."""
     cert = object.__new__(Certificate)
-    vars(cert).update(ell=ell, m=m, node=None, transposed=table[-1][0] == "t", _entries=table)
+    vars(cert).update(ell=ell, m=m, node=None, transposed=table[-1][0] == "t", entries=table)
     return cert
-
-
-def _table(cert: Certificate) -> tuple[tuple, ...]:
-    """The table ``cert`` holds, or for a certificate built by hand, the
-    one ``_object_walk`` derives."""
-    if type(cert) is Certificate and "_entries" in vars(cert):
-        return vars(cert)["_entries"]
-    return _object_walk(cert)
-
-
-def _object_walk(cert: Certificate) -> tuple[tuple, ...]:
-    """The distinct entries of a certificate built from objects, in
-    canonical order.
-
-    Iterative, so depth costs no recursion; each object is visited once
-    and equal entries are merged.  Raises ``CertificateFormatError`` for
-    a value that is not a certificate or a table of over ``MAX_NODES``.
-    """
-    entries: list[tuple] = []
-    position: dict[tuple, int] = {}
-    done: dict[int, int] = {}  # id(sub-certificate) -> its entry
-
-    def intern(key: tuple) -> int:
-        at = position.setdefault(key, len(entries))
-        if at == len(entries):
-            if at == MAX_NODES:
-                raise CertificateFormatError("$.nodes", f"over MAX_NODES = {MAX_NODES} entries")
-            entries.append(key)
-        return at
-
-    stack = [cert]
-    while stack:
-        cur = stack[-1]
-        if id(cur) in done:
-            stack.pop()
-            continue
-        node = cur.node if type(cur) is Certificate and type(cur.transposed) is bool else None
-        if type(node) is BaseNode and type(node.ell) is type(node.m) is int:
-            at = intern(("base", node.ell, node.m))
-        elif type(node) is AddNode and type(node.ell) is int and (
-            type(node.even_witness) is type(node.geq3_witness) is str
-        ):
-            i, j = done.get(id(node.left)), done.get(id(node.right))
-            if i is None or j is None:
-                stack += (node.right, node.left)
-                continue
-            at = intern(("add", node.ell, i, j, node.even_witness, node.geq3_witness))
-        else:
-            raise CertificateFormatError(f"$.nodes[{len(entries)}]", "not a certificate")
-        done[id(cur)] = intern(("t", at)) if cur.transposed else at
-        stack.pop()
-    return tuple(entries)
 
 
 def verify(cert: Certificate) -> VerificationResult:
@@ -461,17 +434,17 @@ def verify(cert: Certificate) -> VerificationResult:
 
     One loop over the table the certificate holds; every call re-checks
     every side condition and witness, and each distinct leaf pair is
-    computed directly once per process.  Never raises.
+    computed directly once per process.  Never raises: anything that is
+    not a certificate holding a table is rejected at its first entry.
     """
 
     def reject(reason: str, at: "int | str") -> VerificationResult:
         path = at if type(at) is str else f"$.nodes[{at}]"
         return VerificationResult(ok=False, reason=reason, path=path)
 
-    try:
-        table = _table(cert)
-    except CertificateFormatError as err:
-        return reject(err.message, err.path)
+    if not _holds_table(cert):
+        return reject("not a certificate", 0)
+    table = cert.entries
     leaves = sum(1 for entry in table if entry[0] == "base")
     if leaves > MAX_LEAVES:
         return reject(f"{leaves} distinct leaves, more than MAX_LEAVES = {MAX_LEAVES}", "$.nodes")
@@ -527,8 +500,10 @@ def _json(value: object) -> str:
 def serialize_certificate(cert: Certificate) -> str:
     """Canonical JSON (sorted keys, no whitespace, byte-stable), written
     straight from the table, one format string per entry kind."""
+    if not _holds_table(cert):
+        raise CertificateFormatError("$.nodes[0]", "not a certificate")
     nodes = []
-    for entry in _table(cert):
+    for entry in cert.entries:
         kind = entry[0]
         if kind == "add":
             _, ell, i, j, ew, gw = entry

@@ -101,8 +101,6 @@ def _fill(
             fill(idx + 1)
             remaining[v - 1] += 1
             counts[v] -= 1
-        if c in grid[r]:
-            del grid[r][c]
 
     fill(0)
     return table

@@ -41,7 +41,6 @@ from qunimodal.certify import (
     _canonical,
     _chain_starts,
     _leaf_strict,
-    _table,
     _witnesses,
 )
 
@@ -215,12 +214,14 @@ def test_verify_pins_the_reasons_of_the_add_branch():
         reason = f"children conclude ell {left[0]}/{right[0]}, not the node's ell"
         assert _rejected(nodes, 5, 16) == (reason, "$.nodes[2]")
     # a witness that is not a str can only come from objects built by hand;
-    # the object walk rejects that node before it walks the children
+    # such a node is refused when the certificate is made, at the entry it
+    # would take, after the sound leaf
     leaf = Certificate(8, 8, BaseNode(8, 8), False)
     for witness in (1, None, ["ell"]):
         for node in (AddNode(8, leaf, leaf, witness, "ell"), AddNode(8, leaf, leaf, "ell", witness)):
-            outcome = verify(Certificate(8, 16, node, False))
-            assert (outcome.ok, outcome.reason, outcome.path) == (False, "not a certificate", "$.nodes[0]")
+            with pytest.raises(CertificateFormatError) as err:
+                Certificate(8, 16, node, False)
+            assert (err.value.path, err.value.message) == ("$.nodes[1]", "not a certificate")
 
 
 def test_verify_reports_path_of_failure():
@@ -356,22 +357,17 @@ def test_parse_error_carries_a_path():
 
 
 def test_each_certificate_object_is_walked_once(monkeypatch):
-    # certify runs no check (its builder interns in canonical order),
-    # parse checks canonical order once, and neither runs the object walk;
-    # nothing after them builds the node of the certificate
+    # certify runs no check (its builder interns in canonical order) and
+    # parse checks canonical order once; nothing after them checks it
+    # again or builds the node of the certificate
     cert_module = importlib.import_module("qunimodal.certify")
-    calls = {"_canonical": 0, "_object_walk": 0}
-    for name in calls:
-
-        def spy(*args, real=getattr(cert_module, name), name=name):
-            calls[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(cert_module, name, spy)
+    checked = []
+    real_canonical = cert_module._canonical
+    monkeypatch.setattr(cert_module, "_canonical", lambda t: checked.append(t) or real_canonical(t))
     cert = certify(33, 4700)
-    assert calls == {"_canonical": 0, "_object_walk": 0}
+    assert len(checked) == 0
     parsed = parse_certificate(serialize_certificate(cert))
-    assert calls == {"_canonical": 1, "_object_walk": 0}
+    assert len(checked) == 1
     for held in (cert, parsed):
         assert verify(held).ok
         serialize_certificate(held)
@@ -381,7 +377,7 @@ def test_each_certificate_object_is_walked_once(monkeypatch):
     real_verify = cert_module.verify
     monkeypatch.setattr(cert_module, "verify", lambda c: verified.append(c) or real_verify(c))
     assert classify(550, 553) == PairClass.Strict
-    assert calls == {"_canonical": 1, "_object_walk": 0}
+    assert len(checked) == 1
     assert len(verified) == 1
     for held in (cert, parsed, *verified):
         assert held.node is None
@@ -507,13 +503,13 @@ def test_leaf_verdicts_are_kept_by_min_max_within_the_area_bound(monkeypatch, fr
 
 
 def test_verify_rejects_tables_over_max_nodes():
-    # base, step and MAX_NODES - 1 chain entries: one entry too many
-    cert = _chain(9, 10, MAX_NODES - 1)
-    outcome = verify(cert)
-    assert not outcome.ok
-    assert outcome.path == "$.nodes"
-    assert "MAX_NODES" in outcome.reason
-    assert verify(_chain(9, 10, MAX_NODES - 2)).ok
+    # base, step and MAX_NODES - 1 chain entries: one entry too many, which
+    # a certificate built by hand refuses when it is made, as parse does
+    with pytest.raises(CertificateFormatError) as err:
+        _chain(9, 10, MAX_NODES - 1)
+    assert (err.value.path, err.value.message) == ("$.nodes", f"over MAX_NODES = {MAX_NODES} entries")
+    cert = _chain(9, 10, MAX_NODES - 2)
+    assert len(cert.entries) == MAX_NODES and verify(cert).ok
 
 
 def test_verify_rejects_too_many_distinct_leaves():
@@ -578,19 +574,34 @@ def test_parse_rejects_documents_over_max_bytes():
 
 
 def test_verify_never_raises_on_malformed_objects():
+    # anything that is not a certificate holding a table is rejected at its
+    # first entry, and the serializer raises for it
+    for bad in ("certificate", None, {"ell": 8, "m": 8}, object.__new__(Certificate)):
+        outcome = verify(bad)
+        assert (outcome.ok, outcome.reason, outcome.path) == (False, "not a certificate", "$.nodes[0]")
+        with pytest.raises(CertificateFormatError):
+            serialize_certificate(bad)
+    # a node or flag that is not a certificate's is refused when the
+    # certificate is made: at the entry it would take, or at $.nodes for a
+    # child that is not a Certificate
     leaf = Certificate(8, 8, BaseNode(8, 8), False)
-    for bad in (
-        "certificate",
-        None,
-        Certificate(8, 8, BaseNode("8", 8), False),
-        Certificate(8, 8, BaseNode(True, 8), False),
-        Certificate(8, 8, BaseNode(8, 8), 0),
-        Certificate(8, 8, "node", False),
-        Certificate(8, 16, AddNode(8, leaf, "leaf", "ell", "ell"), False),
-        Certificate(8, 16, AddNode(8, leaf, leaf, ["ell"], "ell"), False),
-        Certificate(8, 8, BaseNode(-8, -1), False),
-        Certificate("8", 8, BaseNode(8, 8), False),
-    ):
+    for args, path in [
+        ((8, 8, BaseNode("8", 8), False), "$.nodes[0]"),
+        ((8, 8, BaseNode(True, 8), False), "$.nodes[0]"),
+        ((8, 8, BaseNode(8, 8), 0), "$.nodes[0]"),
+        ((8, 8, "node", False), "$.nodes[0]"),
+        ((8, 8, None, False), "$.nodes[0]"),
+        ((8, 16, AddNode(8, leaf, "leaf", "ell", "ell"), False), "$.nodes"),
+        ((8, 16, AddNode(8, object.__new__(Certificate), leaf, "ell", "ell"), False), "$.nodes"),
+        ((8, 16, AddNode(8, leaf, leaf, ["ell"], "ell"), False), "$.nodes[1]"),
+        ((8, 16, AddNode("8", leaf, leaf, "ell", "ell"), False), "$.nodes[1]"),
+        ((8, 16, AddNode(8, leaf, leaf, "ell", "ell"), None), "$.nodes[1]"),
+    ]:
+        with pytest.raises(CertificateFormatError) as err:
+            Certificate(*args)
+        assert (err.value.path, err.value.message) == (path, "not a certificate"), args
+    # sound nodes with a false claim or side are made, and verify rejects them
+    for bad in (Certificate(8, 8, BaseNode(-8, -1), False), Certificate("8", 8, BaseNode(8, 8), False)):
         outcome = verify(bad)
         assert not outcome.ok, bad
         assert outcome.path.startswith("$"), bad
@@ -610,10 +621,11 @@ def test_repr_and_eq_read_the_table_not_the_expanded_tree():
     assert time.perf_counter() - start < 1.0
     assert text == f"Certificate(ell=8, m={8 * 2**60}, transposed=False, entries=61)"
     assert same
-    # an object that is not a certificate compares by identity
-    bad = Certificate(8, 8, None, False)
-    assert bad == bad and bad != Certificate(8, 8, None, False)
-    assert repr(bad) == "Certificate(ell=8, m=8, transposed=False, entries=invalid)"
+    # a certificate built by hand holds its table too, and compares by it
+    leaf = Certificate(8, 8, BaseNode(8, 8), False)
+    hand = Certificate(8, 16, AddNode(8, leaf, leaf, "ell", "m1"), False)
+    assert repr(hand) == "Certificate(ell=8, m=16, transposed=False, entries=2)"
+    assert hand == certify(8, 16) and hash(hand) == hash(certify(8, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +690,7 @@ def test_certify_matches_the_object_builder():
         assert serialize_certificate(cert) == serialize_certificate(want), (ell, m)
         assert cert == want, (ell, m)
         # certify checks nothing: its builder interns in canonical order
-        assert _canonical(_table(cert)), (ell, m)
+        assert _canonical(cert.entries), (ell, m)
 
 
 # ---------------------------------------------------------------------------
@@ -833,8 +845,26 @@ def test_certificates_holding_a_table_copy_pickle_and_replace():
             assert verify(twin).ok
         # replace builds a new certificate from the fields alone, and the
         # table is not one of them: a node of None is not a certificate
-        moved = dataclasses.replace(cert)
-        assert moved.node is None and moved != cert and not verify(moved).ok
+        with pytest.raises(CertificateFormatError) as err:
+            dataclasses.replace(cert)
+        assert (err.value.path, err.value.message) == ("$.nodes[0]", "not a certificate")
+
+
+def test_add_nodes_take_certificates_that_hold_only_a_table():
+    # the results of certify and parse are children like any other: their
+    # tables are spliced in, and the whole equals the canonical certificate
+    for child in _held(8, 8):
+        cert = Certificate(8, 16, AddNode(8, child, child, "ell", "m1"), False)
+        assert cert == certify(8, 16) and hash(cert) == hash(certify(8, 16))
+        assert serialize_certificate(cert) == serialize_certificate(certify(8, 16))
+        assert verify(cert).ok
+    # a hand-built step over a mirrored root, mirrored in turn
+    for child in _held(33, 470):
+        n = len(child.entries)
+        cert = Certificate(940, 33, AddNode(33, child, child, "m1", "ell"), True)
+        assert cert.entries == child.entries + (("add", 33, n - 1, n - 1, "m1", "ell"), ("t", n))
+        assert parse_certificate(serialize_certificate(cert)) == cert
+        assert verify(cert).ok
 
 
 def test_reading_a_hand_built_certificate_leaves_it_unchanged():
@@ -885,7 +915,7 @@ def _ref_wire(entry):
 
 
 def _ref_obj(cert):
-    nodes = [_ref_wire(entry) for entry in _table(cert)]
+    nodes = [_ref_wire(entry) for entry in cert.entries]
     return {"version": 2, "conclusion": {"ell": cert.ell, "m": cert.m}, "nodes": nodes}
 
 
@@ -948,33 +978,34 @@ _PICK, _ONE_IN_20 = st.integers(0, 5), st.integers(0, 19)
 
 @st.composite
 def _hand_built(draw):
-    """A certificate from objects: leaves, add steps over earlier
-    certificates and mirrors, with drawn names, sides and conclusions;
-    now and then one node or flag that is not a certificate's."""
+    """The arguments of a certificate from objects, and whether its node
+    or flag is broken: leaves, add steps over earlier certificates and
+    mirrors, with drawn names, sides and conclusions; now and then one
+    node or flag that is not a certificate's, which ends the draw."""
     certs = []
-    for _ in range(draw(_PICK) + 1):
+    for last in range(draw(_PICK), -1, -1):
         if certs and draw(st.booleans()):
             left, right = certs[draw(_PICK) % len(certs)], certs[draw(_PICK) % len(certs)]
             node = AddNode(draw(_SIDE), left, right, draw(_NAME), draw(_NAME))
         else:
             node = BaseNode(draw(_SIDE), draw(_SIDE))
-        node, flag = draw(_BROKEN) if draw(_ONE_IN_20) == 0 else (node, draw(st.booleans()))
-        certs.append(Certificate(draw(_CONCLUSION), draw(_CONCLUSION), node, flag))
-    return certs[-1]
+        broken = draw(_ONE_IN_20) == 0
+        node, flag = draw(_BROKEN) if broken else (node, draw(st.booleans()))
+        args = (draw(_CONCLUSION), draw(_CONCLUSION), node, flag)
+        if broken or not last:
+            return args, broken
+        certs.append(Certificate(*args))
+
+
+_HAND_MADE = _hand_built().filter(lambda drawn: not drawn[1]).map(lambda drawn: Certificate(*drawn[0]))
 
 
 @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@hypothesis.given(st.one_of(_PAIR.map(lambda pair: certify(*pair)), _parsed(), _hand_built()))
+@hypothesis.given(st.one_of(_PAIR.map(lambda pair: certify(*pair)), _parsed(), _HAND_MADE))
 @hypothesis.example(Certificate(True, False, BaseNode(8, 8), False))
 @hypothesis.example(Certificate(None, 2.0, BaseNode(8, 8), True))
 @hypothesis.example(Certificate("8", {"m": [8]}, BaseNode(8, 8), False))
 def test_serializer_matches_the_dict_route(cert):
-    try:
-        want = _ref_obj(cert)
-    except CertificateFormatError:
-        for write in (serialize_certificate, certificate_to_obj):
-            with pytest.raises(CertificateFormatError):
-                write(cert)
-        return
+    want = _ref_obj(cert)
     assert serialize_certificate(cert) == _ref_text(want)
     assert certificate_to_obj(cert) == want
