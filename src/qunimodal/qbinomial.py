@@ -25,41 +25,68 @@ bits, lets the running sum carry a few bits past K, and masks it once
 when it returns.  The modulus 2^K and the mask are computed once per
 width.
 
-The partial boxes grow at half width, in limbs that widen as they go.
-For i = 1..i0, i0 = ceil(h/b), step i takes binom(b+i-1, i-1)_q to
-binom(b+i, i)_q, of degree i*b, but only modulo q^(c+1) with c =
-floor(i*b/2), up to its centre; this is exact for the same reason as the
-final half.  Its coefficients are below comb(b+i, i), so L is that bit
-length rounded up to whole bytes; when a step needs a wider limb, the
-packed value is re-laid once by strided byte copies (``out[j::new] =
-raw[j::old]``).  The next step reads up to its own centre, so the vector
-is first extended by its mirror image, p_j = p_{i*b-j}: those limbs are
-cut out of the known part, put in reverse order (one strided copy per
-byte, then a big-endian read) and ORed in above it.  Re-laying and
-mirroring are exact because after a whole step every limb holds a true,
-non-negative coefficient.  After step i0 the mirror extends the vector
-to h+1 limbs, and the limbs widen once more, to hold coefficients below
-comb(a+b, a).  Against steps at full degree, this cuts the bytes that
-the series passes touch by about a fifth on squares.
+The half is built in stages.  Stage (a, b), a > 1, starts from the
+rising half of binom(g+b, g)_q with g = ceil(h/b), built by the same
+stages down to the side 1, whose rising half is h+1 ones.  The box
+(g, b) has degree g*b >= h, so its half, extended by its mirror image
+p_j = p_{g*b-j}, covers the h+1 limbs: those limbs are cut out of the
+known part, put in reverse order (one strided copy per byte, then a
+big-endian read) and ORed in above it.  The limbs are then re-laid once,
+by strided byte copies (``out[j::new] = raw[j::old]``), to hold every
+coefficient of binom(a+b, a)_q, and the factors (1 - q^{b+i})/(1 - q^i),
+i = g+1..a, are applied modulo q^(h+1).  Mirroring and re-laying are
+exact because after a whole stage every limb holds a true, non-negative
+coefficient.  g = ceil(h/b), which is ceil(a/2), is the smallest side
+whose box reaches degree h, so the mirror alone fills the h+1 limbs and
+each stage halves the side: there are ceil(log2 a) stages, and each
+pairs about a/2 numerators with as many denominators at its own width.
+Splits from 0.35a to 0.65a were measured no faster.
 
-From then on the width stays at h+1 limbs, so every remaining factor is
-a unit of the one ring Z[q]/(q^{h+1}); the factors commute, only the
-final product must be a polynomial with coefficients that fit a limb,
-and intermediate values may wrap.  A numerator above h is 1 there and is
-dropped.  A remaining numerator N meets a remaining denominator d that
-divides it as the geometric sum (1 - q^N)/(1 - q^d) = 1 + q^d + ... +
-q^{(k-1)d}, k = N/d, computed by doubling on the bits of k:
-S_{2j} = S_j (1 + q^{jd}) and S_{2j+1} = 1 + q^d S_{2j}, so
-bitlen(k) - 1 + popcount(k) - 1 shift-and-adds.  Apart, the two cost one
-shift-and-subtract for N and the series for d, which is the same sum
-with k at ceil((h+1)/d), beyond which every term vanishes, rounded up
-to a power of two: about log2(h/d) + 1 shift-and-adds; a pair's
-k = N/d <= h/d stays below that cap.  Each numerator, from the largest
-down, takes the unused divisor with the largest saving over leaving the
-two apart, and none when no saving is positive: on (5, 247), N = 252
-over d = 4 gives k = 63, which costs 10 shift-and-adds where the two
-apart cost 9.  The numerators and denominators left over are applied
-one by one.
+The limbs of stage (a, b) are as many whole bytes as the bound
+
+    B(a, b) = (comb(a+b-1, a-1) + (a-1) comb(floor((a+b)/2), floor(a/2))) // a
+
+takes, which no coefficient exceeds:
+
+1. binom(a+b, a)_q = P (1 - q^{a+b})/(1 - q^a) with P = binom(a-1+b, a-1)_q,
+   and P/(1 - q^a) has non-negative coefficients, so coefficient k is at
+   most that of P/(1 - q^a): the sum of p_j over j <= k, j = k mod a, and
+   so at most one residue-class sum of P modulo a.
+2. By the roots-of-unity filter that sum is (1/a) sum_{t=0..a-1}
+   w^(-tk) P(w^t), w = exp(2 pi i/a), which is at most (P(1) +
+   sum_{t=1..a-1} |P(w^t)|)/a, and P(1) = comb(a+b-1, a-1).
+3. By the q-Lucas theorem, at a primitive d-th root of unity with d > 1
+   dividing a, binom(a+b-1, a-1)_q = binom(floor((a+b-1)/d),
+   floor((a-1)/d)) binom((a+b-1) mod d, d-1)_q.  Since a-1 = d-1 modulo
+   d, the second factor is 0 unless d divides b, and then 1, so the
+   term is comb((a+b)/d - 1, a/d - 1) <= comb(floor((a+b)/2),
+   floor(a/2)): comb(k+r, k) grows with k and with r, and here k =
+   a/d - 1 <= floor(a/2) and r = b/d <= floor((a+b)/2) - floor(a/2).
+
+B <= comb(a+b, a) = comb(a+b-1, a-1) (a+b)/a, since the second
+binomial in B is at most comb(a+b-1, a-1) (by the same monotonicity) and
+a-1 <= b, so B never takes more bytes.  It is within 3 bits of the
+largest coefficient on every box the tests check it on, where comb(a+b,
+a) is further above: 7 bits on (20, 20) against B's 1, and 12 on
+(200, 200) against 3.
+
+Within a stage the width stays at h+1 limbs, so every factor is a unit
+of the one ring Z[q]/(q^{h+1}); the factors commute, only the final
+product must be a polynomial with coefficients that fit a limb, and
+intermediate values may wrap.  A numerator above h is 1 there and is
+dropped.  A numerator N meets a denominator d that divides it as the
+geometric sum (1 - q^N)/(1 - q^d) = 1 + q^d + ... + q^{(k-1)d}, k =
+N/d, computed by doubling on the bits of k: S_{2j} = S_j (1 + q^{jd})
+and S_{2j+1} = 1 + q^d S_{2j}, so bitlen(k) - 1 + popcount(k) - 1
+shift-and-adds.  Apart, the two cost one shift-and-subtract for N and
+the series for d, which is the same sum with k at ceil((h+1)/d), beyond
+which every term vanishes, rounded up to a power of two: about
+log2(h/d) + 1 shift-and-adds; a pair's k = N/d <= h/d stays below that
+cap.  Each numerator, from the largest down, takes the unused divisor
+with the largest saving over leaving the two apart, and none when no
+saving is positive: on (5, 247), N = 252 over d = 4 gives k = 63, which
+costs 10 shift-and-adds where the two apart cost 9.  The numerators and
+denominators left over are applied one by one.
 
 Unpacking reads limbs of 1, 2, 4 or 8 bytes with ``struct`` as
 unsigned words of their own width; a limb of 3 or 5 to 7 bytes is first
@@ -83,9 +110,12 @@ from .partitions import parts_inside
 # oracle exists for cross-checks, not for production work.
 ENUMERATION_GUARD = 64
 
-# gaussian refuses a box whose packed rising half, h+1 limbs of the byte
-# length of comb(a+b, a), would take more bytes than this; (200, 200)
-# takes 1,000,050 and expands in about 0.4 s (2-vCPU x86_64 VM, Python 3.11).
+# gaussian refuses a box whose rising half, h+1 limbs of the byte length
+# of comb(a+b, a), would take more bytes than this.  The limbs are packed
+# no wider than that, since B(a, b) never takes more bytes, so the same
+# boxes are refused as when comb(a+b, a) sized them; (200, 200) counts
+# 1,000,050, packs 980,049 and expands in about 0.5 s (2-vCPU x86_64 VM,
+# Python 3.11).
 EXPANSION_GUARD = 1 << 22
 
 
@@ -174,7 +204,8 @@ def _unpack(raw: bytes, nbytes: int, count: int) -> tuple[int, ...]:
 
 def _repack(x: int, nbytes: int, count: int, bound: int) -> tuple[int, int]:
     """``x``, ``count`` limbs of ``nbytes`` bytes, re-laid with limbs wide
-    enough for values below ``bound``; returns it with the new limb bytes."""
+    enough for values up to ``bound``, never narrower; returns it with the
+    new limb bytes."""
     need = (bound.bit_length() + 7) // 8
     if need <= nbytes:
         return x, nbytes
@@ -229,8 +260,9 @@ def _geometric(x: int, shift: int, k: int, mask: int) -> int:
 
 
 def _factors(a: int, b: int, h: int, grow: int) -> list[tuple[int, int]]:
-    """The factors left after the grow phase, as (d, k): the sum 1 + q^d +
-    ... + q^((k-1)d) for k >= 1, and the numerator 1 - q^d for k = 0.
+    """The factors of the stage (a, b) over the box (grow, b), as (d, k):
+    the sum 1 + q^d + ... + q^((k-1)d) for k >= 1, and the numerator
+    1 - q^d for k = 0.
 
     Each numerator N from b+a down to b+grow+1, those above h dropped,
     takes the unused denominator d = N/k with the largest saving over
@@ -259,38 +291,40 @@ def _factors(a: int, b: int, h: int, grow: int) -> list[tuple[int, int]]:
     return out
 
 
+def _bound(a: int, b: int) -> int:
+    """B(a, b), 1 <= a <= b: no coefficient of binom(a+b, a)_q exceeds it."""
+    return (comb(a + b - 1, a - 1) + (a - 1) * comb((a + b) // 2, a // 2)) // a
+
+
+def _half(a: int, b: int) -> tuple[int, int]:
+    """The rising half of binom(a+b, a)_q, 1 <= a <= b, packed in
+    floor(ab/2)+1 limbs; returns it with the limb bytes."""
+    h = a * b // 2
+    if a == 1:
+        return int.from_bytes(b"\x01" * (h + 1), "little"), 1
+    # the box (g, b) has degree g*b >= h, so its half, mirrored, covers
+    # the h+1 limbs
+    g = -(-h // b)
+    x, nbytes = _half(g, b)
+    x = _mirror(x, nbytes, g * b // 2 + 1, g * b, h + 1)
+    x, nbytes = _repack(x, nbytes, h + 1, _bound(a, b))
+    limb = 8 * nbytes
+    modulus = 1 << (limb * (h + 1))
+    mask = modulus - 1
+    for d, k in _factors(a, b, h, g):
+        if k:
+            x = _geometric(x, limb * d, k, mask)
+        else:
+            x = _numerator(x, limb * d, mask, modulus)
+    return x, nbytes
+
+
 def _product_coeffs(ell: int, m: int) -> tuple[int, ...]:
     """Coefficient vector of binom(m+ell, m)_q via the packed product formula."""
     a, b = min(ell, m), max(ell, m)
     n = a * b
     h = n // 2
-    grow = -(-h // b)
-    x, nbytes, size, bound = 1, 1, b // 2 + 1, 1
-    for i in range(1, grow + 1):
-        # x is binom(b+i-1, i-1)_q in size limbs, up to the centre of the
-        # next box, (i, b), which has every coefficient below comb(b+i, i)
-        bound = bound * (b + i) // i
-        x, nbytes = _repack(x, nbytes, size, bound)
-        limb = 8 * nbytes
-        modulus = 1 << (limb * size)
-        mask = modulus - 1
-        x = _numerator(x, limb * (b + i), mask, modulus)
-        x = _geometric(x, limb * i, 1 << ((size - 1) // i).bit_length(), mask)
-        # mirrored out to the centre of the next box, or to h after the last
-        top = (i + 1) * b // 2 + 1 if i < grow else h + 1
-        x = _mirror(x, nbytes, size, i * b, top)
-        size = top
-    # The width is now h+1 limbs, so the remaining factors act on
-    # Z[q]/(q^(h+1)) and commute.
-    x, nbytes = _repack(x, nbytes, h + 1, comb(a + b, a))
-    limb = 8 * nbytes
-    modulus = 1 << (limb * (h + 1))
-    mask = modulus - 1
-    for d, k in _factors(a, b, h, grow):
-        if k:
-            x = _geometric(x, limb * d, k, mask)
-        else:
-            x = _numerator(x, limb * d, mask, modulus)
+    x, nbytes = _half(a, b)
     half = _unpack(x.to_bytes(nbytes * (h + 1), "little"), nbytes, h + 1)
     return half + half[n - h - 1 :: -1]
 

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from qunimodal import QPolynomial, gaussian, gaussian_by_enumeration, qbinomial
-from qunimodal.qbinomial import _factors, _geometric, _mirror, _numerator, _passes, _unpack
+from qunimodal.qbinomial import _bound, _factors, _geometric, _mirror, _numerator, _passes, _unpack
 
 
 def _polymul(a, b):
@@ -29,25 +29,33 @@ def _divide_by_one_minus_qk(num, k):
     return quot
 
 
-def packed_recurrence(ell: int, m: int) -> tuple:
-    """Reference: the q-Pascal recurrence G(i, j) = G(i, j-1) + q^j G(i-1, j).
-
-    Each row of G is packed into big integers with byte-aligned limbs of at
-    least comb(ell+m, ell).bit_length() bits, so a step is one shift-and-add.
-    """
-    bound = comb(ell + m, ell)
-    limb = max(8, ((bound.bit_length() + 7) // 8) * 8)
+def _pascal_rows(ell: int, m: int, limb: int):
+    """The rows i = 0..ell of the q-Pascal recurrence G(i, j) = G(i, j-1) +
+    q^j G(i-1, j): row i is the list of G(i, j) for j = 0..m, each packed
+    into a big integer with ``limb``-bit limbs, so a step is one shift-and-add."""
     prev = [1] * (m + 1)  # G(0, j) = 1 for every j
+    yield prev
     for _ in range(ell):
         cur = [1]  # G(i, 0) = 1
         for j in range(1, m + 1):
             cur.append(cur[j - 1] + (prev[j] << (limb * j)))
+        yield cur
         prev = cur
-    nbytes = limb // 8
-    raw = prev[m].to_bytes(nbytes * (ell * m + 1), "little")
+
+
+def _limbs(x: int, nbytes: int, count: int) -> tuple:
+    raw = x.to_bytes(nbytes * count, "little")
     return tuple(
         int.from_bytes(raw[o : o + nbytes], "little") for o in range(0, len(raw), nbytes)
     )
+
+
+def packed_recurrence(ell: int, m: int) -> tuple:
+    """Reference: G(ell, m) by the q-Pascal recurrence, in byte-aligned
+    limbs of at least comb(ell+m, ell).bit_length() bits."""
+    nbytes = max(1, (comb(ell + m, ell).bit_length() + 7) // 8)
+    *_, last = _pascal_rows(ell, m, 8 * nbytes)
+    return _limbs(last[m], nbytes, ell * m + 1)
 
 
 def product_formula(ell: int, m: int) -> tuple:
@@ -81,18 +89,17 @@ def test_matches_packed_recurrence_grid():
             assert gaussian(ell, m).coeffs == packed_recurrence(ell, m), (ell, m)
 
 
-# (63, 64) to (110, 110) widen their limbs many times while the partial
-# box grows, and then pair numerators with denominators a half or a third
-# their size; (45, 45) pairs the odd quotient 3, and (5, 247) and (5, 311)
-# decline the pairs that would cost more than the two factors apart.  The
-# last three cross the seams of the half-width grow phase (see
-# test_seams_of_the_grow_phase).
+# (63, 64) to (110, 110) widen their limbs at many stages, and each stage
+# pairs numerators with denominators a half or a third their size;
+# (45, 45) pairs the odd quotient 3, and (5, 247) and (5, 311) decline the
+# pairs that would cost more than the two factors apart.  The last four
+# cross the seams between stages (see test_seams_of_the_stages).
 @pytest.mark.parametrize(
     "ell,m",
     [(60, 60), (12, 1175), (1175, 12), (10, 2000),
      (63, 64), (89, 90), (40, 100), (75, 107), (110, 110),
      (5, 247), (5, 311), (45, 45),
-     (33, 67), (2, 2001), (21, 300)],
+     (33, 67), (2, 2001), (21, 300), (9, 730)],
 )
 def test_matches_packed_recurrence_large(ell, m):
     assert gaussian(ell, m).coeffs == packed_recurrence(ell, m)
@@ -102,19 +109,81 @@ def _limb_bytes(bound):
     return (bound.bit_length() + 7) // 8
 
 
-def test_seams_of_the_grow_phase():
-    # box (a, b) grows in ceil(h/b) steps; step i has degree i*b and limbs
-    # of the byte length of comb(b+i, i), widened to that of comb(a+b, a)
-    # after the last.  (33, 67): 17 steps, of odd degree at every odd
-    # step, so the centre falls between two coefficients
-    assert -(-(33 * 67 // 2) // 67) == 17 and 67 % 2 == 1
-    # (2, 2001): one step, of odd degree, in 2-byte limbs that widen to 3
-    # right after the mirror that extends them to h+1
-    assert -(-(2 * 2001 // 2) // 2001) == 1
-    assert [_limb_bytes(comb(2002, 1)), _limb_bytes(comb(2003, 2))] == [2, 3]
-    # (21, 300): step 11 widens from 8 to 9 bytes the limbs that the
-    # mirror after step 10 wrote
-    assert [_limb_bytes(comb(300 + i, i)) for i in (10, 11)] == [8, 9]
+def _stages(a, b):
+    """The sides 1, ..., a of the boxes (g, b) that build (a, b), a <= b."""
+    sides = [a]
+    while sides[-1] > 1:
+        sides.append(-(-(sides[-1] * b // 2) // b))
+    return sides[::-1]
+
+
+def test_seams_of_the_stages(monkeypatch):
+    # box (a, b) is built from the half of (g, b), g = ceil(h/b), mirrored
+    # out to h+1 limbs; each stage above the ones re-lays its limbs once,
+    # for values up to B(a, b), and never narrows them
+    widths = []
+    repack = qbinomial._repack
+
+    def spy(x, nbytes, count, bound):
+        x, new = repack(x, nbytes, count, bound)
+        widths.append((nbytes, new))
+        return x, new
+
+    monkeypatch.setattr(qbinomial, "_repack", spy)
+
+    def seams(ell, m):
+        widths.clear()
+        assert qbinomial._product_coeffs(ell, m) == packed_recurrence(ell, m)
+        a, b = sorted((ell, m))
+        assert [new for _, new in widths] == [
+            _limb_bytes(_bound(g, b)) for g in _stages(a, b)[1:]
+        ]
+        return widths[:]
+
+    # (33, 67): stages 2, 3, 5, 9, 17, 33, of odd degree g*b at every odd
+    # g, so the centre of the box below falls between two coefficients;
+    # stage 2 keeps the one-byte limbs of the ones, every other widens
+    assert _stages(33, 67) == [1, 2, 3, 5, 9, 17, 33] and 67 % 2 == 1
+    assert seams(33, 67) == [(1, 1), (1, 2), (2, 3), (3, 4), (4, 7), (7, 11)]
+    # (2, 2001): one stage, over the box (1, 2001) of odd degree, in 2-byte
+    # limbs, where comb(2003, 2) takes 3 bytes
+    assert seams(2, 2001) == [(1, 2)]
+    assert _limb_bytes(comb(2003, 2)) == 3
+    # (21, 300): stage 11 widens 4-byte limbs to 8, which unpack would read
+    # as words, and stage 21 widens them to 13, where comb(321, 21) takes 14
+    assert seams(21, 300) == [(1, 1), (1, 2), (2, 4), (4, 8), (8, 13)]
+    assert _limb_bytes(comb(321, 21)) == 14
+    # (9, 730): stage 9 widens 4-byte limbs to 8, where comb(739, 9) takes
+    # 9, so the whole expansion is read as words
+    assert seams(9, 730) == [(1, 2), (2, 3), (3, 4), (4, 8)]
+    assert _limb_bytes(comb(739, 9)) == 9
+    # (7, 163): stage 4 widens one-byte limbs to 3 at once, stage 7 widens
+    # them to 4, and its largest coefficient has all 32 bits of them
+    assert _stages(7, 163) == [1, 2, 4, 7]
+    assert seams(7, 163) == [(1, 1), (1, 3), (3, 4)]
+    assert max(packed_recurrence(7, 163)).bit_length() == 32
+
+
+def test_bound_holds_on_a_grid():
+    # every coefficient of binom(a+b, a)_q, a <= 40 and a <= b <= 120, read
+    # off the recurrence, is at most B(a, b), and B is within 3 bits of
+    # the largest
+    nbytes = _limb_bytes(comb(160, 40))
+    rows = _pascal_rows(40, 120, 8 * nbytes)
+    next(rows)  # G(0, j) = 1
+    for a, row in enumerate(rows, 1):
+        for b in range(a, 121):
+            largest = max(_limbs(row[b], nbytes, a * b + 1))
+            bound = _bound(a, b)
+            assert largest <= bound, (a, b)
+            assert bound.bit_length() - largest.bit_length() <= 3, (a, b)
+
+
+def test_bound_never_takes_more_bytes_than_comb():
+    # so the packed half never outgrows what EXPANSION_GUARD counts
+    for a in range(1, 201):
+        for b in range(a, 401):
+            assert _limb_bytes(_bound(a, b)) <= _limb_bytes(comb(a + b, a)), (a, b)
 
 
 @pytest.mark.parametrize("nbytes", [1, 2, 3, 9])
@@ -208,7 +277,7 @@ def test_pairs_are_declined_when_they_save_nothing():
 
 def test_no_doubling_step_shifts_past_the_width(monkeypatch):
     # a shift by the whole width or more adds nothing modulo 2^K: every
-    # sum, in the grow phase too, stops where its terms vanish
+    # sum, at every stage, stops where its terms vanish
     calls = []
 
     def spy(x, shift, k, mask):
@@ -225,8 +294,11 @@ def test_no_doubling_step_shifts_past_the_width(monkeypatch):
 
 def test_series_bytes_at_half_width(monkeypatch):
     # bytes touched by the shift-and-adds of every series, summed over an
-    # expansion, against a grow phase at full degree
+    # expansion, against a grow phase at full degree and against one at
+    # half width that applied one unpaired denominator per step, in limbs
+    # of the byte length of comb(b+i, i)
     full_degree = [4_943_557, 19_818_672, 45_428_854, 6_440_005]
+    one_step = [3_808_048, 15_346_312, 35_529_084, 5_650_318]
     total = []
 
     def spy(x, shift, k, mask):
@@ -237,8 +309,9 @@ def test_series_bytes_at_half_width(monkeypatch):
     for ell, m in [(63, 64), (89, 90), (110, 110), (12, 1175)]:
         total.append(0)
         qbinomial._product_coeffs(ell, m)
-    assert total == [3_808_048, 15_346_312, 35_529_084, 5_650_318]
+    assert total == [3_504_360, 14_693_237, 35_448_326, 5_287_189]
     assert all(map(int.__lt__, total, full_degree))
+    assert all(map(int.__lt__, total, one_step))
 
 
 def test_gaussian_refuses_an_oversize_box_before_any_work(monkeypatch):
@@ -295,11 +368,21 @@ def test_unpack_matches_from_bytes(monkeypatch, nbytes):
     assert widened == {3: [4], 5: [8], 6: [8], 7: [8]}.get(nbytes, [])
 
 
-@pytest.mark.parametrize("ell,m", [(41, 42), (42, 41)])
+@pytest.mark.parametrize(
+    "ell,m", [(41, 42), (42, 41), (6, 8), (45, 8), (7, 163), (40, 41), (45, 45)]
+)
 def test_matches_packed_recurrence_at_limb_edge(ell, m):
-    # comb(83, 41) has exactly 80 bits, so the limb width is the bit length
-    # itself with no byte-rounding slack above it
-    assert comb(ell + m, ell).bit_length() == 80
+    # comb(83, 41) has exactly 80 bits; in the other boxes B(a, b) has a
+    # whole number of bytes, so the limb is as wide as the bound with no
+    # byte-rounding slack above it.  The largest coefficient of (6, 8) and
+    # of (7, 163) fills its limb: one byte, and the 32 bits that unpack
+    # reads as words; (8, 45) has 3-byte limbs and (40, 41) and (45, 45)
+    # the narrowest ones read one by one
+    a, b = sorted((ell, m))
+    if (a, b) == (41, 42):
+        assert comb(83, 41).bit_length() == 80
+    else:
+        assert _bound(a, b).bit_length() in (8, 24, 32, 72, 80)
     assert gaussian(ell, m).coeffs == packed_recurrence(ell, m)
 
 
