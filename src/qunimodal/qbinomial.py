@@ -65,10 +65,12 @@ takes, which no coefficient exceeds:
 
 B <= comb(a+b, a) = comb(a+b-1, a-1) (a+b)/a, since the second
 binomial in B is at most comb(a+b-1, a-1) (by the same monotonicity) and
-a-1 <= b, so B never takes more bytes.  It is within 3 bits of the
-largest coefficient on every box the tests check it on, where comb(a+b,
-a) is further above: 7 bits on (20, 20) against B's 1, and 12 on
-(200, 200) against 3.
+a-1 <= b, so B never takes more bytes.  That estimate gives B <=
+comb(a+b-1, a-1), so 2B <= comb(a+b, a) as well, since (a+b)/a >= 2:
+limbs with a spare bit above B take no more bytes either.  B is within
+3 bits of the largest coefficient on every box the tests check it on,
+where comb(a+b, a) is further above: 7 bits on (20, 20) against B's 1,
+and 12 on (200, 200) against 3.
 
 Within a stage the width stays at h+1 limbs, so every factor is a unit
 of the one ring Z[q]/(q^{h+1}); the factors commute, only the final
@@ -88,6 +90,23 @@ saving is positive: on (5, 247), N = 252 over d = 4 gives k = 63, which
 costs 10 shift-and-adds where the two apart cost 9.  The numerators and
 denominators left over are applied one by one.
 
+``rising_stalls`` decides the strictness chain on the packed half
+without unpacking it, by limb-wise compares (broadword arithmetic, Knuth,
+TAOCP 4A, 7.1.3).  Let x hold p_0, ..., p_h in L-bit limbs, and let T
+have the top bit 2^(L-1) of each limb 0..h set.  If every coefficient is
+below 2^(L-1), the OR in (x << L) | T adds 2^(L-1) to every limb, and
+limb k of ((x << L) | T) - x is 2^(L-1) + p_{k-1} - p_k, which lies in
+(0, 2^L): no limb borrows from the next, so the limbs of the difference
+are exactly these values, and its top bit, kept by ``& T``, is set
+exactly when p_{k-1} >= p_k.  A strict box leaves limbs 2..h zero, and
+nothing is read back.  The mirrored compare (x | T) - ((x << L) mod 2^K)
+has limb k = 2^(L-1) + p_k - p_{k-1} by the same argument; it is cut to
+K bits first so that the difference is not negative.  ANDed with the
+stalls it leaves the equalities p_{k-1} = p_k.  Only a non-zero result
+is read back, by the top byte of each limb.  The spare top bit needs
+limbs that hold 2 B(a, b): where B has a whole number of bytes, as on
+(7, 163) and (45, 45), the half is re-laid once, one byte wider.
+
 Unpacking reads limbs of 1, 2, 4 or 8 bytes with ``struct`` as
 unsigned words of their own width; a limb of 3 or 5 to 7 bytes is first
 widened to the next of these widths by the same strided copy, and wider
@@ -101,7 +120,7 @@ from __future__ import annotations
 
 import operator
 import struct
-from itertools import repeat
+from itertools import compress, repeat
 from math import comb
 
 from .partitions import parts_inside
@@ -110,10 +129,11 @@ from .partitions import parts_inside
 # oracle exists for cross-checks, not for production work.
 ENUMERATION_GUARD = 64
 
-# gaussian refuses a box whose rising half, h+1 limbs of the byte length
-# of comb(a+b, a), would take more bytes than this.  The limbs are packed
-# no wider than that, since B(a, b) never takes more bytes, so the same
-# boxes are refused as when comb(a+b, a) sized them; (200, 200) counts
+# gaussian and rising_stalls refuse a box whose rising half, h+1 limbs of
+# the byte length of comb(a+b, a), would take more bytes than this.  The
+# limbs are packed no wider than that, since neither B(a, b) nor 2 B(a, b)
+# takes more bytes, so the same boxes are refused as when comb(a+b, a)
+# sized them; (200, 200) counts
 # 1,000,050, packs 980,049 and expands in about 0.5 s (2-vCPU x86_64 VM,
 # Python 3.11).
 EXPANSION_GUARD = 1 << 22
@@ -329,6 +349,55 @@ def _product_coeffs(ell: int, m: int) -> tuple[int, ...]:
     return half + half[n - h - 1 :: -1]
 
 
+def _check_size(ell: int, m: int) -> None:
+    """Raise ``ValueError`` for a box, ell, m >= 1, whose packed rising half
+    would take more than ``EXPANSION_GUARD`` bytes."""
+    # every limb takes a byte or more, so the first test bounds ell+m, and
+    # with it the work of comb, before the second one calls it
+    limbs = ell * m // 2 + 1
+    if limbs > EXPANSION_GUARD or (
+        limbs * ((comb(ell + m, m).bit_length() + 7) // 8) > EXPANSION_GUARD
+    ):
+        raise ValueError(
+            f"box too large to expand: ell={ell} m={m} packs its rising half "
+            f"in more than {EXPANSION_GUARD} bytes"
+        )
+
+
+def _marked(x: int, nbytes: int, count: int) -> list[int]:
+    """2 + the index of each of the ``count`` limbs of ``x`` whose top byte
+    is not zero."""
+    tops = x.to_bytes(nbytes * count, "little")[nbytes - 1 :: nbytes]
+    return list(compress(range(2, count + 2), tops))
+
+
+def rising_stalls(ell: int, m: int) -> tuple[list[int], list[int]]:
+    """The stalls p_{k-1} >= p_k of binom(m+ell, m)_q, 2 <= k <= floor(ell*m/2),
+    and the equalities p_{k-1} = p_k among them, for ell, m >= 1.
+
+    Both are read off the packed rising half by limb-wise compares, and no
+    coefficient is unpacked.  A box that :func:`gaussian` refuses raises
+    the same ``ValueError`` before any expansion.
+    """
+    _check_size(ell, m)
+    a, b = min(ell, m), max(ell, m)
+    h = a * b // 2
+    x, nbytes = _half(a, b)
+    # a spare top bit: every coefficient stays below 2^(L-1)
+    x, nbytes = _repack(x, nbytes, h + 1, 2 * _bound(a, b))
+    limb = 8 * nbytes
+    tops = int.from_bytes((bytes(nbytes - 1) + b"\x80") * (h + 1), "little")
+    # limb k is 2^(L-1) + p_{k-1} - p_k; limbs 0 and 1 are dropped
+    ge = ((((x << limb) | tops) - x) & tops) >> 2 * limb
+    if not ge:
+        return [], []
+    # limb k is 2^(L-1) + p_k - p_{k-1}, with x << L cut to the h+1 limbs
+    # so that the difference is not negative
+    cut = (x << limb) & ((1 << limb * (h + 1)) - 1)
+    le = (((x | tops) - cut) >> 2 * limb) & ge
+    return _marked(ge, nbytes, h - 1), _marked(le, nbytes, h - 1)
+
+
 def gaussian(ell: int, m: int) -> QPolynomial:
     """Gaussian binomial binom(m+ell, m)_q as a QPolynomial of degree ell*m.
 
@@ -342,16 +411,7 @@ def gaussian(ell: int, m: int) -> QPolynomial:
         raise ValueError(f"box sides must be non-negative: ell={ell} m={m}")
     if ell == 0 or m == 0:
         return QPolynomial((1,))
-    # every limb takes a byte or more, so the first test bounds ell+m, and
-    # with it the work of comb, before the second one calls it
-    limbs = ell * m // 2 + 1
-    if limbs > EXPANSION_GUARD or (
-        limbs * ((comb(ell + m, m).bit_length() + 7) // 8) > EXPANSION_GUARD
-    ):
-        raise ValueError(
-            f"box too large to expand: ell={ell} m={m} packs its rising half "
-            f"in more than {EXPANSION_GUARD} bytes"
-        )
+    _check_size(ell, m)
     return QPolynomial._of(_product_coeffs(ell, m))
 
 

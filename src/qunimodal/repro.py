@@ -11,7 +11,7 @@ tests call the functions directly.
 
 from __future__ import annotations
 
-from .certify import NotCertifiableError, certify, verify
+from .certify import NotCertifiableError, _leaf_strict, _registry_candidates, certify, verify
 from .kronecker import DEFAULT_ORACLE_BOUND, g_oracle, g_two_row, semigroup_check, two_row
 from .partitions import Partition, partitions_of
 from .qbinomial import gaussian
@@ -79,6 +79,50 @@ def repro_exceptions() -> tuple[bool, list[str]]:
             "middle-three plateau confirmed for all but (6,6), "
             "whose equal pairs flank a strictly larger centre"
         )
+    return ok, lines
+
+
+def _pascal_table(rows: int, cols: int) -> list[list[list[int]]]:
+    """G[i][j], the coefficient list of binom(i+j, i)_q for i <= rows and
+    j <= cols, by the q-Pascal recurrence G(i, j) = G(i, j-1) + q^j G(i-1, j)
+    on plain lists."""
+    table = [[[1]] * (cols + 1)]
+    for i in range(1, rows + 1):
+        row = [[1]]
+        for j in range(1, cols + 1):
+            coeffs = row[j - 1] + [0] * i
+            for k, c in enumerate(table[i - 1][j], j):
+                coeffs[k] += c
+            row.append(coeffs)
+        table.append(row)
+    return table
+
+
+def repro_leaves() -> tuple[bool, list[str]]:
+    """Re-derive the verdict on every base registry candidate by a route
+    that shares no code with ``qbinomial``: the q-Pascal recurrence on
+    plain lists, then a scan of each rise.  The non-strict candidates must
+    be ``EXCEPTION_PAIRS``, and every verdict must match the leaf check
+    that certificates rely on."""
+    cands = sorted(_registry_candidates())
+    table = _pascal_table(max(a for a, _ in cands), max(b for _, b in cands))
+    verdicts = {}
+    for a, b in cands:
+        p = table[a][b]
+        verdicts[(a, b)] = all(p[k - 1] < p[k] for k in range(2, a * b // 2 + 1))
+    found = [pair for pair, strict in verdicts.items() if not strict]
+    listed = sorted(EXCEPTION_PAIRS)
+    lines = [
+        f"expanded {len(cands)} registry candidates by the q-Pascal recurrence",
+        "non-strict: " + _pairs(found),
+    ]
+    ok = found == listed
+    if not ok:
+        lines.append("expected:   " + _pairs(listed))
+    differ = [pair for pair, strict in verdicts.items() if strict != _leaf_strict(*pair)]
+    if differ:
+        ok = False
+        lines.append("the leaf check disagrees on: " + _pairs(differ))
     return ok, lines
 
 
@@ -228,6 +272,7 @@ def repro_certify_sweep(max_n: int = 40) -> tuple[bool, list[str]]:
 
 CLAIMS = {
     "exceptions": repro_exceptions,
+    "leaves": repro_leaves,
     "ell2": repro_ell2,
     "ell34": repro_ell34,
     "lemma12": repro_lemma12,

@@ -27,6 +27,15 @@ is a single leaf, which ``verify`` re-checks coefficient by coefficient;
 the nine exceptions are the window pairs the registry build finds
 non-strict, and ``certify`` refuses them.
 
+``check_strict`` never unpacks the vector.  It takes the stalls
+p_{k-1} >= p_k and the equalities of the rising half from
+``qbinomial.rising_stalls``, which compares the packed half with itself
+shifted by one limb: with L-bit limbs and T the top bit 2^(L-1) of each,
+limb k of ((x << L) | T) - x is 2^(L-1) + p_{k-1} - p_k.  The limbs are
+wide enough that every coefficient stays below 2^(L-1), so that value
+lies in (0, 2^L), no borrow crosses a limb, and its top bit is set
+exactly at a stall.  A strict box reads as zero there.
+
 Behaviour for min(ell, m) = 1 is this library's own extension: the
 boundary cases ell*m <= 3 make the defining chain vacuous and
 ``check_strict`` reports them as strict, while ``classify`` still
@@ -38,9 +47,12 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from itertools import compress
 
-from .qbinomial import gaussian
+# Not used in this module: perfbench/tracing.py wraps
+# ``unimodality.gaussian``, and its traced run fails on a layer it cannot
+# find.  Drop this import with the next change to the benchmark.
+from .qbinomial import gaussian  # noqa: F401
+from .qbinomial import rising_stalls
 
 # The nine non-strict pairs with min(ell, m) >= 5, in (min, max) order.
 # Used only as the expected failure set when building the certificate
@@ -89,20 +101,19 @@ def check_strict(ell: int, m: int) -> UnimodalityReport:
     ell, m = operator.index(ell), operator.index(m)
     if ell < 1 or m < 1:
         raise ValueError(f"need ell, m >= 1: got ell={ell} m={m}")
-    c = gaussian(ell, m).coeffs
     n = ell * m
     half = n // 2
 
     # The vector is palindromic, so the middle equality for odd n and the
-    # strict fall mirror the rise: the rising half decides the chain.  One
-    # scan lists its stalls c[k-1] >= c[k], 2 <= k <= half.
-    stalls = list(compress(range(2, half + 1), map(operator.ge, c[1:half], c[2 : half + 1])))
+    # strict fall mirror the rise: the rising half decides the chain, by
+    # its stalls p[k-1] >= p[k], 2 <= k <= half.
+    stalls, equal = rising_stalls(ell, m)
     first_violation = stalls[0] if stalls else None
 
-    # Equal neighbours c[k] = c[k+1], 1 <= k <= n-2: palindromy maps k to
-    # n-1-k, so the rising half's equalities, which are among its stalls,
-    # the middle pair forced equal for odd n, and their mirror images are all.
-    low = [k - 1 for k in stalls if c[k - 1] == c[k]]
+    # Equal neighbours p[k] = p[k+1], 1 <= k <= n-2: palindromy maps k to
+    # n-1-k, so the rising half's equalities, the middle pair forced equal
+    # for odd n, and their mirror images are all.
+    low = [k - 1 for k in equal]
     if n % 2 and half:
         low.append(half)
     plateaus: list[tuple[int, int]] = []

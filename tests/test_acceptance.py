@@ -13,6 +13,7 @@ from qunimodal.repro import (
     repro_ell2,
     repro_ell34,
     repro_exceptions,
+    repro_leaves,
     repro_lemma12,
     repro_routes,
     repro_semigroup,
@@ -105,3 +106,10 @@ def test_08_performance_budget(capsys):
         f"expand+check 60x60 took {expand_elapsed:.3f}s (budget 1s), "
         f"scan 2..30 took {scan_elapsed:.2f}s",
     ), (expand_elapsed, scan_elapsed)
+
+
+def test_09_leaf_second_route(capsys):
+    (ok, lines), elapsed = _timed(repro_leaves)
+    assert _announce(
+        capsys, 9, "registry leaves by the q-Pascal recurrence", ok, elapsed, 1.0
+    ), lines

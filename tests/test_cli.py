@@ -429,6 +429,35 @@ def test_repro_exceptions_checks_classify_against_direct_checks(monkeypatch):
     assert lines[2] == "classify disagrees with the direct check on: " + lines[1][18:]
 
 
+def test_repro_leaves_fails_on_a_perturbed_coefficient_or_a_dropped_pair(monkeypatch, capsys):
+    # each fault gives a FAIL line and exit 0, never a traceback
+    from qunimodal import repro
+
+    pascal = repro._pascal_table
+
+    def perturbed(rows, cols):
+        table = pascal(rows, cols)
+        table[8][8][31] = table[8][8][32]  # a stall at the centre of (8, 8)
+        return table
+
+    monkeypatch.setattr(repro, "_pascal_table", perturbed)
+    assert run(["repro", "--claim", "leaves"]) == 0
+    out = _lines(capsys)
+    assert out[2].endswith("(7,10) (8,8)")
+    assert out[-2:] == ["the leaf check disagrees on: (8,8)", "FAIL"]
+
+    monkeypatch.setattr(repro, "_pascal_table", pascal)
+    candidates = repro._registry_candidates
+    monkeypatch.setattr(repro, "_registry_candidates", lambda: candidates() - {(6, 6)})
+    assert run(["repro", "--claim", "leaves"]) == 0
+    out = _lines(capsys)
+    assert out[1] == "expanded 82 registry candidates by the q-Pascal recurrence"
+    assert out[-2:] == [
+        "expected:   (5,6) (5,10) (5,14) (6,6) (6,7) (6,9) (6,11) (6,13) (7,10)",
+        "FAIL",
+    ]
+
+
 def test_certify_verify_round_trip(tmp_path, capsys):
     out = tmp_path / "cert.json"
     assert run(["certify", "--ell", "8", "--m", "24", "--out", str(out)]) == 0

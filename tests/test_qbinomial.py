@@ -3,8 +3,17 @@ from math import comb
 
 import pytest
 
-from qunimodal import QPolynomial, gaussian, gaussian_by_enumeration, qbinomial
-from qunimodal.qbinomial import _bound, _factors, _geometric, _mirror, _numerator, _passes, _unpack
+from qunimodal import QPolynomial, check_strict, gaussian, gaussian_by_enumeration, qbinomial
+from qunimodal.qbinomial import (
+    _bound,
+    _factors,
+    _geometric,
+    _mirror,
+    _numerator,
+    _passes,
+    _unpack,
+    rising_stalls,
+)
 
 
 def _polymul(a, b):
@@ -180,10 +189,12 @@ def test_bound_holds_on_a_grid():
 
 
 def test_bound_never_takes_more_bytes_than_comb():
-    # so the packed half never outgrows what EXPANSION_GUARD counts
+    # so the packed half never outgrows what EXPANSION_GUARD counts, nor
+    # does it with the spare bit of rising_stalls
     for a in range(1, 201):
         for b in range(a, 401):
             assert _limb_bytes(_bound(a, b)) <= _limb_bytes(comb(a + b, a)), (a, b)
+            assert _limb_bytes(2 * _bound(a, b)) <= _limb_bytes(comb(a + b, a)), (a, b)
 
 
 @pytest.mark.parametrize("nbytes", [1, 2, 3, 9])
@@ -384,6 +395,57 @@ def test_matches_packed_recurrence_at_limb_edge(ell, m):
     else:
         assert _bound(a, b).bit_length() in (8, 24, 32, 72, 80)
     assert gaussian(ell, m).coeffs == packed_recurrence(ell, m)
+
+
+@pytest.mark.parametrize(
+    "ell,m,extra",
+    [(7, 163, 1), (45, 45, 1), (8, 45, 1), (6, 8, 1),
+     (41, 42, 0), (12, 1175, 0), (1, 5000, 0), (2, 2001, 0)],
+)
+def test_rising_stalls_match_a_scan_of_the_recurrence(monkeypatch, ell, m, extra):
+    # a limb holds 2 B(a, b): where B fills whole bytes the limbs are
+    # widened by one byte for the spare top bit that keeps every limb's
+    # difference from borrowing, and otherwise left as they are
+    calls = []
+    repack = qbinomial._repack
+
+    def spy(x, nbytes, count, bound):
+        x, new = repack(x, nbytes, count, bound)
+        calls.append((nbytes, new))
+        return x, new
+
+    monkeypatch.setattr(qbinomial, "_repack", spy)
+    p = packed_recurrence(ell, m)
+    rise = range(2, ell * m // 2 + 1)
+    assert rising_stalls(ell, m) == (
+        [k for k in rise if p[k - 1] >= p[k]],
+        [k for k in rise if p[k - 1] == p[k]],
+    )
+    old, new = calls[-1]
+    assert new - old == extra
+
+
+def test_check_strict_refuses_an_oversize_box_before_any_work(monkeypatch):
+    # the same boxes as gaussian, with the same message, before the half
+    # is built or comb sizes it
+    def unreachable(*args):
+        raise AssertionError("expanded or sized a box above the guard")
+
+    for ell, m in [(5, 10**10), (10**10, 5), (1, 2 * qbinomial.EXPANSION_GUARD)]:
+        with pytest.raises(ValueError, match="too large") as expected:
+            gaussian(ell, m)
+        with monkeypatch.context() as patch:
+            patch.setattr(qbinomial, "_half", unreachable)
+            patch.setattr(qbinomial, "comb", unreachable)
+            with pytest.raises(ValueError) as refused:
+                check_strict(ell, m)
+        assert str(refused.value) == str(expected.value)
+    # (8, 8) packs 66 bytes: admitted at a guard of 66 and refused at 65
+    monkeypatch.setattr(qbinomial, "EXPANSION_GUARD", 66)
+    assert check_strict(8, 8).strict
+    monkeypatch.setattr(qbinomial, "EXPANSION_GUARD", 65)
+    with pytest.raises(ValueError, match="too large"):
+        check_strict(8, 8)
 
 
 def test_matches_enumeration_oracle():

@@ -14,6 +14,7 @@ from qunimodal import (
     scan,
     unimodality,
 )
+from qunimodal.qbinomial import rising_stalls
 from qunimodal.unimodality import UnimodalityReport
 
 NINE = sorted(
@@ -167,6 +168,53 @@ def test_single_scan_matches_the_two_scan_reference(boxes):
         assert check_strict(ell, m) == _two_scan_report(ell, m), (ell, m)
 
 
+def _unpack_and_scan_report(ell, m):
+    """check_strict as it was before the limb-wise compares: the whole
+    vector unpacked, then one scan of its rising half."""
+    c = gaussian(ell, m).coeffs
+    n = ell * m
+    half = n // 2
+    stalls = list(compress(range(2, half + 1), map(operator.ge, c[1:half], c[2 : half + 1])))
+    first_violation = stalls[0] if stalls else None
+    low = [k - 1 for k in stalls if c[k - 1] == c[k]]
+    if n % 2 and half:
+        low.append(half)
+    plateaus = []
+    for k in low + [n - 1 - k for k in reversed(low) if 2 * k < n - 1]:
+        if plateaus and plateaus[-1][1] == k:
+            plateaus[-1] = (plateaus[-1][0], k + 1)
+        else:
+            plateaus.append((k, k + 1))
+    return UnimodalityReport(
+        ell=ell,
+        m=m,
+        n=n,
+        strict=first_violation is None,
+        plateaus=tuple(plateaus),
+        first_violation=first_violation,
+    )
+
+
+# boxes of side 1 or 2 stall at every index or every second one, those of
+# side 3 or 4 at their centre; (7, 163) and (45, 45) are among the boxes
+# whose B(a, b) fills whole bytes, so the compare widens their limbs for a
+# spare bit
+@pytest.mark.parametrize(
+    "boxes",
+    [
+        [(ell, m) for ell in range(1, 61) for m in range(1, 61)],
+        [(1, 999), (1, 5000), (2, 2001), (2, 20000), (3, 400), (4, 300), (4, 3000)],
+        NINE,
+        [(6, 8), (45, 8), (7, 163), (40, 41), (45, 45), (41, 42), (9, 730)],
+        [(5, 400), (109, 110), (12, 1175)],
+    ],
+    ids=["grid-60", "min-at-most-4", "nine-exceptions", "limb-edge", "large"],
+)
+def test_limb_compares_match_the_unpack_and_scan_reference(boxes):
+    for ell, m in boxes:
+        assert check_strict(ell, m) == _unpack_and_scan_report(ell, m), (ell, m)
+
+
 def test_plateaus_are_real_equal_runs():
     for ell, m in [(3, 5), (4, 7), (6, 6)]:
         rep = check_strict(ell, m)
@@ -216,9 +264,9 @@ def test_classify_expands_nothing_beyond_the_registry_window(monkeypatch, fresh_
 
     def recording(ell, m):
         expanded.append((ell, m))
-        return gaussian(ell, m)
+        return rising_stalls(ell, m)
 
-    monkeypatch.setattr("qunimodal.unimodality.gaussian", recording)
+    monkeypatch.setattr("qunimodal.unimodality.rising_stalls", recording)
     for ell, m in [(16, 16), (5, 21), (60, 60)]:
         assert classify(ell, m) is PairClass.Strict
     assert expanded
