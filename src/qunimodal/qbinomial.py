@@ -29,18 +29,29 @@ The half is built in stages.  Stage (a, b), a > 1, starts from the
 rising half of binom(g+b, g)_q with g = ceil(h/b), built by the same
 stages down to the side 1, whose rising half is h+1 ones.  The box
 (g, b) has degree g*b >= h, so its half, extended by its mirror image
-p_j = p_{g*b-j}, covers the h+1 limbs: those limbs are cut out of the
-known part, put in reverse order (one strided copy per byte, then a
-big-endian read) and ORed in above it.  The limbs are then re-laid once,
-by strided byte copies (``out[j::new] = raw[j::old]``), to hold every
-coefficient of binom(a+b, a)_q, and the factors (1 - q^{b+i})/(1 - q^i),
-i = g+1..a, are applied modulo q^(h+1).  Mirroring and re-laying are
-exact because after a whole stage every limb holds a true, non-negative
-coefficient.  g = ceil(h/b), which is ceil(a/2), is the smallest side
-whose box reaches degree h, so the mirror alone fills the h+1 limbs and
-each stage halves the side: there are ceil(log2 a) stages, and each
-pairs about a/2 numerators with as many denominators at its own width.
-Splits from 0.35a to 0.65a were measured no faster.
+p_j = p_{g*b-j}, covers the h+1 limbs; the factors (1 - q^{b+i})/(1 -
+q^i), i = g+1..a, are then applied modulo q^(h+1).  g = ceil(h/b), which
+is ceil(a/2), is the smallest side whose box reaches degree h, so the
+mirror alone fills the h+1 limbs and each stage halves the side: there
+are ceil(log2 a) stages, and each pairs about a/2 numerators with as
+many denominators at its own width.  Splits from 0.35a to 0.65a were
+measured no faster.
+
+One helper, ``_relay``, moves limbs between stages: it writes the known
+limbs of a palindrome out as bytes once and copies them, one strided
+copy per byte (``out[i:top:new] = raw[i::old]``), into limbs of the new
+width, and copies the mirror limbs the same way from the reversed bytes
+of the limbs they mirror.  Mirroring and widening are exact because after
+a whole stage every limb holds a true, non-negative coefficient.
+``_half(a, b, bound)`` packs its half in limbs wide enough for
+``bound``, never narrower than the stage below, so each stage makes one
+``_relay`` call that mirrors and widens together.  The stage below is
+asked for B(g, b) (defined below); ``gaussian`` asks for B(a, b), and
+``rising_stalls`` for 2 B(a, b), the spare top bit its compares need.
+Unpacking reads limbs of 1, 2, 4 or 8 bytes with ``struct`` as unsigned
+words of their own width; a limb of 3 or 5 to 7 bytes is first widened
+by ``_relay`` to the next of these widths, and wider limbs are read one
+by one with ``int.from_bytes``.
 
 The limbs of stage (a, b) are as many whole bytes as the bound
 
@@ -104,13 +115,9 @@ has limb k = 2^(L-1) + p_k - p_{k-1} by the same argument; it is cut to
 K bits first so that the difference is not negative.  ANDed with the
 stalls it leaves the equalities p_{k-1} = p_k.  Only a non-zero result
 is read back, by the top byte of each limb.  The spare top bit needs
-limbs that hold 2 B(a, b): where B has a whole number of bytes, as on
-(7, 163) and (45, 45), the half is re-laid once, one byte wider.
-
-Unpacking reads limbs of 1, 2, 4 or 8 bytes with ``struct`` as
-unsigned words of their own width; a limb of 3 or 5 to 7 bytes is first
-widened to the next of these widths by the same strided copy, and wider
-limbs are read one by one with ``int.from_bytes``.
+limbs that hold 2 B(a, b), which is the bound ``rising_stalls`` gives
+``_half``: where B has a whole number of bytes, as on (7, 163) and
+(45, 45), the last stage packs one byte wider than ``gaussian``'s.
 
 The independent oracle ``gaussian_by_enumeration`` counts box partitions
 one by one and shares no arithmetic with the packed product formula.
@@ -133,9 +140,9 @@ ENUMERATION_GUARD = 64
 # the byte length of comb(a+b, a), would take more bytes than this.  The
 # limbs are packed no wider than that, since neither B(a, b) nor 2 B(a, b)
 # takes more bytes, so the same boxes are refused as when comb(a+b, a)
-# sized them; (200, 200) counts
-# 1,000,050, packs 980,049 and expands in about 0.5 s (2-vCPU x86_64 VM,
-# Python 3.11).
+# sized them; (200, 200) counts 1,000,050, packs 980,049 and expands in
+# about 0.33 s (median of 5 in-process calls of gaussian(200, 200), 2-vCPU
+# Intel Xeon VM, Python 3.11.7).
 EXPANSION_GUARD = 1 << 22
 
 
@@ -194,61 +201,48 @@ class QPolynomial:
         return f"QPolynomial({list(self.coeffs)})"
 
 
-def _widen(raw: bytes, old: int, new: int, count: int) -> bytearray:
-    """The ``count`` little-endian limbs of ``old`` bytes in ``raw``, laid
-    out again as limbs of ``new >= old`` bytes: one strided copy per byte."""
+def _relay(x: int, old: int, known: int, degree: int, count: int, new: int) -> bytes:
+    """The lowest ``count`` limbs of a palindrome of the given degree, laid
+    out as little-endian limbs of ``new >= old`` bytes.
+
+    ``x`` holds its lowest ``known`` limbs of ``old`` bytes; limb j at
+    ``known`` and above is the mirror, limb degree-j, which needs degree/2
+    < known <= count <= degree+1.  One ``to_bytes``, then strided byte
+    copies.
+    """
+    raw = x.to_bytes(old * known, "little")
+    # limbs degree-known down to degree-count+1, the bytes of each reversed
+    rev = raw[old * (degree - count + 1) : old * (degree - known + 1)][::-1]
+    if new == 1:  # one-byte limbs are whole already
+        return raw + rev
     out = bytearray(new * count)
-    for j in range(old):
-        out[j::new] = raw[j::old]
+    top = new * known
+    for i in range(old):
+        out[i:top:new] = raw[i::old]
+        out[top + i :: new] = rev[old - 1 - i :: old]
     return out
 
 
-def _unpack(raw: bytes, nbytes: int, count: int) -> tuple[int, ...]:
-    """The ``count`` little-endian limbs of ``nbytes`` bytes in ``raw``, as ints.
+def _unpack(x: int, nbytes: int, count: int) -> tuple[int, ...]:
+    """The ``count`` little-endian limbs of ``nbytes`` bytes in ``x``, as ints.
 
-    Limbs of up to 8 bytes are widened to the next width of 1, 2, 4 or
-    8 bytes, if they are not that wide already, and read as unsigned
-    words of that width.  Wider limbs are cut one at a time by a lazy
-    iterator: holding all of them as bytes objects at once leaves the
+    Limbs of up to 8 bytes are re-laid by :func:`_relay` to the next width
+    of 1, 2, 4 or 8 bytes, if they are not that wide already, and read as
+    unsigned words of that width.  Wider limbs are cut one at a time by a
+    lazy iterator: holding all of them as bytes objects at once leaves the
     small-object heap fragmented, which raises peak memory across
     expansions.
     """
     if nbytes > 8:
+        raw = x.to_bytes(nbytes * count, "little")
         limbs = map(operator.itemgetter(0), struct.iter_unpack(f"{nbytes}s", raw))
         return tuple(map(int.from_bytes, limbs, repeat("little")))
     width = 1 << (nbytes - 1).bit_length()
-    if width != nbytes:
-        raw = _widen(raw, nbytes, width, count)
+    if width == nbytes:
+        raw = x.to_bytes(nbytes * count, "little")
+    else:
+        raw = _relay(x, nbytes, count, count - 1, count, width)
     return struct.unpack(f"<{count}{'BHIQ'[width.bit_length() - 1]}", raw)
-
-
-def _repack(x: int, nbytes: int, count: int, bound: int) -> tuple[int, int]:
-    """``x``, ``count`` limbs of ``nbytes`` bytes, re-laid with limbs wide
-    enough for values up to ``bound``, never narrower; returns it with the
-    new limb bytes."""
-    need = (bound.bit_length() + 7) // 8
-    if need <= nbytes:
-        return x, nbytes
-    raw = x.to_bytes(nbytes * count, "little")
-    return int.from_bytes(_widen(raw, nbytes, need, count), "little"), need
-
-
-def _mirror(x: int, nbytes: int, known: int, degree: int, size: int) -> int:
-    """``x``, the lowest ``known`` limbs of ``nbytes`` bytes of a palindrome
-    of the given degree, extended to ``size`` limbs by limb j = limb
-    degree-j; needs known > degree/2 and size <= degree+1."""
-    count = size - known
-    low = degree - size + 1
-    # limbs low..degree-known, the bytes of each reversed (no copy for
-    # one-byte limbs), read as one big-endian number come out in reverse
-    # order
-    raw = (x >> (8 * nbytes * low)).to_bytes(nbytes * (known - low), "little")
-    if nbytes > 1:
-        out = bytearray(nbytes * count)
-        for j in range(nbytes):
-            out[nbytes - 1 - j :: nbytes] = raw[j : nbytes * count : nbytes]
-        raw = out
-    return x | int.from_bytes(raw[: nbytes * count], "big") << (8 * nbytes * known)
 
 
 def _passes(k: int) -> int:
@@ -316,18 +310,20 @@ def _bound(a: int, b: int) -> int:
     return (comb(a + b - 1, a - 1) + (a - 1) * comb((a + b) // 2, a // 2)) // a
 
 
-def _half(a: int, b: int) -> tuple[int, int]:
+def _half(a: int, b: int, bound: int) -> tuple[int, int]:
     """The rising half of binom(a+b, a)_q, 1 <= a <= b, packed in
-    floor(ab/2)+1 limbs; returns it with the limb bytes."""
+    floor(ab/2)+1 limbs wide enough for values up to ``bound`` and never
+    narrower than those of the stage below; returns it with the limb bytes."""
     h = a * b // 2
+    nbytes = (bound.bit_length() + 7) // 8
     if a == 1:
-        return int.from_bytes(b"\x01" * (h + 1), "little"), 1
+        return int.from_bytes((1).to_bytes(nbytes, "little") * (h + 1), "little"), nbytes
     # the box (g, b) has degree g*b >= h, so its half, mirrored, covers
     # the h+1 limbs
     g = -(-h // b)
-    x, nbytes = _half(g, b)
-    x = _mirror(x, nbytes, g * b // 2 + 1, g * b, h + 1)
-    x, nbytes = _repack(x, nbytes, h + 1, _bound(a, b))
+    x, old = _half(g, b, _bound(g, b))
+    nbytes = old if old > nbytes else nbytes
+    x = int.from_bytes(_relay(x, old, g * b // 2 + 1, g * b, h + 1, nbytes), "little")
     limb = 8 * nbytes
     modulus = 1 << (limb * (h + 1))
     mask = modulus - 1
@@ -344,8 +340,8 @@ def _product_coeffs(ell: int, m: int) -> tuple[int, ...]:
     a, b = min(ell, m), max(ell, m)
     n = a * b
     h = n // 2
-    x, nbytes = _half(a, b)
-    half = _unpack(x.to_bytes(nbytes * (h + 1), "little"), nbytes, h + 1)
+    x, nbytes = _half(a, b, _bound(a, b))
+    half = _unpack(x, nbytes, h + 1)
     return half + half[n - h - 1 :: -1]
 
 
@@ -382,9 +378,8 @@ def rising_stalls(ell: int, m: int) -> tuple[list[int], list[int]]:
     _check_size(ell, m)
     a, b = min(ell, m), max(ell, m)
     h = a * b // 2
-    x, nbytes = _half(a, b)
     # a spare top bit: every coefficient stays below 2^(L-1)
-    x, nbytes = _repack(x, nbytes, h + 1, 2 * _bound(a, b))
+    x, nbytes = _half(a, b, 2 * _bound(a, b))
     limb = 8 * nbytes
     tops = int.from_bytes((bytes(nbytes - 1) + b"\x80") * (h + 1), "little")
     # limb k is 2^(L-1) + p_{k-1} - p_k; limbs 0 and 1 are dropped

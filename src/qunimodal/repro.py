@@ -30,7 +30,11 @@ ELL34_MAX_N = 400
 CERTIFY_SWEEP_MAX_N = 60
 
 
-def _check_max_n(max_n: int, bound: int, what: str) -> None:
+def _check_max_n(max_n: int, bound: int, what: str, least: int = 1) -> None:
+    """Raise ValueError before any work unless least <= max_n <= bound:
+    below ``least`` the claim would check nothing and still pass."""
+    if max_n < least:
+        raise ValueError(f"{what} needs n >= {least}, or it checks nothing: got max_n={max_n}")
     if max_n > bound:
         raise ValueError(f"{what} limited to n <= {bound}: got max_n={max_n}")
 
@@ -145,8 +149,9 @@ def repro_ell2(max_n: int = 50) -> tuple[bool, list[str]]:
 
 def repro_ell34(max_n: int = 30) -> tuple[bool, list[str]]:
     """ell in {3, 4} is never strict, with a plateau beyond the forced
-    middle, for every 3 <= m <= max_n <= ``ELL34_MAX_N``."""
-    _check_max_n(max_n, ELL34_MAX_N, "ell34 claim")
+    middle, for every 3 <= m <= max_n <= ``ELL34_MAX_N``; a ``max_n``
+    below 3 raises ValueError."""
+    _check_max_n(max_n, ELL34_MAX_N, "ell34 claim", least=3)
     bad: list[str] = []
     for ell in (3, 4):
         for m in range(3, max_n + 1):
@@ -231,8 +236,8 @@ def repro_semigroup(
 
 def repro_certify_sweep(max_n: int = 40) -> tuple[bool, list[str]]:
     """Certificates and direct checks agree on every 5 <= ell <= m <= max_n
-    <= ``CERTIFY_SWEEP_MAX_N``."""
-    _check_max_n(max_n, CERTIFY_SWEEP_MAX_N, "certify-sweep claim")
+    <= ``CERTIFY_SWEEP_MAX_N``; a ``max_n`` below 5 raises ValueError."""
+    _check_max_n(max_n, CERTIFY_SWEEP_MAX_N, "certify-sweep claim", least=5)
     bad: list[str] = []
     certified = 0
     refused = 0

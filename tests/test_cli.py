@@ -387,6 +387,37 @@ def test_repro_oversize_claim_is_one_line_and_exit_1(
     assert capsys.readouterr() == ("", f"error: {expected}100000000000000\n")
 
 
+@pytest.mark.parametrize(
+    "claim,max_n,least",
+    [("ell34", "1", 3), ("ell34", "2", 3), ("certify-sweep", "1", 5), ("certify-sweep", "4", 5)],
+)
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_repro_claim_below_its_floor_is_one_line_and_exit_1(
+    claim, max_n, least, fmt, monkeypatch, capsys
+):
+    # below its floor the sweep would check no box and still print PASS;
+    # it is refused before any work instead
+    monkeypatch.setattr(
+        "qunimodal.repro.check_strict", lambda *args: pytest.fail("worked before refusing")
+    )
+    assert run(["repro", "--claim", claim, "--max-n", max_n, "--format", fmt]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {claim} claim needs n >= {least}, or it checks nothing: got max_n={max_n}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "claim,least,detail",
+    [("ell34", "3", "checked ell in {3,4}, m=3..3 for non-strictness with a witness plateau"),
+     ("certify-sweep", "5",
+      "built and verified 1 certificates, confirmed 0 refusals, 5 <= ell <= m <= 5")],
+    ids=["ell34", "certify-sweep"],
+)
+def test_repro_floors_admit_the_first_box(claim, least, detail, capsys):
+    assert run(["repro", "--claim", claim, "--max-n", least]) == 0
+    assert capsys.readouterr().out == f"claim: {claim}\n{detail}\nPASS\n"
+
+
 def test_repro_bounds_admit_the_defaults_and_refuse_one_above(monkeypatch, capsys):
     from qunimodal import repro
 

@@ -8,9 +8,9 @@ from qunimodal.qbinomial import (
     _bound,
     _factors,
     _geometric,
-    _mirror,
     _numerator,
     _passes,
+    _relay,
     _unpack,
     rising_stalls,
 )
@@ -129,16 +129,16 @@ def _stages(a, b):
 def test_seams_of_the_stages(monkeypatch):
     # box (a, b) is built from the half of (g, b), g = ceil(h/b), mirrored
     # out to h+1 limbs; each stage above the ones re-lays its limbs once,
-    # for values up to B(a, b), and never narrows them
+    # mirror and widening together, for values up to B(a, b), and never
+    # narrows them
     widths = []
-    repack = qbinomial._repack
+    relay = qbinomial._relay
 
-    def spy(x, nbytes, count, bound):
-        x, new = repack(x, nbytes, count, bound)
-        widths.append((nbytes, new))
-        return x, new
+    def spy(x, old, known, degree, count, new):
+        widths.append((old, new))
+        return relay(x, old, known, degree, count, new)
 
-    monkeypatch.setattr(qbinomial, "_repack", spy)
+    monkeypatch.setattr(qbinomial, "_relay", spy)
 
     def seams(ell, m):
         widths.clear()
@@ -171,6 +171,10 @@ def test_seams_of_the_stages(monkeypatch):
     assert _stages(7, 163) == [1, 2, 4, 7]
     assert seams(7, 163) == [(1, 1), (1, 3), (3, 4)]
     assert max(packed_recurrence(7, 163)).bit_length() == 32
+    # a bound narrower than the limbs of the stage below never narrows them
+    widths.clear()
+    assert qbinomial._half(16, 16, 1)[1] == _limb_bytes(_bound(8, 16)) == 2
+    assert widths[-1] == (2, 2)
 
 
 def test_bound_holds_on_a_grid():
@@ -197,21 +201,23 @@ def test_bound_never_takes_more_bytes_than_comb():
             assert _limb_bytes(2 * _bound(a, b)) <= _limb_bytes(comb(a + b, a)), (a, b)
 
 
-@pytest.mark.parametrize("nbytes", [1, 2, 3, 9])
-def test_mirror_matches_reversed_list(nbytes):
-    # the known part of a palindrome, extended to size limbs, equals the
-    # first size entries of the whole coefficient list
-    rng = random.Random(nbytes)
+@pytest.mark.parametrize("old,new", [(1, 1), (1, 3), (2, 2), (3, 3), (4, 8), (8, 13), (9, 9)])
+def test_relay_matches_list_reference(old, new):
+    # the known part of a palindrome, mirrored out to count limbs and laid
+    # out new bytes wide, equals the first count entries of the whole
+    # coefficient list, each written in new bytes
+    rng = random.Random(100 * old + new)
     for degree in range(0, 30):
-        rising = [rng.getrandbits(8 * nbytes) for _ in range(degree // 2 + 1)]
+        rising = [rng.getrandbits(8 * old) for _ in range(degree // 2 + 1)]
         coeffs = rising + rising[: (degree + 1) // 2][::-1]
         assert coeffs == coeffs[::-1]
         for known in range(degree // 2 + 1, degree + 2):
-            for size in range(known, degree + 2):
-                x = _pack(coeffs[:known], 8 * nbytes)
-                assert _mirror(x, nbytes, known, degree, size) == _pack(
-                    coeffs[:size], 8 * nbytes
-                ), (degree, known, size)
+            x = _pack(coeffs[:known], 8 * old)
+            for count in range(known, degree + 2):
+                expected = b"".join(c.to_bytes(new, "little") for c in coeffs[:count])
+                assert bytes(_relay(x, old, known, degree, count, new)) == expected, (
+                    degree, known, count,
+                )
 
 
 def _pack(coeffs, limb=16):
@@ -361,13 +367,13 @@ def test_unpack_matches_from_bytes(monkeypatch, nbytes):
     # limbs of 1, 2, 4 and 8 bytes are read as they are; 3 widens to 4 and
     # 5 to 7 widen to 8; wider limbs are never widened
     widened = []
-    widen = qbinomial._widen
+    relay = qbinomial._relay
 
-    def spy(raw, old, new, count):
+    def spy(x, old, known, degree, count, new):
         widened.append(new)
-        return widen(raw, old, new, count)
+        return relay(x, old, known, degree, count, new)
 
-    monkeypatch.setattr(qbinomial, "_widen", spy)
+    monkeypatch.setattr(qbinomial, "_relay", spy)
     rng = random.Random(nbytes)
     limbs = [0, 1, (1 << (8 * nbytes)) - 1] + [rng.getrandbits(8 * nbytes) for _ in range(20)]
     raw = b"".join(v.to_bytes(nbytes, "little") for v in limbs)
@@ -375,7 +381,7 @@ def test_unpack_matches_from_bytes(monkeypatch, nbytes):
         int.from_bytes(raw[o : o + nbytes], "little") for o in range(0, len(raw), nbytes)
     )
     assert expected == tuple(limbs)
-    assert _unpack(raw, nbytes, len(limbs)) == expected
+    assert _unpack(int.from_bytes(raw, "little"), nbytes, len(limbs)) == expected
     assert widened == {3: [4], 5: [8], 6: [8], 7: [8]}.get(nbytes, [])
 
 
@@ -403,26 +409,29 @@ def test_matches_packed_recurrence_at_limb_edge(ell, m):
      (41, 42, 0), (12, 1175, 0), (1, 5000, 0), (2, 2001, 0)],
 )
 def test_rising_stalls_match_a_scan_of_the_recurrence(monkeypatch, ell, m, extra):
-    # a limb holds 2 B(a, b): where B fills whole bytes the limbs are
-    # widened by one byte for the spare top bit that keeps every limb's
-    # difference from borrowing, and otherwise left as they are
-    calls = []
-    repack = qbinomial._repack
+    # a limb holds 2 B(a, b): where B fills whole bytes the last stage packs
+    # one byte wider than B needs, for the spare top bit that keeps every
+    # limb's difference from borrowing, and otherwise as wide as B needs;
+    # the ones of a = 1 are re-laid by no stage
+    widths = []
+    relay = qbinomial._relay
 
-    def spy(x, nbytes, count, bound):
-        x, new = repack(x, nbytes, count, bound)
-        calls.append((nbytes, new))
-        return x, new
+    def spy(x, old, known, degree, count, new):
+        widths.append(new)
+        return relay(x, old, known, degree, count, new)
 
-    monkeypatch.setattr(qbinomial, "_repack", spy)
+    monkeypatch.setattr(qbinomial, "_relay", spy)
     p = packed_recurrence(ell, m)
     rise = range(2, ell * m // 2 + 1)
     assert rising_stalls(ell, m) == (
         [k for k in rise if p[k - 1] >= p[k]],
         [k for k in rise if p[k - 1] == p[k]],
     )
-    old, new = calls[-1]
-    assert new - old == extra
+    a, b = sorted((ell, m))
+    if a == 1:
+        assert widths == [] and extra == 0
+    else:
+        assert widths[-1] - _limb_bytes(_bound(a, b)) == extra
 
 
 def test_check_strict_refuses_an_oversize_box_before_any_work(monkeypatch):
