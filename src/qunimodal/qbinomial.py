@@ -25,17 +25,16 @@ bits, lets the running sum carry a few bits past K, and masks it once
 when it returns.  The modulus 2^K and the mask are computed once per
 width.
 
-The half is built in stages.  Stage (a, b), a > 1, starts from the
-rising half of binom(g+b, g)_q with g = ceil(h/b), built by the same
-stages down to the side 1, whose rising half is h+1 ones.  The box
-(g, b) has degree g*b >= h, so its half, extended by its mirror image
-p_j = p_{g*b-j}, covers the h+1 limbs; the factors (1 - q^{b+i})/(1 -
-q^i), i = g+1..a, are then applied modulo q^(h+1).  g = ceil(h/b), which
-is ceil(a/2), is the smallest side whose box reaches degree h, so the
-mirror alone fills the h+1 limbs and each stage halves the side: there
-are ceil(log2 a) stages, and each pairs about a/2 numerators with as
-many denominators at its own width.  Splits from 0.35a to 0.65a were
-measured no faster.
+The half is built in stages.  Stage (a, b), a > 2, starts from the
+rising half of binom(g+b, g)_q with g = ceil(h/b), which is ceil(a/2),
+the smallest side whose box reaches degree h: that half, extended by its
+mirror image p_j = p_{g*b-j}, fills the h+1 limbs, and the factors
+(1 - q^{b+i})/(1 - q^i), i = g+1..a, are then applied modulo q^(h+1).
+Each stage halves the side, down to the side 2, whose half is h+1 ones
+times the series for 1/(1 - q^2) (h = b, so both numerators are 1):
+p_j = floor(j/2) + 1.  There are ceil(log2 a) stages, and each pairs
+about a/2 numerators with as many denominators at its own width.  Splits
+from 0.35a to 0.65a were measured no faster.
 
 One helper, ``_relay``, moves limbs between stages: it writes the known
 limbs of a palindrome out as bytes once and copies them, one strided
@@ -44,10 +43,10 @@ width, and copies the mirror limbs the same way from the reversed bytes
 of the limbs they mirror.  Mirroring and widening are exact because after
 a whole stage every limb holds a true, non-negative coefficient.
 ``_half(a, b, bound)`` packs its half in limbs wide enough for
-``bound``, never narrower than the stage below, so each stage makes one
-``_relay`` call that mirrors and widens together.  The stage below is
-asked for B(g, b) (defined below); ``gaussian`` asks for B(a, b), and
-``rising_stalls`` for 2 B(a, b), the spare top bit its compares need.
+``bound``, so each stage makes one ``_relay`` call that mirrors and
+widens together.  The stage below is asked for B(g, b) (defined below),
+which is no wider (proved below); ``gaussian`` asks for B(a, b), and
+``rising_stalls`` for 2 B(a, b), the spare top bit its compare needs.
 Unpacking reads limbs of 1, 2, 4 or 8 bytes with ``struct`` as unsigned
 words of their own width; a limb of 3 or 5 to 7 bytes is first widened
 by ``_relay`` to the next of these widths, and wider limbs are read one
@@ -83,6 +82,12 @@ limbs with a spare bit above B take no more bytes either.  B is within
 where comb(a+b, a) is further above: 7 bits on (20, 20) against B's 1,
 and 12 on (200, 200) against 3.
 
+B(a, b) <= B(a+1, b) for a < b, so B(ceil(a/2), b) <= B(a, b): B is the
+floor of (a+b-1)!/(a! b!) + (a-1)/a comb(N, k), N = floor((a+b)/2), k =
+floor(a/2), and from a to a+1 the first term grows by (a+b)/(a+1) >= 1,
+(a-1)/a grows, and N and k grow by 0 or 1 each, to N' >= a+1 and k' =
+floor((a+1)/2) <= N'/2, so comb(N, k) <= comb(N', k) <= comb(N', k').
+
 Within a stage the width stays at h+1 limbs, so every factor is a unit
 of the one ring Z[q]/(q^{h+1}); the factors commute, only the final
 product must be a polynomial with coefficients that fit a limb, and
@@ -110,14 +115,12 @@ limb k of ((x << L) | T) - x is 2^(L-1) + p_{k-1} - p_k, which lies in
 (0, 2^L): no limb borrows from the next, so the limbs of the difference
 are exactly these values, and its top bit, kept by ``& T``, is set
 exactly when p_{k-1} >= p_k.  A strict box leaves limbs 2..h zero, and
-nothing is read back.  The mirrored compare (x | T) - ((x << L) mod 2^K)
-has limb k = 2^(L-1) + p_k - p_{k-1} by the same argument; it is cut to
-K bits first so that the difference is not negative.  ANDed with the
-stalls it leaves the equalities p_{k-1} = p_k.  Only a non-zero result
-is read back, by the top byte of each limb.  The spare top bit needs
-limbs that hold 2 B(a, b), which is the bound ``rising_stalls`` gives
-``_half``: where B has a whole number of bytes, as on (7, 163) and
-(45, 45), the last stage packs one byte wider than ``gaussian``'s.
+nothing is read back; otherwise the stalls are read by the top byte of
+each limb.  Each stall is an equality p_{k-1} = p_k, as Gaussian
+binomials are unimodal (Sylvester, 1878; O'Hara's combinatorial proof,
+J. Combin. Theory Ser. A, 1990).  Where B has a whole number of bytes,
+as on (7, 163) and (45, 45), the spare bit packs the last stage one byte
+wider than ``gaussian``'s.
 
 The independent oracle ``gaussian_by_enumeration`` counts box partitions
 one by one and shares no arithmetic with the packed product formula.
@@ -312,21 +315,24 @@ def _bound(a: int, b: int) -> int:
 
 def _half(a: int, b: int, bound: int) -> tuple[int, int]:
     """The rising half of binom(a+b, a)_q, 1 <= a <= b, packed in
-    floor(ab/2)+1 limbs wide enough for values up to ``bound`` and never
-    narrower than those of the stage below; returns it with the limb bytes."""
+    floor(ab/2)+1 limbs wide enough for values up to ``bound``; returns it
+    with the limb bytes."""
     h = a * b // 2
     nbytes = (bound.bit_length() + 7) // 8
-    if a == 1:
-        return int.from_bytes((1).to_bytes(nbytes, "little") * (h + 1), "little"), nbytes
+    limb = 8 * nbytes
+    modulus = 1 << (limb * (h + 1))
+    mask = modulus - 1
+    if a <= 2:
+        # h+1 ones, times 1/(1 - q^2) for a = 2, by the count _factors takes
+        x = int.from_bytes((1).to_bytes(nbytes, "little") * (h + 1), "little")
+        if a == 2:
+            x = _geometric(x, 2 * limb, 1 << (h // 2).bit_length(), mask)
+        return x, nbytes
     # the box (g, b) has degree g*b >= h, so its half, mirrored, covers
     # the h+1 limbs
     g = -(-h // b)
     x, old = _half(g, b, _bound(g, b))
-    nbytes = old if old > nbytes else nbytes
     x = int.from_bytes(_relay(x, old, g * b // 2 + 1, g * b, h + 1, nbytes), "little")
-    limb = 8 * nbytes
-    modulus = 1 << (limb * (h + 1))
-    mask = modulus - 1
     for d, k in _factors(a, b, h, g):
         if k:
             x = _geometric(x, limb * d, k, mask)
@@ -360,19 +366,12 @@ def _check_size(ell: int, m: int) -> None:
         )
 
 
-def _marked(x: int, nbytes: int, count: int) -> list[int]:
-    """2 + the index of each of the ``count`` limbs of ``x`` whose top byte
-    is not zero."""
-    tops = x.to_bytes(nbytes * count, "little")[nbytes - 1 :: nbytes]
-    return list(compress(range(2, count + 2), tops))
-
-
-def rising_stalls(ell: int, m: int) -> tuple[list[int], list[int]]:
+def rising_stalls(ell: int, m: int) -> list[int]:
     """The stalls p_{k-1} >= p_k of binom(m+ell, m)_q, 2 <= k <= floor(ell*m/2),
-    and the equalities p_{k-1} = p_k among them, for ell, m >= 1.
+    for ell, m >= 1; by Sylvester's theorem each is an equality.
 
-    Both are read off the packed rising half by limb-wise compares, and no
-    coefficient is unpacked.  A box that :func:`gaussian` refuses raises
+    They are read off the packed rising half by a limb-wise compare, and
+    no coefficient is unpacked.  A box that :func:`gaussian` refuses raises
     the same ``ValueError`` before any expansion.
     """
     _check_size(ell, m)
@@ -385,12 +384,10 @@ def rising_stalls(ell: int, m: int) -> tuple[list[int], list[int]]:
     # limb k is 2^(L-1) + p_{k-1} - p_k; limbs 0 and 1 are dropped
     ge = ((((x << limb) | tops) - x) & tops) >> 2 * limb
     if not ge:
-        return [], []
-    # limb k is 2^(L-1) + p_k - p_{k-1}, with x << L cut to the h+1 limbs
-    # so that the difference is not negative
-    cut = (x << limb) & ((1 << limb * (h + 1)) - 1)
-    le = (((x | tops) - cut) >> 2 * limb) & ge
-    return _marked(ge, nbytes, h - 1), _marked(le, nbytes, h - 1)
+        return []
+    # the top byte of each limb 2..h
+    marks = ge.to_bytes(nbytes * (h - 1), "little")[nbytes - 1 :: nbytes]
+    return list(compress(range(2, h + 1), marks))
 
 
 def gaussian(ell: int, m: int) -> QPolynomial:

@@ -132,8 +132,9 @@ def repro_leaves() -> tuple[bool, list[str]]:
 
 def repro_ell2(max_n: int = 50) -> tuple[bool, list[str]]:
     """p_{2i}(2, m) = p_{2i+1}(2, m) for all i < 2m/4, for every m <= max_n
-    <= ``ELL2_MAX_N``."""
-    _check_max_n(max_n, ELL2_MAX_N, "ell2 claim")
+    <= ``ELL2_MAX_N``; a ``max_n`` below 3 raises ValueError, since below
+    m = 3 only p_0 = p_1 is checked, which holds for every box."""
+    _check_max_n(max_n, ELL2_MAX_N, "ell2 claim", least=3)
     bad: list[str] = []
     for m in range(1, max_n + 1):
         poly = gaussian(2, m)

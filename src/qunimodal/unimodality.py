@@ -28,13 +28,12 @@ the nine exceptions are the window pairs the registry build finds
 non-strict, and ``certify`` refuses them.
 
 ``check_strict`` never unpacks the vector.  It takes the stalls
-p_{k-1} >= p_k and the equalities of the rising half from
-``qbinomial.rising_stalls``, which compares the packed half with itself
-shifted by one limb: with L-bit limbs and T the top bit 2^(L-1) of each,
-limb k of ((x << L) | T) - x is 2^(L-1) + p_{k-1} - p_k.  The limbs are
-wide enough that every coefficient stays below 2^(L-1), so that value
-lies in (0, 2^L), no borrow crosses a limb, and its top bit is set
-exactly at a stall.  A strict box reads as zero there.
+p_{k-1} >= p_k of the rising half from ``qbinomial.rising_stalls``, one
+limb-wise compare of the packed half with itself shifted by one limb,
+which reads as zero on a strict box.  The plateaus come from the same
+stalls: Gaussian binomials are unimodal (Sylvester, 1878; O'Hara's
+combinatorial proof, J. Combin. Theory Ser. A, 1990), so each stall in
+the rising half is an equality p_{k-1} = p_k.
 
 Behaviour for min(ell, m) = 1 is this library's own extension: the
 boundary cases ell*m <= 3 make the defining chain vacuous and
@@ -97,7 +96,8 @@ class UnimodalityReport:
 
 
 def check_strict(ell: int, m: int) -> UnimodalityReport:
-    """Evaluate the strict unimodality chain for binom(m+ell, m)_q."""
+    """Evaluate the strict unimodality chain for binom(m+ell, m)_q, reading
+    the plateaus off the stalls too (equalities: Sylvester, O'Hara)."""
     ell, m = operator.index(ell), operator.index(m)
     if ell < 1 or m < 1:
         raise ValueError(f"need ell, m >= 1: got ell={ell} m={m}")
@@ -107,13 +107,13 @@ def check_strict(ell: int, m: int) -> UnimodalityReport:
     # The vector is palindromic, so the middle equality for odd n and the
     # strict fall mirror the rise: the rising half decides the chain, by
     # its stalls p[k-1] >= p[k], 2 <= k <= half.
-    stalls, equal = rising_stalls(ell, m)
+    stalls = rising_stalls(ell, m)
     first_violation = stalls[0] if stalls else None
 
     # Equal neighbours p[k] = p[k+1], 1 <= k <= n-2: palindromy maps k to
-    # n-1-k, so the rising half's equalities, the middle pair forced equal
-    # for odd n, and their mirror images are all.
-    low = [k - 1 for k in equal]
+    # n-1-k, so the rising half's equalities (its stalls), the middle pair
+    # forced equal for odd n, and their mirror images are all.
+    low = [k - 1 for k in stalls]
     if n % 2 and half:
         low.append(half)
     plateaus: list[tuple[int, int]] = []

@@ -389,17 +389,20 @@ def test_repro_oversize_claim_is_one_line_and_exit_1(
 
 @pytest.mark.parametrize(
     "claim,max_n,least",
-    [("ell34", "1", 3), ("ell34", "2", 3), ("certify-sweep", "1", 5), ("certify-sweep", "4", 5)],
+    [("ell34", "1", 3), ("ell34", "2", 3), ("certify-sweep", "1", 5), ("certify-sweep", "4", 5),
+     ("ell2", "1", 3), ("ell2", "2", 3)],
 )
 @pytest.mark.parametrize("fmt", ["plain", "json"])
 def test_repro_claim_below_its_floor_is_one_line_and_exit_1(
     claim, max_n, least, fmt, monkeypatch, capsys
 ):
-    # below its floor the sweep would check no box and still print PASS;
-    # it is refused before any work instead
-    monkeypatch.setattr(
-        "qunimodal.repro.check_strict", lambda *args: pytest.fail("worked before refusing")
-    )
+    # below its floor the sweep would check no box and still print PASS
+    # (ell2 below m = 3 checks only p_0 = p_1, which every box has); it is
+    # refused before any work instead
+    for layer in ("check_strict", "gaussian"):
+        monkeypatch.setattr(
+            f"qunimodal.repro.{layer}", lambda *args: pytest.fail("worked before refusing")
+        )
     assert run(["repro", "--claim", claim, "--max-n", max_n, "--format", fmt]) == 1
     assert capsys.readouterr() == (
         "", f"error: {claim} claim needs n >= {least}, or it checks nothing: got max_n={max_n}\n"
@@ -410,8 +413,9 @@ def test_repro_claim_below_its_floor_is_one_line_and_exit_1(
     "claim,least,detail",
     [("ell34", "3", "checked ell in {3,4}, m=3..3 for non-strictness with a witness plateau"),
      ("certify-sweep", "5",
-      "built and verified 1 certificates, confirmed 0 refusals, 5 <= ell <= m <= 5")],
-    ids=["ell34", "certify-sweep"],
+      "built and verified 1 certificates, confirmed 0 refusals, 5 <= ell <= m <= 5"),
+     ("ell2", "3", "checked even/odd coefficient pairing for ell=2, m=1..3")],
+    ids=["ell34", "certify-sweep", "ell2"],
 )
 def test_repro_floors_admit_the_first_box(claim, least, detail, capsys):
     assert run(["repro", "--claim", claim, "--max-n", least]) == 0

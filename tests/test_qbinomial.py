@@ -1,4 +1,5 @@
 import random
+from itertools import compress
 from math import comb
 
 import pytest
@@ -119,18 +120,17 @@ def _limb_bytes(bound):
 
 
 def _stages(a, b):
-    """The sides 1, ..., a of the boxes (g, b) that build (a, b), a <= b."""
+    """The sides 2, ..., a of the boxes (g, b) that build (a, b), 2 <= a <= b."""
     sides = [a]
-    while sides[-1] > 1:
+    while sides[-1] > 2:
         sides.append(-(-(sides[-1] * b // 2) // b))
     return sides[::-1]
 
 
 def test_seams_of_the_stages(monkeypatch):
-    # box (a, b) is built from the half of (g, b), g = ceil(h/b), mirrored
-    # out to h+1 limbs; each stage above the ones re-lays its limbs once,
-    # mirror and widening together, for values up to B(a, b), and never
-    # narrows them
+    # box (a, b), a > 2, is built from the half of (g, b), g = ceil(h/b),
+    # mirrored out to h+1 limbs; each stage above side 2 re-lays its limbs
+    # once, mirror and widening together, for values up to B(a, b)
     widths = []
     relay = qbinomial._relay
 
@@ -149,32 +149,40 @@ def test_seams_of_the_stages(monkeypatch):
         ]
         return widths[:]
 
-    # (33, 67): stages 2, 3, 5, 9, 17, 33, of odd degree g*b at every odd
-    # g, so the centre of the box below falls between two coefficients;
-    # stage 2 keeps the one-byte limbs of the ones, every other widens
-    assert _stages(33, 67) == [1, 2, 3, 5, 9, 17, 33] and 67 % 2 == 1
-    assert seams(33, 67) == [(1, 1), (1, 2), (2, 3), (3, 4), (4, 7), (7, 11)]
-    # (2, 2001): one stage, over the box (1, 2001) of odd degree, in 2-byte
-    # limbs, where comb(2003, 2) takes 3 bytes
-    assert seams(2, 2001) == [(1, 2)]
+    # (33, 67): stages 3, 5, 9, 17, 33 over stage 2, of odd degree g*b at
+    # every odd g, so the centre of the box below falls between two
+    # coefficients; every seam widens
+    assert _stages(33, 67) == [2, 3, 5, 9, 17, 33] and 67 % 2 == 1
+    assert seams(33, 67) == [(1, 2), (2, 3), (3, 4), (4, 7), (7, 11)]
+    # (2, 2001): no seam; the half is packed at once in 2-byte limbs, where
+    # comb(2003, 2) takes 3 bytes
+    assert seams(2, 2001) == []
+    assert qbinomial._half(2, 2001, _bound(2, 2001))[1] == 2
     assert _limb_bytes(comb(2003, 2)) == 3
     # (21, 300): stage 11 widens 4-byte limbs to 8, which unpack would read
     # as words, and stage 21 widens them to 13, where comb(321, 21) takes 14
-    assert seams(21, 300) == [(1, 1), (1, 2), (2, 4), (4, 8), (8, 13)]
+    assert seams(21, 300) == [(1, 2), (2, 4), (4, 8), (8, 13)]
     assert _limb_bytes(comb(321, 21)) == 14
     # (9, 730): stage 9 widens 4-byte limbs to 8, where comb(739, 9) takes
     # 9, so the whole expansion is read as words
-    assert seams(9, 730) == [(1, 2), (2, 3), (3, 4), (4, 8)]
+    assert seams(9, 730) == [(2, 3), (3, 4), (4, 8)]
     assert _limb_bytes(comb(739, 9)) == 9
-    # (7, 163): stage 4 widens one-byte limbs to 3 at once, stage 7 widens
-    # them to 4, and its largest coefficient has all 32 bits of them
-    assert _stages(7, 163) == [1, 2, 4, 7]
-    assert seams(7, 163) == [(1, 1), (1, 3), (3, 4)]
+    # (7, 163): stage 4 widens the one-byte limbs of stage 2 to 3 at once,
+    # stage 7 widens them to 4, and its largest coefficient has all 32 bits
+    # of them
+    assert _stages(7, 163) == [2, 4, 7]
+    assert seams(7, 163) == [(1, 3), (3, 4)]
     assert max(packed_recurrence(7, 163)).bit_length() == 32
-    # a bound narrower than the limbs of the stage below never narrows them
-    widths.clear()
-    assert qbinomial._half(16, 16, 1)[1] == _limb_bytes(_bound(8, 16)) == 2
-    assert widths[-1] == (2, 2)
+
+
+def test_bound_grows_with_the_side():
+    # B(a-1, b) <= B(a, b), as the module docstring proves, and so
+    # B(ceil(a/2), b) <= B(a, b): no stage packs narrower limbs than the
+    # stage below it, and _relay only ever widens
+    for a in range(2, 301):
+        for b in range(a, 301):
+            assert _bound(a - 1, b) <= _bound(a, b), (a, b)
+            assert _bound(-(-a // 2), b) <= _bound(a, b), (a, b)
 
 
 def test_bound_holds_on_a_grid():
@@ -406,32 +414,69 @@ def test_matches_packed_recurrence_at_limb_edge(ell, m):
 @pytest.mark.parametrize(
     "ell,m,extra",
     [(7, 163, 1), (45, 45, 1), (8, 45, 1), (6, 8, 1),
-     (41, 42, 0), (12, 1175, 0), (1, 5000, 0), (2, 2001, 0)],
+     (41, 42, 0), (12, 1175, 0), (1, 5000, 0), (2, 2001, 0), (2, 200, 1)],
 )
 def test_rising_stalls_match_a_scan_of_the_recurrence(monkeypatch, ell, m, extra):
     # a limb holds 2 B(a, b): where B fills whole bytes the last stage packs
     # one byte wider than B needs, for the spare top bit that keeps every
     # limb's difference from borrowing, and otherwise as wide as B needs;
-    # the ones of a = 1 are re-laid by no stage
-    widths = []
-    relay = qbinomial._relay
+    # the halves of sides 1 and 2 are packed at once, re-laid by no stage
+    widths, relays = [], []
+    half, relay = qbinomial._half, qbinomial._relay
 
-    def spy(x, old, known, degree, count, new):
-        widths.append(new)
-        return relay(x, old, known, degree, count, new)
+    def spy_half(a, b, bound):
+        x, nbytes = half(a, b, bound)
+        widths.append(nbytes)
+        return x, nbytes
 
-    monkeypatch.setattr(qbinomial, "_relay", spy)
+    def spy_relay(*args):
+        relays.append(args[-1])
+        return relay(*args)
+
+    monkeypatch.setattr(qbinomial, "_half", spy_half)
+    monkeypatch.setattr(qbinomial, "_relay", spy_relay)
     p = packed_recurrence(ell, m)
     rise = range(2, ell * m // 2 + 1)
-    assert rising_stalls(ell, m) == (
-        [k for k in rise if p[k - 1] >= p[k]],
-        [k for k in rise if p[k - 1] == p[k]],
-    )
+    assert rising_stalls(ell, m) == [k for k in rise if p[k - 1] >= p[k]]
     a, b = sorted((ell, m))
-    if a == 1:
-        assert widths == [] and extra == 0
-    else:
-        assert widths[-1] - _limb_bytes(_bound(a, b)) == extra
+    assert widths[-1] - _limb_bytes(_bound(a, b)) == extra
+    assert (relays == []) == (a <= 2)
+
+
+def _two_compares(ell, m):
+    """The stalls p_{k-1} >= p_k and the equalities p_{k-1} = p_k of the
+    rising half, each by its own limb-wise compare on the packed half: the
+    stalls from ((x << L) | T) - x, whose limb k is 2^(L-1) + p_{k-1} - p_k,
+    and the equalities from the mirrored compare (x | T) - ((x << L) mod
+    2^K), whose limb k is 2^(L-1) + p_k - p_{k-1}, ANDed with the stalls."""
+    a, b = sorted((ell, m))
+    h = a * b // 2
+    x, nbytes = qbinomial._half(a, b, 2 * _bound(a, b))
+    limb = 8 * nbytes
+    tops = int.from_bytes((bytes(nbytes - 1) + b"\x80") * (h + 1), "little")
+    ge = ((((x << limb) | tops) - x) & tops) >> 2 * limb
+    # x << L cut to the h+1 limbs, so that the difference is not negative
+    cut = (x << limb) & ((1 << limb * (h + 1)) - 1)
+    le = (((x | tops) - cut) >> 2 * limb) & ge
+
+    def marked(y):
+        if not y:
+            return []
+        marks = y.to_bytes(nbytes * (h - 1), "little")[nbytes - 1 :: nbytes]
+        return list(compress(range(2, h + 1), marks))
+
+    return marked(ge), marked(le)
+
+
+def test_stalls_are_equalities():
+    # the rising half never falls (Sylvester), so the equalities that a
+    # second, mirrored compare reads are the stalls themselves, and both
+    # are the one list rising_stalls returns
+    boxes = [(ell, m) for ell in range(1, 61) for m in range(1, 61)]
+    boxes += [(2, 2001), (3, 400), (4, 3000), (109, 110), (12, 1175), (6, 6), (5, 14)]
+    for ell, m in boxes:
+        stalls, equal = _two_compares(ell, m)
+        assert stalls == equal == rising_stalls(ell, m), (ell, m)
 
 
 def test_check_strict_refuses_an_oversize_box_before_any_work(monkeypatch):
