@@ -26,7 +26,7 @@ when it returns.  The modulus 2^K and the mask are computed once per
 width.
 
 The half is built in stages.  Stage (a, b), a > 2, starts from the
-rising half of binom(g+b, g)_q with g = ceil(h/b), which is ceil(a/2),
+rising half of binom(g+b, g)_q with g = ceil(a/2), which is ceil(h/b),
 the smallest side whose box reaches degree h: that half, extended by its
 mirror image p_j = p_{g*b-j}, fills the h+1 limbs, and the factors
 (1 - q^{b+i})/(1 - q^i), i = g+1..a, are then applied modulo q^(h+1).
@@ -100,11 +100,16 @@ shift-and-adds.  Apart, the two cost one shift-and-subtract for N and
 the series for d, which is the same sum with k at ceil((h+1)/d), beyond
 which every term vanishes, rounded up to a power of two: about
 log2(h/d) + 1 shift-and-adds; a pair's k = N/d <= h/d stays below that
-cap.  Each numerator, from the largest down, takes the unused divisor
-with the largest saving over leaving the two apart, and none when no
-saving is positive: on (5, 247), N = 252 over d = 4 gives k = 63, which
-costs 10 shift-and-adds where the two apart cost 9.  The numerators and
-denominators left over are applied one by one.
+cap.  The numerators b+g+1..b+a are at most a - g consecutive integers,
+and each denominator d is above g >= a - g, so d divides at most one of
+them, ceil((b+g+1)/d) d if that is a numerator: no two numerators
+compete for a divisor.  Each numerator takes the divisor with the
+largest saving over leaving the two apart, the largest on a tie, and
+none when no saving is positive: on (5, 247), N = 252 over d = 4 gives
+k = 63, which costs 10 shift-and-adds where the two apart cost 9.  On
+(55, 110) the top stage builds on g = 28, and 144 = 36 * 4 = 48 * 3
+takes 36, which saves more.  The numerators and denominators left over
+are applied one by one.
 
 ``rising_stalls`` decides the strictness chain on the packed half
 without unpacking it, by limb-wise compares (broadword arithmetic, Knuth,
@@ -216,8 +221,6 @@ def _relay(x: int, old: int, known: int, degree: int, count: int, new: int) -> b
     raw = x.to_bytes(old * known, "little")
     # limbs degree-known down to degree-count+1, the bytes of each reversed
     rev = raw[old * (degree - count + 1) : old * (degree - known + 1)][::-1]
-    if new == 1:  # one-byte limbs are whole already
-        return raw + rev
     out = bytearray(new * count)
     top = new * known
     for i in range(old):
@@ -281,29 +284,32 @@ def _factors(a: int, b: int, h: int, grow: int) -> list[tuple[int, int]]:
     the sum 1 + q^d + ... + q^((k-1)d) for k >= 1, and the numerator
     1 - q^d for k = 0.
 
-    Each numerator N from b+a down to b+grow+1, those above h dropped,
-    takes the unused denominator d = N/k with the largest saving over
-    the shift-and-subtract plus the series for d, if that saving is
-    positive, and the largest such d on a tie; the unpaired denominators
-    follow as series.
+    The numerators b+grow+1..b+a, those above h dropped, are at most
+    a - grow consecutive integers, and every denominator d is above
+    grow >= a - grow (grow = ceil(a/2)): fewer than d consecutive
+    integers hold at most one multiple of d, so each d has one candidate
+    numerator and no two numerators compete for it.  A numerator takes
+    the candidate d that saves the most over the shift-and-subtract plus
+    the series for d, if that saving is positive, and the largest such d
+    on a tie.  The numerators come from the top down, then the unpaired
+    denominators as series.
     """
     # 1/(1 - q^d) needs the terms q^(jd) with jd <= h; their count, rounded
     # up to a power of two, costs no more than the count itself
     series = {d: 1 << (h // d).bit_length() for d in range(grow + 1, a + 1)}
+    low, top = b + grow + 1, min(b + a, h)
+    pair, save = {}, {}
+    for d in range(a, grow, -1):
+        num = -(-low // d) * d  # the only multiple of d that can be a numerator
+        if num <= top:
+            gain = 1 + _passes(series[d]) - _passes(num // d)
+            if gain > save.get(num, 0):
+                pair[num], save[num] = d, gain
+    for d in pair.values():
+        del series[d]
     out = []
-    for num in range(min(b + a, h), b + grow, -1):
-        save, pair = 0, 0
-        for k in range(-(-num // a), num // (grow + 1) + 1):
-            d, r = divmod(num, k)
-            if r == 0 and d in series:
-                gain = 1 + _passes(series[d]) - _passes(k)
-                if gain > save:
-                    save, pair = gain, d
-        if pair:
-            del series[pair]
-            out.append((pair, num // pair))
-        else:
-            out.append((num, 0))
+    for num in range(top, low - 1, -1):
+        out.append((pair[num], num // pair[num]) if num in pair else (num, 0))
     out.extend(series.items())
     return out
 
@@ -330,7 +336,7 @@ def _half(a: int, b: int, bound: int) -> tuple[int, int]:
         return x, nbytes
     # the box (g, b) has degree g*b >= h, so its half, mirrored, covers
     # the h+1 limbs
-    g = -(-h // b)
+    g = (a + 1) // 2
     x, old = _half(g, b, _bound(g, b))
     x = int.from_bytes(_relay(x, old, g * b // 2 + 1, g * b, h + 1, nbytes), "little")
     for d, k in _factors(a, b, h, g):

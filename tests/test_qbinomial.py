@@ -300,6 +300,56 @@ def test_pairs_are_declined_when_they_save_nothing():
     assert {(29, 3), (27, 3), (25, 3)} <= set(_plan(45, 45))
 
 
+def _searched_factors(a, b, h, grow):
+    """Reference planner: each numerator, from the top down, searches its
+    quotients k for a divisor d = N/k among the denominators still unused
+    and takes the one with the largest positive saving, the largest d on
+    a tie; the unpaired denominators follow as series."""
+    series = {d: 1 << (h // d).bit_length() for d in range(grow + 1, a + 1)}
+    out = []
+    for num in range(min(b + a, h), b + grow, -1):
+        save, pair = 0, 0
+        for k in range(-(-num // a), num // (grow + 1) + 1):
+            d, r = divmod(num, k)
+            if r == 0 and d in series:
+                gain = 1 + _passes(series[d]) - _passes(k)
+                if gain > save:
+                    save, pair = gain, d
+        if pair:
+            del series[pair]
+            out.append((pair, num // pair))
+        else:
+            out.append((num, 0))
+    out.extend(series.items())
+    return out
+
+
+def test_plan_matches_the_divisor_search():
+    # every stage (s, b) above side 2 of the near-square boxes and of thin
+    # ones; its numerators b+g+1..min(b+s, h), g = ceil(s/2), are fewer
+    # than its smallest denominator g+1, so no denominator divides two of
+    # them and the plan needs no search
+    boxes = [(a, b) for a in range(3, 121) for b in range(a, a + 61)]
+    boxes += [(a, b) for a in range(5, 13) for b in range(300, 1201)]
+    stages = {(s, b) for a, b in boxes for s in _stages(a, b) if s > 2}
+    for s, b in stages:
+        h, g = s * b // 2, (s + 1) // 2
+        assert g == -(-h // b), (s, b)
+        assert min(b + s, h) - (b + g) < g + 1, (s, b)
+        assert _factors(s, b, h, g) == _searched_factors(s, b, h, g), (s, b)
+
+
+def test_a_numerator_with_two_divisors():
+    # the top stage of (55, 110) builds on (28, 110): 144 = 36 * 4 = 48 * 3
+    # and 156 = 39 * 4 = 52 * 3, and the quotient 4 saves more, so 48 and
+    # 52 stay series
+    assert _stages(55, 110)[-2:] == [28, 55]
+    assert {(36, 4), (39, 4), (48, 64), (52, 64)} <= set(_plan(55, 110))
+    p = packed_recurrence(55, 110)
+    assert qbinomial._product_coeffs(55, 110) == p
+    assert rising_stalls(55, 110) == [k for k in range(2, 55 * 110 // 2 + 1) if p[k - 1] >= p[k]]
+
+
 def test_no_doubling_step_shifts_past_the_width(monkeypatch):
     # a shift by the whole width or more adds nothing modulo 2^K: every
     # sum, at every stage, stops where its terms vanish
