@@ -2,7 +2,7 @@ import hashlib
 import random
 from array import array
 from functools import lru_cache
-from itertools import cycle, zip_longest
+from itertools import zip_longest
 from math import factorial
 
 import pytest
@@ -25,6 +25,7 @@ from qunimodal.kronecker import (
     DEFAULT_ORACLE_BOUND,
     MAX_SAMPLES,
     _char,
+    _below,
     _class_sizes,
 )
 from qunimodal import partitions_inside, repro
@@ -204,19 +205,30 @@ def test_block_built_vectors_match_the_per_class_build():
         assert _char(shape) == _char_by_class(shape), shape
 
 
-def _semigroup_by_partitions(samples, seed, max_total_size, g):
-    # the sampling loop on Partition objects, as it was before the library
-    # moved to part tuples: same draws, same triples, same order
+def _reference_draws(seed, max_total_size):
+    # the draws of the sampling loop by randint and choice, one pair of
+    # triples of Partition objects per attempt
     rng = random.Random(seed)
-    violations = []
-    accepted = 0
-    while accepted < samples:
+    while True:
         n1 = rng.randint(1, max_total_size - 1)
         n2 = rng.randint(1, max_total_size - n1)
         pool1 = partitions_of(n1)
         pool2 = partitions_of(n2)
         first = tuple(rng.choice(pool1) for _ in range(3))
         second = tuple(rng.choice(pool2) for _ in range(3))
+        yield first, second
+
+
+def _semigroup_by_partitions(samples, seed, max_total_size, g, every=False):
+    # the sampling loop on Partition objects, as it was before the library
+    # moved to part tuples: same draws, same triples, and g evaluated on
+    # the first triple, the second and their sum in that order; with
+    # every=True each accepted sample is returned, not only violations
+    draws = _reference_draws(seed, max_total_size)
+    violations = []
+    accepted = 0
+    while accepted < samples:
+        first, second = next(draws)
         g1 = g(*first)
         if g1 == 0:
             continue
@@ -225,7 +237,7 @@ def _semigroup_by_partitions(samples, seed, max_total_size, g):
             continue
         accepted += 1
         gs = g(*(P(map(sum, zip_longest(a, b, fillvalue=0))) for a, b in zip(first, second)))
-        if gs <= 0 or gs < max(g1, g2):
+        if every or gs <= 0 or gs < max(g1, g2):
             violations.append((first, second, g1, g2, gs))
     return violations
 
@@ -246,17 +258,84 @@ def test_semigroup_sampling_matches_the_partition_loop(monkeypatch):
         seen.append((triple, value))
         return value
 
-    for seed in range(300):
-        assert _semigroup_by_partitions(3, seed, 18, by_partitions) == []
-    monkeypatch.setattr(kronecker, "_g", by_parts)
-    for seed in range(300):
-        assert semigroup_check(3, seed, 18) == []
-    assert len(seen) == 5199
-    assert seen == expected
-    # the same calls, read off the Partition-object loop in the library
+    reference = [
+        _semigroup_by_partitions(3, seed, 18, by_partitions, every=True) for seed in range(300)
+    ]
+    # the reference's calls, as the library made them on Partition objects
     # before it moved to part tuples
-    digest = hashlib.sha256(repr(seen).encode()).hexdigest()
+    assert len(expected) == 5199
+    digest = hashlib.sha256(repr(expected).encode()).hexdigest()
     assert digest == "47191e07692248b582c9dd35c569f4923790c6ae8c58aa6706857a9497bca557"
+    # a max that no sum reaches makes every accepted sample a violation,
+    # so the library returns all of them: the same pairs of triples and
+    # the same three coefficients, in the same order
+    monkeypatch.setattr(kronecker, "_g", by_parts)
+    monkeypatch.setattr(kronecker, "max", lambda *values: float("inf"), raising=False)
+    assert [semigroup_check(3, seed, 18) for seed in range(300)] == reference
+    assert all(len(accepted) == 3 for accepted in reference)
+    # the library evaluates the smaller triple first and skips the larger
+    # when it reads 0: 2 calls fewer, and fewer of them at the larger,
+    # costlier sizes
+    assert len(seen) == 5197 < len(expected)
+    classes = [
+        sum(len(partitions_of(sum(triple[0]))) for triple, _ in calls) for calls in (seen, expected)
+    ]
+    assert classes == [357572, 410161]
+
+
+def test_draws_follow_the_random_module():
+    # the sampler draws by getrandbits with rejection; on the running
+    # interpreter that is the same stream randrange, randint and choice
+    # read, value for value and word for word
+    sizes = [*range(1, 71), *(2**j + d for j in range(7, 12) for d in (-1, 0, 1))]
+    for seed in range(50):
+        ours, by_randrange, by_randint, by_choice = (random.Random(seed) for _ in range(4))
+        for n in sizes:
+            value = _below(ours.getrandbits, n)
+            assert 0 <= value < n
+            assert value == by_randrange.randrange(n), (seed, n)
+            assert value == by_randint.randint(1, n) - 1, (seed, n)
+            assert value == by_choice.choice(range(n)), (seed, n)
+
+
+def _parts(triple):
+    return tuple(p.parts for p in triple)
+
+
+def _summed(first, second):
+    return tuple(tuple(map(sum, zip_longest(a, b, fillvalue=0))) for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("second_smaller", [True, False])
+def test_semigroup_sampler_skips_the_larger_triple_after_a_zero(second_smaller, monkeypatch):
+    # a seed whose first attempt has the wanted order of sizes, and whose
+    # second attempt draws neither of its triples again
+    for seed in range(100):
+        draws = _reference_draws(seed, 18)
+        (first, second), (first2, second2) = map(_parts, next(draws)), map(_parts, next(draws))
+        in_order = (sum(second[0]) <= sum(first[0])) == second_smaller
+        if in_order and not {first, second} & {first2, second2}:
+            break
+    else:
+        pytest.fail("no seed below 100 draws such a first attempt")
+    smaller, larger = (second, first) if second_smaller else (first, second)
+    if sum(second2[0]) <= sum(first2[0]):
+        smaller2, larger2 = second2, first2
+    else:
+        smaller2, larger2 = first2, second2
+    summed2 = _summed(first2, second2)
+    calls = []
+
+    def recording(*triple):
+        calls.append(triple)
+        return 0 if triple == smaller else 1
+
+    monkeypatch.setattr(kronecker, "_g", recording)
+    assert semigroup_check(samples=1, seed=seed, max_total_size=18) == []
+    # the first attempt ends at its smaller triple; the larger one never
+    # reaches the oracle, and the second attempt is accepted
+    assert calls == [smaller, smaller2, larger2, summed2]
+    assert larger not in calls
 
 
 def test_character_tables_unchanged():
@@ -553,9 +632,12 @@ def test_claim_checks_return_plain_counterexample_lists(monkeypatch):
     assert not ok
     assert "(2,2) failed at k=0,2" in lines
     assert "(1,1) failed at k=0" in lines
-    # g1 = 2, g2 = 3 and a sum of 1 is one violation, as a plain tuple
-    values = cycle([2, 3, 1])
-    monkeypatch.setattr(kronecker, "_g", lambda *triple: next(values))
+    # g1 = 2, g2 = 3 and a sum of 1 is one violation, as a plain tuple;
+    # the stub reads each value off its triple, not off the call order
+    first, second = map(_parts, next(_reference_draws(0, 10)))
+    values = {first: 2, second: 3, _summed(first, second): 1}
+    assert len(values) == 3
+    monkeypatch.setattr(kronecker, "_g", lambda *triple: values[triple])
     [violation] = semigroup_check(samples=1, seed=0, max_total_size=10)
     assert type(violation) is tuple
     first, second, g_first, g_second, g_sum = violation
@@ -564,6 +646,7 @@ def test_claim_checks_return_plain_counterexample_lists(monkeypatch):
         assert type(triple) is tuple and len(triple) == 3
         assert all(isinstance(p, Partition) for p in triple)
     assert first[0].size + second[0].size <= 10
+    assert (_parts(first), _parts(second)) == tuple(values)[:2]
 
 
 def test_internal_consistency_error_is_runtime_error():
