@@ -46,6 +46,10 @@ Both return a ``Certificate`` that holds only the table (its ``node`` is
 ``None``); one built by hand from ``BaseNode``/``AddNode`` objects splices
 its children's tables when it is made.  Serialization, ``verify``,
 ``==``, ``hash`` and ``repr`` read that table and nothing else.
+``BaseNode``, ``AddNode`` and ``VerificationResult`` are ``NamedTuple``
+classes and ``Certificate`` is a frozen plain class; none is a dataclass,
+and ``json`` is imported only to write or read a certificate, so
+importing the package loads neither ``dataclasses`` nor ``json``.
 
 ``verify`` replays the table on every call, re-testing every additivity
 entry's side conditions and witnesses, and checks each distinct leaf
@@ -59,10 +63,9 @@ rejects a document of over ``MAX_BYTES`` bytes (2 MiB) before reading it.
 
 from __future__ import annotations
 
-import json
 import operator
-from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 from .unimodality import EXCEPTION_PAIRS, check_strict
 
@@ -104,16 +107,14 @@ class CertificateFormatError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class BaseNode:
+class BaseNode(NamedTuple):
     """Leaf: the pair (ell, m) is claimed strictly unimodal outright."""
 
     ell: int
     m: int
 
 
-@dataclass(frozen=True)
-class AddNode:
+class AddNode(NamedTuple):
     """Additivity step at fixed ``ell`` combining two sub-certificates.
 
     ``left`` and ``right`` must conclude (ell, m1) and (ell, m2); the
@@ -129,7 +130,6 @@ class AddNode:
     geq3_witness: str
 
 
-@dataclass(frozen=True)
 class Certificate:
     """A claimed conclusion (ell, m) plus the table that supports it.
 
@@ -146,18 +146,24 @@ class Certificate:
     That is the order of a depth-first walk of the objects from the root.
     A node or flag that is not a certificate's, or a table of over
     ``MAX_NODES`` entries, raises ``CertificateFormatError`` then, so
-    ``dataclasses.replace`` on a certificate with no ``node`` raises too.
+    rebuilding a certificate with no ``node`` from its fields,
+    ``Certificate(c.ell, c.m, c.node, c.transposed)``, raises too.
     ``==`` and ``hash`` read ``(ell, m, entries)``, never ``node``.
+
+    It is frozen: assigning or deleting an attribute raises
+    ``AttributeError``.  Its fields live in its ``__dict__``, which is what
+    ``vars``, ``pickle`` and ``copy`` read and write.
     """
 
     ell: int
     m: int
-    node: "BaseNode | AddNode | None" = field(compare=False)
-    transposed: bool = field(compare=False)
-    entries: tuple[tuple, ...] = field(init=False)
+    node: "BaseNode | AddNode | None"
+    transposed: bool
+    entries: tuple[tuple, ...]
 
-    def __post_init__(self) -> None:
-        node, table, extra, own = self.node, (), [], None
+    def __init__(self, ell: int, m: int, node: "BaseNode | AddNode | None", transposed: bool) -> None:
+        vars(self).update(ell=ell, m=m, node=node, transposed=transposed)
+        table, extra, own = (), [], None
         if type(node) is AddNode:
             left, right = node.left, node.right
             if not (_holds_table(left) and _holds_table(right)):
@@ -181,15 +187,29 @@ class Certificate:
         elif type(node) is BaseNode and type(node.ell) is type(node.m) is int:
             own = ("base", node.ell, node.m)
         at = len(table) + len(extra)
-        if own is None or type(self.transposed) is not bool:
+        if own is None or type(transposed) is not bool:
             raise CertificateFormatError(f"$.nodes[{at}]", "not a certificate")
         extra.append(own)
-        if self.transposed:
+        if transposed:
             extra.append(("t", at))
         entries = table + tuple(extra)
         if len(entries) > MAX_NODES:
             raise CertificateFormatError("$.nodes", f"over MAX_NODES = {MAX_NODES} entries")
-        object.__setattr__(self, "entries", entries)
+        vars(self)["entries"] = entries
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.ell, self.m, self.entries) == (other.ell, other.m, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.ell, self.m, self.entries))
 
     def __repr__(self) -> str:
         return (
@@ -203,8 +223,7 @@ def _holds_table(obj: object) -> bool:
     return type(obj) is Certificate and "entries" in vars(obj)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     ok: bool
     ell: int | None = None
     m: int | None = None
@@ -488,13 +507,18 @@ def verify(cert: Certificate) -> VerificationResult:
 
 
 # the JSON forms of the witness names certify writes; any other name is
-# encoded by json.dumps
+# encoded by _json
 _NAMES = {name: f'"{name}"' for name in ("ell", "m1", "m2")}
 
 
 def _json(value: object) -> str:
-    # a conclusion built by hand may hold any value, written as json.dumps would
-    return str(value) if type(value) is int else json.dumps(value, sort_keys=True, separators=(",", ":"))
+    # a certificate built by hand may conclude any value and name any
+    # witness, written as json.dumps would; json is imported on first use,
+    # which keeps it off the import of the package
+    if type(value) is int:
+        return str(value)
+    import json
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def serialize_certificate(cert: Certificate) -> str:
@@ -507,7 +531,7 @@ def serialize_certificate(cert: Certificate) -> str:
         kind = entry[0]
         if kind == "add":
             _, ell, i, j, ew, gw = entry
-            ew, gw = _NAMES.get(ew) or json.dumps(ew), _NAMES.get(gw) or json.dumps(gw)
+            ew, gw = _NAMES.get(ew) or _json(ew), _NAMES.get(gw) or _json(gw)
             nodes.append('{"add":[%d,%d,%d],"even":%s,"geq3":%s}' % (ell, i, j, ew, gw))
         elif kind == "base":
             nodes.append('{"base":[%d,%d]}' % (entry[1], entry[2]))
@@ -520,6 +544,7 @@ def serialize_certificate(cert: Certificate) -> str:
 
 def certificate_to_obj(cert: Certificate) -> dict:
     """The parse of ``serialize_certificate(cert)``."""
+    import json
     return json.loads(serialize_certificate(cert))
 
 
@@ -569,6 +594,7 @@ def certificate_from_obj(obj: object) -> Certificate:
 def parse_certificate(text: "str | bytes") -> Certificate:
     if len(text) > MAX_BYTES:
         raise CertificateFormatError("$", f"over MAX_BYTES = {MAX_BYTES} bytes")
+    import json
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as err:

@@ -20,7 +20,6 @@ line of ``text`` (plain, or csv for ``expand`` and ``scan``, which
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import inspect
 import json
 import os
@@ -172,7 +171,7 @@ def _run_expand(args) -> _Output:
 
 def _run_check(args) -> _Output:
     rep = check_strict(args.ell, args.m)
-    return {"ell": args.ell, "m": args.m}, dataclasses.asdict(rep), _report_lines(rep)
+    return {"ell": args.ell, "m": args.m}, rep._asdict(), _report_lines(rep)
 
 
 def _run_scan(args) -> _Output:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Not used in this module: perfbench/tracing.py wraps
 # ``unimodality.gaussian``, and its traced run fails on a layer it cannot
@@ -77,8 +77,7 @@ class PairClass(enum.Enum):
     Strict = "Strict"
 
 
-@dataclass(frozen=True)
-class UnimodalityReport:
+class UnimodalityReport(NamedTuple):
     """Outcome of a strictness check.
 
     ``plateaus`` lists the maximal intervals [a, b] with b > a and equal

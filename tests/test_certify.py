@@ -1,7 +1,6 @@
 import atexit
 import collections
 import copy
-import dataclasses
 import hashlib
 import importlib
 import json
@@ -450,7 +449,7 @@ def test_certificates_support_very_wide_pairs():
 
 
 def _chain(ell, base_m, steps):
-    """A foreign chain from the public dataclasses: (ell, base_m) plus
+    """A foreign chain from the public record types: (ell, base_m) plus
     ``steps`` additions of one shared (ell, 8) leaf, nothing else shared."""
     step = Certificate(ell=ell, m=8, node=BaseNode(ell=ell, m=8), transposed=False)
     cert = Certificate(ell=ell, m=base_m, node=BaseNode(ell=ell, m=base_m), transposed=False)
@@ -843,10 +842,10 @@ def test_certificates_holding_a_table_copy_pickle_and_replace():
             assert twin == cert and hash(twin) == hash(cert)
             assert serialize_certificate(twin) == text
             assert verify(twin).ok
-        # replace builds a new certificate from the fields alone, and the
-        # table is not one of them: a node of None is not a certificate
+        # a certificate rebuilt from its fields alone lacks the table,
+        # which is not one of them: a node of None is not a certificate
         with pytest.raises(CertificateFormatError) as err:
-            dataclasses.replace(cert)
+            Certificate(cert.ell, cert.m, cert.node, cert.transposed)
         assert (err.value.path, err.value.message) == ("$.nodes[0]", "not a certificate")
 
 
