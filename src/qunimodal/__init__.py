@@ -11,8 +11,6 @@ from .certify import (
     NotCertifiableError,
     VerificationResult,
     build_base_registry,
-    certificate_from_obj,
-    certificate_to_obj,
     certify,
     default_registry,
     parse_certificate,
@@ -62,8 +60,6 @@ __all__ = [
     "VerificationResult",
     "a_k",
     "build_base_registry",
-    "certificate_from_obj",
-    "certificate_to_obj",
     "certify",
     "check_strict",
     "classify",

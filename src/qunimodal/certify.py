@@ -35,17 +35,19 @@ the order of a depth-first walk from the root (left before right):
 {"add": [ell, i, j], "even": w, "geq3": w} | {"t": i}, ...]}, where i
 and j index earlier entries and {"t": i} concludes the mirror of entry
 i.  Serialization writes the canonical JSON text (sorted keys, no
-whitespace) straight from the table, one format string per entry kind,
-and ``certificate_to_obj`` is the parse of that text.
+whitespace) straight from the table, one format string per entry kind;
+``parse_certificate`` is its one reader.
 
-``certify`` builds the table directly, doubling on indices, and its
-builder already interns entries in canonical order.  ``parse_certificate``
-validates each wire entry into its table entry in one forward loop, then
-checks canonical order in one reverse loop over the table (``_canonical``).
-Both return a ``Certificate`` that holds only the table (its ``node`` is
-``None``); one built by hand from ``BaseNode``/``AddNode`` objects splices
-its children's tables when it is made.  Serialization, ``verify``,
-``==``, ``hash`` and ``repr`` read that table and nothing else.
+A ``Certificate`` is its claim and its table, ``(ell, m, entries)``,
+and nothing else.  ``certify`` builds the table directly, doubling on
+indices, and its builder already interns entries in canonical order.
+``parse_certificate`` validates each wire entry into its table entry in
+one forward loop, then checks canonical order in one reverse loop over
+the table (``_canonical``).  One built by hand from ``BaseNode``/``AddNode``
+objects splices its children's tables when it is made and keeps no
+object.  Every constructor refuses a claim other than two ``int``, so
+each certificate is one that parse could return.  Serialization,
+``verify``, ``==``, ``hash`` and ``repr`` read the table and the claim.
 ``BaseNode``, ``AddNode`` and ``VerificationResult`` are ``NamedTuple``
 classes and ``Certificate`` is a frozen plain class; none is a dataclass,
 and ``json`` is imported only to write or read a certificate, so
@@ -84,6 +86,8 @@ MAX_LEAF_AREA = 3600
 # so x + y <= MAX_NODES and the output peaks near x = y = 2048:
 # 1,451,805 bytes for (8 * 2^2046, 8 * 2^2046 + 8), the largest found.
 MAX_BYTES = 1 << 21
+# what a claim must be, in the constructor and in parse
+_CLAIM = 'expected {"ell": int, "m": int}'
 
 
 class NotCertifiableError(Exception):
@@ -133,22 +137,22 @@ class AddNode(NamedTuple):
 class Certificate:
     """A claimed conclusion (ell, m) plus the table that supports it.
 
-    ``entries`` is the canonical table, root last; ``transposed`` is true
-    when the root is a mirror entry.  Only the root's claim is read by
-    ``verify`` and the serializer; sub-certificates conclude what their
-    entries derive.
+    Its only fields are the claim ``ell`` and ``m``, two ``int``, and
+    ``entries``, the canonical table, root last; a mirrored root is an
+    entry ``("t", i)``.  Only the root's claim is read by ``verify`` and
+    the serializer; sub-certificates conclude what their entries derive.
 
-    ``certify`` and ``parse_certificate`` return one that holds the claim,
-    ``transposed`` and the table, with ``node`` set to ``None``.  One built
-    by hand gets its table when it is made: the left child's entries as
-    they are, then the right child's, renumbered and appended where new,
-    then its own entry and, when ``transposed`` is true, the mirror of it.
-    That is the order of a depth-first walk of the objects from the root.
-    A node or flag that is not a certificate's, or a table of over
-    ``MAX_NODES`` entries, raises ``CertificateFormatError`` then, so
-    rebuilding a certificate with no ``node`` from its fields,
-    ``Certificate(c.ell, c.m, c.node, c.transposed)``, raises too.
-    ``==`` and ``hash`` read ``(ell, m, entries)``, never ``node``.
+    ``certify`` and ``parse_certificate`` return one that holds just these.
+    One built by hand reads ``node`` and ``transposed`` once, when it is
+    made, and keeps neither: its table is the left child's entries as they
+    are, then the right child's, renumbered and appended where new, then
+    its own entry and, when ``transposed`` is true, the mirror of it.  That
+    is the order of a depth-first walk of the objects from the root.  A
+    claim other than two ``int`` raises ``CertificateFormatError`` at
+    ``$.conclusion``, as parse does; a node or flag that is not a
+    certificate's, or a table of over ``MAX_NODES`` entries, raises it at a
+    path under ``$.nodes``.  So every certificate is one that parse could
+    return, and ``parse_certificate(serialize_certificate(c)) == c``.
 
     It is frozen: assigning or deleting an attribute raises
     ``AttributeError``.  Its fields live in its ``__dict__``, which is what
@@ -157,12 +161,11 @@ class Certificate:
 
     ell: int
     m: int
-    node: "BaseNode | AddNode | None"
-    transposed: bool
     entries: tuple[tuple, ...]
 
-    def __init__(self, ell: int, m: int, node: "BaseNode | AddNode | None", transposed: bool) -> None:
-        vars(self).update(ell=ell, m=m, node=node, transposed=transposed)
+    def __init__(self, ell: int, m: int, node: "BaseNode | AddNode", transposed: bool) -> None:
+        if not (type(ell) is type(m) is int):
+            raise CertificateFormatError("$.conclusion", _CLAIM)
         table, extra, own = (), [], None
         if type(node) is AddNode:
             left, right = node.left, node.right
@@ -195,7 +198,7 @@ class Certificate:
         entries = table + tuple(extra)
         if len(entries) > MAX_NODES:
             raise CertificateFormatError("$.nodes", f"over MAX_NODES = {MAX_NODES} entries")
-        vars(self)["entries"] = entries
+        vars(self).update(ell=ell, m=m, entries=entries)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -212,10 +215,7 @@ class Certificate:
         return hash((self.ell, self.m, self.entries))
 
     def __repr__(self) -> str:
-        return (
-            f"Certificate(ell={self.ell!r}, m={self.m!r}, "
-            f"transposed={self.transposed!r}, entries={len(self.entries)})"
-        )
+        return f"Certificate(ell={self.ell!r}, m={self.m!r}, entries={len(self.entries)})"
 
 
 def _holds_table(obj: object) -> bool:
@@ -442,9 +442,9 @@ def _canonical(entries: tuple[tuple, ...]) -> bool:
 
 
 def _tabled(ell: int, m: int, table: tuple[tuple, ...]) -> Certificate:
-    """A certificate for the claim (ell, m) that holds ``table`` and no node."""
+    """A certificate for the claim (ell, m), two ``int``, that holds ``table``."""
     cert = object.__new__(Certificate)
-    vars(cert).update(ell=ell, m=m, node=None, transposed=table[-1][0] == "t", entries=table)
+    vars(cert).update(ell=ell, m=m, entries=table)
     return cert
 
 
@@ -511,14 +511,11 @@ def verify(cert: Certificate) -> VerificationResult:
 _NAMES = {name: f'"{name}"' for name in ("ell", "m1", "m2")}
 
 
-def _json(value: object) -> str:
-    # a certificate built by hand may conclude any value and name any
-    # witness, written as json.dumps would; json is imported on first use,
-    # which keeps it off the import of the package
-    if type(value) is int:
-        return str(value)
+def _json(name: str) -> str:
+    # a witness name certify does not write, as json.dumps writes it; json
+    # is imported on first use, which keeps it off the import of the package
     import json
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return json.dumps(name)
 
 
 def serialize_certificate(cert: Certificate) -> str:
@@ -537,18 +534,19 @@ def serialize_certificate(cert: Certificate) -> str:
             nodes.append('{"base":[%d,%d]}' % (entry[1], entry[2]))
         else:
             nodes.append('{"t":%d}' % entry[1])
-    return '{"conclusion":{"ell":%s,"m":%s},"nodes":[%s],"version":%d}' % (
-        _json(cert.ell), _json(cert.m), ",".join(nodes), _VERSION
+    return '{"conclusion":{"ell":%d,"m":%d},"nodes":[%s],"version":%d}' % (
+        cert.ell, cert.m, ",".join(nodes), _VERSION
     )
 
 
-def certificate_to_obj(cert: Certificate) -> dict:
-    """The parse of ``serialize_certificate(cert)``."""
+def parse_certificate(text: "str | bytes") -> Certificate:
+    if len(text) > MAX_BYTES:
+        raise CertificateFormatError("$", f"over MAX_BYTES = {MAX_BYTES} bytes")
     import json
-    return json.loads(serialize_certificate(cert))
-
-
-def certificate_from_obj(obj: object) -> Certificate:
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as err:
+        raise CertificateFormatError("$", f"not valid JSON: {err}") from None
     if type(obj) is not dict or set(obj) != {"version", "conclusion", "nodes"}:
         raise CertificateFormatError("$", 'expected keys ["conclusion", "nodes", "version"]')
     if type(obj["version"]) is not int or obj["version"] != _VERSION:
@@ -557,7 +555,7 @@ def certificate_from_obj(obj: object) -> Certificate:
     if type(concl) is not dict or set(concl) != {"ell", "m"} or not (
         type(concl["ell"]) is type(concl["m"]) is int
     ):
-        raise CertificateFormatError("$.conclusion", 'expected {"ell": int, "m": int}')
+        raise CertificateFormatError("$.conclusion", _CLAIM)
     if type(nodes) is not list or not 1 <= len(nodes) <= MAX_NODES:
         raise CertificateFormatError("$.nodes", f"expected 1 to {MAX_NODES} entries")
     # each wire entry into its key; an entry of one or three keys whose
@@ -589,14 +587,3 @@ def certificate_from_obj(obj: object) -> Certificate:
     if not _canonical(table):
         raise CertificateFormatError("$.nodes", "not canonical: distinct, in walk order")
     return _tabled(concl["ell"], concl["m"], table)
-
-
-def parse_certificate(text: "str | bytes") -> Certificate:
-    if len(text) > MAX_BYTES:
-        raise CertificateFormatError("$", f"over MAX_BYTES = {MAX_BYTES} bytes")
-    import json
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as err:
-        raise CertificateFormatError("$", f"not valid JSON: {err}") from None
-    return certificate_from_obj(obj)

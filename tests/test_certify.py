@@ -9,6 +9,7 @@ import random
 import shutil
 import tempfile
 import time
+import tracemalloc
 
 import hypothesis
 import pytest
@@ -22,8 +23,6 @@ from qunimodal import (
     NotCertifiableError,
     PairClass,
     build_base_registry,
-    certificate_from_obj,
-    certificate_to_obj,
     certify,
     check_strict,
     classify,
@@ -70,16 +69,16 @@ def test_registry_and_certificates_write_nothing_to_home(tmp_path, monkeypatch):
 
 def test_certify_base_pair():
     cert = certify(5, 17)
-    assert certificate_to_obj(cert)["nodes"] == [{"base": [5, 17]}]
-    assert cert.node is None and not cert.transposed
+    assert json.loads(serialize_certificate(cert))["nodes"] == [{"base": [5, 17]}]
+    assert not hasattr(cert, "node") and not hasattr(cert, "transposed")
     assert verify(cert).ok
 
 
 def test_certify_chain_structure():
     # (8,24) = (8,8) + (8,16), and (8,16) is the step (8,8) doubled
     cert = certify(8, 24)
-    assert (cert.ell, cert.m, cert.transposed) == (8, 24, False)
-    assert certificate_to_obj(cert)["nodes"] == [
+    assert (cert.ell, cert.m) == (8, 24)
+    assert json.loads(serialize_certificate(cert))["nodes"] == [
         {"base": [8, 8]},
         {"add": [8, 0, 0], "even": "ell", "geq3": "m1"},
         {"add": [8, 0, 1], "even": "ell", "geq3": "m1"},
@@ -88,9 +87,9 @@ def test_certify_chain_structure():
 
 def test_certificates_grow_logarithmically():
     # doubling: a chain of 3,687 steps of 8 needs 20 table entries
-    obj = certificate_to_obj(certify(11, 29500))
+    obj = json.loads(serialize_certificate(certify(11, 29500)))
     assert len(obj["nodes"]) == 20
-    assert len(certificate_to_obj(certify(550, 550))["nodes"]) == 34
+    assert len(json.loads(serialize_certificate(certify(550, 550)))["nodes"]) == 34
 
 
 def test_certify_refusals():
@@ -182,7 +181,7 @@ def test_verify_rejects_mismatched_ell():
 def _rejected(nodes, ell, m):
     """The reason and path of verify's rejection of a wire table."""
     doc = {"version": 2, "conclusion": {"ell": ell, "m": m}, "nodes": nodes}
-    outcome = verify(certificate_from_obj(doc))
+    outcome = verify(parse_certificate(json.dumps(doc)))
     assert not outcome.ok
     return outcome.reason, outcome.path
 
@@ -224,9 +223,7 @@ def test_verify_pins_the_reasons_of_the_add_branch():
 
 
 def test_verify_reports_path_of_failure():
-    good = certify(5, 25)
-    text = serialize_certificate(good)
-    obj = certificate_to_obj(good)
+    obj = json.loads(serialize_certificate(certify(5, 25)))
     # (5,25) = (5,17) + (5,8); keep the total at 25 so the failure
     # surfaces inside the table: (5,19) is strict, (5,6) is not
     assert obj["nodes"] == [
@@ -237,24 +234,12 @@ def test_verify_reports_path_of_failure():
     obj["nodes"][0] = {"base": [5, 19]}
     obj["nodes"][1] = {"base": [5, 6]}
     tampered_text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    tampered = certificate_from_obj(obj)
-    # the table kept on a certificate shares nothing with the dicts it was
-    # parsed from or handed out as: mutating them changes no later answer
-    obj["nodes"][1]["base"][1] = 8
-    obj["nodes"][2]["add"][1:] = [1, 1]
-    obj["nodes"][2]["even"] = "m1"
-    obj["conclusion"]["m"] = 16
-    obj["nodes"].append({"t": 0})
+    tampered = parse_certificate(tampered_text)
     outcome = verify(tampered)
     assert not outcome.ok
     assert outcome.path == "$.nodes[1]"
     assert "(5,6)" in outcome.reason
     assert serialize_certificate(tampered) == tampered_text
-    handed_out = certificate_to_obj(good)
-    handed_out["nodes"][0]["base"][1] = 19
-    handed_out["nodes"][2]["add"][0] = 6
-    handed_out["nodes"].pop()
-    assert serialize_certificate(good) == text
 
 
 def test_serialization_round_trip_and_determinism():
@@ -275,7 +260,7 @@ def _references(entry):
 def test_serialized_form_uses_bare_nodes_for_plain_children():
     # entries are bare: no conclusion or flag of their own; a transposed
     # sub-certificate is a {"t": i} entry naming the untransposed one
-    obj = certificate_to_obj(certify(16, 16))
+    obj = json.loads(serialize_certificate(certify(16, 16)))
     assert set(obj) == {"version", "conclusion", "nodes"}
     assert obj["version"] == 2
     assert obj["conclusion"] == {"ell": 16, "m": 16}
@@ -358,7 +343,7 @@ def test_parse_error_carries_a_path():
 def test_each_certificate_object_is_walked_once(monkeypatch):
     # certify runs no check (its builder interns in canonical order) and
     # parse checks canonical order once; nothing after them checks it
-    # again or builds the node of the certificate
+    # again or keeps an object besides the claim and the table
     cert_module = importlib.import_module("qunimodal.certify")
     checked = []
     real_canonical = cert_module._canonical
@@ -379,7 +364,7 @@ def test_each_certificate_object_is_walked_once(monkeypatch):
     assert len(checked) == 1
     assert len(verified) == 1
     for held in (cert, parsed, *verified):
-        assert held.node is None
+        assert list(vars(held)) == ["ell", "m", "entries"]
 
 
 def test_default_registry_is_cached_instance():
@@ -415,7 +400,7 @@ def test_serialized_add_nodes_carry_valid_witnesses():
     # structural check on the wire format, independent of the verifier:
     # walk the table, deriving each entry's conclusion from earlier ones
     for ell, m in [(5, 25), (8, 24), (16, 16), (33, 47), (6, 29)]:
-        obj = certificate_to_obj(certify(ell, m))
+        obj = json.loads(serialize_certificate(certify(ell, m)))
         concluded = []
         for entry in obj["nodes"]:
             if "base" in entry:
@@ -507,7 +492,15 @@ def test_verify_rejects_tables_over_max_nodes():
     with pytest.raises(CertificateFormatError) as err:
         _chain(9, 10, MAX_NODES - 1)
     assert (err.value.path, err.value.message) == ("$.nodes", f"over MAX_NODES = {MAX_NODES} entries")
-    cert = _chain(9, 10, MAX_NODES - 2)
+    # one entry fewer is made, and holds its table alone: no step of the
+    # chain keeps the one before it, which held a table of its own
+    tracemalloc.start()
+    try:
+        cert = _chain(9, 10, MAX_NODES - 2)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 4 << 20, held
     assert len(cert.entries) == MAX_NODES and verify(cert).ok
 
 
@@ -600,7 +593,7 @@ def test_verify_never_raises_on_malformed_objects():
             Certificate(*args)
         assert (err.value.path, err.value.message) == (path, "not a certificate"), args
     # sound nodes with a false claim or side are made, and verify rejects them
-    for bad in (Certificate(8, 8, BaseNode(-8, -1), False), Certificate("8", 8, BaseNode(8, 8), False)):
+    for bad in (Certificate(8, 8, BaseNode(-8, -1), False), Certificate(8, 9, BaseNode(8, 8), False)):
         outcome = verify(bad)
         assert not outcome.ok, bad
         assert outcome.path.startswith("$"), bad
@@ -608,7 +601,7 @@ def test_verify_never_raises_on_malformed_objects():
 
 def test_repr_and_eq_read_the_table_not_the_expanded_tree():
     cert = certify(8, 24)
-    assert repr(cert) == "Certificate(ell=8, m=24, transposed=False, entries=3)"
+    assert repr(cert) == "Certificate(ell=8, m=24, entries=3)"
     again = parse_certificate(serialize_certificate(cert))
     assert cert == again and hash(cert) == hash(again)
     assert cert != certify(24, 8) and cert != certify(8, 32)
@@ -618,42 +611,48 @@ def test_repr_and_eq_read_the_table_not_the_expanded_tree():
     text = repr(big)
     same = big == certify(8, 8 * 2**60)
     assert time.perf_counter() - start < 1.0
-    assert text == f"Certificate(ell=8, m={8 * 2**60}, transposed=False, entries=61)"
+    assert text == f"Certificate(ell=8, m={8 * 2**60}, entries=61)"
     assert same
     # a certificate built by hand holds its table too, and compares by it
     leaf = Certificate(8, 8, BaseNode(8, 8), False)
     hand = Certificate(8, 16, AddNode(8, leaf, leaf, "ell", "m1"), False)
-    assert repr(hand) == "Certificate(ell=8, m=16, transposed=False, entries=2)"
+    assert repr(hand) == "Certificate(ell=8, m=16, entries=2)"
     assert hand == certify(8, 16) and hash(hand) == hash(certify(8, 16))
 
 
 # ---------------------------------------------------------------------------
 # a second route to certify: the builder that made the DAG from objects,
-# each step a new Certificate, before certify built the table on indices
+# each step a new Certificate, before certify built the table on indices.
+# A certificate keeps no node or flag, so each step returns the triple
+# (certificate, node, transposed) it was made from
 
 
 def _oracle_base(ell, m):
-    return Certificate(ell=ell, m=m, node=BaseNode(ell=ell, m=m), transposed=False)
+    node = BaseNode(ell=ell, m=m)
+    return Certificate(ell=ell, m=m, node=node, transposed=False), node, False
 
 
 def _oracle_add(ell, left, right):
+    (left, _, _), (right, _, _) = left, right
     even, geq3 = _ref_witnesses(ell, left.m, right.m)
     node = AddNode(ell=ell, left=left, right=right, even_witness=even, geq3_witness=geq3)
-    return Certificate(ell=ell, m=left.m + right.m, node=node, transposed=False)
+    return Certificate(ell=ell, m=left.m + right.m, node=node, transposed=False), node, False
 
 
-def _oracle_transposed(cert):
-    return Certificate(ell=cert.m, m=cert.ell, node=cert.node, transposed=not cert.transposed)
+def _oracle_transposed(made):
+    cert, node, transposed = made
+    cert = Certificate(ell=cert.m, m=cert.ell, node=node, transposed=not transposed)
+    return cert, node, not transposed
 
 
 def _oracle_chain(base, step, count):
     acc = base
     while count:
         if count & 1:
-            acc = _oracle_add(base.ell, acc, step)
+            acc = _oracle_add(base[0].ell, acc, step)
         count >>= 1
         if count:
-            step = _oracle_add(base.ell, step, step)
+            step = _oracle_add(base[0].ell, step, step)
     return acc
 
 
@@ -676,8 +675,8 @@ def _oracle_build(a, b, reg):
 
 
 def _oracle_certify(ell, m):
-    cert = _oracle_build(min(ell, m), max(ell, m), default_registry())
-    return _oracle_transposed(cert) if ell > m else cert
+    made = _oracle_build(min(ell, m), max(ell, m), default_registry())
+    return (_oracle_transposed(made) if ell > m else made)[0]
 
 
 def test_certify_matches_the_object_builder():
@@ -825,8 +824,9 @@ def test_mirrored_root_certificates_hold_only_their_table():
     # (470, 33); (470, 33) is that chain, grown from mirrored leaves
     for ell, m, transposed in [(33, 470, True), (470, 33, False)]:
         for cert in _held(ell, m):
-            nodes = certificate_to_obj(cert)["nodes"]
-            assert cert.transposed is transposed and cert.node is None
+            nodes = json.loads(serialize_certificate(cert))["nodes"]
+            assert (cert.entries[-1][0] == "t") is transposed
+            assert list(vars(cert)) == ["ell", "m", "entries"]
             if transposed:
                 assert nodes[-1] == {"t": len(nodes) - 2}
                 nodes.pop()
@@ -835,17 +835,18 @@ def test_mirrored_root_certificates_hold_only_their_table():
 
 
 def test_certificates_holding_a_table_copy_pickle_and_replace():
-    for cert in _held(33, 470):
+    # the longest chain built by hand holds no object chain to recurse into
+    for cert in (*_held(33, 470), _chain(9, 10, MAX_NODES - 2)):
         text = serialize_certificate(cert)
         for twin in (pickle.loads(pickle.dumps(cert)), copy.copy(cert), copy.deepcopy(cert)):
             assert vars(twin) == vars(cert)
             assert twin == cert and hash(twin) == hash(cert)
             assert serialize_certificate(twin) == text
             assert verify(twin).ok
-        # a certificate rebuilt from its fields alone lacks the table,
-        # which is not one of them: a node of None is not a certificate
+        # the constructor takes a node, not a table: a certificate's
+        # fields do not rebuild it
         with pytest.raises(CertificateFormatError) as err:
-            Certificate(cert.ell, cert.m, cert.node, cert.transposed)
+            Certificate(cert.ell, cert.m, cert.entries, False)
         assert (err.value.path, err.value.message) == ("$.nodes[0]", "not a certificate")
 
 
@@ -975,13 +976,22 @@ _BROKEN = st.sampled_from([
 _PICK, _ONE_IN_20 = st.integers(0, 5), st.integers(0, 19)
 
 
+def _made(sides, ell, m, node, transposed):
+    """A certificate built by hand, recording in ``sides`` under its id the
+    node and flag it was made from, which it does not keep."""
+    cert = Certificate(ell, m, node, transposed)
+    sides[id(cert)] = node, transposed
+    return cert
+
+
 @st.composite
 def _hand_built(draw):
-    """The arguments of a certificate from objects, and whether its node
-    or flag is broken: leaves, add steps over earlier certificates and
-    mirrors, with drawn names, sides and conclusions; now and then one
-    node or flag that is not a certificate's, which ends the draw."""
-    certs = []
+    """The arguments of a certificate from objects, whether its node or
+    flag is broken, and the ``sides`` of the certificates made on the way:
+    leaves, add steps over earlier certificates and mirrors, with drawn
+    names, sides and claims; now and then one node or flag that is not a
+    certificate's, which ends the draw."""
+    certs, sides = [], {}
     for last in range(draw(_PICK), -1, -1):
         if certs and draw(st.booleans()):
             left, right = certs[draw(_PICK) % len(certs)], certs[draw(_PICK) % len(certs)]
@@ -990,10 +1000,10 @@ def _hand_built(draw):
             node = BaseNode(draw(_SIDE), draw(_SIDE))
         broken = draw(_ONE_IN_20) == 0
         node, flag = draw(_BROKEN) if broken else (node, draw(st.booleans()))
-        args = (draw(_CONCLUSION), draw(_CONCLUSION), node, flag)
+        args = (draw(_SIDE), draw(_SIDE), node, flag)
         if broken or not last:
-            return args, broken
-        certs.append(Certificate(*args))
+            return args, broken, sides
+        certs.append(_made(sides, *args))
 
 
 _HAND_MADE = _hand_built().filter(lambda drawn: not drawn[1]).map(lambda drawn: Certificate(*drawn[0]))
@@ -1001,10 +1011,29 @@ _HAND_MADE = _hand_built().filter(lambda drawn: not drawn[1]).map(lambda drawn: 
 
 @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @hypothesis.given(st.one_of(_PAIR.map(lambda pair: certify(*pair)), _parsed(), _HAND_MADE))
-@hypothesis.example(Certificate(True, False, BaseNode(8, 8), False))
-@hypothesis.example(Certificate(None, 2.0, BaseNode(8, 8), True))
-@hypothesis.example(Certificate("8", {"m": [8]}, BaseNode(8, 8), False))
 def test_serializer_matches_the_dict_route(cert):
     want = _ref_obj(cert)
     assert serialize_certificate(cert) == _ref_text(want)
-    assert certificate_to_obj(cert) == want
+    assert parse_certificate(serialize_certificate(cert)) == cert
+
+
+@hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@hypothesis.given(_CONCLUSION, _CONCLUSION)
+@hypothesis.example(8.0, 8)
+@hypothesis.example(True, True)
+@hypothesis.example(True, False)
+@hypothesis.example(None, 2.0)
+@hypothesis.example("8", {"m": [8]})
+def test_claims_other_than_two_ints_are_refused(ell, m):
+    # when the certificate is made, before its node is read, and by parse,
+    # at the same path with the same message
+    hypothesis.assume(not (type(ell) is type(m) is int))
+    refusal = ("$.conclusion", 'expected {"ell": int, "m": int}')
+    for node in (BaseNode(8, 8), BaseNode(1, 1), "node"):
+        with pytest.raises(CertificateFormatError) as err:
+            Certificate(ell, m, node, False)
+        assert (err.value.path, err.value.message) == refusal
+    doc = {"version": 2, "conclusion": {"ell": ell, "m": m}, "nodes": [{"base": [8, 8]}]}
+    with pytest.raises(CertificateFormatError) as err:
+        parse_certificate(json.dumps(doc))
+    assert (err.value.path, err.value.message) == refusal

@@ -33,7 +33,7 @@ from qunimodal import (
     verify,
 )
 from qunimodal.certify import MAX_NODES
-from test_certify import MALFORMED_DOCUMENTS
+from test_certify import MALFORMED_DOCUMENTS, _made
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -132,7 +132,11 @@ def test_verify_decides_every_mutation(text):
 # are walked back into wire dicts, which must equal the document's
 
 
-def _reference_table(cert):
+def _reference_table(cert, sides):
+    """The wire table of a walk of the objects from ``cert``.  A certificate
+    keeps no node or flag, so ``sides`` holds those of each certificate
+    made by hand (``_made``) under its id; the walk reaches only
+    certificates that are alive, and each was recorded when it was made."""
     entries, position, done = [], {}, {}
 
     def intern(key, entry):
@@ -149,7 +153,8 @@ def _reference_table(cert):
         if id(cur) in done:
             stack.pop()
             continue
-        node = cur.node if type(cur) is Certificate and type(cur.transposed) is bool else None
+        made = type(cur) is Certificate and sides.get(id(cur))
+        node, transposed = made or (None, False)
         if type(node) is BaseNode and type(node.ell) is type(node.m) is int:
             at = intern(("base", node.ell, node.m), {"base": [node.ell, node.m]})
         elif type(node) is AddNode and type(node.ell) is int and (
@@ -163,7 +168,7 @@ def _reference_table(cert):
             at = intern(("add", ell, i, j, ew, gw), {"add": [ell, i, j], "even": ew, "geq3": gw})
         else:
             raise CertificateFormatError(f"$.nodes[{len(entries)}]", "not a certificate")
-        done[id(cur)] = intern(("t", at), {"t": at}) if cur.transposed else at
+        done[id(cur)] = intern(("t", at), {"t": at}) if transposed else at
         stack.pop()
     return entries
 
@@ -172,21 +177,22 @@ def _ints(v, n):
     return type(v) is list and len(v) == n and all(type(x) is int for x in v)
 
 
-def _reference_entry_cert(obj, certs, path):
+def _reference_entry_cert(obj, certs, sides, path):
     keys = set(obj) if type(obj) is dict else set()
     at = len(certs)
     if keys == {"base"} and _ints(obj["base"], 2):
         ell, m = obj["base"]
-        return Certificate(ell, m, BaseNode(ell, m), False)
+        return _made(sides, ell, m, BaseNode(ell, m), False)
     if keys == {"t"} and type(obj["t"]) is int and 0 <= obj["t"] < at:
         sub = certs[obj["t"]]
-        return Certificate(sub.m, sub.ell, sub.node, not sub.transposed)
+        node, transposed = sides[id(sub)]
+        return _made(sides, sub.m, sub.ell, node, not transposed)
     if keys == {"add", "even", "geq3"} and _ints(obj["add"], 3) and type(obj["even"]) is str:
         ell, i, j = obj["add"]
         ew, gw = obj["even"], obj["geq3"]
         if 0 <= i < at and 0 <= j < at and type(gw) is str:
             node = AddNode(ell, certs[i], certs[j], ew, gw)
-            return Certificate(ell, certs[i].m + certs[j].m, node, False)
+            return _made(sides, ell, certs[i].m + certs[j].m, node, False)
     raise CertificateFormatError(
         path,
         'expected {"base": [l, m]}, {"add": [ell, i, j], "even": w, "geq3": w} or {"t": i}, '
@@ -208,12 +214,11 @@ def _reference_parse(text):
         raise CertificateFormatError("$.conclusion", 'expected {"ell": int, "m": int}')
     if type(nodes) is not list or not 1 <= len(nodes) <= MAX_NODES:
         raise CertificateFormatError("$.nodes", f"expected 1 to {MAX_NODES} entries")
-    certs = []
+    certs, sides = [], {}
     for at, item in enumerate(nodes):
-        certs.append(_reference_entry_cert(item, certs, f"$.nodes[{at}]"))
-    last = certs[-1]
-    root = Certificate(concl["ell"], concl["m"], last.node, last.transposed)
-    if _reference_table(root) != nodes:
+        certs.append(_reference_entry_cert(item, certs, sides, f"$.nodes[{at}]"))
+    root = _made(sides, concl["ell"], concl["m"], *sides[id(certs[-1])])
+    if _reference_table(root, sides) != nodes:
         raise CertificateFormatError("$.nodes", "not canonical: distinct, in walk order")
     return root
 

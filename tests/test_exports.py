@@ -37,6 +37,8 @@ def test_removed_carriers_are_not_exported():
         "routes_check",
         "lemma12_check",
         "add",
+        "certificate_to_obj",
+        "certificate_from_obj",
     )
     for name in removed:
         assert name not in qunimodal.__all__
@@ -45,7 +47,7 @@ def test_removed_carriers_are_not_exported():
 
 
 def test_export_count_is_pinned():
-    assert len(qunimodal.__all__) == 35
+    assert len(qunimodal.__all__) == 33
 
 
 def test_cli_option_count_is_pinned():

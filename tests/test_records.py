@@ -83,8 +83,8 @@ def _records():
         (BaseNode(8, 8), "BaseNode(ell=8, m=8)"),
         (
             AddNode(8, leaf, leaf, "ell", "m1"),
-            "AddNode(ell=8, left=Certificate(ell=8, m=8, transposed=False, entries=1), "
-            "right=Certificate(ell=8, m=8, transposed=False, entries=1), "
+            "AddNode(ell=8, left=Certificate(ell=8, m=8, entries=1), "
+            "right=Certificate(ell=8, m=8, entries=1), "
             "even_witness='ell', geq3_witness='m1')",
         ),
     ]
@@ -146,4 +146,5 @@ def test_record_fields_defaults_and_truth():
     assert BaseNode(8, 8)._replace(m=9) == BaseNode(8, 9)
     assert UnimodalityReport.__doc__.startswith("Outcome of a strictness check.")
     assert BaseNode.__doc__.startswith("Leaf:") and AddNode.__doc__.startswith("Additivity step")
-    assert list(vars(certify(8, 8))) == ["ell", "m", "node", "transposed", "entries"]
+    for cert in (certify(8, 8), certify(33, 470), Certificate(8, 8, BaseNode(8, 8), True)):
+        assert list(vars(cert)) == ["ell", "m", "entries"]
