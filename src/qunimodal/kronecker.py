@@ -31,13 +31,14 @@ first part t form one block, and their remainders, rho minus its first
 part, are in the same order the tail of ``partitions_of(n - t)`` with
 no part above t.  So the block is the signed sum of that slice of each
 smaller shape's vector, one per strip of size t, or zeros when there is
-none.  Class sizes come from the centralizer order formula
-|C_rho| = n! / prod(i^{m_i} m_i!) and are computed once per n in the
-same order, so ``g_oracle`` is one dot product of the class sizes with
-the product of three character vectors, summed in Python ints.  The
-character memo is the oracle's only per-shape memo; it holds 64-bit
-arrays (``array('q')``): at n <= 18 the largest |chi| has 24 bits, and
-a value that does not fit raises ``OverflowError``, never wraps.
+none.  One table per n, built in one pass over ``partitions_of(n)``,
+holds these blocks and, in the same order as the classes, their sizes
+by the centralizer order formula |C_rho| = n! / prod(i^{m_i} m_i!), so
+``g_oracle`` is one dot product of the class sizes with the product of
+three character vectors, summed in Python ints.  The character memo is
+the oracle's only per-shape memo; it holds 64-bit arrays
+(``array('q')``): at n <= 18 the largest |chi| has 24 bits, and a value
+that does not fit raises ``OverflowError``, never wraps.
 
 The oracle refuses n above ``DEFAULT_ORACLE_BOUND`` (18).  For
 rectangles the two routes are tied together by exact identities:
@@ -61,9 +62,8 @@ import operator
 import random
 from array import array
 from bisect import bisect_left
-from collections import Counter
 from functools import lru_cache
-from itertools import repeat
+from itertools import groupby, repeat
 from math import factorial
 from operator import add, mul, sub
 
@@ -106,7 +106,7 @@ def _char(shape: tuple[int, ...]) -> array:
     beads = [part + i for i, part in enumerate(reversed(shape))]
     places = range(length - 1, -1, -1)
     values = array("q")
-    for t, start, stop in _class_blocks(sum(shape)):
+    for t, start, stop in _classes(sum(shape))[1]:
         block = repeat(0, stop - start)
         # a strip of size t: bead i moves down to a free place c, past
         # the beads j..i-1, and the sign is the parity of their count
@@ -123,30 +123,26 @@ def _char(shape: tuple[int, ...]) -> array:
 
 
 @lru_cache(maxsize=64)
-def _class_sizes(n: int) -> tuple[int, ...]:
-    """|C_rho| for each rho in ``partitions_of(n)``, in that order."""
-    sizes = []
-    for rho in partitions_of(n):
-        z = 1
-        for part, mult in Counter(rho.parts).items():
-            z *= part**mult * factorial(mult)
-        sizes.append(factorial(n) // z)
-    return tuple(sizes)
-
-
-@lru_cache(maxsize=64)
-def _class_blocks(n: int) -> tuple[tuple[int, int, int], ...]:
-    """(t, start, stop) for t = n, ..., 1, n >= 1: the classes rho in
-    ``partitions_of(n)`` with first part t are consecutive, and their
-    remainders (rho_2, rho_3, ...) are, in the same order, the entries
-    [start, stop) of ``partitions_of(n - t)``: the suffix with no part
-    above t."""
-    blocks = []
-    for t in range(n, 0, -1):
-        pool = partitions_of(n - t)
-        start = next(j for j, rho in enumerate(pool) if rho.parts[:1] <= (t,))
-        blocks.append((t, start, len(pool)))
-    return tuple(blocks)
+def _classes(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """The class sizes |C_rho| for rho in ``partitions_of(n)``, in that
+    order, and the blocks (t, start, stop) for t = n, ..., 1: the classes
+    with first part t are consecutive, and their remainders (rho_2,
+    rho_3, ...) are, in the same order, the entries [start, stop) of
+    ``partitions_of(n - t)``: the suffix with no part above t."""
+    sizes, blocks = [], []
+    for head, group in groupby(partitions_of(n), key=lambda rho: rho.parts[:1]):
+        begin = len(sizes)
+        for rho in group:
+            z = 1
+            for part in set(rho.parts):
+                mult = rho.parts.count(part)
+                z *= part**mult * factorial(mult)
+            sizes.append(factorial(n) // z)
+        # n = 0 has one class, the empty one, and no block
+        for t in head:
+            stop = len(partitions_of(n - t))
+            blocks.append((t, stop - (len(sizes) - begin), stop))
+    return tuple(sizes), tuple(blocks)
 
 
 def g_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -166,7 +162,7 @@ def _g(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
     larger than the oracle bound; the callers check both."""
     n = sum(lam)
     chis = map(mul, _char(lam), map(mul, _char(mu), _char(nu)))
-    total = sum(map(mul, _class_sizes(n), chis))
+    total = sum(map(mul, _classes(n)[0], chis))
     value, rem = divmod(total, factorial(n))
     if rem or value < 0:
         lam, mu, nu = map(Partition, (lam, mu, nu))

@@ -1,10 +1,13 @@
 """The package's export list: every name resolves, none is listed twice,
 and names removed from the API stay removed.  The number of exports and
 of settable values (CLI options and keyword defaults of exported
-functions) is pinned, so a new one is a deliberate change."""
+functions) is pinned, so a new one is a deliberate change, and so are
+the memo tables the package keeps."""
 
 import argparse
+import importlib
 import inspect
+import pkgutil
 
 import qunimodal
 from qunimodal.cli import _build_parser
@@ -74,3 +77,27 @@ def test_exported_functions_have_no_keyword_defaults():
         if param.default is not param.empty
     ]
     assert defaults == []
+
+
+def test_memo_tables_are_pinned():
+    # the submodules in import order, each after those it imports, so a
+    # memo is named by the module that defines it, not by one importing it
+    order = ("partitions", "qbinomial", "unimodality", "certify", "lr", "kronecker", "repro", "cli")
+    submodules = {info.name for info in pkgutil.iter_modules(qunimodal.__path__)}
+    assert submodules - {"__main__"} == set(order)
+    seen = {}
+    for name in order:
+        module = importlib.import_module(f"qunimodal.{name}")
+        for attr, obj in vars(module).items():
+            if hasattr(obj, "cache_info"):
+                seen.setdefault(id(obj), f"{name}.{attr}")
+    assert list(seen.values()) == [
+        "partitions.partitions_of",
+        "certify._leaf_strict",
+        "certify.default_registry",
+        "certify._chain_starts",
+        "lr.skew",
+        "kronecker._char",
+        "kronecker._classes",
+        "kronecker._inside",
+    ]

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from array import array
+from collections import Counter
 from functools import lru_cache
 from itertools import zip_longest
 from math import factorial
@@ -26,7 +27,7 @@ from qunimodal.kronecker import (
     MAX_SAMPLES,
     _char,
     _below,
-    _class_sizes,
+    _classes,
 )
 from qunimodal import partitions_inside, repro
 from qunimodal.partitions import parts_inside
@@ -76,7 +77,7 @@ def _table(n: int) -> tuple[dict, dict]:
     # chi[(lam, rho)] and the class sizes |C_rho|
     shapes = partitions_of(n)
     chi = {(lam, rho): v for lam in shapes for rho, v in zip(shapes, _char(lam.parts))}
-    return chi, dict(zip(shapes, _class_sizes(n)))
+    return chi, dict(zip(shapes, _classes(n)[0]))
 
 
 def _hook_dimension(p: Partition) -> int:
@@ -192,10 +193,37 @@ def _char_by_class(shape: tuple[int, ...]) -> array:
 
 def test_class_blocks_expand_to_the_per_class_steps():
     for n in range(1, DEFAULT_ORACLE_BOUND + 1):
-        steps = tuple(
-            (t, j) for t, start, stop in kronecker._class_blocks(n) for j in range(start, stop)
-        )
+        steps = tuple((t, j) for t, start, stop in _classes(n)[1] for j in range(start, stop))
         assert steps == _class_steps(n), n
+
+
+def _reference_class_sizes(n: int) -> tuple[int, ...]:
+    # |C_rho| = n! / z_rho by the centralizer formula, one class at a time
+    sizes = []
+    for rho in partitions_of(n):
+        z = 1
+        for part, mult in Counter(rho.parts).items():
+            z *= part**mult * factorial(mult)
+        sizes.append(factorial(n) // z)
+    return tuple(sizes)
+
+
+def _reference_class_blocks(n: int) -> tuple[tuple[int, int, int], ...]:
+    # (t, start, stop) for t = n, ..., 1, each start found by a scan of
+    # partitions_of(n - t) for its first entry with no part above t
+    blocks = []
+    for t in range(n, 0, -1):
+        pool = partitions_of(n - t)
+        start = next(j for j, rho in enumerate(pool) if rho.parts[:1] <= (t,))
+        blocks.append((t, start, len(pool)))
+    return tuple(blocks)
+
+
+def test_one_class_table_matches_the_two_reference_tables():
+    for n in range(DEFAULT_ORACLE_BOUND + 1):
+        assert _classes(n) == (_reference_class_sizes(n), _reference_class_blocks(n)), n
+    # n = 0: the empty class, of size 1, and no block
+    assert _classes(0) == ((1,), ())
 
 
 def test_block_built_vectors_match_the_per_class_build():
@@ -385,8 +413,9 @@ _BROKEN_SIZES = [
 def test_a_broken_character_sum_is_an_internal_consistency_error(
     sizes, message, monkeypatch, capsys
 ):
-    assert _class_sizes(3) == (2, 3, 1)
-    monkeypatch.setattr(kronecker, "_class_sizes", lambda n: sizes)
+    assert _classes(3)[0] == (2, 3, 1)
+    # only the sizes break: a cold character vector still reads true blocks
+    monkeypatch.setattr(kronecker, "_classes", lambda n: (sizes, _classes(n)[1]))
     with pytest.raises(InternalConsistencyError) as err:
         g_oracle(P((2, 1)), P((2, 1)), P((2, 1)))
     assert str(err.value) == message
