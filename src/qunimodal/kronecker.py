@@ -5,14 +5,18 @@ Two independent routes are implemented and kept separate on purpose.
 The *two-row formula* computes g(lam, mu, (n-k, k)) as a_k - a_{k-1},
 where a_k(lam, mu) sums c^lam_{alpha,beta} * c^mu_{alpha,beta} over all
 alpha of size k and beta of size n-k, with a_{-1} = 0.  Since
-s_{lam/alpha} = sum_beta c^lam_{alpha,beta} s_beta, a_k is the sum over
-alpha inside both shapes of the inner product of the skew expansions of
-lam/alpha and mu/alpha: one sparse dot product of the two skew tables
-that ``lr.skew`` enumerates and memoizes per (shape, alpha).  The
-alphas of each intersection and size are listed once, as part tuples
-from ``partitions.parts_inside`` behind a memo; the route builds no
-``Partition`` object.  Only two-row third arguments are reachable this
-way.
+s_{lam/alpha} = sum_beta c^lam_{alpha,beta} s_beta, only the alphas
+inside both shapes count, and a_k is one sparse dot product of two
+memoized tables, one per (shape, k), each mapping a small int id of
+(alpha, beta) to c^shape_{alpha,beta}.  A call merges into each table
+the skew tables of ``lr.skew`` for the alphas inside lam and mu that it
+lacks, listed as part tuples by ``partitions.parts_inside`` behind a
+memo, and no others: filling every alpha inside a wide shape would cost
+a narrow partner many times its own work.  A table that holds every
+alpha inside its shape is complete, and a call on it lists no alpha.
+The dot product is exact, as a pair in both tables has its alpha inside
+both shapes.  The route builds no ``Partition`` object.  Only two-row
+third arguments are reachable this way.
 
 The *character oracle* evaluates
 
@@ -62,8 +66,9 @@ import operator
 import random
 from array import array
 from bisect import bisect_left
+from collections import namedtuple
 from functools import lru_cache
-from itertools import groupby, repeat
+from itertools import count, groupby, repeat
 from math import factorial
 from operator import add, mul, sub
 
@@ -85,6 +90,8 @@ DEFAULT_ORACLE_BOUND = 18
 # 2-vCPU Intel Xeon VM (Python 3.11.7) 10,000 samples at total size 18
 # take 1.3-1.5 s in a fresh process.
 MAX_SAMPLES = 10_000
+
+_CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 
 
 class InternalConsistencyError(RuntimeError):
@@ -183,19 +190,78 @@ def a_k(lam: Partition, mu: Partition, k: int) -> int:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}: got {k}")
     check_size(lam)
-    # a_k = sum over alpha of <s_{lam/alpha}, s_{mu/alpha}>, alpha inside
-    # both shapes and so inside their intersection
-    total = 0
-    for alpha in _inside(tuple(map(min, lam, mu)), k):
-        left, right = skew(lam.parts, alpha), skew(mu.parts, alpha)
-        # c^lam_{alpha,beta} * c^mu_{alpha,beta} over the beta of lam/alpha
-        total += sum(map(mul, left.values(), map(right.get, left, repeat(0))))
-    return total
+    # a pair in both tables has its alpha inside both shapes, and every
+    # alpha inside their intersection is merged into both
+    lam, mu = lam.parts, mu.parts
+    left, right = _tables(lam, k, mu), _tables(mu, k, lam)
+    if len(left) > len(right):
+        left, right = right, left
+    return sum(map(mul, left.values(), map(right.get, left, repeat(0))))
 
 
-# a_k meets the same (intersection, k) again and again, so the listing is
-# memoized: on the benchmark's routes ops it saves about a quarter
+# a call on a table that is not complete lists the alphas of its
+# (intersection, k), so the listing is memoized
 _inside = lru_cache(maxsize=4096)(parts_inside)
+
+
+class _PairTables:
+    """The memo of ``a_k``: per (shape, k), {pair id of (alpha, beta):
+    c^shape_{alpha,beta}} over the alphas of size k merged so far and the
+    betas of each skew table.
+
+    A call needs the alphas inside both its shape and another, and the
+    table merges in the ones it lacks; a table that holds every alpha of
+    size k inside its shape is complete, and a call on it lists none.
+
+    A table's state is one snapshot (coefficients, merged alphas,
+    complete) that a merge replaces with a single assignment, never
+    changing it in place, and a call returns the coefficients of the
+    snapshot it read or merged into.  So no dot product sees a dict
+    change under it, and of two merges that race on one table the
+    published snapshot may lack the other's alphas, which a later call
+    merges again.  Pair ids are small ints, given once per (alpha, beta)
+    and kept by ``cache_clear``, so a table built before a clear still
+    agrees with one built after.  The hit and miss counts are not locked
+    and may lose a step when threads race.
+    """
+
+    _EMPTY = ({}, frozenset(), False)
+
+    def __init__(self) -> None:
+        self._snapshots: dict = {}
+        self._ids: dict = {}
+        self._count = count()
+        self._hits = self._misses = 0
+
+    def __call__(self, shape: tuple[int, ...], k: int, other: tuple[int, ...]) -> dict[int, int]:
+        coeffs, merged, complete = self._snapshots.get((shape, k), self._EMPTY)
+        missing = () if complete else set(_inside(tuple(map(min, shape, other)), k)) - merged
+        if not missing:
+            self._hits += 1
+            return coeffs
+        self._misses += 1
+        coeffs = dict(coeffs)
+        for alpha in missing:
+            table = skew(shape, alpha)
+            # ids by alpha, then by beta, each given by one atomic
+            # setdefault, so two threads keep one id; a pair seen before
+            # spends a number of the count, unused
+            ids = map(self._ids.setdefault(alpha, {}).setdefault, table, self._count)
+            coeffs.update(zip(ids, table.values()))
+        merged = merged.union(missing)
+        complete = len(merged) == len(_inside(shape, k))
+        self._snapshots[shape, k] = (coeffs, merged, complete)
+        return coeffs
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, None, len(self._snapshots))
+
+    def cache_clear(self) -> None:
+        self._snapshots = {}
+        self._hits = self._misses = 0
+
+
+_tables = _PairTables()
 
 
 def two_row(n: int, k: int) -> Partition:

@@ -12,16 +12,14 @@ early.  Given a content it places only the values still unplaced, which
 prunes the rest; given none it enumerates every lattice-word filling of
 the skew shape once (entries are at most the number of rows) and counts
 them by content, which is the skew expansion s_{outer/inner} =
-sum_beta c^outer_{inner,beta} s_beta.  ``lr`` counts afresh on every
-call; ``skew`` memoizes its tables per (outer, inner), which the
-two-row formula reuses.  Outer shapes of more than
+sum_beta c^outer_{inner,beta} s_beta.  Neither ``lr`` nor ``skew``
+keeps a memo: the two-row formula reads each skew table once, into its
+own tables per (shape, k) (see ``kronecker``).  Outer shapes of more than
 ``DEFAULT_SIZE_BOUND`` (60) cells are refused with ``ValueError`` by
 ``lr`` and by ``check_size``, which callers of ``skew`` run first.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .partitions import Partition
 
@@ -48,12 +46,10 @@ def lr(outer: Partition, left: Partition, right: Partition) -> int:
     return _fill(outer.parts, left.parts, right.parts).get(right.parts, 0)
 
 
-@lru_cache(maxsize=None)
 def skew(outer: tuple[int, ...], inner: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """{beta: c^outer_{inner,beta}} over the beta whose coefficient is
     nonzero, all as parts tuples, for ``inner`` inside ``outer``: the skew
-    expansion of outer/inner.  The caller keeps to ``check_size``; the
-    dict is the memo's own, not to be mutated."""
+    expansion of outer/inner.  The caller keeps to ``check_size``."""
     return _fill(outer, inner, None)
 
 

@@ -1,10 +1,14 @@
 import hashlib
+import importlib
 import random
+import sys
+import threading
 from array import array
 from collections import Counter
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from math import factorial
+from operator import mul
 
 import pytest
 
@@ -30,6 +34,7 @@ from qunimodal.kronecker import (
     _classes,
 )
 from qunimodal import partitions_inside, repro
+from qunimodal.lr import skew
 from qunimodal.partitions import parts_inside
 from qunimodal.repro import repro_lemma12, repro_routes
 
@@ -563,6 +568,116 @@ def test_float_k_is_refused_cold_and_warm():
         with pytest.raises(TypeError):
             two_row(6, 2.0)
         assert g_two_row(lam, mu, 2) == 2
+
+
+@lru_cache(maxsize=None)
+def _reference_skew(shape: tuple[int, ...], alpha: tuple[int, ...]) -> dict:
+    return skew(shape, alpha)
+
+
+def _reference_a_k(lam: Partition, mu: Partition, k: int) -> int:
+    # the per-alpha route: for each alpha inside both shapes, the dot
+    # product of the two skew tables keyed by beta, memoized per
+    # (shape, alpha)
+    total = 0
+    for alpha in parts_inside(tuple(map(min, lam.parts, mu.parts)), k):
+        left, right = _reference_skew(lam.parts, alpha), _reference_skew(mu.parts, alpha)
+        total += sum(map(mul, left.values(), map(right.get, left, repeat(0))))
+    return total
+
+
+def test_a_k_matches_the_reference_route_in_both_orders():
+    kronecker._tables.cache_clear()
+    for n in range(10):
+        shapes = partitions_of(n)
+        for i, lam in enumerate(shapes):
+            for mu in shapes[i:]:
+                for k in range(n + 1):
+                    expected = _reference_a_k(lam, mu, k)
+                    assert a_k(lam, mu, k) == expected == a_k(mu, lam, k), (lam, mu, k)
+
+
+def test_a_k_replays_a_partial_fill_then_a_complete_one():
+    # the narrow pair leaves the wide shape's table partial, the wide
+    # shape against itself completes it, and the narrow pair then reads
+    # the complete table
+    narrow, wide, k = P((3, 3, 3, 2, 1)), P((5, 4, 3)), 4
+    kronecker._tables.cache_clear()
+    steps = ((narrow, wide, False), (wide, wide, True), (narrow, wide, True), (wide, narrow, True))
+    for lam, mu, complete in steps:
+        expected = _reference_a_k(lam, mu, k)
+        assert expected > 0
+        assert a_k(lam, mu, k) == expected, (lam, mu)
+        assert kronecker._tables._snapshots[wide.parts, k][2] is complete, (lam, mu)
+    assert kronecker._tables._snapshots[narrow.parts, k][2] is False
+
+
+def test_a_cold_a_k_fills_only_the_alphas_inside_both_shapes(monkeypatch):
+    stair, wide, k = P(range(7, 0, -1)), P((14, 14)), 6
+    expected = _reference_a_k(stair, wide, k)
+    lr_module = importlib.import_module("qunimodal.lr")
+    fill, filled = lr_module._fill, []
+
+    def counting(outer, inner, content):
+        if content is None:
+            filled.append((outer, inner))
+        return fill(outer, inner, content)
+
+    monkeypatch.setattr(lr_module, "_fill", counting)
+    kronecker._tables.cache_clear()
+    assert a_k(stair, wide, k) == expected
+    alphas = parts_inside((7, 6), k)
+    # every alpha of 6 inside the staircase would be 11 tables, not 4
+    assert len(alphas) == 4 < len(parts_inside(stair.parts, k)) == 11
+    assert sorted(filled) == sorted((shape.parts, a) for shape in (stair, wide) for a in alphas)
+
+
+def test_shared_tables_hold_under_racing_threads():
+    # for each n and k, eight threads start together on cleared tables and
+    # take every pair of partitions of n in their own order, with a thread
+    # switch as often as the interpreter allows, so merges into one table
+    # race with each other and with dot products over it.  A race is
+    # chance: a variant that merged in place failed here with "dictionary
+    # changed size during iteration" in each of 8 runs, and one that
+    # published the coefficients and the merged alphas in two assignments
+    # lost alphas in each of 8
+    groups = [
+        [(lam, mu, k) for lam in partitions_of(n) for mu in partitions_of(n)]
+        for n in (6, 7, 8)
+        for k in range(1, n)
+    ]
+    expected = {case: _reference_a_k(*case) for group in groups for case in group}
+    errors = []
+
+    def work(group: list, seed: int, start: threading.Barrier) -> None:
+        order = random.Random(seed).sample(group, len(group))
+        start.wait()
+        try:
+            for case in order:
+                if a_k(*case) != expected[case]:
+                    errors.append(case)
+        except Exception as exc:  # noqa: BLE001 - reported by the assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(3):
+            for group in groups:
+                kronecker._tables.cache_clear()
+                start = threading.Barrier(8)
+                threads = [
+                    threading.Thread(target=work, args=(group, 8 * round_ + i, start), daemon=True)
+                    for i in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
 
 
 def test_routes_agree_small():

@@ -1,3 +1,4 @@
+import importlib
 from math import comb, factorial
 
 import pytest
@@ -159,8 +160,15 @@ def test_skew_tables_match_fixed_content_counts():
                         assert table.get(beta.parts, 0) == lr(outer, inner, beta)
 
 
-def test_single_queries_keep_the_fixed_content_count():
+def test_single_queries_keep_the_fixed_content_count(monkeypatch):
     # one lr query counts its own content, not the whole skew table
-    misses = skew.cache_info().misses
+    lr_module = importlib.import_module("qunimodal.lr")
+    fill, contents = lr_module._fill, []
+
+    def recording(outer, inner, content):
+        contents.append(content)
+        return fill(outer, inner, content)
+
+    monkeypatch.setattr(lr_module, "_fill", recording)
     assert lr(Partition((5, 4, 3, 2, 1)), Partition((3, 2, 1)), Partition((4, 3, 2))) == 6
-    assert skew.cache_info().misses == misses
+    assert contents == [(4, 3, 2)]
