@@ -8,15 +8,16 @@ alpha of size k and beta of size n-k, with a_{-1} = 0.  Since
 s_{lam/alpha} = sum_beta c^lam_{alpha,beta} s_beta, only the alphas
 inside both shapes count, and a_k is one sparse dot product of two
 memoized tables, one per (shape, k), each mapping a small int id of
-(alpha, beta) to c^shape_{alpha,beta}.  A call merges into each table
-the skew tables of ``lr.skew`` for the alphas inside lam and mu that it
-lacks, listed as part tuples by ``partitions.parts_inside`` behind a
-memo, and no others: filling every alpha inside a wide shape would cost
-a narrow partner many times its own work.  A table that holds every
-alpha inside its shape is complete, and a call on it lists no alpha.
-The dot product is exact, as a pair in both tables has its alpha inside
-both shapes.  The route builds no ``Partition`` object.  Only two-row
-third arguments are reachable this way.
+(alpha, beta) to c^shape_{alpha,beta}.  A table keeps the set of the
+alphas inside its shape still to merge, listed as part tuples by
+``partitions.parts_inside`` on its first call.  A call merges into each
+table the skew tables of ``lr.skew`` for those inside lam and mu, and
+no others: filling every alpha inside a wide shape would cost a narrow
+partner many times its own work.  A table with no alpha left to merge
+is complete, and a call on it lists no alpha.  The dot product is
+exact, as a pair in both tables has its alpha inside both shapes.  The
+route builds no ``Partition`` object.  Only two-row third arguments are
+reachable this way.
 
 The *character oracle* evaluates
 
@@ -199,33 +200,29 @@ def a_k(lam: Partition, mu: Partition, k: int) -> int:
     return sum(map(mul, left.values(), map(right.get, left, repeat(0))))
 
 
-# a call on a table that is not complete lists the alphas of its
-# (intersection, k), so the listing is memoized
-_inside = lru_cache(maxsize=4096)(parts_inside)
-
-
 class _PairTables:
     """The memo of ``a_k``: per (shape, k), {pair id of (alpha, beta):
     c^shape_{alpha,beta}} over the alphas of size k merged so far and the
     betas of each skew table.
 
-    A call needs the alphas inside both its shape and another, and the
-    table merges in the ones it lacks; a table that holds every alpha of
-    size k inside its shape is complete, and a call on it lists none.
+    A table's state is one snapshot (coefficients, to-do), where to-do
+    is the frozenset of the alphas of size k inside the shape still to
+    merge, listed once, on the table's first call.  A call merges the
+    to-do alphas inside both its shape and another, and no others; a
+    table whose to-do set is empty is complete, and a call on it lists
+    nothing.
 
-    A table's state is one snapshot (coefficients, merged alphas,
-    complete) that a merge replaces with a single assignment, never
+    A merge replaces the snapshot with a single assignment, never
     changing it in place, and a call returns the coefficients of the
     snapshot it read or merged into.  So no dot product sees a dict
     change under it, and of two merges that race on one table the
-    published snapshot may lack the other's alphas, which a later call
-    merges again.  Pair ids are small ints, given once per (alpha, beta)
-    and kept by ``cache_clear``, so a table built before a clear still
-    agrees with one built after.  The hit and miss counts are not locked
-    and may lose a step when threads race.
+    published snapshot may still list the other's alphas as to do, which
+    a later call merges again.  Pair ids are small ints, given once per
+    (alpha, beta) and kept by ``cache_clear``, so a table built before a
+    clear still agrees with one built after.  A hit is a call that
+    publishes nothing, a miss one that publishes a snapshot; the counts
+    are not locked and may lose a step when threads race.
     """
-
-    _EMPTY = ({}, frozenset(), False)
 
     def __init__(self) -> None:
         self._snapshots: dict = {}
@@ -234,23 +231,22 @@ class _PairTables:
         self._hits = self._misses = 0
 
     def __call__(self, shape: tuple[int, ...], k: int, other: tuple[int, ...]) -> dict[int, int]:
-        coeffs, merged, complete = self._snapshots.get((shape, k), self._EMPTY)
-        missing = () if complete else set(_inside(tuple(map(min, shape, other)), k)) - merged
-        if not missing:
+        snapshot = self._snapshots.get((shape, k))
+        coeffs, todo = snapshot or ({}, frozenset(parts_inside(shape, k)))
+        merging = todo and todo.intersection(parts_inside(tuple(map(min, shape, other)), k))
+        if snapshot and not merging:
             self._hits += 1
             return coeffs
         self._misses += 1
         coeffs = dict(coeffs)
-        for alpha in missing:
+        for alpha in merging:
             table = skew(shape, alpha)
             # ids by alpha, then by beta, each given by one atomic
             # setdefault, so two threads keep one id; a pair seen before
             # spends a number of the count, unused
             ids = map(self._ids.setdefault(alpha, {}).setdefault, table, self._count)
             coeffs.update(zip(ids, table.values()))
-        merged = merged.union(missing)
-        complete = len(merged) == len(_inside(shape, k))
-        self._snapshots[shape, k] = (coeffs, merged, complete)
+        self._snapshots[shape, k] = (coeffs, todo - merging)
         return coeffs
 
     def cache_info(self) -> _CacheInfo:

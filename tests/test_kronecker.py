@@ -546,20 +546,11 @@ def test_g_two_row_rejects_bad_k():
         g_two_row(P((2, 1)), P((2, 2)), 1)
 
 
-def test_inside_is_a_memo_over_the_tuple_enumerator():
-    kronecker._inside.cache_clear()
-    assert kronecker._inside.__wrapped__ is parts_inside
-    assert kronecker._inside((3, 2, 1), 3) == parts_inside((3, 2, 1), 3)
-    assert kronecker._inside((3, 2, 1), 3) is kronecker._inside((3, 2, 1), 3)
-    info = kronecker._inside.cache_info()
-    assert (info.hits, info.misses, info.maxsize) == (2, 1, 4096)
-
-
 def test_float_k_is_refused_cold_and_warm():
-    # a float k once missed the _inside memo (TypeError) on a cold process
-    # and hit it (an answer) once k = 2 had filled it
+    # a float k once missed a memo of alpha listings (TypeError) on a
+    # cold process and hit it (an answer) once k = 2 had filled it
     lam, mu = P((3, 2, 1)), P((4, 2))
-    kronecker._inside.cache_clear()
+    kronecker._tables.cache_clear()
     for _ in ("cold", "warm"):
         with pytest.raises(TypeError):
             g_two_row(lam, mu, 2.0)
@@ -599,8 +590,8 @@ def test_a_k_matches_the_reference_route_in_both_orders():
 
 def test_a_k_replays_a_partial_fill_then_a_complete_one():
     # the narrow pair leaves the wide shape's table partial, the wide
-    # shape against itself completes it, and the narrow pair then reads
-    # the complete table
+    # shape against itself completes it (its to-do set empties), and the
+    # narrow pair then reads the complete table
     narrow, wide, k = P((3, 3, 3, 2, 1)), P((5, 4, 3)), 4
     kronecker._tables.cache_clear()
     steps = ((narrow, wide, False), (wide, wide, True), (narrow, wide, True), (wide, narrow, True))
@@ -608,8 +599,8 @@ def test_a_k_replays_a_partial_fill_then_a_complete_one():
         expected = _reference_a_k(lam, mu, k)
         assert expected > 0
         assert a_k(lam, mu, k) == expected, (lam, mu)
-        assert kronecker._tables._snapshots[wide.parts, k][2] is complete, (lam, mu)
-    assert kronecker._tables._snapshots[narrow.parts, k][2] is False
+        assert (not kronecker._tables._snapshots[wide.parts, k][1]) is complete, (lam, mu)
+    assert kronecker._tables._snapshots[narrow.parts, k][1]
 
 
 def test_a_cold_a_k_fills_only_the_alphas_inside_both_shapes(monkeypatch):
@@ -630,6 +621,56 @@ def test_a_cold_a_k_fills_only_the_alphas_inside_both_shapes(monkeypatch):
     # every alpha of 6 inside the staircase would be 11 tables, not 4
     assert len(alphas) == 4 < len(parts_inside(stair.parts, k)) == 11
     assert sorted(filled) == sorted((shape.parts, a) for shape in (stair, wide) for a in alphas)
+
+
+def test_a_table_lists_its_shape_once_and_a_complete_one_nothing(monkeypatch):
+    listed = []
+
+    def counting(cap, k):
+        listed.append(cap)
+        return parts_inside(cap, k)
+
+    monkeypatch.setattr(kronecker, "parts_inside", counting)
+    kronecker._tables.cache_clear()
+    cases = [
+        (lam.parts, mu.parts, k)
+        for n in (6, 7)
+        for lam in partitions_of(n)
+        for mu in partitions_of(n)
+        for k in range(n + 1)
+    ]
+    random.Random(5).shuffle(cases)
+    for shape, other, k in cases:
+        # a table's shape is listed on its first call only; later calls
+        # list the intersection while alphas remain to merge, then nothing
+        before = kronecker._tables._snapshots.get((shape, k))
+        cap = tuple(map(min, shape, other))
+        listed.clear()
+        kronecker._tables(shape, k, other)
+        expected = [shape, cap] if before is None else [cap] if before[1] else []
+        assert listed == expected, (shape, other, k)
+    # the intersection (1,) holds no alpha of 3, so neither table merges
+    # and a repeat lists only the intersection, not the shapes again
+    line, column = P((5,)), P((1,) * 5)
+    kronecker._tables.cache_clear()
+    listed.clear()
+    assert a_k(line, column, 3) == 0
+    assert listed == [(5,), (1,), (1,) * 5, (1,)]
+    listed.clear()
+    assert a_k(line, column, 3) == a_k(column, line, 3) == 0
+    assert listed == [(1,)] * 4
+
+
+def test_g_two_row_matches_the_rectangle_identity_above_the_oracle_bound():
+    # every ell <= m with 19 <= ell * m <= 40: no oracle to compare with,
+    # so the two-row route is checked against p_k - p_{k-1} of gaussian
+    boxes = [(ell, m) for ell in range(1, 7) for m in range(ell, 41) if 19 <= ell * m <= 40]
+    assert len(boxes) == 51
+    for ell, m in boxes:
+        rect, poly = P((m,) * ell), gaussian(ell, m)
+        for k in range(ell * m // 2 + 1):
+            diff = poly.coefficient(k) - poly.coefficient(k - 1)
+            assert g_two_row(rect, rect, k) == diff, (ell, m, k)
 
 
 def test_shared_tables_hold_under_racing_threads():
