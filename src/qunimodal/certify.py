@@ -308,19 +308,18 @@ def _witnesses(ell: int, m1: int, m2: int) -> tuple[str, str]:
 
 class _Builder:
     """A table under construction: entries merged by key, each kept with
-    the pair it concludes."""
+    the pair it concludes; ``position`` lists the entries in insertion
+    order, each with its index."""
 
     def __init__(self) -> None:
-        self.entries: list[tuple] = []
         self.pairs: list[tuple[int, int]] = []
         self.position: dict[tuple, int] = {}
 
     def _intern(self, key: tuple, pair: tuple[int, int]) -> int:
-        at = self.position.setdefault(key, len(self.entries))
-        if at == len(self.entries):
+        at = self.position.setdefault(key, len(self.pairs))
+        if at == len(self.pairs):
             if at == MAX_NODES:
                 raise ValueError(f"the certificate would need over MAX_NODES = {MAX_NODES} entries")
-            self.entries.append(key)
             self.pairs.append(pair)
         return at
 
@@ -398,7 +397,7 @@ def certify(ell: int, m: int) -> Certificate:
         )
     table = _Builder()
     _build(ell, m, default_registry(), table)
-    return _tabled(ell, m, tuple(table.entries))
+    return _tabled(ell, m, tuple(table.position))
 
 
 # ---------------------------------------------------------------------------

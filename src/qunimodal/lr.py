@@ -8,15 +8,19 @@ every prefix contains at least as many i's as (i+1)'s.
 
 One filler, ``_fill``, fills cells in reverse reading order, so the
 lattice condition is checked incrementally and failing branches die
-early.  Given a content it places only the values still unplaced, which
-prunes the rest; given none it enumerates every lattice-word filling of
-the skew shape once (entries are at most the number of rows) and counts
-them by content, which is the skew expansion s_{outer/inner} =
-sum_beta c^outer_{inner,beta} s_beta.  Neither ``lr`` nor ``skew``
-keeps a memo: the two-row formula reads each skew table once, into its
-own tables per (shape, k) (see ``kronecker``).  Outer shapes of more than
-``DEFAULT_SIZE_BOUND`` (60) cells are refused with ``ValueError`` by
-``lr`` and by ``check_size``, which callers of ``skew`` run first.
+early.  It first lists each cell's neighbour above and to the right,
+both filled before it, which bound its value from below and above.  A
+value goes in only while fewer copies of it are placed than its cap.
+Given a content, the caps are the content, which prunes every other
+content; given none, each value up to the number of rows may fill every
+cell, so the filler enumerates each lattice-word filling of the skew
+shape once and counts them by content, which is the skew expansion
+s_{outer/inner} = sum_beta c^outer_{inner,beta} s_beta.  Neither ``lr``
+nor ``skew`` keeps a memo: the two-row formula reads each skew table
+once, into its own tables per (shape, k) (see ``kronecker``).  Outer
+shapes of more than ``DEFAULT_SIZE_BOUND`` (60) cells are refused with
+``ValueError`` by ``lr`` and by ``check_size``, which callers of
+``skew`` run first.
 """
 
 from __future__ import annotations
@@ -57,46 +61,41 @@ def _fill(
     outer: tuple[int, ...], inner: tuple[int, ...], content: tuple[int, ...] | None
 ) -> dict[tuple[int, ...], int]:
     """The LR fillings of outer/inner counted by content; only ``content``
-    when one is given, every content when it is None.  Sizes and
-    containment were checked by the caller."""
+    when one is given, every content when it is None.  Value v goes in a
+    cell while fewer than cap[v-1] copies of it are placed and the lattice
+    prefix holds, where cap is the content, or the number of cells for each
+    value up to the number of rows when there is none.  Sizes and containment were checked
+    by the caller."""
     nrows = len(outer)
     inner = inner + (0,) * (nrows - len(inner))
     # cells in reverse reading order: top row first, right to left
     cells = [(r, c) for r in range(nrows) for c in range(outer[r] - 1, inner[r] - 1, -1)]
-    ncells = len(cells)
-    if content is None:
-        nvals, remaining = nrows, [ncells] * nrows
-    else:
-        nvals, remaining = len(content), list(content)
-    counts = [0] * (nvals + 2)  # counts[v] = placed copies of v; counts[0] unused
-    grid = [dict() for _ in range(nrows)]  # grid[r][c] = value
+    index = {cell: i for i, cell in enumerate(cells)}
+    # each cell's (cell above, right neighbour), -1 where outside outer/inner
+    links = [(index.get((r - 1, c), -1), index.get((r, c + 1), -1)) for r, c in cells]
+    cap = (len(cells),) * nrows if content is None else content
+    values = [0] * len(cells)
+    # counts[v] = placed copies of v; counts[0] exceeds every count, so the
+    # lattice test counts[v] < counts[v-1] always admits a 1
+    counts = [len(cells) + 1] + [0] * (len(cap) + 1)
     table: dict[tuple[int, ...], int] = {}
 
     def fill(idx: int) -> None:
-        if idx == ncells:
+        if idx == len(cells):
             # a lattice word: counts[1:] is weakly decreasing, so the
             # content ends at the first zero
             key = tuple(counts[1 : counts.index(0, 1)])
             table[key] = table.get(key, 0) + 1
             return
-        r, c = cells[idx]
-        lo = 1
-        if r > 0 and c < outer[r - 1] and c >= inner[r - 1]:
-            lo = grid[r - 1][c] + 1  # column strictly increases
-        hi = nvals
-        if c + 1 < outer[r]:
-            hi = grid[r][c + 1]  # rows weakly increase; right neighbour filled first
+        up, right = links[idx]
+        lo = values[up] + 1 if up >= 0 else 1  # columns strictly increase
+        hi = values[right] if right >= 0 else len(cap)  # rows weakly increase
         for v in range(lo, hi + 1):
-            if remaining[v - 1] == 0:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue  # placing v here would break the lattice prefix
-            grid[r][c] = v
-            counts[v] += 1
-            remaining[v - 1] -= 1
-            fill(idx + 1)
-            remaining[v - 1] += 1
-            counts[v] -= 1
+            if counts[v] < cap[v - 1] and counts[v] < counts[v - 1]:
+                values[idx] = v
+                counts[v] += 1
+                fill(idx + 1)
+                counts[v] -= 1
 
     fill(0)
     return table

@@ -4,7 +4,7 @@ from math import comb, factorial
 import pytest
 
 from qunimodal import Partition, lr, partitions_inside, partitions_of
-from qunimodal.lr import skew
+from qunimodal.lr import _fill, skew
 
 
 def _hook_dimension(p: Partition) -> int:
@@ -47,6 +47,50 @@ def _check_rectangle_rule(rows: int, cols: int) -> None:
             comp = _complement_by_rotation(left, rows, cols) if fits else None
             for right in partitions_of(rect.size - k):
                 assert lr(rect, left, right) == (right == comp), (left, right)
+
+
+def _reference_fill(outer, inner, content):
+    """The LR filler as it was before cells were linked to their
+    neighbours: per-row grids of placed values, a geometry test per cell
+    and a count of the values still to place."""
+    nrows = len(outer)
+    inner = inner + (0,) * (nrows - len(inner))
+    cells = [(r, c) for r in range(nrows) for c in range(outer[r] - 1, inner[r] - 1, -1)]
+    ncells = len(cells)
+    if content is None:
+        nvals, remaining = nrows, [ncells] * nrows
+    else:
+        nvals, remaining = len(content), list(content)
+    counts = [0] * (nvals + 2)
+    grid = [dict() for _ in range(nrows)]
+    table = {}
+
+    def fill(idx):
+        if idx == ncells:
+            key = tuple(counts[1 : counts.index(0, 1)])
+            table[key] = table.get(key, 0) + 1
+            return
+        r, c = cells[idx]
+        lo = 1
+        if r > 0 and c < outer[r - 1] and c >= inner[r - 1]:
+            lo = grid[r - 1][c] + 1
+        hi = nvals
+        if c + 1 < outer[r]:
+            hi = grid[r][c + 1]
+        for v in range(lo, hi + 1):
+            if remaining[v - 1] == 0:
+                continue
+            if v > 1 and counts[v] >= counts[v - 1]:
+                continue
+            grid[r][c] = v
+            counts[v] += 1
+            remaining[v - 1] -= 1
+            fill(idx + 1)
+            remaining[v - 1] += 1
+            counts[v] -= 1
+
+    fill(0)
+    return table
 
 
 def _count(outer, left, right) -> int:
@@ -158,6 +202,36 @@ def test_skew_tables_match_fixed_content_counts():
                     assert all(count > 0 for count in table.values())
                     for beta in betas:
                         assert table.get(beta.parts, 0) == lr(outer, inner, beta)
+
+
+def test_fill_matches_the_reference_filler():
+    # every skew shape outer/inner with |outer| <= 11, with no content;
+    # then every second shape with each content its table lists, and one
+    # content of the right size that it lacks, whose count is none
+    shapes = [
+        (outer.parts, inner.parts)
+        for n in range(12)
+        for outer in partitions_of(n)
+        for k in range(n + 1)
+        for inner in partitions_inside(outer, k)
+    ]
+    assert len(shapes) == 5089
+    tables = []
+    for outer, inner in shapes:
+        table = _reference_fill(outer, inner, None)
+        assert _fill(outer, inner, None) == table, (outer, inner)
+        tables.append(table)
+    absent = 0
+    for (outer, inner), table in list(zip(shapes, tables))[::2]:
+        for content, count in table.items():
+            assert _fill(outer, inner, content) == {content: count}, (outer, inner, content)
+            assert _reference_fill(outer, inner, content) == {content: count}
+        size = sum(outer) - sum(inner)
+        lacking = [beta.parts for beta in partitions_of(size) if beta.parts not in table]
+        if lacking:
+            absent += 1
+            assert _fill(outer, inner, lacking[0]) == {} == _reference_fill(outer, inner, lacking[0])
+    assert absent == 2057
 
 
 def test_single_queries_keep_the_fixed_content_count(monkeypatch):
