@@ -14,7 +14,7 @@ alphas inside its shape still to merge, listed as part tuples by
 table the skew tables of ``lr.skew`` for those inside lam and mu, and
 no others: filling every alpha inside a wide shape would cost a narrow
 partner many times its own work.  A table with no alpha left to merge
-is complete, and a call on it lists no alpha.  The dot product is
+is complete, and a call on it is one dict lookup.  The dot product is
 exact, as a pair in both tables has its alpha inside both shapes.  The
 route builds no ``Partition`` object.  Only two-row third arguments are
 reachable this way.
@@ -38,12 +38,21 @@ no part above t.  So the block is the signed sum of that slice of each
 smaller shape's vector, one per strip of size t, or zeros when there is
 none.  One table per n, built in one pass over ``partitions_of(n)``,
 holds these blocks and, in the same order as the classes, their sizes
-by the centralizer order formula |C_rho| = n! / prod(i^{m_i} m_i!), so
-``g_oracle`` is one dot product of the class sizes with the product of
-three character vectors, summed in Python ints.  The character memo is
-the oracle's only per-shape memo; it holds 64-bit arrays
-(``array('q')``): at n <= 18 the largest |chi| has 24 bits, and a value
-that does not fit raises ``OverflowError``, never wraps.
+by the centralizer order formula |C_rho| = n! / prod(i^{m_i} m_i!).
+
+A character vector is a tuple of Python ints, memoized with its
+support: an int whose byte i is 1 exactly when entry i is nonzero.  On
+random triples each character is zero on about 36-39% of the classes,
+and only about a third of the classes have all three nonzero (n = 12 to
+18), so the sum ANDs the three supports, turns the result into
+bytes once, and multiplies only on the classes ``itertools.compress``
+keeps.  When nu has at most two rows, its vector is read from a second
+memo, with the class sizes folded in (|C_rho| chi^nu(rho)), so each
+class kept costs two multiplications, not three; at most n/2 + 1 such
+vectors exist per n.  Both cases share one sum and one set of checks.
+Python ints set no width limit; at n <= 18 the largest |chi| has 24
+bits, and a process that fills every vector of every n <= 18 peaks at
+about 20.7 MB resident.
 
 The oracle refuses n above ``DEFAULT_ORACLE_BOUND`` (18).  For
 rectangles the two routes are tied together by exact identities:
@@ -65,12 +74,11 @@ from __future__ import annotations
 
 import operator
 import random
-from array import array
 from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
-from itertools import count, groupby, repeat
-from math import factorial
+from itertools import compress, count, groupby, repeat
+from math import factorial, prod
 from operator import add, mul, sub
 
 # Not used in this module: perfbench/tracing.py wraps ``kronecker.lr``
@@ -89,7 +97,7 @@ DEFAULT_ORACLE_BOUND = 18
 
 # semigroup_check refuses more samples than this before drawing any; on a
 # 2-vCPU Intel Xeon VM (Python 3.11.7) 10,000 samples at total size 18
-# take 1.3-1.5 s in a fresh process.
+# take 1.0-1.6 s in a fresh process (median 1.3 s of five).
 MAX_SAMPLES = 10_000
 
 _CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
@@ -105,15 +113,17 @@ class InternalConsistencyError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def _char(shape: tuple[int, ...]) -> array:
-    """chi^shape on every class of S_n, aligned with ``partitions_of(n)``."""
+def _char(shape: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """chi^shape on every class of S_n, aligned with ``partitions_of(n)``,
+    and its support: an int whose byte i is 1 exactly when entry i is
+    nonzero."""
     if not shape:
-        return array("q", (1,))
+        return (1,), 1
     length = len(shape)
     # beta numbers in ascending order, the beads of the shape's abacus
     beads = [part + i for i, part in enumerate(reversed(shape))]
     places = range(length - 1, -1, -1)
-    values = array("q")
+    values = []
     for t, start, stop in _classes(sum(shape))[1]:
         block = repeat(0, stop - start)
         # a strip of size t: bead i moves down to a free place c, past
@@ -125,9 +135,9 @@ def _char(shape: tuple[int, ...]) -> array:
                 continue
             moved = beads[:j] + [c] + beads[j:i] + beads[i + 1 :]
             smaller = tuple(filter(None, map(sub, reversed(moved), places)))
-            block = map(sub if (i - j) % 2 else add, block, _char(smaller)[start:stop])
+            block = map(sub if (i - j) % 2 else add, block, _char(smaller)[0][start:stop])
         values.extend(block)
-    return values
+    return tuple(values), int.from_bytes(bytes(map(bool, values)), "little")
 
 
 @lru_cache(maxsize=64)
@@ -153,6 +163,15 @@ def _classes(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]
     return tuple(sizes), tuple(blocks)
 
 
+@lru_cache(maxsize=None)
+def _weights(shape: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """|C_rho| * chi^shape(rho) on every class of S_n, and its support,
+    for a shape of at most two rows: the third factor of a character sum
+    whose third shape has two rows, with the class sizes folded in."""
+    values, support = _char(shape)
+    return tuple(map(mul, _classes(sum(shape))[0], values)), support
+
+
 def g_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Kronecker coefficient by the character sum; exact or an error."""
     n = lam.size
@@ -169,8 +188,17 @@ def _g(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
     """The character sum on the parts of three partitions of one n no
     larger than the oracle bound; the callers check both."""
     n = sum(lam)
-    chis = map(mul, _char(lam), map(mul, _char(mu), _char(nu)))
-    total = sum(map(mul, _classes(n)[0], chis))
+    (a, a_support), (b, b_support) = _char(lam), _char(mu)
+    if len(nu) > 2:
+        c, support = _char(nu)
+        columns = zip(a, b, c, _classes(n)[0])
+    else:
+        c, support = _weights(nu)
+        columns = zip(a, b, c)
+    # only the classes where all three characters are nonzero add a term;
+    # prod multiplies in machine words while the product fits in one
+    keep = (a_support & b_support & support).to_bytes(len(a), "little")
+    total = sum(map(prod, compress(columns, keep)))
     value, rem = divmod(total, factorial(n))
     if rem or value < 0:
         lam, mu, nu = map(Partition, (lam, mu, nu))
@@ -210,7 +238,8 @@ class _PairTables:
     merge, listed once, on the table's first call.  A call merges the
     to-do alphas inside both its shape and another, and no others; a
     table whose to-do set is empty is complete, and a call on it lists
-    nothing.
+    nothing: its coefficients are also published alone, under the same
+    key, so the call is one dict lookup.
 
     A merge replaces the snapshot with a single assignment, never
     changing it in place, and a call returns the coefficients of the
@@ -226,11 +255,16 @@ class _PairTables:
 
     def __init__(self) -> None:
         self._snapshots: dict = {}
+        self._complete: dict = {}
         self._ids: dict = {}
         self._count = count()
         self._hits = self._misses = 0
 
     def __call__(self, shape: tuple[int, ...], k: int, other: tuple[int, ...]) -> dict[int, int]:
+        coeffs = self._complete.get((shape, k))
+        if coeffs is not None:
+            self._hits += 1
+            return coeffs
         snapshot = self._snapshots.get((shape, k))
         coeffs, todo = snapshot or ({}, frozenset(parts_inside(shape, k)))
         merging = todo and todo.intersection(parts_inside(tuple(map(min, shape, other)), k))
@@ -246,14 +280,17 @@ class _PairTables:
             # spends a number of the count, unused
             ids = map(self._ids.setdefault(alpha, {}).setdefault, table, self._count)
             coeffs.update(zip(ids, table.values()))
-        self._snapshots[shape, k] = (coeffs, todo - merging)
+        todo -= merging
+        self._snapshots[shape, k] = (coeffs, todo)
+        if not todo:
+            self._complete[shape, k] = coeffs
         return coeffs
 
     def cache_info(self) -> _CacheInfo:
         return _CacheInfo(self._hits, self._misses, None, len(self._snapshots))
 
     def cache_clear(self) -> None:
-        self._snapshots = {}
+        self._snapshots, self._complete = {}, {}
         self._hits = self._misses = 0
 
 

@@ -99,6 +99,7 @@ def test_memo_tables_are_pinned():
         "certify._chain_starts",
         "kronecker._char",
         "kronecker._classes",
+        "kronecker._weights",
         "kronecker._tables",
     ]
     for name, memo in seen.values():

@@ -3,10 +3,9 @@ import importlib
 import random
 import sys
 import threading
-from array import array
 from collections import Counter
 from functools import lru_cache
-from itertools import repeat, zip_longest
+from itertools import product, repeat, zip_longest
 from math import factorial
 from operator import mul
 
@@ -32,6 +31,7 @@ from qunimodal.kronecker import (
     _char,
     _below,
     _classes,
+    _weights,
 )
 from qunimodal import partitions_inside, repro
 from qunimodal.lr import skew
@@ -81,7 +81,7 @@ def _table(n: int) -> tuple[dict, dict]:
     # the character table of S_n read from the library's vectors:
     # chi[(lam, rho)] and the class sizes |C_rho|
     shapes = partitions_of(n)
-    chi = {(lam, rho): v for lam in shapes for rho, v in zip(shapes, _char(lam.parts))}
+    chi = {(lam, rho): v for lam in shapes for rho, v in zip(shapes, _char(lam.parts)[0])}
     return chi, dict(zip(shapes, _classes(n)[0]))
 
 
@@ -158,7 +158,7 @@ def test_character_vectors_match_per_class_recursion():
     for n in range(13):
         classes = partitions_of(n)
         for lam in classes:
-            vector = _char(lam.parts)
+            vector, _ = _char(lam.parts)
             assert len(vector) == len(classes)
             for rho, value in zip(classes, vector):
                 assert value == _char_at(lam.parts, rho.parts), (lam, rho)
@@ -180,20 +180,20 @@ def _class_steps(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _char_by_class(shape: tuple[int, ...]) -> array:
+def _char_by_class(shape: tuple[int, ...]) -> tuple[int, ...]:
     # the vector built one class at a time from the steps above: a second
     # route to the library's block-built vectors
     if not shape:
-        return array("q", (1,))
-    strips: dict[int, list[tuple[int, array]]] = {}
-    values = array("q")
+        return (1,)
+    strips: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    values = []
     for t, j in _class_steps(sum(shape)):
         if t not in strips:
             strips[t] = [
                 (sign, _char_by_class(smaller)) for smaller, sign in _strip_removals(shape, t)
             ]
         values.append(sum(sign * vec[j] for sign, vec in strips[t]))
-    return values
+    return tuple(values)
 
 
 def test_class_blocks_expand_to_the_per_class_steps():
@@ -235,7 +235,7 @@ def test_block_built_vectors_match_the_per_class_build():
     shapes = [lam.parts for n in range(1, DEFAULT_ORACLE_BOUND + 1) for lam in partitions_of(n)]
     assert len(shapes) == 1596
     for shape in shapes:
-        assert _char(shape) == _char_by_class(shape), shape
+        assert _char(shape)[0] == _char_by_class(shape), shape
 
 
 def _reference_draws(seed, max_total_size):
@@ -389,28 +389,103 @@ def test_character_tables_unchanged():
 
 def test_character_memo_holds_one_entry_per_shape():
     _char.cache_clear()
+    _weights.cache_clear()
     assert semigroup_check(samples=200, seed=0, max_total_size=18) == []
     shapes = sum(len(partitions_of(k)) for k in range(19))
     assert shapes == 1597
     assert _char.cache_info().currsize <= shapes
+    # the class-weighted vectors: at most one per shape of two rows or fewer
+    two_rows = sum(k // 2 + 1 for k in range(19))
+    assert two_rows == 100
+    assert 0 < _weights.cache_info().currsize <= two_rows
 
 
 def test_memoized_vectors_fit_in_64_bits():
-    # array("q") raises OverflowError rather than wrapping; up to the
-    # oracle bound the largest |chi| has 24 bits
+    # the vectors hold Python ints, so no width bounds them; up to the
+    # oracle bound the largest |chi| has 24 bits, a fact pinned here for
+    # any move back to fixed-width arrays
     peak_chi = 0
     for n in range(DEFAULT_ORACLE_BOUND + 1):
         for lam in partitions_of(n):
-            peak_chi = max(peak_chi, *map(abs, _char(lam.parts)))
+            values, _ = _char(lam.parts)
+            assert type(values) is tuple
+            peak_chi = max(peak_chi, *map(abs, values))
     assert peak_chi.bit_length() == 24
 
 
-# the class sizes of S_3 are (2, 3, 1) and chi^(2,1) is (-1, 0, 2), so the
-# sum for g([2,1],[2,1],[2,1]) is 2*(-1) + 3*0 + 1*8 = 6 = 3!; each tuple below
-# breaks one invariant of that sum
+def _nonzero_pattern(values: tuple[int, ...]) -> int:
+    # bit 8i set exactly when entry i is nonzero, one class at a time
+    return sum(1 << 8 * i for i, value in enumerate(values) if value)
+
+
+def test_each_support_is_the_nonzero_pattern_of_its_vector():
+    nonzero = total = 0
+    for n in range(DEFAULT_ORACLE_BOUND + 1):
+        for lam in partitions_of(n):
+            values, support = _char(lam.parts)
+            assert support == _nonzero_pattern(values), lam
+            nonzero += sum(map(bool, values))
+            total += len(values)
+            if len(lam.parts) <= 2:
+                weighted, weighted_support = _weights(lam.parts)
+                assert weighted == tuple(map(mul, _classes(n)[0], values)), lam
+                assert weighted_support == support, lam
+    # some entries are zero and some are not, so the masks skip classes
+    assert 0 < nonzero < total
+
+
+def _reference_g(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
+    # the unmasked character sum: every class, three multiplications each
+    n = sum(lam)
+    vectors = (_char(lam)[0], _char(mu)[0], _char(nu)[0])
+    total = sum(size * a * b * c for size, a, b, c in zip(_classes(n)[0], *vectors))
+    value, rem = divmod(total, factorial(n))
+    assert rem == 0 and value >= 0
+    return value
+
+
+def test_the_masked_sum_matches_the_unmasked_reference():
+    for n in range(8):
+        shapes = [lam.parts for lam in partitions_of(n)]
+        for triple in product(shapes, repeat=3):
+            assert kronecker._g(*triple) == _reference_g(*triple), triple
+    rng = random.Random(40)
+    for n in range(8, DEFAULT_ORACLE_BOUND + 1):
+        shapes = [lam.parts for lam in partitions_of(n)]
+        two_rows = [two_row(n, k).parts for k in range(n // 2 + 1)]
+        for i in range(2000):
+            # every other third shape has two rows, so both sums are drawn
+            nu = rng.choice(two_rows if i % 2 else shapes)
+            triple = (rng.choice(shapes), rng.choice(shapes), nu)
+            assert kronecker._g(*triple) == _reference_g(*triple), triple
+
+
+def test_the_two_row_path_matches_the_general_path():
+    # the sum is symmetric in its three shapes: put one of more than two
+    # rows last and the same triple takes the general path; a pair of two
+    # row shapes has no such order, and is checked against the reference
+    for n in range(1, 13):
+        shapes = [lam.parts for lam in partitions_of(n)]
+        for lam, mu in product(shapes, repeat=2):
+            for k in range(n // 2 + 1):
+                nu = two_row(n, k).parts
+                if len(mu) > 2:
+                    general = kronecker._g(lam, nu, mu)
+                elif len(lam) > 2:
+                    general = kronecker._g(nu, mu, lam)
+                else:
+                    general = _reference_g(lam, mu, nu)
+                assert kronecker._g(lam, mu, nu) == general, (lam, mu, k)
+
+
+# the class sizes of S_3 are (2, 3, 1), chi^(2,1) is (-1, 0, 2) and
+# chi^(1,1,1) is (1, -1, 1), so g([2,1],[2,1],nu) sums 2*(-1) + 3*0 + 1*8 for
+# nu = (2,1) and 2*1 + 3*0 + 1*4 for nu = (1,1,1), each 6 = 3!; each size
+# tuple below breaks one invariant of both sums, the first by the
+# class-weighted third vector of a two-row nu, the second by the general sum
 _BROKEN_SIZES = [
-    ((2, 3, 2), "character sum for g([2,1],[2,1],[2,1]) is not divisible by 3!"),
-    ((14, 3, 1), "negative g([2,1],[2,1],[2,1]) = -1"),
+    ((2, 3, 2), "character sum for g([2,1],[2,1],{}) is not divisible by 3!"),
+    ((-2, 3, -1), "negative g([2,1],[2,1],{}) = -1"),
 ]
 
 
@@ -419,16 +494,24 @@ def test_a_broken_character_sum_is_an_internal_consistency_error(
     sizes, message, monkeypatch, capsys
 ):
     assert _classes(3)[0] == (2, 3, 1)
-    # only the sizes break: a cold character vector still reads true blocks
+    # only the sizes break: a cold character vector still reads true
+    # blocks, and the class-weighted vectors are rebuilt from the broken
+    # sizes, then dropped
     monkeypatch.setattr(kronecker, "_classes", lambda n: (sizes, _classes(n)[1]))
-    with pytest.raises(InternalConsistencyError) as err:
-        g_oracle(P((2, 1)), P((2, 1)), P((2, 1)))
-    assert str(err.value) == message
-    # through the CLI: exit 2, one line on stderr and nothing on stdout
-    assert run(["kron", "--lambda", "[2,1]", "--mu", "[2,1]", "--nu", "[2,1]"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"internal consistency error: {message}\n"
+    _weights.cache_clear()
+    try:
+        for nu in ((2, 1), (1, 1, 1)):
+            expected = message.format(P(nu))
+            with pytest.raises(InternalConsistencyError) as err:
+                g_oracle(P((2, 1)), P((2, 1)), P(nu))
+            assert str(err.value) == expected
+            # through the CLI: exit 2, one line on stderr and nothing on stdout
+            assert run(["kron", "--lambda", "[2,1]", "--mu", "[2,1]", "--nu", str(P(nu))]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"internal consistency error: {expected}\n"
+    finally:
+        _weights.cache_clear()
 
 
 def test_oracle_frozen_values():
@@ -601,6 +684,23 @@ def test_a_k_replays_a_partial_fill_then_a_complete_one():
         assert a_k(lam, mu, k) == expected, (lam, mu)
         assert (not kronecker._tables._snapshots[wide.parts, k][1]) is complete, (lam, mu)
     assert kronecker._tables._snapshots[narrow.parts, k][1]
+
+
+def test_a_call_on_a_complete_table_is_one_lookup_and_a_hit(monkeypatch):
+    lam, k = P((4, 3, 1)), 3
+    kronecker._tables.cache_clear()
+    assert a_k(lam, lam, k) == _reference_a_k(lam, lam, k)
+    # against itself the shape merges every alpha, so its table is complete
+    assert not kronecker._tables._snapshots[lam.parts, k][1]
+    info = kronecker._tables.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    # a complete table answers before the snapshot is read or anything listed
+    with monkeypatch.context() as patch:
+        patch.setattr(kronecker._tables, "_snapshots", None)
+        patch.setattr(kronecker, "parts_inside", lambda *args: pytest.fail("listed"))
+        assert kronecker._tables(lam.parts, k, (1,)) is kronecker._tables._complete[lam.parts, k]
+        assert a_k(lam, lam, k) == _reference_a_k(lam, lam, k)
+    assert kronecker._tables.cache_info() == (info.hits + 3, info.misses, None, 1)
 
 
 def test_a_cold_a_k_fills_only_the_alphas_inside_both_shapes(monkeypatch):
