@@ -2,6 +2,7 @@ import pytest
 
 from qunimodal import default_registry
 from qunimodal.certify import _leaf_strict
+from qunimodal.kronecker import _sampled
 
 
 @pytest.fixture
@@ -22,3 +23,14 @@ def fresh_verdicts():
     _leaf_strict.cache_clear()
     yield
     _leaf_strict.cache_clear()
+
+
+@pytest.fixture
+def fresh_samples():
+    """Empty the sampler's memo before and after the test: a test that
+    patches ``kronecker._g`` must see every call the sampler makes, not a
+    value kept from an earlier test, and no value its stub returns may
+    outlive it."""
+    _sampled.cache_clear()
+    yield
+    _sampled.cache_clear()

@@ -101,6 +101,8 @@ def test_memo_tables_are_pinned():
         "kronecker._classes",
         "kronecker._weights",
         "kronecker._tables",
+        "kronecker._shapes",
+        "kronecker._sampled",
     ]
     for name, memo in seen.values():
         assert memo.cache_info()._fields == ("hits", "misses", "maxsize", "currsize"), name

@@ -31,6 +31,8 @@ from qunimodal.kronecker import (
     _char,
     _below,
     _classes,
+    _sampled,
+    _shapes,
     _weights,
 )
 from qunimodal import partitions_inside, repro
@@ -275,7 +277,7 @@ def _semigroup_by_partitions(samples, seed, max_total_size, g, every=False):
     return violations
 
 
-def test_semigroup_sampling_matches_the_partition_loop(monkeypatch):
+def test_semigroup_sampling_matches_the_partition_loop(monkeypatch, fresh_samples):
     expected = []
 
     def by_partitions(lam, mu, nu):
@@ -307,13 +309,14 @@ def test_semigroup_sampling_matches_the_partition_loop(monkeypatch):
     assert [semigroup_check(3, seed, 18) for seed in range(300)] == reference
     assert all(len(accepted) == 3 for accepted in reference)
     # the library evaluates the smaller triple first and skips the larger
-    # when it reads 0: 2 calls fewer, and fewer of them at the larger,
-    # costlier sizes
-    assert len(seen) == 5197 < len(expected)
+    # when it reads 0, and answers a triple it has met from its memo: from
+    # a cleared memo, 2,194 calls fewer, most of them at small sizes
+    assert len(seen) == 3005 < len(expected)
+    assert len(set(triple for triple, _ in seen)) == len(seen)
     classes = [
         sum(len(partitions_of(sum(triple[0]))) for triple, _ in calls) for calls in (seen, expected)
     ]
-    assert classes == [357572, 410161]
+    assert classes == [351421, 410161]
 
 
 def test_draws_follow_the_random_module():
@@ -340,7 +343,9 @@ def _summed(first, second):
 
 
 @pytest.mark.parametrize("second_smaller", [True, False])
-def test_semigroup_sampler_skips_the_larger_triple_after_a_zero(second_smaller, monkeypatch):
+def test_semigroup_sampler_skips_the_larger_triple_after_a_zero(
+    second_smaller, monkeypatch, fresh_samples
+):
     # a seed whose first attempt has the wanted order of sizes, and whose
     # second attempt draws neither of its triples again
     for seed in range(100):
@@ -387,7 +392,7 @@ def test_character_tables_unchanged():
     assert digest.hexdigest() == expected
 
 
-def test_character_memo_holds_one_entry_per_shape():
+def test_character_memo_holds_one_entry_per_shape(fresh_samples):
     _char.cache_clear()
     _weights.cache_clear()
     assert semigroup_check(samples=200, seed=0, max_total_size=18) == []
@@ -872,7 +877,7 @@ def test_semigroup_sampler_finds_no_violations():
 
 
 @pytest.mark.parametrize("size", [1, DEFAULT_ORACLE_BOUND + 1])
-def test_semigroup_sampler_keeps_to_the_oracle_bound(size, monkeypatch):
+def test_semigroup_sampler_keeps_to_the_oracle_bound(size, monkeypatch, fresh_samples):
     # refused before any sample is drawn, so the oracle guard is never lifted
     for name in ("g_oracle", "_g"):
         monkeypatch.setattr(kronecker, name, lambda *triple: pytest.fail("sampled"))
@@ -880,7 +885,7 @@ def test_semigroup_sampler_keeps_to_the_oracle_bound(size, monkeypatch):
         semigroup_check(samples=5, seed=0, max_total_size=size)
 
 
-def test_semigroup_sampler_refuses_more_than_max_samples(monkeypatch):
+def test_semigroup_sampler_refuses_more_than_max_samples(monkeypatch, fresh_samples):
     # refused before any sample is drawn
     with monkeypatch.context() as patch:
         patch.setattr(kronecker, "_g", lambda *triple: pytest.fail("sampled"))
@@ -894,7 +899,7 @@ def test_semigroup_sampler_refuses_more_than_max_samples(monkeypatch):
         semigroup_check(samples=3, seed=0, max_total_size=10)
 
 
-def test_semigroup_sampler_refuses_non_integer_sizes(monkeypatch):
+def test_semigroup_sampler_refuses_non_integer_sizes(monkeypatch, fresh_samples):
     monkeypatch.setattr(kronecker, "_g", lambda *triple: pytest.fail("sampled"))
     with pytest.raises(TypeError):
         semigroup_check(samples=1.5, seed=0, max_total_size=10)
@@ -908,7 +913,37 @@ def test_semigroup_sampler_is_deterministic():
     assert first == second
 
 
-def test_claim_checks_return_plain_counterexample_lists(monkeypatch):
+def test_the_sampler_draws_from_the_parts_of_partitions_of():
+    for n in range(DEFAULT_ORACLE_BOUND + 1):
+        assert _shapes(n) == tuple(p.parts for p in partitions_of(n))
+
+
+def test_the_sampler_memo_keeps_at_most_maxsize_triples(monkeypatch, fresh_samples):
+    # a cheap g of 1 accepts every attempt, so each sample evaluates its
+    # two triples and their sum: far more distinct triples than the memo
+    # may keep
+    monkeypatch.setattr(kronecker, "_g", lambda *triple: 1)
+    assert semigroup_check(samples=MAX_SAMPLES, seed=0, max_total_size=18) == []
+    info = _sampled.cache_info()
+    assert info.misses > 2 * info.maxsize
+    assert info.currsize <= info.maxsize
+
+
+def test_a_warm_memo_returns_the_samples_of_a_cold_one(monkeypatch, fresh_samples):
+    # a max that no sum reaches makes every accepted sample a violation,
+    # so each list holds every sample with its three values
+    monkeypatch.setattr(kronecker, "max", lambda *values: float("inf"), raising=False)
+    cold = [semigroup_check(5, seed, 18) for seed in range(40)]
+    misses = _sampled.cache_info().misses
+    assert misses < _sampled.cache_info().maxsize
+    warm = [semigroup_check(5, seed, 18) for seed in range(40)]
+    # the second pass is answered from the memo alone
+    assert _sampled.cache_info().misses == misses
+    assert warm == cold
+    assert [len(samples) for samples in cold] == [5] * 40
+
+
+def test_claim_checks_return_plain_counterexample_lists(monkeypatch, fresh_samples):
     # an oracle that reads 0 everywhere breaks the identity wherever the
     # difference p_k - p_{k-1} is positive: for (2, 2), whose differences
     # are 1, 0, 1, at k = 0 and k = 2, and the claim fails without raising
