@@ -279,6 +279,14 @@ def default_registry() -> frozenset[tuple[int, int]]:
     return build_base_registry()
 
 
+def _exceptional(a: int, b: int, reg: frozenset[tuple[int, int]]) -> bool:
+    """Whether (a, b), 5 <= a <= b, is one of the nine non-strict pairs:
+    inside the directly computed window (a <= 7, b <= 20) but not
+    registered.  The ``theorem`` claim checks that these are exactly
+    ``EXCEPTION_PAIRS`` and that the recipe reaches every other pair."""
+    return a <= 7 and b <= 20 and (a, b) not in reg
+
+
 @cache
 def _chain_starts(reg: frozenset[tuple[int, int]]) -> dict[tuple[int, int], int]:
     """(a, r) -> the largest registered (a, s) with a <= 15 and s = r mod 8:
@@ -354,13 +362,12 @@ def _build(ell: int, m: int, reg: frozenset[tuple[int, int]], table: _Builder) -
     if (a, b) in reg:
         at = table.base(a, b)
     elif a <= 15:
-        if a <= 7 and b <= 20:
-            # inside the directly-computed window but not registered:
-            # one of the nine exceptional pairs
+        if _exceptional(a, b, reg):
             raise NotCertifiableError(
                 "exception", f"({a},{b}) is one of the nine non-strict pairs"
             )
-        # for every b that reaches this branch the start found is below b
+        # for every b that reaches this branch the start found is below b,
+        # as the ``theorem`` claim checks
         start = _chain_starts(reg).get((a, b % _CHAIN_STEP))
         if start is None:
             raise RuntimeError(f"no chain base found for ({a},{b})")

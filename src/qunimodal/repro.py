@@ -11,7 +11,16 @@ tests call the functions directly.
 
 from __future__ import annotations
 
-from .certify import NotCertifiableError, _leaf_strict, _registry_candidates, certify, verify
+from .certify import (
+    NotCertifiableError,
+    _chain_starts,
+    _exceptional,
+    _leaf_strict,
+    _registry_candidates,
+    certify,
+    default_registry,
+    verify,
+)
 from .kronecker import DEFAULT_ORACLE_BOUND, g_oracle, g_two_row, semigroup_check, two_row
 from .partitions import Partition, partitions_of
 from .qbinomial import gaussian
@@ -128,6 +137,73 @@ def repro_leaves() -> tuple[bool, list[str]]:
         ok = False
         lines.append("the leaf check disagrees on: " + _pairs(differ))
     return ok, lines
+
+
+def repro_theorem() -> tuple[bool, list[str]]:
+    """Every pair with min(ell, m) >= 5 is strict except the nine
+    ``EXCEPTION_PAIRS``: a finite check that ``certify``'s recipe reaches
+    every other pair from directly checked leaves.
+
+    The proof is the paper's (Pak-Panova, arXiv:1306.5085).  By the
+    rectangle identity (the ``lemma12`` claim), g(m^ell, m^ell, (n-k, k))
+    = p_k - p_{k-1}: 1 at k = 0, and positive for 2 <= k <= n/2 exactly
+    when (ell, m) is strict.  Rectangles and two-row shapes add row-wise,
+    so the semigroup property of Kronecker coefficients (Christandl,
+    Harrow and Mitchison, CMP 2007; sampled by the ``semigroup`` claim)
+    makes (ell, m1 + m2) strict when (ell, m1) and (ell, m2) are and every
+    k in 2..n/2 splits as k1 + k2 with each k_i in {0} or 2..n_i/2, which
+    holds when ell, m1 and m2 are >= 2, one is >= 3 and one is even: the
+    additivity step.  Every step of the recipe adds (ell, 8 * 2^j), j >= 0,
+    to a registered pair, to an earlier sum or to itself, so a multiple of
+    8 is the even member, ell >= 5 is the member >= 3, and every member is
+    >= 5; a mirror is free, (ell, m) and (m, ell) having one vector.  The
+    leaves are the base registry, each pair checked directly (a second
+    route: ``leaves``).
+
+    What is left is the reach of the recipe, checked here:
+
+    * (a, 8) is registered for every a in 5..15: the step of each chain;
+    * for a in 5..15 every residue r mod 8 has a chain start, the largest
+      registered (a, s) with s = r mod 8, and for a >= 8 it is <= 15; so
+      the min >= 16 branch, which grows (b, a0) by steps (b, 8) with a0 in
+      8..15 and b >= 16, builds both from a start below b;
+    * below each start, every b >= a with b = r mod 8 is registered or in
+      the exception window (a <= 7, b <= 20), and above it the chain
+      reaches every b;
+    * the unregistered registry candidates and window pairs are exactly
+      ``EXCEPTION_PAIRS``, so ``classify`` answers ``Exception`` on
+      these nine pairs only.
+    """
+    reg = default_registry()
+    starts = _chain_starts(reg)
+    gaps = [f"({a},8) is not registered" for a in range(5, 16) if (a, 8) not in reg]
+    for a in range(5, 16):
+        for r in range(8):
+            start = starts.get((a, r))
+            if start is None:
+                gaps.append(f"no chain start for ({a}, m = {r} mod 8)")
+                continue
+            if a >= 8 and start > 15:
+                gaps.append(f"the chain start ({a},{start}) is above 15")
+            gaps.extend(
+                f"({a},{b}) is below its chain start ({a},{start}), "
+                "neither registered nor in the exception window"
+                for b in range(a + (r - a) % 8, start, 8)
+                if (a, b) not in reg and not _exceptional(a, b, reg)
+            )
+    window = {(a, b) for a in range(5, 8) for b in range(a, 21)}
+    refused = sorted((_registry_candidates() | window) - reg)
+    if refused != sorted(EXCEPTION_PAIRS):
+        gaps.append("expected:                " + _pairs(sorted(EXCEPTION_PAIRS)))
+    lines = [
+        "checked the steps (ell,8) and the chain starts of ell = 5..15, residues 0..7 mod 8",
+        "unregistered candidates: " + _pairs(refused),
+    ]
+    if gaps:
+        lines.extend(gaps[:20])
+    else:
+        lines.append("the recipe reaches every pair with min >= 5 but these nine")
+    return not gaps, lines
 
 
 def repro_ell2(max_n: int = 50) -> tuple[bool, list[str]]:
@@ -279,6 +355,7 @@ def repro_certify_sweep(max_n: int = 40) -> tuple[bool, list[str]]:
 CLAIMS = {
     "exceptions": repro_exceptions,
     "leaves": repro_leaves,
+    "theorem": repro_theorem,
     "ell2": repro_ell2,
     "ell34": repro_ell34,
     "lemma12": repro_lemma12,

@@ -17,6 +17,7 @@ from qunimodal.repro import (
     repro_lemma12,
     repro_routes,
     repro_semigroup,
+    repro_theorem,
 )
 
 
@@ -112,4 +113,11 @@ def test_09_leaf_second_route(capsys):
     (ok, lines), elapsed = _timed(repro_leaves)
     assert _announce(
         capsys, 9, "registry leaves by the q-Pascal recurrence", ok, elapsed, 1.0
+    ), lines
+
+
+def test_10_theorem(capsys):
+    (ok, lines), elapsed = _timed(repro_theorem)
+    assert _announce(
+        capsys, 10, "the recipe reaches every pair with min >= 5", ok, elapsed, 1.0
     ), lines

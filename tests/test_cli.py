@@ -493,6 +493,48 @@ def test_repro_leaves_fails_on_a_perturbed_coefficient_or_a_dropped_pair(monkeyp
     ]
 
 
+def test_repro_theorem_passes_and_names_each_gap_of_a_thinned_registry(monkeypatch, capsys):
+    # each dropped pair gives FAIL lines that name the gap and exit 0,
+    # never a traceback
+    from qunimodal import repro
+
+    assert run(["repro", "--claim", "theorem"]) == 0
+    assert _lines(capsys)[-1] == "PASS"
+    registry = repro.default_registry()
+    for dropped, gaps in (
+        ({(5, 22), (22, 5)}, ["no chain start for (5, m = 6 mod 8)"]),
+        (
+            {(9, 8), (8, 9)},
+            [
+                "(9,8) is not registered",
+                "no chain start for (8, m = 1 mod 8)",
+                "no chain start for (9, m = 0 mod 8)",
+            ],
+        ),
+    ):
+        monkeypatch.setattr(repro, "default_registry", lambda d=dropped: registry - d)
+        assert run(["repro", "--claim", "theorem"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = captured.out.splitlines()
+        assert out[-1] == "FAIL"
+        assert out[-2] == "expected:                " + repro._pairs(sorted(repro.EXCEPTION_PAIRS))
+        assert out[-2 - len(gaps):-2] == gaps
+        assert "unregistered candidates: " in out[2]
+        assert all(f"({min(p)},{max(p)})" in out[2] for p in dropped)
+
+
+def test_scan_answers_a_pair_that_certify_refuses(capsys):
+    # the certificate would need over MAX_NODES entries: certify refuses
+    # the pair with exit 1, while scan answers it from the recipe
+    m = str(2**5000 - 3)
+    assert run(["scan", "--ell", "5", "--m", m]) == 0
+    assert capsys.readouterr().out == f"5,{m},Strict\n"
+    assert run(["certify", "--ell", "5", "--m", m]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "MAX_NODES" in captured.err
+
+
 def test_certify_verify_round_trip(tmp_path, capsys):
     out = tmp_path / "cert.json"
     assert run(["certify", "--ell", "8", "--m", "24", "--out", str(out)]) == 0

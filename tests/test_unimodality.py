@@ -1,5 +1,6 @@
 import importlib
 import operator
+import random
 import tracemalloc
 from itertools import compress
 
@@ -7,12 +8,16 @@ import pytest
 
 from qunimodal import (
     EXCEPTION_PAIRS,
+    NotCertifiableError,
     PairClass,
+    certify,
     check_strict,
     classify,
+    default_registry,
     gaussian,
     scan,
     unimodality,
+    verify,
 )
 from qunimodal.qbinomial import rising_stalls
 from qunimodal.unimodality import UnimodalityReport
@@ -257,9 +262,9 @@ def test_classify_exceptions_and_strict():
 
 
 def test_classify_expands_nothing_beyond_the_registry_window(monkeypatch, fresh_verdicts):
-    # pairs outside the window are settled by a certificate whose leaves
-    # are registry pairs, of area at most 15 * 15, never by expanding
-    # the pair itself
+    # once the registry is built, classify is a lookup: it expands no
+    # pair, inside the window or beyond it
+    default_registry()
     expanded = []
 
     def recording(ell, m):
@@ -267,10 +272,9 @@ def test_classify_expands_nothing_beyond_the_registry_window(monkeypatch, fresh_
         return rising_stalls(ell, m)
 
     monkeypatch.setattr("qunimodal.unimodality.rising_stalls", recording)
-    for ell, m in [(16, 16), (5, 21), (60, 60)]:
-        assert classify(ell, m) is PairClass.Strict
-    assert expanded
-    assert all(ell * m <= 225 for ell, m in expanded), expanded
+    for ell, m in [(16, 16), (5, 21), (60, 60), (5, 6), (7, 20)]:
+        classify(ell, m)
+    assert expanded == []
 
 
 def test_expansions_hold_no_memory_afterwards():
@@ -300,11 +304,38 @@ def test_classify_raises_when_the_registry_contradicts_the_exceptions(
         classify(6, 6)
 
 
-def test_classify_large_pair_via_certificate():
-    # outside the registry window the answer comes from a built and
-    # verified certificate; it must agree with the direct computation
+def test_classify_large_pair_agrees_with_the_direct_check():
+    # outside the registry window the answer comes from the recipe; it
+    # must agree with the direct computation
     assert classify(61, 61) is PairClass.Strict
     assert check_strict(61, 61).strict
+
+
+def _classify_by_certificate(ell, m):
+    """The reference route: for min >= 5, Strict by a built and verified
+    certificate, Exception when certify refuses the pair."""
+    if min(ell, m) < 5:
+        return classify(ell, m)
+    try:
+        cert = certify(ell, m)
+    except NotCertifiableError:
+        return PairClass.Exception
+    assert verify(cert).ok, (ell, m)
+    return PairClass.Strict
+
+
+def test_classify_equals_the_certificate_route_up_to_200():
+    for ell in range(1, 201):
+        for m in range(1, 201):
+            assert classify(ell, m) is _classify_by_certificate(ell, m), (ell, m)
+
+
+def test_classify_equals_the_certificate_route_on_seeded_pairs():
+    rng = random.Random(2013)
+    for _ in range(2000):
+        ell, m = rng.randint(1, 10**6), rng.randint(1, 10**6)
+        for pair in ((ell, m), (m, ell)):
+            assert classify(*pair) is _classify_by_certificate(*pair), pair
 
 
 def test_classify_rejects_nonpositive():
