@@ -68,13 +68,14 @@ over fewer classes, and skips the larger one when the smaller reads 0.
 Its draws are defined by ``getrandbits`` with rejection, which on
 Python 3.10 to 3.12 gives the values ``randint`` and ``choice`` give
 on the same ``random.Random`` stream.  Each shape is one such draw of
-an index into a per-n table of part tuples, in the order of
-``partitions_of(n)``.  Every triple the sampler evaluates, the smaller,
-the larger and their sum, goes through one LRU memo of the 4,096
-triples used most recently, which calls ``_g`` on a miss.  Over
-size-18 samples about half of the evaluations are answered from it,
-nearly all of them at n <= 7, where small triples recur across samples
-and seeds.
+an index into the part tuples of the class table of n, the one table
+per n that also holds the class sizes and blocks of the character
+oracle; its tuples are those of ``partitions_of(n)``, in that order.
+Every triple the sampler evaluates, the smaller, the larger and their
+sum, goes through one LRU memo of the 4,096 triples used most
+recently, which calls ``_g`` on a miss.  Over size-18 samples about
+half of the evaluations are answered from it, nearly all of them at
+n <= 7, where small triples recur across samples and seeds.
 """
 
 from __future__ import annotations
@@ -148,16 +149,21 @@ def _char(shape: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=64)
-def _classes(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+def _classes(
+    n: int,
+) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], tuple[tuple[int, ...], ...]]:
     """The class sizes |C_rho| for rho in ``partitions_of(n)``, in that
-    order, and the blocks (t, start, stop) for t = n, ..., 1: the classes
+    order; the blocks (t, start, stop) for t = n, ..., 1: the classes
     with first part t are consecutive, and their remainders (rho_2,
     rho_3, ...) are, in the same order, the entries [start, stop) of
-    ``partitions_of(n - t)``: the suffix with no part above t."""
-    sizes, blocks = [], []
+    ``partitions_of(n - t)``: the suffix with no part above t; and the
+    classes' part tuples, shared with ``partitions_of(n)``: the pool the
+    sampler draws a shape from."""
+    sizes, blocks, shapes = [], [], []
     for head, group in groupby(partitions_of(n), key=lambda rho: rho.parts[:1]):
         begin = len(sizes)
         for rho in group:
+            shapes.append(rho.parts)
             z = 1
             for part in set(rho.parts):
                 mult = rho.parts.count(part)
@@ -167,7 +173,7 @@ def _classes(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]
         for t in head:
             stop = len(partitions_of(n - t))
             blocks.append((t, stop - (len(sizes) - begin), stop))
-    return tuple(sizes), tuple(blocks)
+    return tuple(sizes), tuple(blocks), tuple(shapes)
 
 
 @lru_cache(maxsize=None)
@@ -339,13 +345,6 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-@lru_cache(maxsize=64)
-def _shapes(n: int) -> tuple[tuple[int, ...], ...]:
-    """The parts of every partition of n, in the order of
-    ``partitions_of(n)``: the pool the sampler draws a shape from."""
-    return parts_inside((n,) * n, n)
-
-
 @lru_cache(maxsize=4096)
 def _sampled(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
     """``_g`` on a triple the sampler evaluates, kept for the 4,096
@@ -373,9 +372,10 @@ def semigroup_check(
     evaluates the triple of smaller size first (the second when
     n2 <= n1) and skips the larger when the smaller reads 0; the memo
     ``_sampled`` answers each triple.  The sizes n1, n2 and each
-    shape's index in ``_shapes`` are drawn by ``getrandbits`` with
-    rejection, as ``randint`` and ``choice`` draw on Python 3.10 to
-    3.12, so a seed gives the same samples as a loop written with them.
+    shape's index in the part tuples of the class table ``_classes(n)``
+    are drawn by ``getrandbits`` with rejection, as ``randint`` and
+    ``choice`` draw on Python 3.10 to 3.12, so a seed gives the same
+    samples as a loop written with them.
     """
     samples, max_total_size = operator.index(samples), operator.index(max_total_size)
     if not 0 <= samples <= MAX_SAMPLES:
@@ -397,7 +397,7 @@ def semigroup_check(
             )
         n1 = 1 + _below(bits, max_total_size - 1)
         n2 = 1 + _below(bits, max_total_size - n1)
-        pool1, pool2 = _shapes(n1), _shapes(n2)
+        pool1, pool2 = _classes(n1)[2], _classes(n2)[2]
         size1, size2 = len(pool1), len(pool2)
         first = pool1[_below(bits, size1)], pool1[_below(bits, size1)], pool1[_below(bits, size1)]
         second = pool2[_below(bits, size2)], pool2[_below(bits, size2)], pool2[_below(bits, size2)]

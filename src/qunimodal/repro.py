@@ -1,12 +1,14 @@
 """Reproduction harness: one function per shipped claim of the paper.
 
 Each ``repro_*`` function re-derives its claim by computation and
-returns ``(ok, printable lines)``.  Its signature holds the claim's only
-defaults: a size bound ``max_n`` (its docstring says what n bounds) and,
-for sampling claims, ``samples`` and ``seed``.  ``CLAIMS`` maps the names
-accepted by ``qunimodal repro --claim`` to these functions, and the CLI
-passes each claim only the options its signature names; the acceptance
-tests call the functions directly.
+returns ``(ok, printable lines)``: through ``_report``, its head lines,
+then its first 20 failures and one line counting the rest.  Its
+signature holds the claim's only defaults: a size bound ``max_n`` (its
+docstring says what n bounds) and, for sampling claims, ``samples`` and
+``seed``.  ``CLAIMS`` maps the names accepted by ``qunimodal repro
+--claim`` to these functions, and the CLI passes each claim only the
+options its signature names; the acceptance tests call the functions
+directly.
 """
 
 from __future__ import annotations
@@ -29,6 +31,25 @@ from .unimodality import EXCEPTION_PAIRS, PairClass, check_strict, classify
 
 def _pairs(pairs) -> str:
     return " ".join(f"({a},{b})" for a, b in pairs)
+
+
+def _versus_listed(label: str, found: list[tuple[int, int]]) -> tuple[str, list[str]]:
+    """The line naming the non-strict pairs ``found`` after ``label``
+    and, unless they are ``EXCEPTION_PAIRS``, a failure line listing
+    those, aligned under them."""
+    listed = sorted(EXCEPTION_PAIRS)
+    mismatch = [] if found == listed else ["expected:".ljust(len(label) + 2) + _pairs(listed)]
+    return f"{label}: {_pairs(found)}", mismatch
+
+
+def _report(head: list[str], failures: list[str]) -> tuple[bool, list[str]]:
+    """A claim's verdict and lines: its head lines, then its first 20
+    failures and one line counting the rest, so no claim prints without
+    bound."""
+    lines = head + failures[:20]
+    if len(failures) > 20:
+        lines.append(f"and {len(failures) - 20} more")
+    return not failures, lines
 
 
 # The largest max_n each sweep admits; a larger one raises ValueError
@@ -55,23 +76,14 @@ def repro_exceptions() -> tuple[bool, list[str]]:
     window |= {(l, m) for l in range(8, 16) for m in range(l, 16)}
     reports = {p: check_strict(*p) for p in sorted(window)}
     found = [p for p, rep in reports.items() if not rep.strict]
-    listed = sorted(EXCEPTION_PAIRS)
-    lines = [
-        "scanned ell in 5..7 x m in 5..20 and 8..15 x 8..15",
-        "exceptions found: " + _pairs(found),
-    ]
-    ok = found == listed
-    if not ok:
-        lines.append("expected:        " + _pairs(listed))
+    found_line, failures = _versus_listed("exceptions found", found)
     misclassified = [
         p
         for p in reports
         if classify(*p) is not (PairClass.Exception if p in found else PairClass.Strict)
     ]
     if misclassified:
-        ok = False
-        lines.append("classify disagrees with the direct check on: " + _pairs(misclassified))
-    middle_ok = True
+        failures.append("classify disagrees with the direct check on: " + _pairs(misclassified))
     for a, b in found:
         rep = reports[(a, b)]
         half = rep.n // 2
@@ -84,15 +96,14 @@ def repro_exceptions() -> tuple[bool, list[str]]:
         else:
             shape_ok = rep.plateaus == ((half - 1, half + 1),) and rep.first_violation == half
         if not shape_ok:
-            middle_ok = False
-            lines.append(f"({a},{b}): unexpected failure shape: {rep}")
-    ok = ok and middle_ok
-    if middle_ok and found:
-        lines.append(
+            failures.append(f"({a},{b}): unexpected failure shape: {rep}")
+    head = ["scanned ell in 5..7 x m in 5..20 and 8..15 x 8..15", found_line]
+    if not failures:
+        head.append(
             "middle-three plateau confirmed for all but (6,6), "
             "whose equal pairs flank a strictly larger centre"
         )
-    return ok, lines
+    return _report(head, failures)
 
 
 def _pascal_table(rows: int, cols: int) -> list[list[list[int]]]:
@@ -124,19 +135,12 @@ def repro_leaves() -> tuple[bool, list[str]]:
         p = table[a][b]
         verdicts[(a, b)] = all(p[k - 1] < p[k] for k in range(2, a * b // 2 + 1))
     found = [pair for pair, strict in verdicts.items() if not strict]
-    listed = sorted(EXCEPTION_PAIRS)
-    lines = [
-        f"expanded {len(cands)} registry candidates by the q-Pascal recurrence",
-        "non-strict: " + _pairs(found),
-    ]
-    ok = found == listed
-    if not ok:
-        lines.append("expected:   " + _pairs(listed))
+    found_line, failures = _versus_listed("non-strict", found)
     differ = [pair for pair, strict in verdicts.items() if strict != _leaf_strict(*pair)]
     if differ:
-        ok = False
-        lines.append("the leaf check disagrees on: " + _pairs(differ))
-    return ok, lines
+        failures.append("the leaf check disagrees on: " + _pairs(differ))
+    head = [f"expanded {len(cands)} registry candidates by the q-Pascal recurrence", found_line]
+    return _report(head, failures)
 
 
 def repro_theorem() -> tuple[bool, list[str]]:
@@ -191,19 +195,17 @@ def repro_theorem() -> tuple[bool, list[str]]:
                 for b in range(a + (r - a) % 8, start, 8)
                 if (a, b) not in reg and not _exceptional(a, b, reg)
             )
-    window = {(a, b) for a in range(5, 8) for b in range(a, 21)}
-    refused = sorted((_registry_candidates() | window) - reg)
-    if refused != sorted(EXCEPTION_PAIRS):
-        gaps.append("expected:                " + _pairs(sorted(EXCEPTION_PAIRS)))
-    lines = [
+    # the registry candidates hold the whole exception window
+    refused = sorted(_registry_candidates() - reg)
+    refused_line, mismatch = _versus_listed("unregistered candidates", refused)
+    gaps += mismatch
+    head = [
         "checked the steps (ell,8) and the chain starts of ell = 5..15, residues 0..7 mod 8",
-        "unregistered candidates: " + _pairs(refused),
+        refused_line,
     ]
-    if gaps:
-        lines.extend(gaps[:20])
-    else:
-        lines.append("the recipe reaches every pair with min >= 5 but these nine")
-    return not gaps, lines
+    if not gaps:
+        head.append("the recipe reaches every pair with min >= 5 but these nine")
+    return _report(head, gaps)
 
 
 def repro_ell2(max_n: int = 50) -> tuple[bool, list[str]]:
@@ -218,10 +220,7 @@ def repro_ell2(max_n: int = 50) -> tuple[bool, list[str]]:
         for i in range(0, (n + 3) // 4):
             if poly.coefficient(2 * i) != poly.coefficient(2 * i + 1):
                 bad.append(f"m={m} i={i}")
-    lines = [f"checked even/odd coefficient pairing for ell=2, m=1..{max_n}"]
-    if bad:
-        lines.append("failures: " + ", ".join(bad))
-    return not bad, lines
+    return _report([f"checked even/odd coefficient pairing for ell=2, m=1..{max_n}"], bad)
 
 
 def repro_ell34(max_n: int = 30) -> tuple[bool, list[str]]:
@@ -237,10 +236,8 @@ def repro_ell34(max_n: int = 30) -> tuple[bool, list[str]]:
             witness = any(p not in forced for p in rep.plateaus)
             if rep.strict or not witness:
                 bad.append(f"({ell},{m}): strict={rep.strict} plateaus={rep.plateaus}")
-    lines = [f"checked ell in {{3,4}}, m=3..{max_n} for non-strictness with a witness plateau"]
-    if bad:
-        lines.extend(bad)
-    return not bad, lines
+    head = f"checked ell in {{3,4}}, m=3..{max_n} for non-strictness with a witness plateau"
+    return _report([head], bad)
 
 
 def repro_lemma12(max_n: int = 16) -> tuple[bool, list[str]]:
@@ -267,10 +264,8 @@ def repro_lemma12(max_n: int = 16) -> tuple[bool, list[str]]:
             ]
             if failed:
                 bad.append(f"({ell},{m}) failed at k={','.join(map(str, failed))}")
-    lines = [f"checked the difference identity on {boxes} boxes with ell*m <= {max_n}"]
-    if bad:
-        lines.extend(bad)
-    return not bad, lines
+    head = f"checked the difference identity on {boxes} boxes with ell*m <= {max_n}"
+    return _report([head], bad)
 
 
 def repro_routes(max_n: int = 10) -> tuple[bool, list[str]]:
@@ -289,11 +284,10 @@ def repro_routes(max_n: int = 10) -> tuple[bool, list[str]]:
                     via_lr = g_two_row(lam, mu, k)
                     via_chars = g_oracle(lam, mu, two_row(n, k))
                     if via_lr != via_chars:
-                        mismatches.append((lam, mu, k, via_lr, via_chars))
-    lines = [f"compared the two routes on all partition pairs up to n={max_n}"]
-    for lam, mu, k, via_lr, via_chars in mismatches[:20]:
-        lines.append(f"g({lam},{mu},k={k}): two-row {via_lr} != oracle {via_chars}")
-    return not mismatches, lines
+                        mismatches.append(
+                            f"g({lam},{mu},k={k}): two-row {via_lr} != oracle {via_chars}"
+                        )
+    return _report([f"compared the two routes on all partition pairs up to n={max_n}"], mismatches)
 
 
 def repro_semigroup(
@@ -304,11 +298,14 @@ def repro_semigroup(
     2 <= max_n <= ``DEFAULT_ORACLE_BOUND`` and samples <= ``kronecker.MAX_SAMPLES``."""
     if not 2 <= max_n <= DEFAULT_ORACLE_BOUND:
         raise ValueError(f"need 2 <= max_n <= {DEFAULT_ORACLE_BOUND}: got max_n={max_n}")
-    violations = semigroup_check(samples=samples, seed=seed, max_total_size=max_n)
-    lines = [f"sampled {samples} pairs of positive triples (seed={seed}, total size <= {max_n})"]
-    for first, second, g_first, g_second, g_sum in violations[:20]:
-        lines.append(f"violation: {first} + {second}: g={g_first},{g_second} sum gives {g_sum}")
-    return not violations, lines
+    violations = [
+        f"violation: {first} + {second}: g={g_first},{g_second} sum gives {g_sum}"
+        for first, second, g_first, g_second, g_sum in semigroup_check(
+            samples=samples, seed=seed, max_total_size=max_n
+        )
+    ]
+    head = f"sampled {samples} pairs of positive triples (seed={seed}, total size <= {max_n})"
+    return _report([head], violations)
 
 
 def repro_certify_sweep(max_n: int = 40) -> tuple[bool, list[str]]:
@@ -343,13 +340,11 @@ def repro_certify_sweep(max_n: int = 40) -> tuple[bool, list[str]]:
                 bad.append(f"({ell},{m}): verification failed: {outcome.reason}")
             if not direct:
                 bad.append(f"({ell},{m}): certificate exists but direct check is not strict")
-    lines = [
+    head = (
         f"built and verified {certified} certificates, confirmed {refused} refusals, "
         f"5 <= ell <= m <= {max_n}"
-    ]
-    if bad:
-        lines.extend(bad[:20])
-    return not bad, lines
+    )
+    return _report([head], bad)
 
 
 CLAIMS = {

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -449,9 +450,11 @@ def test_repro_exceptions_fails_on_a_wrong_list(monkeypatch):
     monkeypatch.setattr(repro, "EXCEPTION_PAIRS", repro.EXCEPTION_PAIRS - {(6, 6)})
     ok, lines = repro.repro_exceptions()
     assert ok is False
-    assert lines[2] == "expected:        " + " ".join(
+    # the expected pairs start in the column of the found ones
+    assert lines[2] == "expected:         " + " ".join(
         f"({a},{b})" for a, b in sorted(repro.EXCEPTION_PAIRS)
     )
+    assert lines[2].index("(") == lines[1].index("(")
 
 
 def test_repro_exceptions_checks_classify_against_direct_checks(monkeypatch):
@@ -522,6 +525,127 @@ def test_repro_theorem_passes_and_names_each_gap_of_a_thinned_registry(monkeypat
         assert out[-2 - len(gaps):-2] == gaps
         assert "unregistered candidates: " in out[2]
         assert all(f"({min(p)},{max(p)})" in out[2] for p in dropped)
+
+
+def _failing_everywhere():
+    # (claim, options, name in repro to stub, stub, head lines, first
+    # failure line, number of failures): each stub makes every check of
+    # its claim fail
+    from qunimodal import repro
+    from qunimodal.partitions import Partition, partitions_of
+
+    routes = sum(
+        len(partitions_of(n)) * (len(partitions_of(n)) + 1) // 2 * (n // 2 + 1)
+        for n in range(1, 11)
+    )
+    violation = ((Partition((1,)),) * 3, (Partition((1,)),) * 3, 1, 1, 0)
+    return [
+        (
+            "ell2",
+            {"max_n": 1000},
+            "gaussian",
+            lambda ell, m: SimpleNamespace(coefficient=lambda k: k),
+            ["checked even/odd coefficient pairing for ell=2, m=1..1000"],
+            "m=1 i=0",
+            sum((m + 1) // 2 for m in range(1, 1001)),
+        ),
+        (
+            "ell34",
+            {"max_n": 400},
+            "check_strict",
+            lambda ell, m: unimodality.check_strict(5, 5),
+            ["checked ell in {3,4}, m=3..400 for non-strictness with a witness plateau"],
+            "(3,3): strict=True plateaus=((12, 13),)",
+            2 * 398,
+        ),
+        (
+            "lemma12",
+            {"max_n": 16},
+            "g_oracle",
+            lambda *shapes: -1,
+            ["checked the difference identity on 50 boxes with ell*m <= 16"],
+            "(1,1) failed at k=0",
+            50,
+        ),
+        (
+            "routes",
+            {"max_n": 10},
+            "g_oracle",
+            lambda *shapes: -1,
+            ["compared the two routes on all partition pairs up to n=10"],
+            "g([1],[1],k=0): two-row 1 != oracle -1",
+            routes,
+        ),
+        (
+            "semigroup",
+            {"samples": 30, "seed": 0, "max_n": 18},
+            "semigroup_check",
+            lambda samples, seed, max_total_size: [violation] * samples,
+            ["sampled 30 pairs of positive triples (seed=0, total size <= 18)"],
+            f"violation: {violation[0]} + {violation[1]}: g=1,1 sum gives 0",
+            30,
+        ),
+        (
+            "certify-sweep",
+            {"max_n": 40},
+            "check_strict",
+            lambda ell, m: unimodality.check_strict(6, 6),
+            [
+                "built and verified 657 certificates, confirmed 9 refusals, "
+                "5 <= ell <= m <= 40"
+            ],
+            "(5,5): certificate exists but direct check is not strict",
+            657,
+        ),
+        (
+            "theorem",
+            {},
+            "default_registry",
+            lambda: frozenset(),
+            [
+                "checked the steps (ell,8) and the chain starts of ell = 5..15, residues 0..7 mod 8",
+                "unregistered candidates: " + repro._pairs(sorted(repro._registry_candidates())),
+            ],
+            "(5,8) is not registered",
+            # 11 steps (ell,8), 88 chain starts, and the expected: line
+            11 + 88 + 1,
+        ),
+    ]
+
+
+_FAILING_EVERYWHERE = _failing_everywhere()
+
+
+@pytest.mark.parametrize(
+    "claim,options,name,stub,head,first,failures",
+    _FAILING_EVERYWHERE,
+    ids=[case[0] for case in _FAILING_EVERYWHERE],
+)
+def test_repro_fail_detail_is_capped_at_20_lines(
+    claim, options, name, stub, head, first, failures, monkeypatch, capsys
+):
+    # a claim that fails everywhere keeps its head lines, shows its first
+    # 20 failures and counts the rest in one line; the CLI prints them
+    # and FAIL with exit 0, nothing on stderr
+    from qunimodal import repro
+
+    monkeypatch.setattr(repro, name, stub)
+    ok, lines = repro.CLAIMS[claim](**options)
+    assert ok is False
+    assert lines[: len(head)] == head
+    assert lines[len(head)] == first
+    assert len(lines) == len(head) + 20 + 1
+    assert lines[-1] == f"and {failures - 20} more"
+    argv = ["repro", "--claim", claim]
+    for option, value in options.items():
+        argv += ["--" + option.replace("_", "-"), str(value)]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [f"claim: {claim}", *lines, "FAIL"]
+    if claim == "ell2":
+        # a broken expansion once printed all 250,500 failures, 3.15 MB
+        assert len(captured.out) < 2048
 
 
 def test_scan_answers_a_pair_that_certify_refuses(capsys):

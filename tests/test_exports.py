@@ -101,7 +101,6 @@ def test_memo_tables_are_pinned():
         "kronecker._classes",
         "kronecker._weights",
         "kronecker._tables",
-        "kronecker._shapes",
         "kronecker._sampled",
     ]
     for name, memo in seen.values():

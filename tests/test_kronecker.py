@@ -32,7 +32,6 @@ from qunimodal.kronecker import (
     _below,
     _classes,
     _sampled,
-    _shapes,
     _weights,
 )
 from qunimodal import partitions_inside, repro
@@ -228,9 +227,10 @@ def _reference_class_blocks(n: int) -> tuple[tuple[int, int, int], ...]:
 
 def test_one_class_table_matches_the_two_reference_tables():
     for n in range(DEFAULT_ORACLE_BOUND + 1):
-        assert _classes(n) == (_reference_class_sizes(n), _reference_class_blocks(n)), n
+        shapes = tuple(rho.parts for rho in partitions_of(n))
+        assert _classes(n) == (_reference_class_sizes(n), _reference_class_blocks(n), shapes), n
     # n = 0: the empty class, of size 1, and no block
-    assert _classes(0) == ((1,), ())
+    assert _classes(0) == ((1,), (), ((),))
 
 
 def test_block_built_vectors_match_the_per_class_build():
@@ -914,8 +914,12 @@ def test_semigroup_sampler_is_deterministic():
 
 
 def test_the_sampler_draws_from_the_parts_of_partitions_of():
+    # the pool is the class table's part tuples: the very tuples of
+    # partitions_of(n), in its order
     for n in range(DEFAULT_ORACLE_BOUND + 1):
-        assert _shapes(n) == tuple(p.parts for p in partitions_of(n))
+        pool = _classes(n)[2]
+        assert pool == tuple(p.parts for p in partitions_of(n))
+        assert all(shape is p.parts for shape, p in zip(pool, partitions_of(n)))
 
 
 def test_the_sampler_memo_keeps_at_most_maxsize_triples(monkeypatch, fresh_samples):
