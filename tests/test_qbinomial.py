@@ -1,5 +1,5 @@
 import random
-from itertools import compress
+from itertools import compress, groupby
 from math import comb
 
 import pytest
@@ -15,6 +15,7 @@ from qunimodal.qbinomial import (
     _unpack,
     rising_stalls,
 )
+from qunimodal.unimodality import EXCEPTION_PAIRS
 
 
 def _polymul(a, b):
@@ -467,10 +468,14 @@ def test_matches_packed_recurrence_at_limb_edge(ell, m):
      (41, 42, 0), (12, 1175, 0), (1, 5000, 0), (2, 2001, 0), (2, 200, 1)],
 )
 def test_rising_stalls_match_a_scan_of_the_recurrence(monkeypatch, ell, m, extra):
-    # a limb holds 2 B(a, b): where B fills whole bytes the last stage packs
-    # one byte wider than B needs, for the spare top bit that keeps every
-    # limb's difference from borrowing, and otherwise as wide as B needs;
-    # the halves of sides 1 and 2 are packed at once, re-laid by no stage
+    # the exact route: a limb holds 2 B(a, b): where B fills whole bytes
+    # the last stage packs one byte wider than B needs, for the spare top
+    # bit that keeps every limb's difference from borrowing, and otherwise
+    # as wide as B needs; the halves of sides 1 and 2 are packed at once,
+    # re-laid by no stage
+    p = packed_recurrence(ell, m)
+    rise = range(2, ell * m // 2 + 1)
+    assert rising_stalls(ell, m) == [k for k in rise if p[k - 1] >= p[k]]
     widths, relays = [], []
     half, relay = qbinomial._half, qbinomial._relay
 
@@ -485,10 +490,8 @@ def test_rising_stalls_match_a_scan_of_the_recurrence(monkeypatch, ell, m, extra
 
     monkeypatch.setattr(qbinomial, "_half", spy_half)
     monkeypatch.setattr(qbinomial, "_relay", spy_relay)
-    p = packed_recurrence(ell, m)
-    rise = range(2, ell * m // 2 + 1)
-    assert rising_stalls(ell, m) == [k for k in rise if p[k - 1] >= p[k]]
     a, b = sorted((ell, m))
+    assert qbinomial._stalls(a, b, 2 * _bound(a, b)) == [k for k in rise if p[k - 1] >= p[k]]
     assert widths[-1] - _limb_bytes(_bound(a, b)) == extra
     assert (relays == []) == (a <= 2)
 
@@ -540,6 +543,7 @@ def test_check_strict_refuses_an_oversize_box_before_any_work(monkeypatch):
             gaussian(ell, m)
         with monkeypatch.context() as patch:
             patch.setattr(qbinomial, "_half", unreachable)
+            patch.setattr(qbinomial, "_residues", unreachable)
             patch.setattr(qbinomial, "comb", unreachable)
             with pytest.raises(ValueError) as refused:
                 check_strict(ell, m)
@@ -550,6 +554,149 @@ def test_check_strict_refuses_an_oversize_box_before_any_work(monkeypatch):
     monkeypatch.setattr(qbinomial, "EXPANSION_GUARD", 65)
     with pytest.raises(ValueError, match="too large"):
         check_strict(8, 8)
+
+
+def _spied(monkeypatch, name):
+    """Record the boxes that the qbinomial function ``name`` is called on."""
+    calls, real = [], getattr(qbinomial, name)
+
+    def spy(a, b, *rest):
+        calls.append((a, b))
+        return real(a, b, *rest)
+
+    monkeypatch.setattr(qbinomial, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "a,b", [(3, 5), (7, 163), (9, 632), (33, 67), (45, 45), (12, 1175), (89, 90)]
+)
+def test_residues_are_the_coefficients_modulo_the_residue_width(a, b):
+    # each limb, below 2^32 (to_bytes would overflow otherwise), is the
+    # coefficient modulo 2^22, with the stages below in residues as on
+    # (89, 90) and (12, 1175), or expanded exactly as on (7, 163) and the
+    # side 3 of (12, 1175)
+    h = a * b // 2
+    residues = _unpack(qbinomial._residues(a, b), qbinomial.RESIDUE_BYTES, h + 1)
+    mod = 1 << qbinomial.RESIDUE_BITS
+    assert [r % mod for r in residues] == [p % mod for p in gaussian(a, b).coeffs[: h + 1]]
+
+
+@pytest.mark.parametrize("ell,m,k", [(9, 632, 1690), (20, 197, 1171), (27, 214, 676)])
+def test_a_false_collision_falls_back_to_the_exact_route(monkeypatch, ell, m, k):
+    # of the 14,115 boxes with 5 <= a <= b and ab <= 6,000, these three are
+    # the strict ones whose residues agree at some k: there, and only
+    # there, p_{k-1} and p_k differ by a multiple of 2^22; each runs the
+    # residue pass and then the exact route, which finds no stall
+    p = gaussian(ell, m).coeffs
+    mod = 1 << qbinomial.RESIDUE_BITS
+    assert [j for j in range(2, ell * m // 2 + 1) if (p[j] - p[j - 1]) % mod == 0] == [k]
+    assert p[k - 1] < p[k]
+    assert _limb_bytes(2 * _bound(ell, m)) > qbinomial.RESIDUE_BYTES + 1
+    residues, exact = _spied(monkeypatch, "_residues"), _spied(monkeypatch, "_stalls")
+    assert check_strict(ell, m).strict
+    # _residues also calls itself for the stages below
+    assert residues[:1] == exact == [(ell, m)]
+
+
+def test_a_strict_box_with_wide_limbs_is_decided_by_its_residues(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("ran the exact route on a strict box")
+
+    residues = _spied(monkeypatch, "_residues")
+    monkeypatch.setattr(qbinomial, "_stalls", unreachable)
+    # (8, 380) has 6-byte exact limbs, the narrowest that take the pass
+    for ell, m in [(8, 380), (12, 1175), (89, 90), (109, 110)]:
+        residues.clear()
+        assert check_strict(ell, m).strict
+        assert residues[0] == (ell, m)
+
+
+def test_narrow_limbs_take_the_exact_route_alone(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("ran the residue pass on narrow limbs")
+
+    monkeypatch.setattr(qbinomial, "_residues", unreachable)
+    exact = _spied(monkeypatch, "_stalls")
+    # 5-byte exact limbs and narrower, and every exceptional pair
+    boxes = [(6, 600), (7, 163), (4, 23627), (5, 14), (6, 6), (2, 300)]
+    assert [_limb_bytes(2 * _bound(a, b)) for a, b in boxes] == [5, 5, 5, 2, 1, 2]
+    for ell, m in boxes:
+        check_strict(ell, m)
+    for a, b in sorted(EXCEPTION_PAIRS):
+        assert not check_strict(a, b).strict
+    assert exact == boxes + sorted(EXCEPTION_PAIRS)
+
+
+def test_a_real_stall_with_wide_limbs_runs_both_passes(monkeypatch):
+    # (4, 23628) is the first box with four rows whose exact limbs take 6
+    # bytes; it stalls once, just below its centre, and the answer is the
+    # exact route's, the same as a scan of the unpacked expansion
+    p = gaussian(4, 23628).coeffs
+    scan = [k for k in range(2, 47257) if p[k - 1] >= p[k]]
+    assert scan == [47255]
+    residues, exact = _spied(monkeypatch, "_residues"), _spied(monkeypatch, "_stalls")
+    assert rising_stalls(4, 23628) == scan
+    assert residues[:1] == exact == [(4, 23628)]
+
+
+@pytest.mark.parametrize("bits", [1, 8])
+def test_stalls_do_not_depend_on_the_residue_width(monkeypatch, bits):
+    # modulo 2 or 2^8 the residues of a wide box agree somewhere, so the
+    # exact route decides every one of these boxes, with the same answer
+    boxes = [(8, 380), (12, 1175), (45, 45), (20, 197), (4, 23628)]
+    expected = [rising_stalls(ell, m) for ell, m in boxes]
+    monkeypatch.setattr(qbinomial, "RESIDUE_BITS", bits)
+    exact = _spied(monkeypatch, "_stalls")
+    assert [rising_stalls(ell, m) for ell, m in boxes] == expected
+    assert exact == boxes
+
+
+def _admitted(a, b):
+    try:
+        qbinomial._check_size(a, b)
+    except ValueError:
+        return False
+    return True
+
+
+def _largest_side(a):
+    """The largest b >= a for which EXPANSION_GUARD admits the box (a, b)."""
+    lo, hi = a, 2 * qbinomial.EXPANSION_GUARD
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if _admitted(a, mid) else (lo, mid - 1)
+    return lo
+
+
+def test_residue_limbs_never_reach_their_top(monkeypatch):
+    # a stage starts reduced; a run of r numerators adds below 2^22 each
+    # to a limb, a geometric sum of c shift-and-adds adds below 2^22 per
+    # pass and reduces when it returns, so no limb reaches (1 + r + c) 2^22,
+    # which must stay within 2^32.  Walked over the plans of every stage of
+    # the largest square and thin boxes the guard admits, nothing expanded
+    def unreachable(*args):
+        raise AssertionError("expanded a box")
+
+    monkeypatch.setattr(qbinomial, "_half", unreachable)
+    monkeypatch.setattr(qbinomial, "_residues", unreachable)
+    square = 1
+    while _admitted(square + 1, square + 1):
+        square += 1
+    assert square == 322
+    boxes = [(square, square)] + [(a, _largest_side(a)) for a in (3, 4, 5, 8, 20)]
+    assert boxes[1:4] == [(3, 399_457), (4, 233_016), (5, 167_771)]
+    top = 1 << (8 * qbinomial.RESIDUE_BYTES - qbinomial.RESIDUE_BITS)
+    for a, b in boxes:
+        for s in _stages(a, b)[1:]:
+            h, g = s * b // 2, (s + 1) // 2
+            plan = _factors(s, b, h, g)
+            run = max((len(list(r)) for num, r in groupby(k == 0 for _, k in plan) if num),
+                      default=0)
+            most = max(_passes(k) for _, k in plan if k)
+            # the module docstring's bounds for every admitted box
+            assert run <= s - g <= 203 and most <= 42, (a, b, s)
+            assert 1 + run + most <= top, (a, b, s)
 
 
 def test_matches_enumeration_oracle():
