@@ -16,14 +16,17 @@ the mirror image of the lower.  Reduction mod 2^K is a ring map and each
 one shift-and-subtract, and dividing by 1 - 2^{Ld} multiplies by the
 2-adic series prod_j (1 + 2^{Ld*2^j}), one shift-and-add per factor
 until the shift reaches K.  Each pass works on non-negative values of
-about K bits: a numerator pass subtracts the shifted value cut to K
-bits, x - ((x << s) mod 2^K), and adds 2^K back when that is negative,
-so no difference is wider than K bits and no negative value is masked (a
-bitwise and of a negative int works on a two's complement copy); a
-series, like each geometric sum below, cuts only each shifted term to K
-bits, lets the running sum carry a few bits past K, and masks it once
-when it returns.  The modulus 2^K and the mask are computed once per
-width.
+about K bits, with a mask M and a bias C that make the limb layout; this
+exact layout has M = 2^K - 1 and C = 2^K.  A numerator pass is one
+subtraction, (x | C) - ((x << s) & M), which never borrows: x | C is
+congruent to x modulo 2^K and at least 2^K, the masked shift is below
+2^K, so the difference is positive, and it stays below 2^(K+1) when x
+does.  No negative value is ever masked (a bitwise and of a negative int
+works on a two's complement copy).  A series, like each geometric sum
+below, cuts only each shifted term to K bits, lets the running sum carry
+a few bits past K, and masks it once when it returns; the last factor of
+every stage is such a sum, so a stage returns masked.  The mask and the
+bias are computed once per stage.
 
 The half is built in stages.  Stage (a, b), a > 2, starts from the
 rising half of binom(g+b, g)_q with g = ceil(a/2), which is ceil(h/b),
@@ -42,11 +45,12 @@ copy per byte (``out[i:top:new] = raw[i::old]``), into limbs of the new
 width, and copies the mirror limbs the same way from the reversed bytes
 of the limbs they mirror.  Mirroring and widening are exact because after
 a whole stage every limb holds a true, non-negative coefficient.
-``_half(a, b, bound)`` packs its half in limbs wide enough for
-``bound``, so each stage makes one ``_relay`` call that mirrors and
-widens together.  The stage below is asked for B(g, b) (defined below),
-which is no wider (proved below); ``gaussian`` asks for B(a, b), and
-``rising_stalls`` for 2 B(a, b), the spare top bit its compare needs.
+``_half(a, b, nbytes)`` packs its half in limbs of the ``nbytes`` bytes
+that its caller sizes, so each stage makes one ``_relay`` call that
+mirrors and widens together.  The stage below is packed for B(g, b)
+(defined below), which is no wider (proved below); ``gaussian`` sizes
+its limbs for B(a, b), and ``rising_stalls`` for 2 B(a, b), the spare
+top bit its compare needs.
 Unpacking reads limbs of 1, 2, 4 or 8 bytes with ``struct`` as unsigned
 words of their own width; a limb of 3 or 5 to 7 bytes is first widened
 by ``_relay`` to the next of these widths, and wider limbs are read one
@@ -139,25 +143,30 @@ nothing else.  Of the 14,115 boxes with 5 <= a <= b and ab <= 6,000, the
 residues flag the nine exceptional pairs and three false collisions,
 (9, 632) at k = 1690, (20, 197) at k = 1171 and (27, 214) at k = 676.
 
-``_residues`` reuses ``_factors``, ``_relay`` and ``_geometric``; with P
-the limb pattern 2^R - 1 in each of the h+1 limbs, both the mask of the
-geometric sums and the reduction are ``& P``, which cuts to the h+1 limbs
-and reduces each limb modulo 2^R together.  A numerator is x + 2^R -
-((x << s) & P), limb-wise: the subtracted limb is below 2^R, so no limb
-borrows from the next, and each numerator grows a limb by at most 2^R.
-A doubling step of a geometric sum adds a term below 2^R to each limb,
-and the sum is reduced when it returns.  Each stage starts reduced, ``&
-P`` after ``_relay``; a stage below whose exact limbs take at most W bytes
-(always the side 2, as B(2, b) <= b < 2^22 in an admitted box) is expanded
-exactly and relayed into residue limbs.  So within a stage no limb
-exceeds (1 + r + c) 2^R, where r <= a - g is the longest run of
-numerators and c the most shift-and-adds of one geometric sum.  Guard
-headroom: a box admitted by ``EXPANSION_GUARD`` has h+1 <= 2^22 limbs of
-at least (a+1)/8 bytes (comb(a+b, a) >= 2^a), so a^3/16 < 2^22 and a <=
-406, r <= 203; and k <= h < 2^22 in every sum, so c <= 2*22 - 2 = 42.
-Then 1 + r + c <= 246 < 2^10, and no limb reaches 2^(8W) = 2^32.  On the
-largest square and thin boxes the guard admits, (322, 322) and (3, 399457)
-to (20, 14979), 1 + r + c is at most 21.
+One stage loop, ``_half``, serves ``gaussian``, the exact route and the
+residue pass, over the same ``_factors``, ``_relay`` and ``_geometric``;
+``_half(a, b, W, True)`` differs only in its limb layout.  There M = P,
+the pattern 2^R - 1 in each of the h+1 limbs, and C the guard bit 2^R in
+each: ``& P`` cuts to the h+1 limbs and reduces each limb modulo 2^R
+together, so it is both the mask of the geometric sums and the reduction.
+The numerator (x | C) - ((x << s) & P) works limb-wise: limb j of x | C
+is x_j with its bit 2^R set, which adds 0 or 2^R to it, and the
+subtracted limb is below 2^R, so no limb borrows from the next, limb j
+becomes congruent to x_j - x_{j-d} modulo 2^R, and each numerator grows a
+limb by at most 2^R.  A doubling step of a geometric sum adds a term
+below 2^R to each limb, and the sum is reduced when it returns.  Each
+stage starts reduced, ``& P`` after ``_relay``; a stage below whose exact
+limbs take at most W bytes (always the side 2, as B(2, b) <= b < 2^22 in
+an admitted box) is expanded exactly, relayed into residue limbs and
+reduced by that mask.  So within a stage no limb exceeds (1 + r + c) 2^R,
+where r <= a - g is the longest run of numerators and c the most
+shift-and-adds of one geometric sum.  Guard headroom: a box admitted by
+``EXPANSION_GUARD`` has h+1 <= 2^22 limbs of at least (a+1)/8 bytes
+(comb(a+b, a) >= 2^a), so a^3/16 < 2^22 and a <= 406, r <= 203; and k <=
+h < 2^22 in every sum, so c <= 2*22 - 2 = 42.  Then 1 + r + c <= 246 <
+2^10, and no limb reaches 2^(8W) = 2^32.  On the largest square and thin
+boxes the guard admits, (322, 322) and (3, 399457) to (20, 14979), it is
+at most 21.
 
 The residue pass pays where its 4-byte limbs are well below the exact
 ones: it runs only where 2 B(a, b), the exact route's top limb bound,
@@ -306,12 +315,12 @@ def _passes(k: int) -> int:
     return k.bit_length() + k.bit_count() - 2
 
 
-def _numerator(x: int, shift: int, mask: int, modulus: int) -> int:
-    """x * (1 - 2^shift) modulo ``modulus`` = mask + 1, for 0 <= x <= mask:
-    the masked shift is subtracted, and the modulus added back if that
-    went below zero, so no negative value is masked."""
-    x -= (x << shift) & mask
-    return x + modulus if x < 0 else x
+def _numerator(x: int, shift: int, mask: int, bias: int) -> int:
+    """x * (1 - 2^shift) in the limb layout of ``mask`` and ``bias``, by one
+    subtraction that never borrows: the bias is ORed into x before the
+    masked shift, which is below it, is taken away (the module docstring
+    has both layouts)."""
+    return (x | bias) - ((x << shift) & mask)
 
 
 def _geometric(x: int, shift: int, k: int, mask: int) -> int:
@@ -342,7 +351,11 @@ def _factors(a: int, b: int, h: int, grow: int) -> list[tuple[int, int]]:
     the candidate d that saves the most over the shift-and-subtract plus
     the series for d, if that saving is positive, and the largest such d
     on a tie.  The numerators come from the top down, then the unpaired
-    denominators as series.
+    denominators as series.  So the last factor is a sum: a pair takes
+    one numerator and one denominator, and there are no more numerators
+    than denominators (a - grow of each before those above h are
+    dropped), so where every denominator is paired, so is every
+    numerator.
     """
     # 1/(1 - q^d) needs the terms q^(jd) with jd <= h; their count, rounded
     # up to a power of two, costs no more than the count itself
@@ -369,32 +382,55 @@ def _bound(a: int, b: int) -> int:
     return (comb(a + b - 1, a - 1) + (a - 1) * comb((a + b) // 2, a // 2)) // a
 
 
-def _half(a: int, b: int, bound: int) -> tuple[int, int]:
+def _limb_bytes(bound: int) -> int:
+    """The whole bytes that a limb holding values up to ``bound`` takes."""
+    return (bound.bit_length() + 7) // 8
+
+
+def _spread(value: int, nbytes: int, count: int) -> int:
+    """``count`` limbs of ``nbytes`` bytes that each hold ``value``."""
+    return int.from_bytes(value.to_bytes(nbytes, "little") * count, "little")
+
+
+def _half(a: int, b: int, nbytes: int, residue: bool = False) -> int:
     """The rising half of binom(a+b, a)_q, 1 <= a <= b, packed in
-    floor(ab/2)+1 limbs wide enough for values up to ``bound``; returns it
-    with the limb bytes."""
+    floor(ab/2)+1 limbs of ``nbytes`` bytes: the exact coefficients, in limbs
+    wide enough for B(a, b), or with ``residue`` each coefficient modulo
+    2^RESIDUE_BITS.
+
+    The two limb layouts differ only in the mask and the bias of the
+    numerator (x | bias) - ((x << s) & mask).  A residue stage builds on
+    an exact stage below where that stage's exact limbs take no more than
+    ``nbytes`` bytes.
+    """
     h = a * b // 2
-    nbytes = (bound.bit_length() + 7) // 8
     limb = 8 * nbytes
-    modulus = 1 << (limb * (h + 1))
-    mask = modulus - 1
+    if residue:
+        bias = _spread(1 << RESIDUE_BITS, nbytes, h + 1)
+        mask = bias - (bias >> RESIDUE_BITS)
+    else:
+        bias = 1 << limb * (h + 1)
+        mask = bias - 1
     if a <= 2:
         # h+1 ones, times 1/(1 - q^2) for a = 2, by the count _factors takes
-        x = int.from_bytes((1).to_bytes(nbytes, "little") * (h + 1), "little")
+        x = _spread(1, nbytes, h + 1)
         if a == 2:
             x = _geometric(x, 2 * limb, 1 << (h // 2).bit_length(), mask)
-        return x, nbytes
+        return x
     # the box (g, b) has degree g*b >= h, so its half, mirrored, covers
     # the h+1 limbs
     g = (a + 1) // 2
-    x, old = _half(g, b, _bound(g, b))
-    x = int.from_bytes(_relay(x, old, g * b // 2 + 1, g * b, h + 1, nbytes), "little")
+    exact = _limb_bytes(_bound(g, b))
+    old = min(exact, nbytes)
+    x = _half(g, b, old, residue and exact > old)
+    x = int.from_bytes(_relay(x, old, g * b // 2 + 1, g * b, h + 1, nbytes), "little") & mask
     for d, k in _factors(a, b, h, g):
         if k:
             x = _geometric(x, limb * d, k, mask)
         else:
-            x = _numerator(x, limb * d, mask, modulus)
-    return x, nbytes
+            x = _numerator(x, limb * d, mask, bias)
+    # the last factor is a sum (see _factors), which masks when it returns
+    return x
 
 
 def _product_coeffs(ell: int, m: int) -> tuple[int, ...]:
@@ -402,8 +438,8 @@ def _product_coeffs(ell: int, m: int) -> tuple[int, ...]:
     a, b = min(ell, m), max(ell, m)
     n = a * b
     h = n // 2
-    x, nbytes = _half(a, b, _bound(a, b))
-    half = _unpack(x, nbytes, h + 1)
+    nbytes = _limb_bytes(_bound(a, b))
+    half = _unpack(_half(a, b, nbytes), nbytes, h + 1)
     return half + half[n - h - 1 :: -1]
 
 
@@ -413,66 +449,11 @@ def _check_size(ell: int, m: int) -> None:
     # every limb takes a byte or more, so the first test bounds ell+m, and
     # with it the work of comb, before the second one calls it
     limbs = ell * m // 2 + 1
-    if limbs > EXPANSION_GUARD or (
-        limbs * ((comb(ell + m, m).bit_length() + 7) // 8) > EXPANSION_GUARD
-    ):
+    if limbs > EXPANSION_GUARD or limbs * _limb_bytes(comb(ell + m, m)) > EXPANSION_GUARD:
         raise ValueError(
             f"box too large to expand: ell={ell} m={m} packs its rising half "
             f"in more than {EXPANSION_GUARD} bytes"
         )
-
-
-def _masks(count: int) -> tuple[int, int]:
-    """``count`` limbs of ``RESIDUE_BYTES`` bytes that each hold the residue
-    pattern 2^RESIDUE_BITS - 1, and as many that each hold its guard bit
-    2^RESIDUE_BITS."""
-    ones = int.from_bytes((1).to_bytes(RESIDUE_BYTES, "little") * count, "little")
-    pat = ((1 << RESIDUE_BITS) - 1) * ones
-    return pat, pat + ones
-
-
-def _residues(a: int, b: int) -> int:
-    """The rising half of binom(a+b, a)_q, 2 < a <= b, modulo
-    2^RESIDUE_BITS, in floor(ab/2)+1 limbs of ``RESIDUE_BYTES`` bytes, each
-    congruent to its coefficient and below 2^(8 RESIDUE_BYTES).
-
-    The stages of :func:`_half`, with the limb pattern as the mask and a
-    biased numerator, so that no limb borrows from the next.  A stage
-    below whose exact limbs take no more bytes than a residue limb is
-    expanded exactly, as the half of a side of 2 always is.
-    """
-    h = a * b // 2
-    g = (a + 1) // 2
-    if _bound(g, b).bit_length() > 8 * RESIDUE_BYTES:
-        x, old = _residues(g, b), RESIDUE_BYTES
-    else:
-        x, old = _half(g, b, _bound(g, b))
-    pat, guard = _masks(h + 1)
-    limb = 8 * RESIDUE_BYTES
-    x = int.from_bytes(_relay(x, old, g * b // 2 + 1, g * b, h + 1, RESIDUE_BYTES), "little") & pat
-    for d, k in _factors(a, b, h, g):
-        if k:
-            x = _geometric(x, limb * d, k, pat)
-        else:
-            x += guard - ((x << limb * d) & pat)
-    return x
-
-
-def _stalls(a: int, b: int, bound: int) -> list[int]:
-    """The stalls of binom(a+b, a)_q, 1 <= a <= b, by a limb-wise compare of
-    its exact rising half, packed in limbs wide enough for ``bound`` =
-    2 B(a, b)."""
-    h = a * b // 2
-    x, nbytes = _half(a, b, bound)
-    limb = 8 * nbytes
-    tops = int.from_bytes((bytes(nbytes - 1) + b"\x80") * (h + 1), "little")
-    # limb k is 2^(L-1) + p_{k-1} - p_k; limbs 0 and 1 are dropped
-    ge = ((((x << limb) | tops) - x) & tops) >> 2 * limb
-    if not ge:
-        return []
-    # the top byte of each limb 2..h
-    marks = ge.to_bytes(nbytes * (h - 1), "little")[nbytes - 1 :: nbytes]
-    return list(compress(range(2, h + 1), marks))
 
 
 def rising_stalls(ell: int, m: int) -> list[int]:
@@ -488,19 +469,29 @@ def rising_stalls(ell: int, m: int) -> list[int]:
     """
     _check_size(ell, m)
     a, b = min(ell, m), max(ell, m)
+    h = a * b // 2
     # a spare top bit: every coefficient stays below 2^(L-1)
-    bound = 2 * _bound(a, b)
-    if bound.bit_length() > 8 * (RESIDUE_BYTES + 1):
-        h = a * b // 2
-        x = _residues(a, b)
-        pat, guard = _masks(h + 1)
+    nbytes = _limb_bytes(2 * _bound(a, b))
+    if nbytes > RESIDUE_BYTES + 1:
+        x = _half(a, b, RESIDUE_BYTES, True)
+        guard = _spread(1 << RESIDUE_BITS, RESIDUE_BYTES, h + 1)
+        pat = guard - (guard >> RESIDUE_BITS)
         limb = 8 * RESIDUE_BYTES
         # limb k of (x ^ (x << L)) & pat is p_k xor p_{k-1} cut to
         # RESIDUE_BITS, and adding pat sets its guard bit exactly where that
         # is not zero; limbs 0 and 1 are dropped
         if ((((x ^ (x << limb)) & pat) + pat) & guard) >> 2 * limb == guard >> 2 * limb:
             return []
-    return _stalls(a, b, bound)
+    limb = 8 * nbytes
+    x = _half(a, b, nbytes)
+    tops = _spread(1 << limb - 1, nbytes, h + 1)
+    # limb k is 2^(L-1) + p_{k-1} - p_k; limbs 0 and 1 are dropped
+    ge = ((((x << limb) | tops) - x) & tops) >> 2 * limb
+    if not ge:
+        return []
+    # the top byte of each limb 2..h
+    marks = ge.to_bytes(nbytes * (h - 1), "little")[nbytes - 1 :: nbytes]
+    return list(compress(range(2, h + 1), marks))
 
 
 def gaussian(ell: int, m: int) -> QPolynomial:

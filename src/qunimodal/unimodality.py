@@ -37,10 +37,12 @@ it, limb-wise: if no two agree, the box is strict, exactly, since a stall
 is an equality and an equality survives the reduction.  Elsewhere, and
 where two residues agree, it makes one limb-wise compare of the exact
 packed half with itself shifted by one limb, which reads as zero on a
-strict box.  The plateaus come from the same stalls: Gaussian binomials
-are unimodal (Sylvester, 1878; O'Hara's combinatorial proof, J. Combin.
-Theory Ser. A, 1990), so each stall in the rising half is an equality
-p_{k-1} = p_k.
+strict box.  One stage loop builds both halves, and ``gaussian``'s too;
+only the limb layout differs, a mask and a guard bit per limb for the
+residues and one mask over the whole half for the exact coefficients.
+The plateaus come from the same stalls: Gaussian binomials are unimodal
+(Sylvester, 1878; O'Hara's combinatorial proof, J. Combin. Theory Ser.
+A, 1990), so each stall in the rising half is an equality p_{k-1} = p_k.
 
 Behaviour for min(ell, m) = 1 is this library's own extension: the
 boundary cases ell*m <= 3 make the defining chain vacuous and

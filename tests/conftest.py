@@ -1,8 +1,20 @@
+import atexit
+import shutil
+import tempfile
+
+import hypothesis
 import pytest
 
 from qunimodal import default_registry
 from qunimodal.certify import _leaf_strict
 from qunimodal.kronecker import _sampled
+
+# Hypothesis caches constants it mines from source files, from test
+# collection on; keep them in a temporary directory, not the checkout,
+# whichever test files run.
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="qunimodal-hypothesis-")
+atexit.register(shutil.rmtree, _HYPOTHESIS_HOME, True)
+hypothesis.configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME)
 
 
 @pytest.fixture

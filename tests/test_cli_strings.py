@@ -7,26 +7,16 @@ exit 1 with a single ``error:`` line on stderr; never in exit 2 or an
 uncaught exception.
 """
 
-import atexit
 import contextlib
 import io
 import re
-import shutil
-import tempfile
 
-import pytest
+import hypothesis
 
 from qunimodal import format_partition, g_oracle, lr, parse_partition, partitions_of, scan
 from qunimodal.cli import run
 
-hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
-
-# Hypothesis caches constants it mines from source files, from test
-# collection on; keep them in a temporary directory, not the checkout.
-_HOME = tempfile.mkdtemp(prefix="qunimodal-hypothesis-")
-atexit.register(shutil.rmtree, _HOME, True)
-hypothesis.configuration.set_hypothesis_home_dir(_HOME)
 
 SETTINGS = hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
 

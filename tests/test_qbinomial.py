@@ -2,6 +2,7 @@ import random
 from itertools import compress, groupby
 from math import comb
 
+import hypothesis
 import pytest
 
 from qunimodal import QPolynomial, check_strict, gaussian, gaussian_by_enumeration, qbinomial
@@ -12,6 +13,7 @@ from qunimodal.qbinomial import (
     _numerator,
     _passes,
     _relay,
+    _spread,
     _unpack,
     rising_stalls,
 )
@@ -158,7 +160,8 @@ def test_seams_of_the_stages(monkeypatch):
     # (2, 2001): no seam; the half is packed at once in 2-byte limbs, where
     # comb(2003, 2) takes 3 bytes
     assert seams(2, 2001) == []
-    assert qbinomial._half(2, 2001, _bound(2, 2001))[1] == 2
+    assert _limb_bytes(_bound(2, 2001)) == 2
+    assert _unpack(qbinomial._half(2, 2001, 2), 2, 2002) == packed_recurrence(2, 2001)[:2002]
     assert _limb_bytes(comb(2003, 2)) == 3
     # (21, 300): stage 11 widens 4-byte limbs to 8, which unpack would read
     # as words, and stage 21 widens them to 13, where comb(321, 21) takes 14
@@ -262,17 +265,42 @@ def test_geometric_matches_list_reference(d):
 
 @pytest.mark.parametrize("width", [1, 8, 64, 65, 1000])
 def test_numerator_matches_the_masked_reference(width):
-    # x * (1 - 2^s) modulo 2^width, against (x - (x << s)) & mask, which
-    # builds a negative temporary
+    # the exact layout: x * (1 - 2^s) modulo 2^width, once masked, against
+    # (x - (x << s)) & mask, which builds a negative temporary.  x may have
+    # the bit 2^width set, as a numerator leaves it, and no result is
+    # negative or reaches 2^(width+1)
     modulus = 1 << width
     mask = modulus - 1
     rng = random.Random(width)
-    xs = [0, mask] + [rng.getrandbits(width) for _ in range(30)]
+    xs = [0, mask, modulus, 2 * modulus - 1] + [rng.getrandbits(width + 1) for _ in range(30)]
     shifts = [0, 1, width // 2, width - 1, width, width + 1, 3 * width]
     shifts += [rng.randrange(1, width + 1) for _ in range(10)]
     for x in xs:
         for s in shifts:
-            assert _numerator(x, s, mask, modulus) == (x - (x << s)) & mask, (x, s)
+            y = _numerator(x, s, mask, modulus)
+            assert y & mask == (x - (x << s)) & mask, (x, s)
+            assert 0 <= y < 2 * modulus, (x, s)
+    # the residue layout, in as many 4-byte limbs as the width spans: for
+    # a shift by d limbs, limb j of the result is congruent to x_j - x_{j-d}
+    # modulo 2^22 and at most 2^22 above x_j, where limbs hold unreduced
+    # values with or without the guard bit; the result reads as the same
+    # number of limbs, so the top one did not borrow either
+    nbytes, bits = qbinomial.RESIDUE_BYTES, qbinomial.RESIDUE_BITS
+    count, mod = -(-width // (8 * nbytes)), 1 << bits
+    bias = _spread(mod, nbytes, count)
+    mask = bias - (bias >> bits)
+    top = (1 << 8 * nbytes) - mod
+    edges = [0, mod - 1, mod, 2 * mod - 1, 2 * mod, top - 1]
+    rows = [[edge] * count for edge in edges]
+    rows += [[rng.choice(edges + [rng.randrange(top)]) for _ in range(count)] for _ in range(30)]
+    for limbs in rows:
+        x = _pack(limbs, 8 * nbytes)
+        for d in range(count + 2):
+            out = _unpack(_numerator(x, 8 * nbytes * d, mask, bias), nbytes, count)
+            for j, (before, after) in enumerate(zip(limbs, out)):
+                below = limbs[j - d] if j >= d else 0
+                assert (after - before + below) % mod == 0, (limbs, d, j)
+                assert after <= before + mod, (limbs, d, j)
 
 
 def _plan(a, b):
@@ -329,7 +357,8 @@ def test_plan_matches_the_divisor_search():
     # every stage (s, b) above side 2 of the near-square boxes and of thin
     # ones; its numerators b+g+1..min(b+s, h), g = ceil(s/2), are fewer
     # than its smallest denominator g+1, so no denominator divides two of
-    # them and the plan needs no search
+    # them and the plan needs no search.  Its last factor is a sum, whose
+    # mask leaves the stage's result reduced
     boxes = [(a, b) for a in range(3, 121) for b in range(a, a + 61)]
     boxes += [(a, b) for a in range(5, 13) for b in range(300, 1201)]
     stages = {(s, b) for a, b in boxes for s in _stages(a, b) if s > 2}
@@ -337,7 +366,9 @@ def test_plan_matches_the_divisor_search():
         h, g = s * b // 2, (s + 1) // 2
         assert g == -(-h // b), (s, b)
         assert min(b + s, h) - (b + g) < g + 1, (s, b)
-        assert _factors(s, b, h, g) == _searched_factors(s, b, h, g), (s, b)
+        plan = _factors(s, b, h, g)
+        assert plan == _searched_factors(s, b, h, g), (s, b)
+        assert plan[-1][1] >= 1, (s, b)
 
 
 def test_a_numerator_with_two_divisors():
@@ -366,6 +397,46 @@ def test_no_doubling_step_shifts_past_the_width(monkeypatch):
     assert calls
     for shift, k, width in calls:
         assert shift * max(1, k // 2) < width, (shift, k, width)
+
+
+def test_stages_start_reduced_and_no_pass_goes_negative(monkeypatch):
+    # each stage starts reduced: its first pass takes an x that its mask
+    # leaves unchanged, also in residue limbs over a stage expanded exactly,
+    # as the side 7 of (14, 163), whose largest coefficient has 32 bits.
+    # And the bias keeps every numerator's result positive in both
+    # layouts, so no pass masks a negative int, which Python does on a
+    # two's complement copy.  Over expansions, and both passes of (9, 632)
+    firsts, seen = [], []
+    factors, numerator, geometric = qbinomial._factors, qbinomial._numerator, qbinomial._geometric
+
+    def spy_factors(*args):
+        firsts.append(None)
+        return factors(*args)
+
+    def record(x, mask):
+        if firsts and firsts[-1] is None:
+            firsts[-1] = x & mask == x
+        seen.append(x)
+
+    def spy_numerator(x, shift, mask, bias):
+        record(x, mask)
+        y = numerator(x, shift, mask, bias)
+        seen.append(y)
+        return y
+
+    def spy_geometric(x, shift, k, mask):
+        record(x, mask)
+        return geometric(x, shift, k, mask)
+
+    monkeypatch.setattr(qbinomial, "_factors", spy_factors)
+    monkeypatch.setattr(qbinomial, "_numerator", spy_numerator)
+    monkeypatch.setattr(qbinomial, "_geometric", spy_geometric)
+    for ell, m in [(63, 64), (5, 247), (12, 1175), (33, 67)]:
+        assert qbinomial._product_coeffs(ell, m) == packed_recurrence(ell, m)
+    qbinomial._half(14, 163, qbinomial.RESIDUE_BYTES, True)
+    assert check_strict(9, 632).strict
+    assert len(firsts) > 20 and all(firsts)
+    assert len(seen) > 100 and min(seen) >= 0
 
 
 def test_series_bytes_at_half_width(monkeypatch):
@@ -479,10 +550,13 @@ def test_rising_stalls_match_a_scan_of_the_recurrence(monkeypatch, ell, m, extra
     widths, relays = [], []
     half, relay = qbinomial._half, qbinomial._relay
 
-    def spy_half(a, b, bound):
-        x, nbytes = half(a, b, bound)
+    def spy_half(a, b, nbytes, residue=False):
+        if residue:
+            # residues that all agree: every box goes on to the exact route
+            return 0
+        x = half(a, b, nbytes)
         widths.append(nbytes)
-        return x, nbytes
+        return x
 
     def spy_relay(*args):
         relays.append(args[-1])
@@ -491,7 +565,7 @@ def test_rising_stalls_match_a_scan_of_the_recurrence(monkeypatch, ell, m, extra
     monkeypatch.setattr(qbinomial, "_half", spy_half)
     monkeypatch.setattr(qbinomial, "_relay", spy_relay)
     a, b = sorted((ell, m))
-    assert qbinomial._stalls(a, b, 2 * _bound(a, b)) == [k for k in rise if p[k - 1] >= p[k]]
+    assert rising_stalls(ell, m) == [k for k in rise if p[k - 1] >= p[k]]
     assert widths[-1] - _limb_bytes(_bound(a, b)) == extra
     assert (relays == []) == (a <= 2)
 
@@ -504,7 +578,8 @@ def _two_compares(ell, m):
     2^K), whose limb k is 2^(L-1) + p_k - p_{k-1}, ANDed with the stalls."""
     a, b = sorted((ell, m))
     h = a * b // 2
-    x, nbytes = qbinomial._half(a, b, 2 * _bound(a, b))
+    nbytes = _limb_bytes(2 * _bound(a, b))
+    x = qbinomial._half(a, b, nbytes)
     limb = 8 * nbytes
     tops = int.from_bytes((bytes(nbytes - 1) + b"\x80") * (h + 1), "little")
     ge = ((((x << limb) | tops) - x) & tops) >> 2 * limb
@@ -543,7 +618,6 @@ def test_check_strict_refuses_an_oversize_box_before_any_work(monkeypatch):
             gaussian(ell, m)
         with monkeypatch.context() as patch:
             patch.setattr(qbinomial, "_half", unreachable)
-            patch.setattr(qbinomial, "_residues", unreachable)
             patch.setattr(qbinomial, "comb", unreachable)
             with pytest.raises(ValueError) as refused:
                 check_strict(ell, m)
@@ -556,30 +630,90 @@ def test_check_strict_refuses_an_oversize_box_before_any_work(monkeypatch):
         check_strict(8, 8)
 
 
-def _spied(monkeypatch, name):
-    """Record the boxes that the qbinomial function ``name`` is called on."""
-    calls, real = [], getattr(qbinomial, name)
+def _spied_passes(monkeypatch):
+    """Record each outermost call of qbinomial._half as (a, b, residue): the
+    residue pass sets ``residue`` and the exact route does not.  The calls
+    for the stages below are not recorded."""
+    calls, real, depth = [], qbinomial._half, [0]
 
-    def spy(a, b, *rest):
-        calls.append((a, b))
-        return real(a, b, *rest)
+    def spy(a, b, nbytes, residue=False):
+        if not depth[0]:
+            calls.append((a, b, residue))
+        depth[0] += 1
+        try:
+            return real(a, b, nbytes, residue)
+        finally:
+            depth[0] -= 1
 
-    monkeypatch.setattr(qbinomial, name, spy)
+    monkeypatch.setattr(qbinomial, "_half", spy)
     return calls
 
 
 @pytest.mark.parametrize(
-    "a,b", [(3, 5), (7, 163), (9, 632), (33, 67), (45, 45), (12, 1175), (89, 90)]
+    "a,b", [(3, 5), (7, 163), (9, 632), (33, 67), (45, 45), (12, 1175), (89, 90), (14, 163)]
 )
 def test_residues_are_the_coefficients_modulo_the_residue_width(a, b):
     # each limb, below 2^32 (to_bytes would overflow otherwise), is the
     # coefficient modulo 2^22, with the stages below in residues as on
     # (89, 90) and (12, 1175), or expanded exactly as on (7, 163) and the
-    # side 3 of (12, 1175)
+    # side 3 of (12, 1175); the stage returns its limbs reduced.  (14, 163)
+    # builds on the exact half of (7, 163), whose largest coefficient has
+    # 32 bits: only reducing it after the relay leaves the guard headroom
     h = a * b // 2
-    residues = _unpack(qbinomial._residues(a, b), qbinomial.RESIDUE_BYTES, h + 1)
+    residues = _unpack(qbinomial._half(a, b, qbinomial.RESIDUE_BYTES, True),
+                       qbinomial.RESIDUE_BYTES, h + 1)
     mod = 1 << qbinomial.RESIDUE_BITS
     assert [r % mod for r in residues] == [p % mod for p in gaussian(a, b).coeffs[: h + 1]]
+    assert max(residues) < mod
+
+
+@hypothesis.strategies.composite
+def _residue_boxes(draw):
+    a = draw(hypothesis.strategies.integers(3, 141))
+    return a, draw(hypothesis.strategies.integers(a, 20_000 // a))
+
+
+@hypothesis.settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@hypothesis.given(_residue_boxes())
+def test_residue_limbs_hold_the_coefficients_on_random_boxes(box):
+    # 3 <= a <= b and ab <= 20,000: the h+1 residue limbs read back without
+    # overflow, so each is below 2^32, and each is its coefficient modulo
+    # 2^22, whichever stages below run in residues and which exactly
+    a, b = box
+    h = a * b // 2
+    x = qbinomial._half(a, b, qbinomial.RESIDUE_BYTES, True)
+    residues = _unpack(x, qbinomial.RESIDUE_BYTES, h + 1)
+    mod = 1 << qbinomial.RESIDUE_BITS
+    assert list(residues) == [p % mod for p in gaussian(a, b).coeffs[: h + 1]]
+
+
+@pytest.mark.parametrize("a,b,sides", [(12, 1175, [6, 12]), (89, 90, [12, 23, 45, 89])])
+def test_both_passes_plan_the_same_stages(monkeypatch, a, b, sides):
+    # one stage loop serves both passes: every stage that the residue pass
+    # runs in residues is planned on the same (a, b, h, g) as the exact
+    # route's stage of that side, and so is every stage below them, which
+    # both run exactly.  (12, 1175) builds its side 6 in residues on an
+    # exact side 3
+    plans, in_residues = [], []
+    factors, half = qbinomial._factors, qbinomial._half
+
+    def spy_factors(*args):
+        plans.append(args)
+        return factors(*args)
+
+    def spy_half(side, b, nbytes, residue=False):
+        if residue:
+            in_residues.append(side)
+        return half(side, b, nbytes, residue)
+
+    monkeypatch.setattr(qbinomial, "_factors", spy_factors)
+    monkeypatch.setattr(qbinomial, "_half", spy_half)
+    qbinomial._half(a, b, qbinomial.RESIDUE_BYTES, True)
+    assert sorted(in_residues) == sides
+    residue_plans = plans[:]
+    plans.clear()
+    qbinomial._half(a, b, _limb_bytes(2 * _bound(a, b)))
+    assert residue_plans == plans
 
 
 @pytest.mark.parametrize("ell,m,k", [(9, 632, 1690), (20, 197, 1171), (27, 214, 676)])
@@ -593,31 +727,24 @@ def test_a_false_collision_falls_back_to_the_exact_route(monkeypatch, ell, m, k)
     assert [j for j in range(2, ell * m // 2 + 1) if (p[j] - p[j - 1]) % mod == 0] == [k]
     assert p[k - 1] < p[k]
     assert _limb_bytes(2 * _bound(ell, m)) > qbinomial.RESIDUE_BYTES + 1
-    residues, exact = _spied(monkeypatch, "_residues"), _spied(monkeypatch, "_stalls")
+    passes = _spied_passes(monkeypatch)
     assert check_strict(ell, m).strict
-    # _residues also calls itself for the stages below
-    assert residues[:1] == exact == [(ell, m)]
+    assert passes == [(ell, m, True), (ell, m, False)]
 
 
 def test_a_strict_box_with_wide_limbs_is_decided_by_its_residues(monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("ran the exact route on a strict box")
-
-    residues = _spied(monkeypatch, "_residues")
-    monkeypatch.setattr(qbinomial, "_stalls", unreachable)
+    # the residue pass alone, and never the exact route
+    passes = _spied_passes(monkeypatch)
     # (8, 380) has 6-byte exact limbs, the narrowest that take the pass
     for ell, m in [(8, 380), (12, 1175), (89, 90), (109, 110)]:
-        residues.clear()
+        passes.clear()
         assert check_strict(ell, m).strict
-        assert residues[0] == (ell, m)
+        assert passes == [(ell, m, True)]
 
 
 def test_narrow_limbs_take_the_exact_route_alone(monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("ran the residue pass on narrow limbs")
-
-    monkeypatch.setattr(qbinomial, "_residues", unreachable)
-    exact = _spied(monkeypatch, "_stalls")
+    # the exact route alone, and never the residue pass
+    passes = _spied_passes(monkeypatch)
     # 5-byte exact limbs and narrower, and every exceptional pair
     boxes = [(6, 600), (7, 163), (4, 23627), (5, 14), (6, 6), (2, 300)]
     assert [_limb_bytes(2 * _bound(a, b)) for a, b in boxes] == [5, 5, 5, 2, 1, 2]
@@ -625,7 +752,7 @@ def test_narrow_limbs_take_the_exact_route_alone(monkeypatch):
         check_strict(ell, m)
     for a, b in sorted(EXCEPTION_PAIRS):
         assert not check_strict(a, b).strict
-    assert exact == boxes + sorted(EXCEPTION_PAIRS)
+    assert passes == [(a, b, False) for a, b in boxes + sorted(EXCEPTION_PAIRS)]
 
 
 def test_a_real_stall_with_wide_limbs_runs_both_passes(monkeypatch):
@@ -635,9 +762,9 @@ def test_a_real_stall_with_wide_limbs_runs_both_passes(monkeypatch):
     p = gaussian(4, 23628).coeffs
     scan = [k for k in range(2, 47257) if p[k - 1] >= p[k]]
     assert scan == [47255]
-    residues, exact = _spied(monkeypatch, "_residues"), _spied(monkeypatch, "_stalls")
+    passes = _spied_passes(monkeypatch)
     assert rising_stalls(4, 23628) == scan
-    assert residues[:1] == exact == [(4, 23628)]
+    assert passes == [(4, 23628, True), (4, 23628, False)]
 
 
 @pytest.mark.parametrize("bits", [1, 8])
@@ -647,9 +774,9 @@ def test_stalls_do_not_depend_on_the_residue_width(monkeypatch, bits):
     boxes = [(8, 380), (12, 1175), (45, 45), (20, 197), (4, 23628)]
     expected = [rising_stalls(ell, m) for ell, m in boxes]
     monkeypatch.setattr(qbinomial, "RESIDUE_BITS", bits)
-    exact = _spied(monkeypatch, "_stalls")
+    passes = _spied_passes(monkeypatch)
     assert [rising_stalls(ell, m) for ell, m in boxes] == expected
-    assert exact == boxes
+    assert [(a, b) for a, b, residue in passes if not residue] == boxes
 
 
 def _admitted(a, b):
@@ -679,7 +806,6 @@ def test_residue_limbs_never_reach_their_top(monkeypatch):
         raise AssertionError("expanded a box")
 
     monkeypatch.setattr(qbinomial, "_half", unreachable)
-    monkeypatch.setattr(qbinomial, "_residues", unreachable)
     square = 1
     while _admitted(square + 1, square + 1):
         square += 1
