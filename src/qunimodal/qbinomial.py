@@ -49,8 +49,8 @@ a whole stage every limb holds a true, non-negative coefficient.
 that its caller sizes, so each stage makes one ``_relay`` call that
 mirrors and widens together.  The stage below is packed for B(g, b)
 (defined below), which is no wider (proved below); ``gaussian`` sizes
-its limbs for B(a, b), and ``rising_stalls`` for 2 B(a, b), the spare
-top bit its compare needs.
+its limbs for B(a, b), and the exact rung of ``rising_stalls`` for
+2 B(a, b), the spare top bit its compare takes as a guard bit.
 Unpacking reads limbs of 1, 2, 4 or 8 bytes with ``struct`` as unsigned
 words of their own width; a limb of 3 or 5 to 7 bytes is first widened
 by ``_relay`` to the next of these widths, and wider limbs are read one
@@ -115,36 +115,49 @@ k = 63, which costs 10 shift-and-adds where the two apart cost 9.  On
 takes 36, which saves more.  The numerators and denominators left over
 are applied one by one.
 
-``rising_stalls`` decides the strictness chain on the packed half
-without unpacking it, by limb-wise compares (broadword arithmetic, Knuth,
-TAOCP 4A, 7.1.3).  Let x hold p_0, ..., p_h in L-bit limbs, and let T
-have the top bit 2^(L-1) of each limb 0..h set.  If every coefficient is
-below 2^(L-1), the OR in (x << L) | T adds 2^(L-1) to every limb, and
-limb k of ((x << L) | T) - x is 2^(L-1) + p_{k-1} - p_k, which lies in
-(0, 2^L): no limb borrows from the next, so the limbs of the difference
-are exactly these values, and its top bit, kept by ``& T``, is set
-exactly when p_{k-1} >= p_k.  A strict box leaves limbs 2..h zero, and
-nothing is read back; otherwise the stalls are read by the top byte of
-each limb.  Each stall is an equality p_{k-1} = p_k, as Gaussian
-binomials are unimodal (Sylvester, 1878; O'Hara's combinatorial proof,
-J. Combin. Theory Ser. A, 1990).  Where B has a whole number of bytes,
-as on (7, 163) and (45, 45), the spare bit packs the last stage one byte
-wider than ``gaussian``'s.
+``rising_stalls`` reads the strictness chain off packed halves by one
+limb-wise compare, ``_agreeing`` (broadword arithmetic, Knuth, TAOCP 4A,
+7.1.3).  Gaussian binomials are unimodal (Sylvester, 1878; O'Hara's
+combinatorial proof, J. Combin. Theory Ser. A, 1990), so each stall is
+an equality p_{k-1} = p_k, and the compare asks only where neighbours
+agree.  Let x hold v_0, ..., v_h in L-bit limbs, P the low ``bits`` < L
+bits and G the bit 2^bits of each limb.  Limb k of (x ^ (x << L)) & P is
+v_k xor v_{k-1} cut to ``bits`` bits; adding P sets its bit 2^bits
+exactly where it is not zero, and never carries into the next limb (the
+sum is below 2^(bits+1)).  So G ^ ((((x ^ (x << L)) & P) + P) & G) marks
+limb k exactly where v_k = v_{k-1} modulo 2^bits; limbs 0 and 1 are
+shifted out, and a strict box leaves zero.
 
-Before that exact route, ``rising_stalls`` runs the same stages in
-residues: coefficients modulo 2^R, R = ``RESIDUE_BITS`` = 22, in limbs of
-W = ``RESIDUE_BYTES`` = 4 bytes, whose top 8W - R = 10 bits are guard
-bits.  Soundness: every stall is an equality, and p_{k-1} = p_k survives
-reduction modulo 2^R; so if no two neighbouring residues agree at k =
-2..h, the box has no stall and is strict, exactly.  If any pair agrees,
-the exact route runs, unchanged, and its stalls are the answer; an agreeing
-pair that is no stall (a false collision) costs that second pass and
-nothing else.  Of the 14,115 boxes with 5 <= a <= b and ab <= 6,000, the
-residues flag the nine exceptional pairs and three false collisions,
-(9, 632) at k = 1690, (20, 197) at k = 1171 and (27, 214) at k = 676.
+``rising_stalls`` runs up to two rungs (nbytes, bits, residue), each a
+half packed by ``_half`` and that one compare; a rung on which no
+neighbours agree returns the box strict.  The residue rung holds the
+coefficients modulo 2^R, R = ``RESIDUE_BITS`` = 22, in limbs of W =
+``RESIDUE_BYTES`` = 4 bytes, 10 guard bits each: an equality survives
+the reduction, so agreement modulo 2^22 is necessary for a stall.  The
+exact rung, in limbs of the E bytes of 2 B(a, b), compares with bits =
+8E - 1: every coefficient is below 2^(8E-1), so the spare top bit is the
+guard bit, agreement is the stall, and the top byte of each limb is read
+back.  Where B has a whole number of bytes, as on (7, 163) and (45, 45),
+the spare bit packs the last stage one byte wider than ``gaussian``'s.
+A false collision, residues that agree where no stall is, costs the
+exact rung and nothing else: of the 14,115 boxes with 5 <= a <= b and ab
+<= 6,000, the residues flag the nine exceptional pairs and three false
+collisions, (9, 632) at k = 1690, (20, 197) at k = 1171 and (27, 214) at
+k = 676.
 
-One stage loop, ``_half``, serves ``gaussian``, the exact route and the
-residue pass, over the same ``_factors``, ``_relay`` and ``_geometric``;
+The width rule chooses the rungs: the residue rung comes first only
+where the exact limbs take more than W + 1 = 5 bytes, where its 4-byte
+limbs are well below them.  Against the exact rung alone, both rungs
+take, on the boxes of the benchmark's strata, median per stratum (best
+of 7 calls per box, 2-vCPU Intel Xeon VM, Python 3.11.7), 0.96 to 0.99
+of the time on 5-byte limbs, 0.84 to 0.86 on 6-byte ones, 0.65 to 0.68
+on 8, 0.37 on 15 and 0.22 on 21 to 22; on 4-byte limbs 1.14 to 1.16.  A
+box that truly stalls climbs both: (4, b) with b >= 23,628, whose exact
+limbs take 6 bytes, takes 1.5 to 1.7 times as long as on the exact rung
+alone.
+
+One stage loop, ``_half``, packs both rungs' halves and ``gaussian``'s,
+over the same ``_factors``, ``_relay`` and ``_geometric``;
 ``_half(a, b, W, True)`` differs only in its limb layout.  There M = P,
 the pattern 2^R - 1 in each of the h+1 limbs, and C the guard bit 2^R in
 each: ``& P`` cuts to the h+1 limbs and reduces each limb modulo 2^R
@@ -167,17 +180,6 @@ h < 2^22 in every sum, so c <= 2*22 - 2 = 42.  Then 1 + r + c <= 246 <
 2^10, and no limb reaches 2^(8W) = 2^32.  On the largest square and thin
 boxes the guard admits, (322, 322) and (3, 399457) to (20, 14979), it is
 at most 21.
-
-The residue pass pays where its 4-byte limbs are well below the exact
-ones: it runs only where 2 B(a, b), the exact route's top limb bound,
-takes more than W + 1 = 5 bytes.  Against the exact route alone, its
-time on the boxes of the benchmark's strata, median per stratum (best of
-7 calls per box, 2-vCPU Intel Xeon VM, Python 3.11.7), is 0.96 to 0.99
-on 5-byte limbs, 0.84 to 0.86 on 6-byte ones, 0.65 to 0.68 on 8, 0.37
-on 15 and 0.22 on 21 to 22; on 4-byte limbs it is 1.14 to 1.16.  A box
-that truly stalls pays both passes: (4, b) with b >= 23,628, whose exact
-limbs take 6 bytes, takes 1.5 to 1.7 times as long as by the exact route
-alone.
 
 The independent oracle ``gaussian_by_enumeration`` counts box partitions
 one by one and shares no arithmetic with the packed product formula.
@@ -205,7 +207,7 @@ ENUMERATION_GUARD = 64
 # Intel Xeon VM, Python 3.11.7).
 EXPANSION_GUARD = 1 << 22
 
-# rising_stalls first decides a box on its coefficients modulo
+# the residue rung of rising_stalls holds a box's coefficients modulo
 # 2^RESIDUE_BITS, packed in limbs of RESIDUE_BYTES bytes: the bits above
 # RESIDUE_BITS are guard bits, which take up the carries of unreduced
 # limbs (the module docstring bounds them).
@@ -456,41 +458,44 @@ def _check_size(ell: int, m: int) -> None:
         )
 
 
-def rising_stalls(ell: int, m: int) -> list[int]:
-    """The stalls p_{k-1} >= p_k of binom(m+ell, m)_q, 2 <= k <= floor(ell*m/2),
-    for ell, m >= 1; by Sylvester's theorem each is an equality.
+def _agreeing(x: int, nbytes: int, bits: int, count: int) -> int:
+    """Bit 2^bits of each limb k >= 2 of the ``count`` limbs of ``nbytes``
+    bytes in ``x`` whose low ``bits`` < 8*nbytes bits equal limb k-1's,
+    shifted past limbs 0 and 1; zero where no neighbours agree."""
+    guard = _spread(1 << bits, nbytes, count)
+    low = guard - (guard >> bits)
+    limb = 8 * nbytes
+    return (guard ^ ((((x ^ (x << limb)) & low) + low) & guard)) >> 2 * limb
 
-    Where the exact limbs would take more than one byte beyond a residue
-    limb, the residues modulo 2^RESIDUE_BITS decide first: no two equal
-    neighbours there, and the box is strict.  Otherwise the stalls are
-    read off the exact packed rising half by a limb-wise compare.  No
-    coefficient is unpacked.  A box that :func:`gaussian` refuses raises
-    the same ``ValueError`` before any expansion.
+
+def rising_stalls(ell: int, m: int) -> list[int]:
+    """The k, 2 <= k <= floor(ell*m/2), where p_{k-1} = p_k in
+    binom(m+ell, m)_q, for ell, m >= 1; by Sylvester's theorem the rising
+    half never falls, so these are exactly its stalls.
+
+    Two rungs each pack the rising half and mark the neighbours that
+    agree in their low ``bits`` bits.  The residue rung, modulo
+    2^RESIDUE_BITS, runs first only where the exact limbs would take more
+    than one byte beyond a residue limb; if it marks none the box is
+    strict.  The exact rung marks the stalls themselves, which are read
+    back.  No coefficient is unpacked.  A box that :func:`gaussian`
+    refuses raises the same ``ValueError`` before any expansion.
     """
     _check_size(ell, m)
     a, b = min(ell, m), max(ell, m)
     h = a * b // 2
-    # a spare top bit: every coefficient stays below 2^(L-1)
-    nbytes = _limb_bytes(2 * _bound(a, b))
-    if nbytes > RESIDUE_BYTES + 1:
-        x = _half(a, b, RESIDUE_BYTES, True)
-        guard = _spread(1 << RESIDUE_BITS, RESIDUE_BYTES, h + 1)
-        pat = guard - (guard >> RESIDUE_BITS)
-        limb = 8 * RESIDUE_BYTES
-        # limb k of (x ^ (x << L)) & pat is p_k xor p_{k-1} cut to
-        # RESIDUE_BITS, and adding pat sets its guard bit exactly where that
-        # is not zero; limbs 0 and 1 are dropped
-        if ((((x ^ (x << limb)) & pat) + pat) & guard) >> 2 * limb == guard >> 2 * limb:
-            return []
-    limb = 8 * nbytes
-    x = _half(a, b, nbytes)
-    tops = _spread(1 << limb - 1, nbytes, h + 1)
-    # limb k is 2^(L-1) + p_{k-1} - p_k; limbs 0 and 1 are dropped
-    ge = ((((x << limb) | tops) - x) & tops) >> 2 * limb
-    if not ge:
+    # every coefficient stays below 2^(L-1): the spare top bit is the
+    # exact rung's guard bit
+    exact = _limb_bytes(2 * _bound(a, b))
+    if exact > RESIDUE_BYTES + 1 and not _agreeing(
+        _half(a, b, RESIDUE_BYTES, True), RESIDUE_BYTES, RESIDUE_BITS, h + 1
+    ):
         return []
-    # the top byte of each limb 2..h
-    marks = ge.to_bytes(nbytes * (h - 1), "little")[nbytes - 1 :: nbytes]
+    agree = _agreeing(_half(a, b, exact), exact, 8 * exact - 1, h + 1)
+    if not agree:
+        return []
+    # the top byte of each limb 2..h holds its mark
+    marks = agree.to_bytes(exact * (h - 1), "little")[exact - 1 :: exact]
     return list(compress(range(2, h + 1), marks))
 
 

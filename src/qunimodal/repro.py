@@ -296,8 +296,7 @@ def repro_semigroup(
     """Positivity and monotonicity of g under part-wise sums, sampled from
     pairs of triples whose total size n is at most max_n, where
     2 <= max_n <= ``DEFAULT_ORACLE_BOUND`` and samples <= ``kronecker.MAX_SAMPLES``."""
-    if not 2 <= max_n <= DEFAULT_ORACLE_BOUND:
-        raise ValueError(f"need 2 <= max_n <= {DEFAULT_ORACLE_BOUND}: got max_n={max_n}")
+    _check_max_n(max_n, DEFAULT_ORACLE_BOUND, "semigroup claim", least=2)
     violations = [
         f"violation: {first} + {second}: g={g_first},{g_second} sum gives {g_sum}"
         for first, second, g_first, g_second, g_sum in semigroup_check(

@@ -29,20 +29,11 @@ the ``theorem``, ``leaves``, ``lemma12``, ``semigroup`` and
 per pair, and answers ``Strict`` also where ``certify`` refuses a table
 of over ``MAX_NODES`` entries, as for (5, 2**5000 - 3).
 
-``check_strict`` never unpacks the vector.  It takes the stalls
-p_{k-1} >= p_k of the rising half from ``qbinomial.rising_stalls``.  Where
-the exact limbs would take more than 5 bytes, that first packs the half
-modulo 2^22 in 4-byte limbs and compares each residue with the one below
-it, limb-wise: if no two agree, the box is strict, exactly, since a stall
-is an equality and an equality survives the reduction.  Elsewhere, and
-where two residues agree, it makes one limb-wise compare of the exact
-packed half with itself shifted by one limb, which reads as zero on a
-strict box.  One stage loop builds both halves, and ``gaussian``'s too;
-only the limb layout differs, a mask and a guard bit per limb for the
-residues and one mask over the whole half for the exact coefficients.
-The plateaus come from the same stalls: Gaussian binomials are unimodal
-(Sylvester, 1878; O'Hara's combinatorial proof, J. Combin. Theory Ser.
-A, 1990), so each stall in the rising half is an equality p_{k-1} = p_k.
+``check_strict`` never unpacks the vector.  It takes the k with
+p_{k-1} = p_k on the rising half from ``qbinomial.rising_stalls``, which
+by Sylvester's theorem are exactly its stalls and are also the plateaus;
+that docstring, and the ``qbinomial`` module docstring, say how they are
+decided.
 
 Behaviour for min(ell, m) = 1 is this library's own extension: the
 boundary cases ell*m <= 3 make the defining chain vacuous and

@@ -360,13 +360,15 @@ def test_repro_lemma12_refuses_max_n_above_the_oracle_bound_at_once(monkeypatch,
 
 @pytest.mark.parametrize("max_n", ["1", "19"])
 def test_repro_semigroup_reports_max_n_out_of_range(max_n, capsys):
+    # the same rule and messages as every other sized claim
     argv = ["repro", "--claim", "semigroup", "--samples", "5", "--max-n", max_n]
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"error: need 2 <= max_n <= {DEFAULT_ORACLE_BOUND}: got max_n={max_n}\n"
-    )
+    assert captured.err == "error: " + {
+        "1": "semigroup claim needs n >= 2, or it checks nothing: got max_n=1",
+        "19": f"semigroup claim limited to n <= {DEFAULT_ORACLE_BOUND}: got max_n=19",
+    }[max_n] + "\n"
 
 
 @pytest.mark.parametrize(

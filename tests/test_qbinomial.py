@@ -570,6 +570,43 @@ def test_rising_stalls_match_a_scan_of_the_recurrence(monkeypatch, ell, m, extra
     assert (relays == []) == (a <= 2)
 
 
+@pytest.mark.parametrize(
+    "nbytes,bits",
+    [(qbinomial.RESIDUE_BYTES, qbinomial.RESIDUE_BITS), (1, 7), (2, 15), (5, 39), (9, 71)],
+)
+def test_agreeing_matches_a_list_reference(nbytes, bits):
+    # both rung layouts: 4-byte residue limbs compared on their low 22
+    # bits, whatever their guard bits hold, and exact limbs compared on
+    # all bits but the spare top one, every value below 2^bits.  The marks
+    # are bit 2^bits of limb k, limbs 0 and 1 shifted out, at each k >= 2
+    # where limbs k-1 and k agree in their low bits
+    limb, mod = 8 * nbytes, 1 << bits
+    top = 1 << limb if bits < limb - 1 else mod
+    rng = random.Random(limb)
+
+    def reference(values):
+        return sum(1 << (k - 2) * limb + bits for k in range(2, len(values))
+                   if (values[k] - values[k - 1]) % mod == 0)
+
+    vectors = [[mod - 1] * 40, [mod - 1, 0] * 20]
+    for count in (1, 2, 3, 4, 40):
+        for _ in range(20):
+            values = [rng.choice([0, mod - 1, top - 1, rng.randrange(top)]) for _ in range(count)]
+            # equal neighbours at limb 2, at the last limb, or anywhere
+            for k in (2, count - 1, rng.randrange(count)):
+                if 1 <= k < count and rng.random() < 0.5:
+                    values[k] = values[k - 1] ^ mod * rng.randrange(top // mod)
+            vectors.append(values)
+    for values in vectors:
+        got = qbinomial._agreeing(_pack(values, limb), nbytes, bits, len(values))
+        assert got == reference(values), values
+    # strictly rising modulo 2^bits, with anything in the bits above, and
+    # equal limbs 0 and 1, which are never marked
+    no_pair = [k + mod * rng.randrange(top // mod) for k in range(40)]
+    for values in (no_pair, [0, 0] + no_pair[2:]):
+        assert qbinomial._agreeing(_pack(values, limb), nbytes, bits, 40) == 0
+
+
 def _two_compares(ell, m):
     """The stalls p_{k-1} >= p_k and the equalities p_{k-1} = p_k of the
     rising half, each by its own limb-wise compare on the packed half: the
