@@ -18,14 +18,14 @@ one shift-and-subtract, and dividing by 1 - 2^{Ld} multiplies by the
 until the shift reaches K.  Each pass works on non-negative values of
 about K bits, with a mask M and a bias C that make the limb layout; this
 exact layout has M = 2^K - 1 and C = 2^K.  A numerator pass is one
-subtraction, (x | C) - ((x << s) & M), which never borrows: x | C is
-congruent to x modulo 2^K and at least 2^K, the masked shift is below
-2^K, so the difference is positive, and it stays below 2^(K+1) when x
-does.  No negative value is ever masked (a bitwise and of a negative int
-works on a two's complement copy).  A series, like each geometric sum
-below, cuts only each shifted term to K bits, lets the running sum carry
-a few bits past K, and masks it once when it returns; the last factor of
-every stage is such a sum, so a stage returns masked.  The mask and the
+subtraction, (x | C) - ((x << s) & M), masked by M.  It never borrows:
+x | C is congruent to x modulo 2^K and at least 2^K, and the masked
+shift is below 2^K, so the difference is positive, and the mask leaves
+x (1 - 2^s) modulo 2^K.  No negative value is ever masked (a bitwise and
+of a negative int works on a two's complement copy).  A series, like
+each geometric sum below, cuts only each shifted term to K bits, lets
+the running sum carry a few bits past K, and masks it once when it
+returns.  So every factor hands on a masked value.  The mask and the
 bias are computed once per stage.
 
 The half is built in stages.  Stage (a, b), a > 2, starts from the
@@ -128,58 +128,73 @@ sum is below 2^(bits+1)).  So G ^ ((((x ^ (x << L)) & P) + P) & G) marks
 limb k exactly where v_k = v_{k-1} modulo 2^bits; limbs 0 and 1 are
 shifted out, and a strict box leaves zero.
 
-``rising_stalls`` runs up to two rungs (nbytes, bits, residue), each a
-half packed by ``_half`` and that one compare; a rung on which no
-neighbours agree returns the box strict.  The residue rung holds the
-coefficients modulo 2^R, R = ``RESIDUE_BITS`` = 22, in limbs of W =
-``RESIDUE_BYTES`` = 4 bytes, 10 guard bits each: an equality survives
-the reduction, so agreement modulo 2^22 is necessary for a stall.  The
-exact rung, in limbs of the E bytes of 2 B(a, b), compares with bits =
-8E - 1: every coefficient is below 2^(8E-1), so the spare top bit is the
-guard bit, agreement is the stall, and the top byte of each limb is read
-back.  Where B has a whole number of bytes, as on (7, 163) and (45, 45),
-the spare bit packs the last stage one byte wider than ``gaussian``'s.
+``rising_stalls`` climbs a ladder of rungs, each a half packed by
+``_half`` and that one compare; the first rung on which no neighbours
+agree proves the box strict.  The residue rungs, (W, R) in
+``RESIDUE_RUNGS`` = ((3, 18), (4, 26)), hold the coefficients modulo 2^R
+in limbs of W bytes: an equality survives the reduction, so agreement
+modulo 2^R is necessary for a stall.  The exact rung, in limbs of the E
+bytes of 2 B(a, b), compares with bits = 8E - 1: every coefficient is
+below 2^(8E-1), so the spare top bit is the guard bit, agreement is the
+stall, and the top byte of each limb is read back.  Where B has a whole
+number of bytes, as on (7, 163) and (45, 45), the spare bit packs the
+last stage one byte wider than ``gaussian``'s.  Two rules choose where
+the residue rungs run and what they compare; neither can change an
+answer, since the exact rung decides whatever they leave open:
+
+1. A residue rung runs only where a >= 5 and the exact limbs take more
+   than W + 1 bytes, so that its limbs are well below them.  Every box
+   with a side of 3 or 4 stalls (the ``ell34`` claim of ``repro``; (4,
+   b) at k = 2b - 1), so no residue rung could clear it: (4, 30000),
+   whose exact limbs take 6 bytes, would climb both residue rungs and
+   then the exact one.
+2. A residue rung compares only limbs b+1..h.  For k <= b, p_k counts
+   the partitions of k into parts of at most a (by conjugation: into at
+   most a parts, none above k <= b), and those with a part 1 are
+   p_{k-1}'s with a 1 added, so p_k - p_{k-1} counts the partitions of
+   k into parts 2..a: at least 1 for k >= 2 and a >= 3 (2s, or one 3 and
+   2s), so no stall has k <= b.  Those counts depend on (a, k) alone;
+   2^18 divides them first at k = 1910 for a = 6, 4574 for a = 8 and
+   5097 for a = 30, so every box (6, b >= 1910), (8, b >= 4574) or (30,
+   b >= 5097) would agree on the 18-bit rung if it compared them.
+
 A false collision, residues that agree where no stall is, costs the
-exact rung and nothing else: of the 14,115 boxes with 5 <= a <= b and ab
-<= 6,000, the residues flag the nine exceptional pairs and three false
-collisions, (9, 632) at k = 1690, (20, 197) at k = 1171 and (27, 214) at
-k = 676.
+next rung and nothing else.  Of the 14,115 boxes with 5 <= a <= b and ab
+<= 6,000, 1,428 take the exact rung alone (the nine exceptional pairs
+among them), 12,610 are proved strict on the 18-bit rung, 65 agree
+there and are proved strict on the 26-bit rung, among them (9, 632),
+(20, 197) and (27, 214), whose residues agree modulo 2^22 too, and
+(7, 460), and 12 whose exact limbs take 5 bytes, such as (5, 776),
+agree there and go on to the exact rung.  Agreement at 18 bits has
+odds of about (h - b)/2^18 on a strict box: (30, 5200), with h = 78,000,
+agrees at k = 77,352 and climbs to the 26-bit rung.
 
-The width rule chooses the rungs: the residue rung comes first only
-where the exact limbs take more than W + 1 = 5 bytes, where its 4-byte
-limbs are well below them.  Against the exact rung alone, both rungs
-take, on the boxes of the benchmark's strata, median per stratum (best
-of 7 calls per box, 2-vCPU Intel Xeon VM, Python 3.11.7), 0.96 to 0.99
-of the time on 5-byte limbs, 0.84 to 0.86 on 6-byte ones, 0.65 to 0.68
-on 8, 0.37 on 15 and 0.22 on 21 to 22; on 4-byte limbs 1.14 to 1.16.  A
-box that truly stalls climbs both: (4, b) with b >= 23,628, whose exact
-limbs take 6 bytes, takes 1.5 to 1.7 times as long as on the exact rung
-alone.
+Against the exact rung alone the ladder takes, median per stratum of
+the benchmark's boxes (best of 7 calls per box, 2-vCPU Intel Xeon VM,
+Python 3.11.7), 0.72 to 0.77 of the time on 5-byte exact limbs, 0.65 to
+0.67 on 6, 0.50 to 0.65 on 8, 0.45 to 0.56 on 9, 0.39 on 12, 0.28 to
+0.29 on 15, 0.16 to 0.17 on 21 to 22 and 0.13 on 26 to 27.
 
-One stage loop, ``_half``, packs both rungs' halves and ``gaussian``'s,
+One stage loop, ``_half``, packs every rung's half and ``gaussian``'s,
 over the same ``_factors``, ``_relay`` and ``_geometric``;
-``_half(a, b, W, True)`` differs only in its limb layout.  There M = P,
+``_half(a, b, W, R)`` differs only in its limb layout.  There M = P,
 the pattern 2^R - 1 in each of the h+1 limbs, and C the guard bit 2^R in
 each: ``& P`` cuts to the h+1 limbs and reduces each limb modulo 2^R
 together, so it is both the mask of the geometric sums and the reduction.
-The numerator (x | C) - ((x << s) & P) works limb-wise: limb j of x | C
-is x_j with its bit 2^R set, which adds 0 or 2^R to it, and the
-subtracted limb is below 2^R, so no limb borrows from the next, limb j
-becomes congruent to x_j - x_{j-d} modulo 2^R, and each numerator grows a
-limb by at most 2^R.  A doubling step of a geometric sum adds a term
-below 2^R to each limb, and the sum is reduced when it returns.  Each
+The numerator ((x | C) - ((x << s) & P)) & P works limb-wise: limb j of
+x | C is at least 2^R and the subtracted limb is below 2^R, so no limb
+borrows from the next, and the mask leaves limb j at x_j - x_{j-d}
+modulo 2^R, reduced.  So every factor hands on reduced limbs, and each
 stage starts reduced, ``& P`` after ``_relay``; a stage below whose exact
 limbs take at most W bytes (always the side 2, as B(2, b) <= b < 2^22 in
 an admitted box) is expanded exactly, relayed into residue limbs and
-reduced by that mask.  So within a stage no limb exceeds (1 + r + c) 2^R,
-where r <= a - g is the longest run of numerators and c the most
-shift-and-adds of one geometric sum.  Guard headroom: a box admitted by
-``EXPANSION_GUARD`` has h+1 <= 2^22 limbs of at least (a+1)/8 bytes
-(comb(a+b, a) >= 2^a), so a^3/16 < 2^22 and a <= 406, r <= 203; and k <=
-h < 2^22 in every sum, so c <= 2*22 - 2 = 42.  Then 1 + r + c <= 246 <
-2^10, and no limb reaches 2^(8W) = 2^32.  On the largest square and thin
-boxes the guard admits, (322, 322) and (3, 399457) to (20, 14979), it is
-at most 21.
+reduced by that mask.  Within a geometric sum of c shift-and-adds each
+pass adds a term below 2^R to a limb, so no limb reaches (1 + c) 2^R.
+Guard headroom: a box admitted by ``EXPANSION_GUARD`` has h+1 <= 2^22
+limbs, so k <= h < 2^22 in every sum and c <= 2*22 - 2 = 42.  Then 1 + c
+<= 43 < 2^6: six guard bits serve every rung, R = 8W - 6, and no limb
+reaches 2^(8W).  On the largest square and thin boxes the guard admits,
+(322, 322) and (3, 399457) to (20, 14979), c is at most 18.
 
 The independent oracle ``gaussian_by_enumeration`` counts box partitions
 one by one and shares no arithmetic with the packed product formula.
@@ -207,12 +222,11 @@ ENUMERATION_GUARD = 64
 # Intel Xeon VM, Python 3.11.7).
 EXPANSION_GUARD = 1 << 22
 
-# the residue rung of rising_stalls holds a box's coefficients modulo
-# 2^RESIDUE_BITS, packed in limbs of RESIDUE_BYTES bytes: the bits above
-# RESIDUE_BITS are guard bits, which take up the carries of unreduced
-# limbs (the module docstring bounds them).
-RESIDUE_BITS = 22
-RESIDUE_BYTES = 4
+# the residue rungs of rising_stalls, climbed in this order, as (W, R):
+# each holds a box's coefficients modulo 2^R in limbs of W bytes.  The
+# 8W - R = 6 bits above R are guard bits, which take up the carries
+# within a geometric sum (the module docstring bounds them).
+RESIDUE_RUNGS = ((3, 18), (4, 26))
 
 
 class QPolynomial:
@@ -320,9 +334,9 @@ def _passes(k: int) -> int:
 def _numerator(x: int, shift: int, mask: int, bias: int) -> int:
     """x * (1 - 2^shift) in the limb layout of ``mask`` and ``bias``, by one
     subtraction that never borrows: the bias is ORed into x before the
-    masked shift, which is below it, is taken away (the module docstring
-    has both layouts)."""
-    return (x | bias) - ((x << shift) & mask)
+    masked shift, which is below it, is taken away; the result is masked,
+    so it is reduced (the module docstring has both layouts)."""
+    return ((x | bias) - ((x << shift) & mask)) & mask
 
 
 def _geometric(x: int, shift: int, k: int, mask: int) -> int:
@@ -394,22 +408,22 @@ def _spread(value: int, nbytes: int, count: int) -> int:
     return int.from_bytes(value.to_bytes(nbytes, "little") * count, "little")
 
 
-def _half(a: int, b: int, nbytes: int, residue: bool = False) -> int:
+def _half(a: int, b: int, nbytes: int, bits: int = 0) -> int:
     """The rising half of binom(a+b, a)_q, 1 <= a <= b, packed in
     floor(ab/2)+1 limbs of ``nbytes`` bytes: the exact coefficients, in limbs
-    wide enough for B(a, b), or with ``residue`` each coefficient modulo
-    2^RESIDUE_BITS.
+    wide enough for B(a, b), or for ``bits`` > 0 each coefficient modulo
+    2^bits, which needs 8*nbytes - bits >= 6 guard bits.
 
     The two limb layouts differ only in the mask and the bias of the
-    numerator (x | bias) - ((x << s) & mask).  A residue stage builds on
+    numerator ((x | bias) - ((x << s) & mask)) & mask.  A residue stage builds on
     an exact stage below where that stage's exact limbs take no more than
     ``nbytes`` bytes.
     """
     h = a * b // 2
     limb = 8 * nbytes
-    if residue:
-        bias = _spread(1 << RESIDUE_BITS, nbytes, h + 1)
-        mask = bias - (bias >> RESIDUE_BITS)
+    if bits:
+        bias = _spread(1 << bits, nbytes, h + 1)
+        mask = bias - (bias >> bits)
     else:
         bias = 1 << limb * (h + 1)
         mask = bias - 1
@@ -424,14 +438,13 @@ def _half(a: int, b: int, nbytes: int, residue: bool = False) -> int:
     g = (a + 1) // 2
     exact = _limb_bytes(_bound(g, b))
     old = min(exact, nbytes)
-    x = _half(g, b, old, residue and exact > old)
+    x = _half(g, b, old, bits if exact > old else 0)
     x = int.from_bytes(_relay(x, old, g * b // 2 + 1, g * b, h + 1, nbytes), "little") & mask
     for d, k in _factors(a, b, h, g):
         if k:
             x = _geometric(x, limb * d, k, mask)
         else:
             x = _numerator(x, limb * d, mask, bias)
-    # the last factor is a sum (see _factors), which masks when it returns
     return x
 
 
@@ -473,13 +486,15 @@ def rising_stalls(ell: int, m: int) -> list[int]:
     binom(m+ell, m)_q, for ell, m >= 1; by Sylvester's theorem the rising
     half never falls, so these are exactly its stalls.
 
-    Two rungs each pack the rising half and mark the neighbours that
-    agree in their low ``bits`` bits.  The residue rung, modulo
-    2^RESIDUE_BITS, runs first only where the exact limbs would take more
-    than one byte beyond a residue limb; if it marks none the box is
-    strict.  The exact rung marks the stalls themselves, which are read
-    back.  No coefficient is unpacked.  A box that :func:`gaussian`
-    refuses raises the same ``ValueError`` before any expansion.
+    Each rung packs the rising half and marks the neighbours that agree
+    in their low ``bits`` bits.  The residue rungs, modulo 2^R in limbs
+    of W bytes for (W, R) in ``RESIDUE_RUNGS``, run in turn on boxes with
+    sides of 5 or more, while the exact limbs would take more than W + 1
+    bytes, and compare only limbs b+1..h; the first that marks none
+    proves the box strict.  The exact rung marks the stalls themselves,
+    which are read back.  No coefficient is unpacked.  A box that
+    :func:`gaussian` refuses raises the same ``ValueError`` before any
+    expansion.
     """
     _check_size(ell, m)
     a, b = min(ell, m), max(ell, m)
@@ -487,10 +502,15 @@ def rising_stalls(ell: int, m: int) -> list[int]:
     # every coefficient stays below 2^(L-1): the spare top bit is the
     # exact rung's guard bit
     exact = _limb_bytes(2 * _bound(a, b))
-    if exact > RESIDUE_BYTES + 1 and not _agreeing(
-        _half(a, b, RESIDUE_BYTES, True), RESIDUE_BYTES, RESIDUE_BITS, h + 1
-    ):
-        return []
+    for nbytes, bits in RESIDUE_RUNGS:
+        # every box with a side of 3 or 4 stalls: no residue rung clears it
+        if a < 5 or exact <= nbytes + 1:
+            break
+        # p_{k-1} < p_k for 2 <= k <= b, so only limbs b+1..h are
+        # compared: limbs b-1..h shifted down to limb 0
+        x = _half(a, b, nbytes, bits) >> 8 * nbytes * (b - 1)
+        if not _agreeing(x, nbytes, bits, h - b + 2):
+            return []
     agree = _agreeing(_half(a, b, exact), exact, 8 * exact - 1, h + 1)
     if not agree:
         return []

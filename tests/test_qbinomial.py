@@ -1,5 +1,5 @@
 import random
-from itertools import compress, groupby
+from itertools import compress
 from math import comb
 
 import hypothesis
@@ -265,10 +265,9 @@ def test_geometric_matches_list_reference(d):
 
 @pytest.mark.parametrize("width", [1, 8, 64, 65, 1000])
 def test_numerator_matches_the_masked_reference(width):
-    # the exact layout: x * (1 - 2^s) modulo 2^width, once masked, against
+    # the exact layout: x * (1 - 2^s) modulo 2^width against
     # (x - (x << s)) & mask, which builds a negative temporary.  x may have
-    # the bit 2^width set, as a numerator leaves it, and no result is
-    # negative or reaches 2^(width+1)
+    # the bit 2^width set, and every result is reduced, below 2^width
     modulus = 1 << width
     mask = modulus - 1
     rng = random.Random(width)
@@ -278,29 +277,28 @@ def test_numerator_matches_the_masked_reference(width):
     for x in xs:
         for s in shifts:
             y = _numerator(x, s, mask, modulus)
-            assert y & mask == (x - (x << s)) & mask, (x, s)
-            assert 0 <= y < 2 * modulus, (x, s)
-    # the residue layout, in as many 4-byte limbs as the width spans: for
-    # a shift by d limbs, limb j of the result is congruent to x_j - x_{j-d}
-    # modulo 2^22 and at most 2^22 above x_j, where limbs hold unreduced
-    # values with or without the guard bit; the result reads as the same
-    # number of limbs, so the top one did not borrow either
-    nbytes, bits = qbinomial.RESIDUE_BYTES, qbinomial.RESIDUE_BITS
-    count, mod = -(-width // (8 * nbytes)), 1 << bits
-    bias = _spread(mod, nbytes, count)
-    mask = bias - (bias >> bits)
-    top = (1 << 8 * nbytes) - mod
-    edges = [0, mod - 1, mod, 2 * mod - 1, 2 * mod, top - 1]
-    rows = [[edge] * count for edge in edges]
-    rows += [[rng.choice(edges + [rng.randrange(top)]) for _ in range(count)] for _ in range(30)]
-    for limbs in rows:
-        x = _pack(limbs, 8 * nbytes)
-        for d in range(count + 2):
-            out = _unpack(_numerator(x, 8 * nbytes * d, mask, bias), nbytes, count)
-            for j, (before, after) in enumerate(zip(limbs, out)):
-                below = limbs[j - d] if j >= d else 0
-                assert (after - before + below) % mod == 0, (limbs, d, j)
-                assert after <= before + mod, (limbs, d, j)
+            assert y == (x - (x << s)) & mask, (x, s)
+    # the residue layout of each rung, in as many W-byte limbs as the width
+    # spans: for a shift by d limbs, limb j of the result is x_j - x_{j-d}
+    # modulo 2^R, reduced, where limbs hold unreduced values with or
+    # without the guard bit 2^R; the result reads as the same number of
+    # limbs, so the top one did not borrow either
+    for nbytes, bits in qbinomial.RESIDUE_RUNGS:
+        count, mod = -(-width // (8 * nbytes)), 1 << bits
+        bias = _spread(mod, nbytes, count)
+        mask = bias - (bias >> bits)
+        top = (1 << 8 * nbytes) - mod
+        edges = [0, mod - 1, mod, 2 * mod - 1, 2 * mod, top - 1]
+        rows = [[edge] * count for edge in edges]
+        rows += [[rng.choice(edges + [rng.randrange(top)]) for _ in range(count)]
+                 for _ in range(30)]
+        for limbs in rows:
+            x = _pack(limbs, 8 * nbytes)
+            for d in range(count + 2):
+                out = _unpack(_numerator(x, 8 * nbytes * d, mask, bias), nbytes, count)
+                for j, (before, after) in enumerate(zip(limbs, out)):
+                    below = limbs[j - d] if j >= d else 0
+                    assert after == (before - below) % mod, (limbs, d, j)
 
 
 def _plan(a, b):
@@ -401,11 +399,12 @@ def test_no_doubling_step_shifts_past_the_width(monkeypatch):
 
 def test_stages_start_reduced_and_no_pass_goes_negative(monkeypatch):
     # each stage starts reduced: its first pass takes an x that its mask
-    # leaves unchanged, also in residue limbs over a stage expanded exactly,
-    # as the side 7 of (14, 163), whose largest coefficient has 32 bits.
-    # And the bias keeps every numerator's result positive in both
-    # layouts, so no pass masks a negative int, which Python does on a
-    # two's complement copy.  Over expansions, and both passes of (9, 632)
+    # leaves unchanged, also in 4-byte residue limbs over a stage expanded
+    # exactly, as the side 7 of (14, 163), whose largest coefficient has 32
+    # bits, and in 3-byte ones over its residues.  And the bias keeps every
+    # numerator's result positive in both layouts, so no pass masks a
+    # negative int, which Python does on a two's complement copy.  Over
+    # expansions, and every rung of (9, 632)
     firsts, seen = [], []
     factors, numerator, geometric = qbinomial._factors, qbinomial._numerator, qbinomial._geometric
 
@@ -433,7 +432,8 @@ def test_stages_start_reduced_and_no_pass_goes_negative(monkeypatch):
     monkeypatch.setattr(qbinomial, "_geometric", spy_geometric)
     for ell, m in [(63, 64), (5, 247), (12, 1175), (33, 67)]:
         assert qbinomial._product_coeffs(ell, m) == packed_recurrence(ell, m)
-    qbinomial._half(14, 163, qbinomial.RESIDUE_BYTES, True)
+    for nbytes, bits in qbinomial.RESIDUE_RUNGS:
+        qbinomial._half(14, 163, nbytes, bits)
     assert check_strict(9, 632).strict
     assert len(firsts) > 20 and all(firsts)
     assert len(seen) > 100 and min(seen) >= 0
@@ -550,9 +550,9 @@ def test_rising_stalls_match_a_scan_of_the_recurrence(monkeypatch, ell, m, extra
     widths, relays = [], []
     half, relay = qbinomial._half, qbinomial._relay
 
-    def spy_half(a, b, nbytes, residue=False):
-        if residue:
-            # residues that all agree: every box goes on to the exact route
+    def spy_half(a, b, nbytes, bits=0):
+        if bits:
+            # residues that all agree: every box goes on to the exact rung
             return 0
         x = half(a, b, nbytes)
         widths.append(nbytes)
@@ -571,15 +571,14 @@ def test_rising_stalls_match_a_scan_of_the_recurrence(monkeypatch, ell, m, extra
 
 
 @pytest.mark.parametrize(
-    "nbytes,bits",
-    [(qbinomial.RESIDUE_BYTES, qbinomial.RESIDUE_BITS), (1, 7), (2, 15), (5, 39), (9, 71)],
+    "nbytes,bits", [*qbinomial.RESIDUE_RUNGS, (4, 22), (1, 7), (2, 15), (5, 39), (9, 71)]
 )
 def test_agreeing_matches_a_list_reference(nbytes, bits):
-    # both rung layouts: 4-byte residue limbs compared on their low 22
-    # bits, whatever their guard bits hold, and exact limbs compared on
-    # all bits but the spare top one, every value below 2^bits.  The marks
-    # are bit 2^bits of limb k, limbs 0 and 1 shifted out, at each k >= 2
-    # where limbs k-1 and k agree in their low bits
+    # both rung layouts: W-byte residue limbs compared on their low R bits,
+    # whatever their guard bits hold, and exact limbs compared on all bits
+    # but the spare top one, every value below 2^bits.  The marks are bit
+    # 2^bits of limb k, limbs 0 and 1 shifted out, at each k >= 2 where
+    # limbs k-1 and k agree in their low bits
     limb, mod = 8 * nbytes, 1 << bits
     top = 1 << limb if bits < limb - 1 else mod
     rng = random.Random(limb)
@@ -668,17 +667,17 @@ def test_check_strict_refuses_an_oversize_box_before_any_work(monkeypatch):
 
 
 def _spied_passes(monkeypatch):
-    """Record each outermost call of qbinomial._half as (a, b, residue): the
-    residue pass sets ``residue`` and the exact route does not.  The calls
-    for the stages below are not recorded."""
+    """Record each outermost call of qbinomial._half as (a, b, bits): a
+    residue rung passes its R, the exact rung 0.  The calls for the
+    stages below are not recorded."""
     calls, real, depth = [], qbinomial._half, [0]
 
-    def spy(a, b, nbytes, residue=False):
+    def spy(a, b, nbytes, bits=0):
         if not depth[0]:
-            calls.append((a, b, residue))
+            calls.append((a, b, bits))
         depth[0] += 1
         try:
-            return real(a, b, nbytes, residue)
+            return real(a, b, nbytes, bits)
         finally:
             depth[0] -= 1
 
@@ -690,18 +689,19 @@ def _spied_passes(monkeypatch):
     "a,b", [(3, 5), (7, 163), (9, 632), (33, 67), (45, 45), (12, 1175), (89, 90), (14, 163)]
 )
 def test_residues_are_the_coefficients_modulo_the_residue_width(a, b):
-    # each limb, below 2^32 (to_bytes would overflow otherwise), is the
-    # coefficient modulo 2^22, with the stages below in residues as on
-    # (89, 90) and (12, 1175), or expanded exactly as on (7, 163) and the
-    # side 3 of (12, 1175); the stage returns its limbs reduced.  (14, 163)
-    # builds on the exact half of (7, 163), whose largest coefficient has
-    # 32 bits: only reducing it after the relay leaves the guard headroom
+    # on every rung (W, R) each limb, below 2^(8W) (to_bytes would overflow
+    # otherwise), is the coefficient modulo 2^R, with the stages below in
+    # residues as on (89, 90) and (12, 1175), or expanded exactly as on
+    # the side 3 of (12, 1175); the stage returns its limbs reduced.
+    # (14, 163) builds on the side 7, whose largest coefficient has 32
+    # bits: in 4-byte limbs that stage is exact, and only reducing it
+    # after the relay leaves the guard headroom
     h = a * b // 2
-    residues = _unpack(qbinomial._half(a, b, qbinomial.RESIDUE_BYTES, True),
-                       qbinomial.RESIDUE_BYTES, h + 1)
-    mod = 1 << qbinomial.RESIDUE_BITS
-    assert [r % mod for r in residues] == [p % mod for p in gaussian(a, b).coeffs[: h + 1]]
-    assert max(residues) < mod
+    for nbytes, bits in qbinomial.RESIDUE_RUNGS:
+        residues = _unpack(qbinomial._half(a, b, nbytes, bits), nbytes, h + 1)
+        mod = 1 << bits
+        assert [r % mod for r in residues] == [p % mod for p in gaussian(a, b).coeffs[: h + 1]]
+        assert max(residues) < mod
 
 
 @hypothesis.strategies.composite
@@ -713,24 +713,25 @@ def _residue_boxes(draw):
 @hypothesis.settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @hypothesis.given(_residue_boxes())
 def test_residue_limbs_hold_the_coefficients_on_random_boxes(box):
-    # 3 <= a <= b and ab <= 20,000: the h+1 residue limbs read back without
-    # overflow, so each is below 2^32, and each is its coefficient modulo
-    # 2^22, whichever stages below run in residues and which exactly
+    # 3 <= a <= b and ab <= 20,000: on every rung (W, R) the h+1 residue
+    # limbs read back without overflow, so each is below 2^(8W), and each
+    # is its coefficient modulo 2^R, whichever stages below run in
+    # residues and which exactly
     a, b = box
     h = a * b // 2
-    x = qbinomial._half(a, b, qbinomial.RESIDUE_BYTES, True)
-    residues = _unpack(x, qbinomial.RESIDUE_BYTES, h + 1)
-    mod = 1 << qbinomial.RESIDUE_BITS
-    assert list(residues) == [p % mod for p in gaussian(a, b).coeffs[: h + 1]]
+    coeffs = gaussian(a, b).coeffs[: h + 1]
+    for nbytes, bits in qbinomial.RESIDUE_RUNGS:
+        residues = _unpack(qbinomial._half(a, b, nbytes, bits), nbytes, h + 1)
+        assert list(residues) == [p % (1 << bits) for p in coeffs], (nbytes, bits)
 
 
 @pytest.mark.parametrize("a,b,sides", [(12, 1175, [6, 12]), (89, 90, [12, 23, 45, 89])])
 def test_both_passes_plan_the_same_stages(monkeypatch, a, b, sides):
-    # one stage loop serves both passes: every stage that the residue pass
+    # one stage loop serves every rung: every stage that a residue rung
     # runs in residues is planned on the same (a, b, h, g) as the exact
-    # route's stage of that side, and so is every stage below them, which
+    # rung's stage of that side, and so is every stage below them, which
     # both run exactly.  (12, 1175) builds its side 6 in residues on an
-    # exact side 3
+    # exact side 3, in 3-byte limbs as in 4-byte ones
     plans, in_residues = [], []
     factors, half = qbinomial._factors, qbinomial._half
 
@@ -738,82 +739,171 @@ def test_both_passes_plan_the_same_stages(monkeypatch, a, b, sides):
         plans.append(args)
         return factors(*args)
 
-    def spy_half(side, b, nbytes, residue=False):
-        if residue:
+    def spy_half(side, b, size, residue_bits=0):
+        if residue_bits:
             in_residues.append(side)
-        return half(side, b, nbytes, residue)
+        return half(side, b, size, residue_bits)
 
     monkeypatch.setattr(qbinomial, "_factors", spy_factors)
     monkeypatch.setattr(qbinomial, "_half", spy_half)
-    qbinomial._half(a, b, qbinomial.RESIDUE_BYTES, True)
-    assert sorted(in_residues) == sides
-    residue_plans = plans[:]
-    plans.clear()
     qbinomial._half(a, b, _limb_bytes(2 * _bound(a, b)))
-    assert residue_plans == plans
+    exact_plans = plans[:]
+    for nbytes, bits in qbinomial.RESIDUE_RUNGS:
+        plans.clear()
+        in_residues.clear()
+        qbinomial._half(a, b, nbytes, bits)
+        assert sorted(in_residues) == sides, (nbytes, bits)
+        assert plans == exact_plans, (nbytes, bits)
 
 
-@pytest.mark.parametrize("ell,m,k", [(9, 632, 1690), (20, 197, 1171), (27, 214, 676)])
+def _parts_from_2(a, top):
+    """The partitions of k into parts 2..a, k = 0..top, by a plain-list DP."""
+    counts = [1] + [0] * top
+    for part in range(2, a + 1):
+        for k in range(part, top + 1):
+            counts[k] += counts[k - part]
+    return counts
+
+
+def test_the_rise_up_to_the_longer_side_never_stalls(monkeypatch):
+    # for k <= b, p_k counts the partitions of k into parts of at most a
+    # (conjugate: at most a parts, none above k <= b), and those with a
+    # part 1 are p_{k-1}'s with a 1 added, so p_k - p_{k-1} counts the
+    # partitions of k into parts 2..a: at least 1 for k >= 2 and a >= 3,
+    # all 2s or a 3 and 2s.  So a residue rung compares only limbs
+    # b+1..h.  Those counts depend on (a, k) alone, and the first that
+    # 2^18 divides for a = 6 is at k = 1910: without that window every box
+    # (6, b >= 1910) would agree on the 18-bit rung
+    for a in range(3, 13):
+        assert min(_parts_from_2(a, 3000)[2:]) >= 1, a
+    grid = [(a, b) for a in range(3, 9) for b in range(a, 80)] + [(6, 2000), (9, 632)]
+    for a, b in grid:
+        p = gaussian(a, b).coeffs
+        assert _parts_from_2(a, b) == [1] + [p[k] - p[k - 1] for k in range(1, b + 1)], (a, b)
+    counts = _parts_from_2(6, 4000)
+    assert min(k for k in range(2, 4001) if counts[k] % (1 << 18) == 0) == 1910
+    passes = _spied_passes(monkeypatch)
+    assert check_strict(6, 4000).strict
+    assert passes == [(6, 4000, 18)]
+
+
+def test_a_residue_rung_compares_limbs_b_plus_1_to_h(monkeypatch):
+    # residues planted equal at k = b, below the window, are never marked,
+    # and the 18-bit rung proves the box strict; planted equal at k = b+1
+    # or at k = h, the window's ends, they send the box up both residue
+    # rungs, and the exact rung, with the true half, finds no stall
+    a, b = 8, 380
+    h = a * b // 2
+    half, rungs = qbinomial._half, []
+
+    def planted(side, width, nbytes, bits=0):
+        if not bits:
+            return half(side, width, nbytes)
+        rungs.append(bits)
+        values = list(range(h + 1))
+        values[k] = values[k - 1]
+        return _pack(values, 8 * nbytes)
+
+    monkeypatch.setattr(qbinomial, "_half", planted)
+    for k, climbed in ((b, [18]), (b + 1, [18, 26]), (h, [18, 26])):
+        rungs.clear()
+        assert rising_stalls(a, b) == []
+        assert rungs == climbed, k
+
+
+@pytest.mark.parametrize(
+    "ell,m,k", [(9, 632, 1690), (20, 197, 1171), (27, 214, 676), (7, 460, 1603)]
+)
 def test_a_false_collision_falls_back_to_the_exact_route(monkeypatch, ell, m, k):
-    # of the 14,115 boxes with 5 <= a <= b and ab <= 6,000, these three are
-    # the strict ones whose residues agree at some k: there, and only
-    # there, p_{k-1} and p_k differ by a multiple of 2^22; each runs the
-    # residue pass and then the exact route, which finds no stall
+    # strict boxes whose residues agree modulo 2^18 at one k in b+1..h, and
+    # modulo 2^26 at none: p_{k-1} and p_k differ by a multiple of 2^18
+    # (and of 2^22, but for (7, 460)).  Each climbs from the 18-bit rung
+    # to the 26-bit one, which proves it strict.  With the 18-bit rung
+    # alone it falls back to the exact route, which finds no stall
     p = gaussian(ell, m).coeffs
-    mod = 1 << qbinomial.RESIDUE_BITS
-    assert [j for j in range(2, ell * m // 2 + 1) if (p[j] - p[j - 1]) % mod == 0] == [k]
+    window = range(m + 1, ell * m // 2 + 1)
+    assert [j for j in window if (p[j] - p[j - 1]) % (1 << 18) == 0] == [k]
+    assert [j for j in window if (p[j] - p[j - 1]) % (1 << 26) == 0] == []
     assert p[k - 1] < p[k]
-    assert _limb_bytes(2 * _bound(ell, m)) > qbinomial.RESIDUE_BYTES + 1
+    assert _limb_bytes(2 * _bound(ell, m)) > 5
     passes = _spied_passes(monkeypatch)
     assert check_strict(ell, m).strict
-    assert passes == [(ell, m, True), (ell, m, False)]
+    assert passes == [(ell, m, 18), (ell, m, 26)]
+    passes.clear()
+    monkeypatch.setattr(qbinomial, "RESIDUE_RUNGS", ((3, 18),))
+    assert rising_stalls(ell, m) == []
+    assert passes == [(ell, m, 18), (ell, m, 0)]
+
+
+def test_a_false_collision_on_5_byte_limbs_falls_back_to_the_exact_route(monkeypatch):
+    # (5, 776) has 5-byte exact limbs: the 18-bit rung runs and agrees at
+    # k = 1484, but 4-byte limbs would be within a byte of the exact ones,
+    # so the exact rung comes next and finds no stall
+    p = gaussian(5, 776).coeffs
+    assert [j for j in range(777, 1941) if (p[j] - p[j - 1]) % (1 << 18) == 0] == [1484]
+    assert _limb_bytes(2 * _bound(5, 776)) == 5
+    passes = _spied_passes(monkeypatch)
+    assert check_strict(5, 776).strict
+    assert passes == [(5, 776, 18), (5, 776, 0)]
 
 
 def test_a_strict_box_with_wide_limbs_is_decided_by_its_residues(monkeypatch):
-    # the residue pass alone, and never the exact route
+    # the 18-bit rung alone, and never the exact rung: (6, 600) and
+    # (7, 163) have 5-byte exact limbs, the narrowest that take it, and
+    # (8, 380) 6-byte ones, the narrowest where the 26-bit rung could follow
     passes = _spied_passes(monkeypatch)
-    # (8, 380) has 6-byte exact limbs, the narrowest that take the pass
-    for ell, m in [(8, 380), (12, 1175), (89, 90), (109, 110)]:
+    boxes = [(6, 600), (7, 163), (8, 380), (12, 1175), (89, 90), (109, 110)]
+    assert [_limb_bytes(2 * _bound(a, b)) for a, b in boxes[:3]] == [5, 5, 6]
+    for ell, m in boxes:
         passes.clear()
         assert check_strict(ell, m).strict
-        assert passes == [(ell, m, True)]
+        assert passes == [(ell, m, 18)]
 
 
 def test_narrow_limbs_take_the_exact_route_alone(monkeypatch):
-    # the exact route alone, and never the residue pass
+    # the exact rung alone, and never a residue rung: exact limbs of 4
+    # bytes or fewer, one beyond the 18-bit rung's 3 at most; every box
+    # with a side of 3 or 4, whose limbs are wider, since such a box
+    # always stalls and no residue rung could clear it; and every
+    # exceptional pair
     passes = _spied_passes(monkeypatch)
-    # 5-byte exact limbs and narrower, and every exceptional pair
-    boxes = [(6, 600), (7, 163), (4, 23627), (5, 14), (6, 6), (2, 300)]
-    assert [_limb_bytes(2 * _bound(a, b)) for a, b in boxes] == [5, 5, 5, 2, 1, 2]
+    boxes = [(5, 400), (5, 14), (6, 6), (2, 300), (4, 23627), (3, 150000)]
+    assert [_limb_bytes(2 * _bound(a, b)) for a, b in boxes] == [4, 2, 1, 2, 5, 5]
     for ell, m in boxes:
         check_strict(ell, m)
     for a, b in sorted(EXCEPTION_PAIRS):
         assert not check_strict(a, b).strict
-    assert passes == [(a, b, False) for a, b in boxes + sorted(EXCEPTION_PAIRS)]
+    assert passes == [(a, b, 0) for a, b in boxes + sorted(EXCEPTION_PAIRS)]
 
 
-def test_a_real_stall_with_wide_limbs_runs_both_passes(monkeypatch):
+@pytest.mark.parametrize("m,stall", [(23628, 47255), (30000, 59999)])
+def test_four_rows_with_wide_limbs_take_the_exact_rung_alone(monkeypatch, m, stall):
     # (4, 23628) is the first box with four rows whose exact limbs take 6
-    # bytes; it stalls once, just below its centre, and the answer is the
-    # exact route's, the same as a scan of the unpacked expansion
-    p = gaussian(4, 23628).coeffs
-    scan = [k for k in range(2, 47257) if p[k - 1] >= p[k]]
-    assert scan == [47255]
+    # bytes; it stalls once, just below its centre, as (4, 30000) does,
+    # and the exact rung alone reads the same stall as a scan of the
+    # unpacked expansion
+    p = gaussian(4, m).coeffs
+    scan = [k for k in range(2, 2 * m + 1) if p[k - 1] >= p[k]]
+    assert scan == [stall]
+    assert _limb_bytes(2 * _bound(4, m)) == 6
     passes = _spied_passes(monkeypatch)
-    assert rising_stalls(4, 23628) == scan
-    assert passes == [(4, 23628, True), (4, 23628, False)]
+    assert rising_stalls(4, m) == scan
+    assert passes == [(4, m, 0)]
 
 
 @pytest.mark.parametrize("bits", [1, 8])
 def test_stalls_do_not_depend_on_the_residue_width(monkeypatch, bits):
-    # modulo 2 or 2^8 the residues of a wide box agree somewhere, so the
-    # exact route decides every one of these boxes, with the same answer
-    boxes = [(8, 380), (12, 1175), (45, 45), (20, 197), (4, 23628)]
+    # modulo 2 or 2^8 the residues of a wide box agree somewhere on both
+    # of two rungs, in 2- and 3-byte limbs, so every box with a side of 5
+    # or more climbs both and the exact rung decides it, with the same
+    # answer
+    boxes = [(8, 380), (12, 1175), (45, 45), (20, 197), (7, 460), (6, 4000), (4, 23628)]
     expected = [rising_stalls(ell, m) for ell, m in boxes]
-    monkeypatch.setattr(qbinomial, "RESIDUE_BITS", bits)
+    monkeypatch.setattr(qbinomial, "RESIDUE_RUNGS", ((2, bits), (3, bits)))
     passes = _spied_passes(monkeypatch)
     assert [rising_stalls(ell, m) for ell, m in boxes] == expected
-    assert [(a, b) for a, b, residue in passes if not residue] == boxes
+    assert [(a, b) for a, b, r in passes if not r] == boxes
+    assert [(a, b) for a, b, r in passes if r] == [box for box in boxes[:-1] for _ in "ab"]
 
 
 def _admitted(a, b):
@@ -834,10 +924,10 @@ def _largest_side(a):
 
 
 def test_residue_limbs_never_reach_their_top(monkeypatch):
-    # a stage starts reduced; a run of r numerators adds below 2^22 each
-    # to a limb, a geometric sum of c shift-and-adds adds below 2^22 per
-    # pass and reduces when it returns, so no limb reaches (1 + r + c) 2^22,
-    # which must stay within 2^32.  Walked over the plans of every stage of
+    # every factor hands on reduced limbs, below 2^R; a geometric sum of c
+    # shift-and-adds adds below 2^R per pass to a limb and reduces when it
+    # returns, so no limb reaches (1 + c) 2^R, which must stay below
+    # 2^(8W) on every rung (W, R).  Walked over the plans of every stage of
     # the largest square and thin boxes the guard admits, nothing expanded
     def unreachable(*args):
         raise AssertionError("expanded a box")
@@ -849,17 +939,14 @@ def test_residue_limbs_never_reach_their_top(monkeypatch):
     assert square == 322
     boxes = [(square, square)] + [(a, _largest_side(a)) for a in (3, 4, 5, 8, 20)]
     assert boxes[1:4] == [(3, 399_457), (4, 233_016), (5, 167_771)]
-    top = 1 << (8 * qbinomial.RESIDUE_BYTES - qbinomial.RESIDUE_BITS)
     for a, b in boxes:
         for s in _stages(a, b)[1:]:
             h, g = s * b // 2, (s + 1) // 2
-            plan = _factors(s, b, h, g)
-            run = max((len(list(r)) for num, r in groupby(k == 0 for _, k in plan) if num),
-                      default=0)
-            most = max(_passes(k) for _, k in plan if k)
-            # the module docstring's bounds for every admitted box
-            assert run <= s - g <= 203 and most <= 42, (a, b, s)
-            assert 1 + run + most <= top, (a, b, s)
+            most = max(_passes(k) for _, k in _factors(s, b, h, g) if k)
+            # the module docstring's bound for every admitted box
+            assert most <= 42, (a, b, s)
+            for nbytes, bits in qbinomial.RESIDUE_RUNGS:
+                assert 1 + most < 1 << (8 * nbytes - bits), (a, b, s, nbytes)
 
 
 def test_matches_enumeration_oracle():
