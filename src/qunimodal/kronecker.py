@@ -46,10 +46,7 @@ random triples each character is zero on about 36-39% of the classes,
 and only about a third of the classes have all three nonzero (n = 12 to
 18), so the sum ANDs the three supports, turns the result into
 bytes once, and multiplies only on the classes ``itertools.compress``
-keeps.  When nu has at most two rows, its vector is read from a second
-memo, with the class sizes folded in (|C_rho| chi^nu(rho)), so each
-class kept costs two multiplications, not three; at most n/2 + 1 such
-vectors exist per n.  Both cases share one sum and one set of checks.
+keeps: the class size times the three characters, for every nu.
 Python ints set no width limit; at n <= 18 the largest |chi| has 24
 bits, and a process that fills every vector of every n <= 18 peaks at
 about 20.7 MB resident.
@@ -176,15 +173,6 @@ def _classes(
     return tuple(sizes), tuple(blocks), tuple(shapes)
 
 
-@lru_cache(maxsize=None)
-def _weights(shape: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """|C_rho| * chi^shape(rho) on every class of S_n, and its support,
-    for a shape of at most two rows: the third factor of a character sum
-    whose third shape has two rows, with the class sizes folded in."""
-    values, support = _char(shape)
-    return tuple(map(mul, _classes(sum(shape))[0], values)), support
-
-
 def g_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Kronecker coefficient by the character sum; exact or an error."""
     n = lam.size
@@ -201,17 +189,11 @@ def _g(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
     """The character sum on the parts of three partitions of one n no
     larger than the oracle bound; the callers check both."""
     n = sum(lam)
-    (a, a_support), (b, b_support) = _char(lam), _char(mu)
-    if len(nu) > 2:
-        c, support = _char(nu)
-        columns = zip(a, b, c, _classes(n)[0])
-    else:
-        c, support = _weights(nu)
-        columns = zip(a, b, c)
+    (a, a_support), (b, b_support), (c, c_support) = _char(lam), _char(mu), _char(nu)
     # only the classes where all three characters are nonzero add a term;
     # prod multiplies in machine words while the product fits in one
-    keep = (a_support & b_support & support).to_bytes(len(a), "little")
-    total = sum(map(prod, compress(columns, keep)))
+    keep = (a_support & b_support & c_support).to_bytes(len(a), "little")
+    total = sum(map(prod, compress(zip(a, b, c, _classes(n)[0]), keep)))
     value, rem = divmod(total, factorial(n))
     if rem or value < 0:
         lam, mu, nu = map(Partition, (lam, mu, nu))

@@ -143,11 +143,10 @@ the residue rungs run and what they compare; neither can change an
 answer, since the exact rung decides whatever they leave open:
 
 1. A residue rung runs only where a >= 5 and the exact limbs take more
-   than W + 1 bytes, so that its limbs are well below them.  Every box
-   with a side of 3 or 4 stalls (the ``ell34`` claim of ``repro``; (4,
-   b) at k = 2b - 1), so no residue rung could clear it: (4, 30000),
-   whose exact limbs take 6 bytes, would climb both residue rungs and
-   then the exact one.
+   than its W bytes.  Every box with a side of 3 or 4 stalls (the
+   ``ell34`` claim of ``repro``; (4, b) at k = 2b - 1), so no residue
+   rung could clear it: (4, 30000), whose exact limbs take 6 bytes,
+   would climb both residue rungs and then the exact one.
 2. A residue rung compares only limbs b+1..h.  For k <= b, p_k counts
    the partitions of k into parts of at most a (by conjugation: into at
    most a parts, none above k <= b), and those with a part 1 are
@@ -160,20 +159,25 @@ answer, since the exact rung decides whatever they leave open:
 
 A false collision, residues that agree where no stall is, costs the
 next rung and nothing else.  Of the 14,115 boxes with 5 <= a <= b and ab
-<= 6,000, 1,428 take the exact rung alone (the nine exceptional pairs
-among them), 12,610 are proved strict on the 18-bit rung, 65 agree
-there and are proved strict on the 26-bit rung, among them (9, 632),
-(20, 197) and (27, 214), whose residues agree modulo 2^22 too, and
-(7, 460), and 12 whose exact limbs take 5 bytes, such as (5, 776),
-agree there and go on to the exact rung.  Agreement at 18 bits has
-odds of about (h - b)/2^18 on a strict box: (30, 5200), with h = 78,000,
-agrees at k = 77,352 and climbs to the 26-bit rung.
+<= 6,000, 406 take the exact rung alone, all with exact limbs of 3
+bytes or fewer (the nine exceptional pairs among them), 13,632 are
+proved strict on the 18-bit rung, and 77 agree there and are proved
+strict on the 26-bit rung, among them (9, 632), (20, 197) and (27,
+214), whose residues agree modulo 2^22 too, (7, 460), and (5, 776),
+whose exact limbs take 5 bytes.  None goes from the 18-bit rung to the
+exact one, as a box whose exact limbs take 4 bytes would on a false
+collision.  Agreement at 18 bits has odds of about (h - b)/2^18 on a
+strict box: (30, 5200), with h = 78,000, agrees at k = 77,352 and climbs
+to the 26-bit rung.
 
 Against the exact rung alone the ladder takes, median per stratum of
-the benchmark's boxes (best of 7 calls per box, 2-vCPU Intel Xeon VM,
-Python 3.11.7), 0.72 to 0.77 of the time on 5-byte exact limbs, 0.65 to
-0.67 on 6, 0.50 to 0.65 on 8, 0.45 to 0.56 on 9, 0.39 on 12, 0.28 to
-0.29 on 15, 0.16 to 0.17 on 21 to 22 and 0.13 on 26 to 27.
+the benchmark's boxes (40 rounds of the seed-11 op list, best of 7
+in-process calls per box, 2-vCPU Intel Xeon VM, Python 3.11.7), 0.89 of
+the time on exact limbs of 4 to 5 bytes, 0.69 to 0.74 on 5 to 6, 0.65 to
+0.67 on 6 to 8, 0.45 to 0.52 on 8 to 11, 0.35 to 0.40 on 11 to 14, 0.30
+on 14 to 16, 0.19 to 0.25 on 17 to 22 and 0.13 on 26 to 27.  On the
+1,022 boxes of the census above whose exact limbs take 4 bytes it takes
+0.90 (quartiles 0.89 to 0.93, best of 5).
 
 One stage loop, ``_half``, packs every rung's half and ``gaussian``'s,
 over the same ``_factors``, ``_relay`` and ``_geometric``;
@@ -489,8 +493,8 @@ def rising_stalls(ell: int, m: int) -> list[int]:
     Each rung packs the rising half and marks the neighbours that agree
     in their low ``bits`` bits.  The residue rungs, modulo 2^R in limbs
     of W bytes for (W, R) in ``RESIDUE_RUNGS``, run in turn on boxes with
-    sides of 5 or more, while the exact limbs would take more than W + 1
-    bytes, and compare only limbs b+1..h; the first that marks none
+    sides of 5 or more, while the exact limbs take more than W bytes,
+    and compare only limbs b+1..h; the first that marks none
     proves the box strict.  The exact rung marks the stalls themselves,
     which are read back.  No coefficient is unpacked.  A box that
     :func:`gaussian` refuses raises the same ``ValueError`` before any
@@ -504,7 +508,7 @@ def rising_stalls(ell: int, m: int) -> list[int]:
     exact = _limb_bytes(2 * _bound(a, b))
     for nbytes, bits in RESIDUE_RUNGS:
         # every box with a side of 3 or 4 stalls: no residue rung clears it
-        if a < 5 or exact <= nbytes + 1:
+        if a < 5 or exact <= nbytes:
             break
         # p_{k-1} < p_k for 2 <= k <= b, so only limbs b+1..h are
         # compared: limbs b-1..h shifted down to limb 0

@@ -99,7 +99,6 @@ def test_memo_tables_are_pinned():
         "certify._chain_starts",
         "kronecker._char",
         "kronecker._classes",
-        "kronecker._weights",
         "kronecker._tables",
         "kronecker._sampled",
     ]

@@ -32,7 +32,6 @@ from qunimodal.kronecker import (
     _below,
     _classes,
     _sampled,
-    _weights,
 )
 from qunimodal import partitions_inside, repro
 from qunimodal.lr import skew
@@ -394,15 +393,10 @@ def test_character_tables_unchanged():
 
 def test_character_memo_holds_one_entry_per_shape(fresh_samples):
     _char.cache_clear()
-    _weights.cache_clear()
     assert semigroup_check(samples=200, seed=0, max_total_size=18) == []
     shapes = sum(len(partitions_of(k)) for k in range(19))
     assert shapes == 1597
     assert _char.cache_info().currsize <= shapes
-    # the class-weighted vectors: at most one per shape of two rows or fewer
-    two_rows = sum(k // 2 + 1 for k in range(19))
-    assert two_rows == 100
-    assert 0 < _weights.cache_info().currsize <= two_rows
 
 
 def test_memoized_vectors_fit_in_64_bits():
@@ -431,10 +425,6 @@ def test_each_support_is_the_nonzero_pattern_of_its_vector():
             assert support == _nonzero_pattern(values), lam
             nonzero += sum(map(bool, values))
             total += len(values)
-            if len(lam.parts) <= 2:
-                weighted, weighted_support = _weights(lam.parts)
-                assert weighted == tuple(map(mul, _classes(n)[0], values)), lam
-                assert weighted_support == support, lam
     # some entries are zero and some are not, so the masks skip classes
     assert 0 < nonzero < total
 
@@ -466,9 +456,10 @@ def test_the_masked_sum_matches_the_unmasked_reference():
 
 
 def test_the_two_row_path_matches_the_general_path():
-    # the sum is symmetric in its three shapes: put one of more than two
-    # rows last and the same triple takes the general path; a pair of two
-    # row shapes has no such order, and is checked against the reference
+    # every nu takes the one masked sum, which is symmetric in its three
+    # shapes: a two-row nu last must read the same as the triple turned
+    # so that a shape of more than two rows comes last; a pair of two-row
+    # shapes has no such order, and is checked against the reference
     for n in range(1, 13):
         shapes = [lam.parts for lam in partitions_of(n)]
         for lam, mu in product(shapes, repeat=2):
@@ -486,8 +477,8 @@ def test_the_two_row_path_matches_the_general_path():
 # the class sizes of S_3 are (2, 3, 1), chi^(2,1) is (-1, 0, 2) and
 # chi^(1,1,1) is (1, -1, 1), so g([2,1],[2,1],nu) sums 2*(-1) + 3*0 + 1*8 for
 # nu = (2,1) and 2*1 + 3*0 + 1*4 for nu = (1,1,1), each 6 = 3!; each size
-# tuple below breaks one invariant of both sums, the first by the
-# class-weighted third vector of a two-row nu, the second by the general sum
+# tuple below breaks one invariant of the sum for both nu, of two rows and
+# of three
 _BROKEN_SIZES = [
     ((2, 3, 2), "character sum for g([2,1],[2,1],{}) is not divisible by 3!"),
     ((-2, 3, -1), "negative g([2,1],[2,1],{}) = -1"),
@@ -499,24 +490,18 @@ def test_a_broken_character_sum_is_an_internal_consistency_error(
     sizes, message, monkeypatch, capsys
 ):
     assert _classes(3)[0] == (2, 3, 1)
-    # only the sizes break: a cold character vector still reads true
-    # blocks, and the class-weighted vectors are rebuilt from the broken
-    # sizes, then dropped
+    # only the sizes break: a cold character vector still reads true blocks
     monkeypatch.setattr(kronecker, "_classes", lambda n: (sizes, _classes(n)[1]))
-    _weights.cache_clear()
-    try:
-        for nu in ((2, 1), (1, 1, 1)):
-            expected = message.format(P(nu))
-            with pytest.raises(InternalConsistencyError) as err:
-                g_oracle(P((2, 1)), P((2, 1)), P(nu))
-            assert str(err.value) == expected
-            # through the CLI: exit 2, one line on stderr and nothing on stdout
-            assert run(["kron", "--lambda", "[2,1]", "--mu", "[2,1]", "--nu", str(P(nu))]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == f"internal consistency error: {expected}\n"
-    finally:
-        _weights.cache_clear()
+    for nu in ((2, 1), (1, 1, 1)):
+        expected = message.format(P(nu))
+        with pytest.raises(InternalConsistencyError) as err:
+            g_oracle(P((2, 1)), P((2, 1)), P(nu))
+        assert str(err.value) == expected
+        # through the CLI: exit 2, one line on stderr and nothing on stdout
+        assert run(["kron", "--lambda", "[2,1]", "--mu", "[2,1]", "--nu", str(P(nu))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal consistency error: {expected}\n"
 
 
 def test_oracle_frozen_values():

@@ -812,20 +812,23 @@ def test_a_residue_rung_compares_limbs_b_plus_1_to_h(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "ell,m,k", [(9, 632, 1690), (20, 197, 1171), (27, 214, 676), (7, 460, 1603)]
+    "ell,m,k",
+    [(9, 632, 1690), (20, 197, 1171), (27, 214, 676), (7, 460, 1603), (5, 776, 1484)],
 )
 def test_a_false_collision_falls_back_to_the_exact_route(monkeypatch, ell, m, k):
     # strict boxes whose residues agree modulo 2^18 at one k in b+1..h, and
     # modulo 2^26 at none: p_{k-1} and p_k differ by a multiple of 2^18
-    # (and of 2^22, but for (7, 460)).  Each climbs from the 18-bit rung
-    # to the 26-bit one, which proves it strict.  With the 18-bit rung
-    # alone it falls back to the exact route, which finds no stall
+    # (and of 2^22, but for (7, 460) and (5, 776)).  Each climbs from the
+    # 18-bit rung to the 26-bit one, which proves it strict: (5, 776) too,
+    # whose exact limbs take 5 bytes, one more than the 26-bit rung's.
+    # With the 18-bit rung alone it falls back to the exact route, which
+    # finds no stall
     p = gaussian(ell, m).coeffs
     window = range(m + 1, ell * m // 2 + 1)
     assert [j for j in window if (p[j] - p[j - 1]) % (1 << 18) == 0] == [k]
     assert [j for j in window if (p[j] - p[j - 1]) % (1 << 26) == 0] == []
     assert p[k - 1] < p[k]
-    assert _limb_bytes(2 * _bound(ell, m)) > 5
+    assert _limb_bytes(2 * _bound(ell, m)) >= 5
     passes = _spied_passes(monkeypatch)
     assert check_strict(ell, m).strict
     assert passes == [(ell, m, 18), (ell, m, 26)]
@@ -835,25 +838,14 @@ def test_a_false_collision_falls_back_to_the_exact_route(monkeypatch, ell, m, k)
     assert passes == [(ell, m, 18), (ell, m, 0)]
 
 
-def test_a_false_collision_on_5_byte_limbs_falls_back_to_the_exact_route(monkeypatch):
-    # (5, 776) has 5-byte exact limbs: the 18-bit rung runs and agrees at
-    # k = 1484, but 4-byte limbs would be within a byte of the exact ones,
-    # so the exact rung comes next and finds no stall
-    p = gaussian(5, 776).coeffs
-    assert [j for j in range(777, 1941) if (p[j] - p[j - 1]) % (1 << 18) == 0] == [1484]
-    assert _limb_bytes(2 * _bound(5, 776)) == 5
-    passes = _spied_passes(monkeypatch)
-    assert check_strict(5, 776).strict
-    assert passes == [(5, 776, 18), (5, 776, 0)]
-
-
 def test_a_strict_box_with_wide_limbs_is_decided_by_its_residues(monkeypatch):
-    # the 18-bit rung alone, and never the exact rung: (6, 600) and
-    # (7, 163) have 5-byte exact limbs, the narrowest that take it, and
-    # (8, 380) 6-byte ones, the narrowest where the 26-bit rung could follow
+    # the 18-bit rung alone, and never the exact rung: (5, 176) and
+    # (5, 400) have 4-byte exact limbs, the narrowest that take it, (6,
+    # 600) and (7, 163) 5-byte ones, the narrowest where the 26-bit rung
+    # could follow, and (8, 380) 6-byte ones
     passes = _spied_passes(monkeypatch)
-    boxes = [(6, 600), (7, 163), (8, 380), (12, 1175), (89, 90), (109, 110)]
-    assert [_limb_bytes(2 * _bound(a, b)) for a, b in boxes[:3]] == [5, 5, 6]
+    boxes = [(5, 176), (5, 400), (6, 600), (7, 163), (8, 380), (12, 1175), (89, 90), (109, 110)]
+    assert [_limb_bytes(2 * _bound(a, b)) for a, b in boxes[:5]] == [4, 4, 5, 5, 6]
     for ell, m in boxes:
         passes.clear()
         assert check_strict(ell, m).strict
@@ -861,14 +853,14 @@ def test_a_strict_box_with_wide_limbs_is_decided_by_its_residues(monkeypatch):
 
 
 def test_narrow_limbs_take_the_exact_route_alone(monkeypatch):
-    # the exact rung alone, and never a residue rung: exact limbs of 4
-    # bytes or fewer, one beyond the 18-bit rung's 3 at most; every box
-    # with a side of 3 or 4, whose limbs are wider, since such a box
-    # always stalls and no residue rung could clear it; and every
-    # exceptional pair
+    # the exact rung alone, and never a residue rung: exact limbs of 3
+    # bytes or fewer, no wider than the 18-bit rung's, as (5, 175), the
+    # last such box with five rows; every box with a side of 3 or 4,
+    # whose limbs are wider, since such a box always stalls and no
+    # residue rung could clear it; and every exceptional pair
     passes = _spied_passes(monkeypatch)
-    boxes = [(5, 400), (5, 14), (6, 6), (2, 300), (4, 23627), (3, 150000)]
-    assert [_limb_bytes(2 * _bound(a, b)) for a, b in boxes] == [4, 2, 1, 2, 5, 5]
+    boxes = [(5, 175), (5, 14), (6, 6), (2, 300), (4, 23627), (3, 150000)]
+    assert [_limb_bytes(2 * _bound(a, b)) for a, b in boxes] == [3, 2, 1, 2, 5, 5]
     for ell, m in boxes:
         check_strict(ell, m)
     for a, b in sorted(EXCEPTION_PAIRS):
