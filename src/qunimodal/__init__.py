@@ -1,6 +1,14 @@
 """Exact tools around Gaussian binomial coefficients: coefficient
 expansion, strict unimodality classification, Littlewood-Richardson and
 Kronecker coefficients, and machine-checkable additivity certificates.
+
+``import qunimodal`` loads the submodules that expansion, strictness and
+certificates run on: ``qbinomial``, ``unimodality``, ``certify`` and
+``lr``.  The names of ``kronecker`` and ``partitions`` are in the package
+too, but each loads its module on first use (PEP 562 ``__getattr__``).
+``certify`` and ``lr`` stay loaded at import: the package exports a
+function under each of their names, and a later first load of either
+submodule would rebind the package attribute to the module.
 """
 
 from .certify import (
@@ -17,22 +25,7 @@ from .certify import (
     serialize_certificate,
     verify,
 )
-from .kronecker import (
-    InternalConsistencyError,
-    a_k,
-    g_oracle,
-    g_two_row,
-    semigroup_check,
-    two_row,
-)
 from .lr import lr
-from .partitions import (
-    Partition,
-    format_partition,
-    parse_partition,
-    partitions_inside,
-    partitions_of,
-)
 from .qbinomial import QPolynomial, gaussian, gaussian_by_enumeration
 from .unimodality import (
     EXCEPTION_PAIRS,
@@ -44,6 +37,36 @@ from .unimodality import (
 )
 
 __version__ = "0.1.0"
+
+# exported name -> the submodule that defines it, loaded on first use
+_ON_DEMAND = {
+    "InternalConsistencyError": "kronecker",
+    "a_k": "kronecker",
+    "g_oracle": "kronecker",
+    "g_two_row": "kronecker",
+    "semigroup_check": "kronecker",
+    "two_row": "kronecker",
+    "Partition": "partitions",
+    "format_partition": "partitions",
+    "parse_partition": "partitions",
+    "partitions_inside": "partitions",
+    "partitions_of": "partitions",
+}
+
+
+def __getattr__(name: str):
+    if name not in _ON_DEMAND:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_ON_DEMAND[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _ON_DEMAND.keys())
+
 
 __all__ = [
     "AddNode",

@@ -60,7 +60,8 @@ certificates and rejects tampered ones regardless of origin.
 No certificate holds over ``MAX_NODES`` entries, and ``verify`` rejects,
 without expanding anything, one of over ``MAX_LEAVES`` distinct leaves
 and any leaf of area above ``MAX_LEAF_AREA``; ``parse_certificate``
-rejects a document of over ``MAX_BYTES`` bytes (2 MiB) before reading it.
+rejects a document of over ``MAX_BYTES`` (2 MiB) before reading it,
+counted in bytes for ``bytes`` and in characters for ``str``.
 """
 
 from __future__ import annotations
@@ -80,7 +81,9 @@ _VERSION = 2
 MAX_NODES = 4096
 MAX_LEAVES = 64
 MAX_LEAF_AREA = 3600
-# The most bytes parse_certificate reads, above all that certify writes.
+# The longest document parse_certificate reads, above all that certify
+# writes: bytes of a bytes document, characters of a str (len() of each).
+# certify writes ASCII, where the two agree; the CLI reads bytes.
 # Only the x entries of the outer chain of a min >= 16 pair carry a large
 # side, and that side's y binary digits take y entries of its own chain,
 # so x + y <= MAX_NODES and the output peaks near x = y = 2048:

@@ -25,7 +25,10 @@ shapes of more than ``DEFAULT_SIZE_BOUND`` (60) cells are refused with
 
 from __future__ import annotations
 
-from .partitions import Partition
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .partitions import Partition
 
 # Refuse outer shapes with more cells than this; enumeration beyond it
 # is not what this module is for.

@@ -211,8 +211,6 @@ import struct
 from itertools import compress, repeat
 from math import comb
 
-from .partitions import parts_inside
-
 # gaussian_by_enumeration refuses boxes with more cells than this: the
 # oracle exists for cross-checks, not for production work.
 ENUMERATION_GUARD = 64
@@ -553,4 +551,8 @@ def gaussian_by_enumeration(ell: int, m: int) -> QPolynomial:
         raise ValueError(
             f"enumeration oracle is limited to ell*m <= {ENUMERATION_GUARD}: got {ell * m}"
         )
+    # the oracle alone needs the partition layer, so the package loads it
+    # only here
+    from .partitions import parts_inside
+
     return QPolynomial(tuple(len(parts_inside((m,) * ell, k)) for k in range(ell * m + 1)))

@@ -558,6 +558,19 @@ def test_parse_rejects_documents_over_max_bytes():
         assert (err.value.path, err.value.message) == ("$", f"over MAX_BYTES = {MAX_BYTES} bytes")
 
 
+def test_max_bytes_counts_characters_of_a_str_and_bytes_of_bytes():
+    # the bound is len() of the document: a str of two-byte characters
+    # passes it at nearly twice MAX_BYTES bytes of UTF-8 and is refused
+    # for its keys, while the same document as bytes is refused for its size
+    text = '{"pad":"' + "\u00e9" * 1_500_000 + '"}'
+    assert len(text) <= MAX_BYTES < len(text.encode())
+    keys = 'expected keys ["conclusion", "nodes", "version"]'
+    for doc, message in ((text, keys), (text.encode(), f"over MAX_BYTES = {MAX_BYTES} bytes")):
+        with pytest.raises(CertificateFormatError) as err:
+            parse_certificate(doc)
+        assert (err.value.path, err.value.message) == ("$", message)
+
+
 def test_verify_never_raises_on_malformed_objects():
     # anything that is not a certificate holding a table is rejected at its
     # first entry, and the serializer raises for it

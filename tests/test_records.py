@@ -11,6 +11,7 @@ import copy
 import pickle
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -37,22 +38,66 @@ _FIELDS = {
 }
 
 
+def _fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter with no site
+    hooks that writes no byte code, importing the package from this tree."""
+    code = f"import sys; sys.path.insert(0, {_SRC!r})\n{code}"
+    out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, check=True)
+    return out.stdout
+
+
 def _added_modules(statement: str) -> set:
     """The modules that ``statement`` adds to ``sys.modules`` in a fresh
-    interpreter with no site hooks, importing the package from this tree."""
-    code = (
-        f"import sys; sys.path.insert(0, {_SRC!r}); before = set(sys.modules)\n"
-        f"{statement}\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))"
-    )
-    out = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
-    return set(out.stdout.split())
+    interpreter."""
+    code = f"before = set(sys.modules)\n{statement}\nprint(' '.join(sorted(set(sys.modules) - before)))"
+    return set(_fresh(code).split())
 
 
 def test_import_and_registry_load_no_dataclasses_inspect_or_json():
     added = _added_modules("import qunimodal; qunimodal.default_registry()")
     assert "qunimodal.certify" in added
     assert added.isdisjoint({"dataclasses", "inspect", "json"}), sorted(added)
+
+
+def test_kronecker_and_partitions_load_on_first_use():
+    # strictness and certificates never call the Kronecker route, so the
+    # package and the registry load neither of its modules; a name of one
+    # loads it, and lr and certify, exported under the names of their own
+    # submodules, stay the functions
+    out = _fresh(
+        textwrap.dedent(
+            """
+            import qunimodal
+            qunimodal.default_registry()
+            print(sorted(n for n in sys.modules if n.partition(".")[0] == "qunimodal"))
+            print(set(qunimodal.__all__) <= set(dir(qunimodal)))
+            qunimodal.g_oracle
+            print("qunimodal.kronecker" in sys.modules)
+            print(qunimodal.lr is sys.modules["qunimodal.lr"].lr)
+            print(qunimodal.certify is sys.modules["qunimodal.certify"].certify)
+            names = {}
+            exec("from qunimodal import *", names)
+            del names["__builtins__"]
+            print(sorted(names) == sorted(qunimodal.__all__), len(names))
+            # every submodule that binds an exported name binds the same object
+            homes = [m for n, m in sys.modules.items() if n.startswith("qunimodal.")]
+            print(sorted(n for n, v in names.items() if not any(getattr(m, n, None) is v for m in homes)))
+            print(sorted(n for n, v in names.items() for m in homes if getattr(m, n, v) is not v))
+            """
+        )
+    )
+    assert out.splitlines() == [
+        "['qunimodal', 'qunimodal.certify', 'qunimodal.lr', 'qunimodal.qbinomial', 'qunimodal.unimodality']",
+        "True",
+        "True",
+        "True",
+        "True",
+        "True 33",
+        "[]",
+        "[]",
+    ]
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        qunimodal.no_such_name  # noqa: B018
 
 
 def test_cli_import_loads_no_dataclasses():
