@@ -33,10 +33,11 @@ form lists each once, children before parents and the root last, in
 the order of a depth-first walk from the root (left before right):
 {"version": 2, "conclusion": {"ell", "m"}, "nodes": [{"base": [l, m]} |
 {"add": [ell, i, j], "even": w, "geq3": w} | {"t": i}, ...]}, where i
-and j index earlier entries and {"t": i} concludes the mirror of entry
-i.  Serialization writes the canonical JSON text (sorted keys, no
-whitespace) straight from the table, one format string per entry kind;
-``parse_certificate`` is its one reader.
+and j index earlier entries, {"t": i} concludes the mirror of entry i,
+and each witness w is "ell", "m1" or "m2".  Serialization writes the
+canonical JSON text (sorted keys, no whitespace) straight from the
+table, one format string per entry kind; ``parse_certificate`` is its
+one reader, and it and the constructor refuse any other witness name.
 
 A ``Certificate`` is its claim and its table, ``(ell, m, entries)``,
 and nothing else.  ``certify`` builds the table directly, doubling on
@@ -50,7 +51,7 @@ each certificate is one that parse could return.  Serialization,
 ``verify``, ``==``, ``hash`` and ``repr`` read the table and the claim.
 ``BaseNode``, ``AddNode`` and ``VerificationResult`` are ``NamedTuple``
 classes and ``Certificate`` is a frozen plain class; none is a dataclass,
-and ``json`` is imported only to write or read a certificate, so
+and ``json`` is imported only to read a certificate, so
 importing the package loads neither ``dataclasses`` nor ``json``.
 
 ``verify`` replays the table on every call, re-testing every additivity
@@ -91,6 +92,8 @@ MAX_LEAF_AREA = 3600
 MAX_BYTES = 1 << 21
 # what a claim must be, in the constructor and in parse
 _CLAIM = 'expected {"ell": int, "m": int}'
+# the names a witness may take, in the constructor and in parse
+_WITNESSES = ("ell", "m1", "m2")
 
 
 class NotCertifiableError(Exception):
@@ -154,8 +157,10 @@ class Certificate:
     claim other than two ``int`` raises ``CertificateFormatError`` at
     ``$.conclusion``, as parse does; a node or flag that is not a
     certificate's, or a table of over ``MAX_NODES`` entries, raises it at a
-    path under ``$.nodes``.  So every certificate is one that parse could
-    return, and ``parse_certificate(serialize_certificate(c)) == c``.
+    path under ``$.nodes``.  So does an ``AddNode`` whose witnesses are not
+    each the ``str`` "ell", "m1" or "m2", at the entry it would take, as
+    parse refuses such a wire entry.  So every certificate is one that
+    parse could return, and ``parse_certificate(serialize_certificate(c)) == c``.
 
     It is frozen: assigning or deleting an attribute raises
     ``AttributeError``.  Its fields live in its ``__dict__``, which is what
@@ -188,8 +193,10 @@ class Certificate:
                     new.append(len(table) + len(extra))
                     extra.append(key)
             ew, gw = node.even_witness, node.geq3_witness
+            # exactly str: a subclass could bring its own == and __str__
             if type(node.ell) is int and type(ew) is type(gw) is str:
-                own = ("add", node.ell, len(table) - 1, new[-1], ew, gw)
+                if ew in _WITNESSES and gw in _WITNESSES:
+                    own = ("add", node.ell, len(table) - 1, new[-1], ew, gw)
         elif type(node) is BaseNode and type(node.ell) is type(node.m) is int:
             own = ("base", node.ell, node.m)
         at = len(table) + len(extra)
@@ -515,18 +522,6 @@ def verify(cert: Certificate) -> VerificationResult:
 # serialization
 
 
-# the JSON forms of the witness names certify writes; any other name is
-# encoded by _json
-_NAMES = {name: f'"{name}"' for name in ("ell", "m1", "m2")}
-
-
-def _json(name: str) -> str:
-    # a witness name certify does not write, as json.dumps writes it; json
-    # is imported on first use, which keeps it off the import of the package
-    import json
-    return json.dumps(name)
-
-
 def serialize_certificate(cert: Certificate) -> str:
     """Canonical JSON (sorted keys, no whitespace, byte-stable), written
     straight from the table, one format string per entry kind."""
@@ -536,9 +531,7 @@ def serialize_certificate(cert: Certificate) -> str:
     for entry in cert.entries:
         kind = entry[0]
         if kind == "add":
-            _, ell, i, j, ew, gw = entry
-            ew, gw = _NAMES.get(ew) or _json(ew), _NAMES.get(gw) or _json(gw)
-            nodes.append('{"add":[%d,%d,%d],"even":%s,"geq3":%s}' % (ell, i, j, ew, gw))
+            nodes.append('{"add":[%d,%d,%d],"even":"%s","geq3":"%s"}' % entry[1:])
         elif kind == "base":
             nodes.append('{"base":[%d,%d]}' % (entry[1], entry[2]))
         else:
@@ -549,8 +542,13 @@ def serialize_certificate(cert: Certificate) -> str:
 
 
 def parse_certificate(text: "str | bytes") -> Certificate:
+    """The certificate a canonical document states, or ``CertificateFormatError``
+    at the path of the first thing wrong.  A witness other than "ell", "m1"
+    or "m2" is refused here, at its entry; ``verify`` decides whether a
+    named member is even or at least 3."""
     if len(text) > MAX_BYTES:
-        raise CertificateFormatError("$", f"over MAX_BYTES = {MAX_BYTES} bytes")
+        unit = "characters" if isinstance(text, str) else "bytes"
+        raise CertificateFormatError("$", f"over MAX_BYTES = {MAX_BYTES} {unit}")
     import json
     try:
         obj = json.loads(text)
@@ -574,7 +572,7 @@ def parse_certificate(text: "str | bytes") -> Certificate:
         if type(item) is dict:
             if len(item) == 3:
                 add, ew, gw = item.get("add"), item.get("even"), item.get("geq3")
-                if type(add) is list and len(add) == 3 and type(ew) is type(gw) is str:
+                if type(add) is list and len(add) == 3 and ew in _WITNESSES and gw in _WITNESSES:
                     ell, i, j = add
                     if type(ell) is type(i) is type(j) is int and 0 <= i < at and 0 <= j < at:
                         entries.append(("add", ell, i, j, ew, gw))
@@ -590,7 +588,7 @@ def parse_certificate(text: "str | bytes") -> Certificate:
         raise CertificateFormatError(
             f"$.nodes[{at}]",
             'expected {"base": [l, m]}, {"add": [ell, i, j], "even": w, "geq3": w} or {"t": i}, '
-            "where i and j index earlier entries",
+            'where i and j index earlier entries and w is "ell", "m1" or "m2"',
         )
     table = tuple(entries)
     if not _canonical(table):

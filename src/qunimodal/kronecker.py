@@ -303,8 +303,6 @@ def two_row(n: int, k: int) -> Partition:
 def g_two_row(lam: Partition, mu: Partition, k: int) -> int:
     """Kronecker coefficient g(lam, mu, (n-k, k)) = a_k - a_{k-1}."""
     n, k = lam.size, operator.index(k)
-    if mu.size != n:
-        raise ValueError(f"size mismatch: |{lam}| = {lam.size}, |{mu}| = {mu.size}")
     if not 0 <= 2 * k <= n:
         raise ValueError(f"need 0 <= k <= n/2 = {n / 2}: got k={k}")
     value = a_k(lam, mu, k) - (a_k(lam, mu, k - 1) if k else 0)

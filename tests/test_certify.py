@@ -102,6 +102,10 @@ def test_certify_refusals():
         with pytest.raises(NotCertifiableError) as info:
             certify(ell, m)
         assert info.value.reason == "exception"
+    # a side below 1 is no box at all: a plain ValueError, not a refusal
+    for ell, m in ((0, 8), (8, 0), (-5, 9)):
+        with pytest.raises(ValueError, match=f"need ell, m >= 1: got ell={ell} m={m}"):
+            certify(ell, m)
 
 
 def test_non_integer_sides_are_refused():
@@ -189,12 +193,22 @@ def _doubled(ell, m, even, geq3):
     return [{"base": [ell, m]}, {"add": [ell, 0, 0], "even": even, "geq3": geq3}]
 
 
+WITNESS_NAMES = ("ell", "m1", "m2")
+_ENTRY = (
+    'expected {"base": [l, m]}, {"add": [ell, i, j], "even": w, "geq3": w} or {"t": i}, '
+    'where i and j index earlier entries and w is "ell", "m1" or "m2"'
+)
+
+
 def test_verify_pins_the_reasons_of_the_add_branch():
-    for name in ("x", "", "M1", "m3"):
-        reason = f"even witness {name!r} does not name an even member"
-        assert _rejected(_doubled(8, 8, name, "ell"), 8, 16) == (reason, "$.nodes[1]")
-        reason = f"size witness {name!r} does not name a member >= 3"
-        assert _rejected(_doubled(8, 8, "ell", name), 8, 16) == (reason, "$.nodes[1]")
+    # a witness other than the three names is refused by parse, at its
+    # entry, before verify reads it
+    for name in ("x", "", "M1", "m3", "ell ", "\u00e9"):
+        for nodes in (_doubled(8, 8, name, "ell"), _doubled(8, 8, "ell", name)):
+            doc = {"version": 2, "conclusion": {"ell": 8, "m": 16}, "nodes": nodes}
+            with pytest.raises(CertificateFormatError) as err:
+                parse_certificate(json.dumps(doc))
+            assert (err.value.path, err.value.message) == ("$.nodes[1]", _ENTRY)
     # a named member that is odd, or below 3: (5, 5) and (2, 2) are strict
     reason = "even witness 'm2' does not name an even member"
     assert _rejected(_doubled(5, 5, "m2", "ell"), 5, 10) == (reason, "$.nodes[1]")
@@ -210,15 +224,30 @@ def test_verify_pins_the_reasons_of_the_add_branch():
         nodes = [{"base": left}, {"base": right}, {"add": [5, 0, 1], "even": "m2", "geq3": "ell"}]
         reason = f"children conclude ell {left[0]}/{right[0]}, not the node's ell"
         assert _rejected(nodes, 5, 16) == (reason, "$.nodes[2]")
-    # a witness that is not a str can only come from objects built by hand;
-    # such a node is refused when the certificate is made, at the entry it
-    # would take, after the sound leaf
+    # a witness that is not one of the three names as a plain str is
+    # refused when the certificate is made, at the entry it would take,
+    # after the sound leaf; a str subclass is refused even when it equals
+    # a name, as it could write itself otherwise
+    class Name(str):
+        def __str__(self):
+            return '"'
+
     leaf = Certificate(8, 8, BaseNode(8, 8), False)
-    for witness in (1, None, ["ell"]):
+    for witness in (1, None, ["ell"], "x", "", "M1", Name("ell")):
         for node in (AddNode(8, leaf, leaf, witness, "ell"), AddNode(8, leaf, leaf, "ell", witness)):
             with pytest.raises(CertificateFormatError) as err:
                 Certificate(8, 16, node, False)
             assert (err.value.path, err.value.message) == ("$.nodes[1]", "not a certificate")
+    # verify keeps its own guard for a table rewritten in place, past both
+    # makers: a name that is no member reads as odd and below 3
+    forged = certify(8, 16)
+    for ew, gw, reason in (
+        ("x", "ell", "even witness 'x' does not name an even member"),
+        ("ell", "m3", "size witness 'm3' does not name a member >= 3"),
+    ):
+        vars(forged)["entries"] = (("base", 8, 8), ("add", 8, 0, 0, ew, gw))
+        outcome = verify(forged)
+        assert (outcome.ok, outcome.reason, outcome.path) == (False, reason, "$.nodes[1]")
 
 
 def test_verify_reports_path_of_failure():
@@ -304,8 +333,10 @@ MALFORMED_DOCUMENTS = [
     _V2 % ("true", _BASE),
     _V2 % (16, _BASE + ',{"add":[8,0,true],"even":"ell","geq3":"ell"}'),
     _V2 % (8, _BASE + ',{"t":true}'),
-    # witnesses must be strings, and keys exact
+    # witnesses must be one of the three names, and keys exact
     _V2 % (16, _BASE + ',{"add":[8,0,0],"even":1,"geq3":"ell"}'),
+    _V2 % (16, _BASE + ',{"add":[8,0,0],"even":"x","geq3":"m1"}'),
+    _V2 % (16, _BASE + ',{"add":[8,0,0],"even":"ell","geq3":"\\"\\u00e9"}'),
     _V2 % (16, _BASE + ',{"add":[8,0,0],"even":"ell"}'),
     _V2 % (8, '{"base":[8,8],"x":1}'),
     # not the canonical table: a duplicate, an unused entry, a
@@ -555,7 +586,8 @@ def test_parse_rejects_documents_over_max_bytes():
         assert parse_certificate(doc) == certify(9, 41)
         with pytest.raises(CertificateFormatError) as err:
             parse_certificate(doc + doc[-1:])
-        assert (err.value.path, err.value.message) == ("$", f"over MAX_BYTES = {MAX_BYTES} bytes")
+        unit = "characters" if type(doc) is str else "bytes"
+        assert (err.value.path, err.value.message) == ("$", f"over MAX_BYTES = {MAX_BYTES} {unit}")
 
 
 def test_max_bytes_counts_characters_of_a_str_and_bytes_of_bytes():
@@ -932,9 +964,15 @@ def _ref_text(obj):
 # st.text() over all of Unicode costs seconds of set-up per process;
 # every plane below the emoji block, controls included, is enough here
 _TEXT = st.text(st.characters(max_codepoint=0x1F7FF), max_size=6)
-_NAME = st.one_of(
-    st.sampled_from(["ell", "m1", "m2", "", '"', "\\", '\\"', "\x00", "\x1f\x7f", "\u00e9", "\u2028", "\U0001f600"]),
+_PICK, _ONE_IN_20 = st.integers(0, 5), st.integers(0, 19)
+# a witness name: one in ten is outside the three, which makes the
+# node or document that holds it one that is refused
+_OUTSIDER = st.one_of(
+    st.sampled_from(["", "M1", '"', "\\", '\\"', "\x00", "\x1f\x7f", "\u00e9", "\u2028", "\U0001f600"]),
     _TEXT,
+)
+_NAME = st.integers(0, 9).flatmap(
+    lambda pick: _OUTSIDER if pick == 0 else st.sampled_from(WITNESS_NAMES)
 )
 _SIDE = st.one_of(st.integers(-20, 40), st.integers(-(10**300), 10**300))
 _CONCLUSION = st.one_of(
@@ -953,10 +991,9 @@ _PAIR = st.one_of(
 
 
 @st.composite
-def _parsed(draw):
-    """A table of certify's, read back from a document whose witnesses
-    are drawn names, taken in turn, and whose sides are scaled by a
-    drawn factor."""
+def _document(draw):
+    """A table of certify's as a document whose witnesses are drawn names,
+    taken in turn, and whose sides are scaled by a drawn factor."""
     k = draw(_FACTOR)
     names = draw(st.lists(_NAME, min_size=1, max_size=4))
     obj = _ref_obj(certify(*draw(_PAIR)))
@@ -967,7 +1004,7 @@ def _parsed(draw):
             node["add"][0] *= k
             node["even"], node["geq3"] = names[at % len(names)], names[(at + 1) % len(names)]
     obj["conclusion"] = {"ell": draw(_SIDE), "m": draw(_SIDE)}
-    return parse_certificate(_ref_text(obj))
+    return obj
 
 
 # nodes and flags that are not a certificate's
@@ -979,7 +1016,6 @@ _BROKEN = st.sampled_from([
     (BaseNode(8, 8.0), True),
     (BaseNode(8, 8), 0),
 ])
-_PICK, _ONE_IN_20 = st.integers(0, 5), st.integers(0, 19)
 
 
 def _made(sides, ell, m, node, transposed):
@@ -996,16 +1032,20 @@ def _hand_built(draw):
     flag is broken, and the ``sides`` of the certificates made on the way:
     leaves, add steps over earlier certificates and mirrors, with drawn
     names, sides and claims; now and then one node or flag that is not a
-    certificate's, which ends the draw."""
+    certificate's, or an add step naming a witness outside the three,
+    which ends the draw."""
     certs, sides = [], {}
     for last in range(draw(_PICK), -1, -1):
+        broken = False
         if certs and draw(st.booleans()):
             left, right = certs[draw(_PICK) % len(certs)], certs[draw(_PICK) % len(certs)]
             node = AddNode(draw(_SIDE), left, right, draw(_NAME), draw(_NAME))
+            broken = not {node.even_witness, node.geq3_witness} <= set(WITNESS_NAMES)
         else:
             node = BaseNode(draw(_SIDE), draw(_SIDE))
-        broken = draw(_ONE_IN_20) == 0
-        node, flag = draw(_BROKEN) if broken else (node, draw(st.booleans()))
+        flag = draw(st.booleans())
+        if not broken and draw(_ONE_IN_20) == 0:
+            broken, (node, flag) = True, draw(_BROKEN)
         args = (draw(_SIDE), draw(_SIDE), node, flag)
         if broken or not last:
             return args, broken, sides
@@ -1016,8 +1056,23 @@ _HAND_MADE = _hand_built().filter(lambda drawn: not drawn[1]).map(lambda drawn: 
 
 
 @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@hypothesis.given(st.one_of(_PAIR.map(lambda pair: certify(*pair)), _parsed(), _HAND_MADE))
+@hypothesis.given(st.one_of(_PAIR.map(lambda pair: certify(*pair)), _document(), _HAND_MADE))
 def test_serializer_matches_the_dict_route(cert):
+    if type(cert) is dict:
+        # a document is refused at its first add entry that names a
+        # witness outside the three, and otherwise read back
+        text = _ref_text(cert)
+        outside = [
+            at
+            for at, node in enumerate(cert["nodes"])
+            if "add" in node and not {node["even"], node["geq3"]} <= set(WITNESS_NAMES)
+        ]
+        if outside:
+            with pytest.raises(CertificateFormatError) as err:
+                parse_certificate(text)
+            assert (err.value.path, err.value.message) == (f"$.nodes[{outside[0]}]", _ENTRY)
+            return
+        cert = parse_certificate(text)
     want = _ref_obj(cert)
     assert serialize_certificate(cert) == _ref_text(want)
     assert parse_certificate(serialize_certificate(cert)) == cert

@@ -33,7 +33,7 @@ from qunimodal import (
     verify,
 )
 from qunimodal.certify import MAX_NODES
-from test_certify import MALFORMED_DOCUMENTS, _made
+from test_certify import _ENTRY, MALFORMED_DOCUMENTS, WITNESS_NAMES, _made
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -155,16 +155,20 @@ def _reference_table(cert, sides):
             continue
         made = type(cur) is Certificate and sides.get(id(cur))
         node, transposed = made or (None, False)
-        if type(node) is BaseNode and type(node.ell) is type(node.m) is int:
-            at = intern(("base", node.ell, node.m), {"base": [node.ell, node.m]})
-        elif type(node) is AddNode and type(node.ell) is int and (
-            type(node.even_witness) is type(node.geq3_witness) is str
-        ):
-            ell, ew, gw = node.ell, node.even_witness, node.geq3_witness
+        if type(node) is AddNode:
+            # children first: a broken step is refused at the entry it would take
             i, j = done.get(id(node.left)), done.get(id(node.right))
             if i is None or j is None:
                 stack += (node.right, node.left)
                 continue
+        if type(transposed) is not bool:
+            raise CertificateFormatError(f"$.nodes[{len(entries)}]", "not a certificate")
+        if type(node) is BaseNode and type(node.ell) is type(node.m) is int:
+            at = intern(("base", node.ell, node.m), {"base": [node.ell, node.m]})
+        elif type(node) is AddNode and type(node.ell) is int and all(
+            type(w) is str and w in WITNESS_NAMES for w in (node.even_witness, node.geq3_witness)
+        ):
+            ell, ew, gw = node.ell, node.even_witness, node.geq3_witness
             at = intern(("add", ell, i, j, ew, gw), {"add": [ell, i, j], "even": ew, "geq3": gw})
         else:
             raise CertificateFormatError(f"$.nodes[{len(entries)}]", "not a certificate")
@@ -187,17 +191,13 @@ def _reference_entry_cert(obj, certs, sides, path):
         sub = certs[obj["t"]]
         node, transposed = sides[id(sub)]
         return _made(sides, sub.m, sub.ell, node, not transposed)
-    if keys == {"add", "even", "geq3"} and _ints(obj["add"], 3) and type(obj["even"]) is str:
+    if keys == {"add", "even", "geq3"} and _ints(obj["add"], 3) and obj["even"] in WITNESS_NAMES:
         ell, i, j = obj["add"]
         ew, gw = obj["even"], obj["geq3"]
-        if 0 <= i < at and 0 <= j < at and type(gw) is str:
+        if 0 <= i < at and 0 <= j < at and gw in WITNESS_NAMES:
             node = AddNode(ell, certs[i], certs[j], ew, gw)
             return _made(sides, ell, certs[i].m + certs[j].m, node, False)
-    raise CertificateFormatError(
-        path,
-        'expected {"base": [l, m]}, {"add": [ell, i, j], "even": w, "geq3": w} or {"t": i}, '
-        "where i and j index earlier entries",
-    )
+    raise CertificateFormatError(path, _ENTRY)
 
 
 def _reference_parse(text):

@@ -20,10 +20,15 @@ from test_certify_mutations import _reference_table
 def test_hand_built_tables_match_the_object_walk(drawn):
     args, broken, sides = drawn
     if broken:
-        # the drawn broken nodes are never add steps: their entry would be the first
+        # refused at the entry it would take: the first for a broken leaf,
+        # the one after its children's for an add step naming an outsider
         with pytest.raises(CertificateFormatError) as err:
             Certificate(*args)
-        assert (err.value.path, err.value.message) == ("$.nodes[0]", "not a certificate")
+        root = object.__new__(Certificate)
+        sides[id(root)] = args[2:]
+        with pytest.raises(CertificateFormatError) as walked:
+            _reference_table(root, sides)
+        assert (err.value.path, err.value.message) == (walked.value.path, "not a certificate")
         return
     cert = _made(sides, *args)
     assert [_ref_wire(entry) for entry in cert.entries] == _reference_table(cert, sides)

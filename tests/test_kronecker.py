@@ -619,6 +619,35 @@ def test_g_two_row_rejects_bad_k():
         g_two_row(P((2, 1)), P((2, 2)), 1)
 
 
+def test_shapes_of_different_sizes_are_refused_by_a_k():
+    # g_two_row leaves the size check to a_k, which raises the same error
+    lam, mu = P((3, 1)), P((2, 2, 1))
+    for route in (a_k, g_two_row):
+        with pytest.raises(ValueError, match=r"size mismatch: \|\[3,1\]\| = 4, \|\[2,2,1\]\| = 5"):
+            route(lam, mu, 1)
+    with pytest.raises(ValueError, match=r"need 0 <= k <= 4: got 5"):
+        a_k(lam, lam, 5)
+
+
+def test_staircase_tensor_squares_by_both_routes():
+    # g(delta_r, delta_r, (n - k, k)) for delta_r = (r, ..., 1), n = r(r+1)/2
+    for r, want in ((4, (1, 3, 8, 15, 15, 6)), (5, (1, 4, 15, 44, 92, 141, 154, 103))):
+        d = P(tuple(range(r, 0, -1)))
+        n = d.size
+        ks = range(n // 2 + 1)
+        assert tuple(g_two_row(d, d, k) for k in ks) == want
+        assert tuple(g_oracle(d, d, two_row(n, k)) for k in ks) == want
+
+
+def test_hook_row_of_a_tensor_square_counts_distinct_parts():
+    # g(lam, lam, (n - 1, 1)) is the number of distinct parts of lam, less 1
+    for n in range(2, 13):
+        for lam in partitions_of(n):
+            want = len(set(lam.parts)) - 1
+            assert g_two_row(lam, lam, 1) == want, lam
+            assert g_oracle(lam, lam, two_row(n, 1)) == want, lam
+
+
 def test_float_k_is_refused_cold_and_warm():
     # a float k once missed a memo of alpha listings (TypeError) on a
     # cold process and hit it (an answer) once k = 2 had filled it

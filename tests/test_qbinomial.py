@@ -91,6 +91,22 @@ def test_frozen_small_expansions():
     assert gaussian(3, 0).coeffs == (1,)
 
 
+def test_enumeration_refuses_a_negative_side():
+    for ell, m in ((-1, 3), (3, -1)):
+        with pytest.raises(ValueError, match="box sides must be non-negative"):
+            gaussian_by_enumeration(ell, m)
+
+
+def test_qpolynomial_is_its_coefficients():
+    p = QPolynomial([1, 1, 2, 1, 1])
+    assert p == gaussian(2, 2) and hash(p) == hash(gaussian(2, 2))
+    assert p != QPolynomial([1, 1, 1])
+    assert len({p, gaussian(2, 2), QPolynomial((1,))}) == 2
+    assert p.__eq__((1, 1, 2, 1, 1)) is NotImplemented and p != (1, 1, 2, 1, 1)
+    assert len(p) == 5 and len(QPolynomial((1,))) == 1
+    assert repr(p) == "QPolynomial([1, 1, 2, 1, 1])"
+
+
 @pytest.mark.parametrize("ell,m", [(1, 1), (2, 5), (3, 3), (4, 6), (5, 5), (6, 6), (7, 4)])
 def test_matches_product_formula(ell, m):
     assert gaussian(ell, m).coeffs == product_formula(ell, m)
