@@ -31,13 +31,14 @@ Construction is deterministic:
 So a certificate has O(log m) distinct sub-certificates, and its wire
 form lists each once, children before parents and the root last, in
 the order of a depth-first walk from the root (left before right):
-{"version": 2, "conclusion": {"ell", "m"}, "nodes": [{"base": [l, m]} |
-{"add": [ell, i, j], "even": w, "geq3": w} | {"t": i}, ...]}, where i
-and j index earlier entries, {"t": i} concludes the mirror of entry i,
-and each witness w is "ell", "m1" or "m2".  Serialization writes the
-canonical JSON text (sorted keys, no whitespace) straight from the
-table, one format string per entry kind; ``parse_certificate`` is its
-one reader, and it and the constructor refuse any other witness name.
+{"version": 3, "conclusion": {"ell", "m"}, "nodes": [["base", l, m] |
+["add", ell, i, j, even, geq3] | ["t", i], ...]}, each entry its table key
+as a flat array, where i and j index earlier entries, ["t", i] concludes
+the mirror of entry i, and each witness is "ell", "m1" or "m2".
+Serialization writes the canonical JSON text (sorted keys, no whitespace)
+straight from the table, one format string per entry kind;
+``parse_certificate`` is its one reader, and it and the constructor refuse
+any other witness name.
 
 A ``Certificate`` is its claim and its table, ``(ell, m, entries)``,
 and nothing else.  ``certify`` builds the table directly, doubling on
@@ -74,7 +75,7 @@ from typing import NamedTuple
 from .unimodality import EXCEPTION_PAIRS, check_strict
 
 _CHAIN_STEP = 8
-_VERSION = 2
+_VERSION = 3
 
 # Bounds on what verify will replay.  certify refuses a pair whose
 # table would exceed MAX_NODES and uses at most four distinct leaves,
@@ -88,12 +89,14 @@ MAX_LEAF_AREA = 3600
 # Only the x entries of the outer chain of a min >= 16 pair carry a large
 # side, and that side's y binary digits take y entries of its own chain,
 # so x + y <= MAX_NODES and the output peaks near x = y = 2048:
-# 1,451,805 bytes for (8 * 2^2046, 8 * 2^2046 + 8), the largest found.
+# 1,386,315 bytes for (8 * 2^2046, 8 * 2^2046 + 8), the largest found.
 MAX_BYTES = 1 << 21
 # what a claim must be, in the constructor and in parse
 _CLAIM = 'expected {"ell": int, "m": int}'
 # the names a witness may take, in the constructor and in parse
 _WITNESSES = ("ell", "m1", "m2")
+# each entry kind's wire form: its table key as a flat JSON array
+_WIRE = {"add": '["add",%d,%d,%d,"%s","%s"]', "base": '["base",%d,%d]', "t": '["t",%d]'}
 
 
 class NotCertifiableError(Exception):
@@ -527,25 +530,18 @@ def serialize_certificate(cert: Certificate) -> str:
     straight from the table, one format string per entry kind."""
     if not _holds_table(cert):
         raise CertificateFormatError("$.nodes[0]", "not a certificate")
-    nodes = []
-    for entry in cert.entries:
-        kind = entry[0]
-        if kind == "add":
-            nodes.append('{"add":[%d,%d,%d],"even":"%s","geq3":"%s"}' % entry[1:])
-        elif kind == "base":
-            nodes.append('{"base":[%d,%d]}' % (entry[1], entry[2]))
-        else:
-            nodes.append('{"t":%d}' % entry[1])
+    nodes = ",".join([_WIRE[entry[0]] % entry[1:] for entry in cert.entries])
     return '{"conclusion":{"ell":%d,"m":%d},"nodes":[%s],"version":%d}' % (
-        cert.ell, cert.m, ",".join(nodes), _VERSION
+        cert.ell, cert.m, nodes, _VERSION
     )
 
 
 def parse_certificate(text: "str | bytes") -> Certificate:
     """The certificate a canonical document states, or ``CertificateFormatError``
-    at the path of the first thing wrong.  A witness other than "ell", "m1"
-    or "m2" is refused here, at its entry; ``verify`` decides whether a
-    named member is even or at least 3."""
+    at the path of the first thing wrong.  An entry is told apart by its
+    length and its kind; one with a number other than an ``int``, or a
+    witness other than "ell", "m1" or "m2", is refused here, at its entry;
+    ``verify`` decides whether a named member is even or at least 3."""
     if len(text) > MAX_BYTES:
         unit = "characters" if isinstance(text, str) else "bytes"
         raise CertificateFormatError("$", f"over MAX_BYTES = {MAX_BYTES} {unit}")
@@ -565,30 +561,30 @@ def parse_certificate(text: "str | bytes") -> Certificate:
         raise CertificateFormatError("$.conclusion", _CLAIM)
     if type(nodes) is not list or not 1 <= len(nodes) <= MAX_NODES:
         raise CertificateFormatError("$.nodes", f"expected 1 to {MAX_NODES} entries")
-    # each wire entry into its key; an entry of one or three keys whose
-    # values all check has exactly the keys named
+    # each wire entry is its key: told apart by its length, then its kind
     entries: list[tuple] = []
     for at, item in enumerate(nodes):
-        if type(item) is dict:
-            if len(item) == 3:
-                add, ew, gw = item.get("add"), item.get("even"), item.get("geq3")
-                if type(add) is list and len(add) == 3 and ew in _WITNESSES and gw in _WITNESSES:
-                    ell, i, j = add
-                    if type(ell) is type(i) is type(j) is int and 0 <= i < at and 0 <= j < at:
-                        entries.append(("add", ell, i, j, ew, gw))
-                        continue
-            elif len(item) == 1:
-                base, t = item.get("base"), item.get("t")
-                if type(base) is list and len(base) == 2 and type(base[0]) is type(base[1]) is int:
-                    entries.append(("base", base[0], base[1]))
+        n = len(item) if type(item) is list else 0
+        if n == 6:
+            kind, ell, i, j, ew, gw = item
+            if kind == "add" and type(ell) is type(i) is type(j) is int and 0 <= i < at:
+                if 0 <= j < at and ew in _WITNESSES and gw in _WITNESSES:
+                    entries.append(tuple(item))
                     continue
-                if type(t) is int and 0 <= t < at:
-                    entries.append(("t", t))
-                    continue
+        elif n == 3:
+            kind, ell, m = item
+            if kind == "base" and type(ell) is type(m) is int:
+                entries.append(tuple(item))
+                continue
+        elif n == 2:
+            kind, i = item
+            if kind == "t" and type(i) is int and 0 <= i < at:
+                entries.append(tuple(item))
+                continue
         raise CertificateFormatError(
             f"$.nodes[{at}]",
-            'expected {"base": [l, m]}, {"add": [ell, i, j], "even": w, "geq3": w} or {"t": i}, '
-            'where i and j index earlier entries and w is "ell", "m1" or "m2"',
+            'expected ["base", l, m], ["add", ell, i, j, even, geq3] or ["t", i], where i and j '
+            'index earlier entries and even and geq3 are each "ell", "m1" or "m2"',
         )
     table = tuple(entries)
     if not _canonical(table):

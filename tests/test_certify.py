@@ -68,7 +68,7 @@ def test_registry_and_certificates_write_nothing_to_home(tmp_path, monkeypatch):
 
 def test_certify_base_pair():
     cert = certify(5, 17)
-    assert json.loads(serialize_certificate(cert))["nodes"] == [{"base": [5, 17]}]
+    assert json.loads(serialize_certificate(cert))["nodes"] == [["base", 5, 17]]
     assert not hasattr(cert, "node") and not hasattr(cert, "transposed")
     assert verify(cert).ok
 
@@ -77,11 +77,10 @@ def test_certify_chain_structure():
     # (8,24) = (8,8) + (8,16), and (8,16) is the step (8,8) doubled
     cert = certify(8, 24)
     assert (cert.ell, cert.m) == (8, 24)
-    assert json.loads(serialize_certificate(cert))["nodes"] == [
-        {"base": [8, 8]},
-        {"add": [8, 0, 0], "even": "ell", "geq3": "m1"},
-        {"add": [8, 0, 1], "even": "ell", "geq3": "m1"},
-    ]
+    assert serialize_certificate(cert) == (
+        '{"conclusion":{"ell":8,"m":24},"nodes":[["base",8,8],["add",8,0,0,"ell","m1"],'
+        '["add",8,0,1,"ell","m1"]],"version":3}'
+    )
 
 
 def test_certificates_grow_logarithmically():
@@ -183,20 +182,20 @@ def test_verify_rejects_mismatched_ell():
 
 def _rejected(nodes, ell, m):
     """The reason and path of verify's rejection of a wire table."""
-    doc = {"version": 2, "conclusion": {"ell": ell, "m": m}, "nodes": nodes}
+    doc = {"version": 3, "conclusion": {"ell": ell, "m": m}, "nodes": nodes}
     outcome = verify(parse_certificate(json.dumps(doc)))
     assert not outcome.ok
     return outcome.reason, outcome.path
 
 
 def _doubled(ell, m, even, geq3):
-    return [{"base": [ell, m]}, {"add": [ell, 0, 0], "even": even, "geq3": geq3}]
+    return [["base", ell, m], ["add", ell, 0, 0, even, geq3]]
 
 
 WITNESS_NAMES = ("ell", "m1", "m2")
 _ENTRY = (
-    'expected {"base": [l, m]}, {"add": [ell, i, j], "even": w, "geq3": w} or {"t": i}, '
-    'where i and j index earlier entries and w is "ell", "m1" or "m2"'
+    'expected ["base", l, m], ["add", ell, i, j, even, geq3] or ["t", i], where i and j '
+    'index earlier entries and even and geq3 are each "ell", "m1" or "m2"'
 )
 
 
@@ -205,7 +204,7 @@ def test_verify_pins_the_reasons_of_the_add_branch():
     # entry, before verify reads it
     for name in ("x", "", "M1", "m3", "ell ", "\u00e9"):
         for nodes in (_doubled(8, 8, name, "ell"), _doubled(8, 8, "ell", name)):
-            doc = {"version": 2, "conclusion": {"ell": 8, "m": 16}, "nodes": nodes}
+            doc = {"version": 3, "conclusion": {"ell": 8, "m": 16}, "nodes": nodes}
             with pytest.raises(CertificateFormatError) as err:
                 parse_certificate(json.dumps(doc))
             assert (err.value.path, err.value.message) == ("$.nodes[1]", _ENTRY)
@@ -221,7 +220,7 @@ def test_verify_pins_the_reasons_of_the_add_branch():
     assert _rejected(_doubled(2, 1, "ell", "ell"), 2, 2) == (reason, "$.nodes[1]")
     # children of mismatched ell, on either side
     for left, right in (([5, 8], [6, 8]), ([6, 8], [5, 8])):
-        nodes = [{"base": left}, {"base": right}, {"add": [5, 0, 1], "even": "m2", "geq3": "ell"}]
+        nodes = [["base", *left], ["base", *right], ["add", 5, 0, 1, "m2", "ell"]]
         reason = f"children conclude ell {left[0]}/{right[0]}, not the node's ell"
         assert _rejected(nodes, 5, 16) == (reason, "$.nodes[2]")
     # a witness that is not one of the three names as a plain str is
@@ -254,13 +253,9 @@ def test_verify_reports_path_of_failure():
     obj = json.loads(serialize_certificate(certify(5, 25)))
     # (5,25) = (5,17) + (5,8); keep the total at 25 so the failure
     # surfaces inside the table: (5,19) is strict, (5,6) is not
-    assert obj["nodes"] == [
-        {"base": [5, 17]},
-        {"base": [5, 8]},
-        {"add": [5, 0, 1], "even": "m2", "geq3": "ell"},
-    ]
-    obj["nodes"][0] = {"base": [5, 19]}
-    obj["nodes"][1] = {"base": [5, 6]}
+    assert obj["nodes"] == [["base", 5, 17], ["base", 5, 8], ["add", 5, 0, 1, "m2", "ell"]]
+    obj["nodes"][0] = ["base", 5, 19]
+    obj["nodes"][1] = ["base", 5, 6]
     tampered_text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     tampered = parse_certificate(tampered_text)
     outcome = verify(tampered)
@@ -280,22 +275,23 @@ def test_serialization_round_trip_and_determinism():
 
 
 def _references(entry):
-    if "add" in entry:
-        return entry["add"][1:]
-    return [entry["t"]] if "t" in entry else []
+    return entry[2:4] if entry[0] == "add" else entry[1:] if entry[0] == "t" else []
 
 
 def test_serialized_form_uses_bare_nodes_for_plain_children():
-    # entries are bare: no conclusion or flag of their own; a transposed
-    # sub-certificate is a {"t": i} entry naming the untransposed one
-    obj = json.loads(serialize_certificate(certify(16, 16)))
+    # entries are bare: no conclusion or flag of their own, each its table
+    # key as a flat array; a transposed sub-certificate is a ["t", i]
+    # entry naming the untransposed one
+    cert = certify(16, 16)
+    obj = json.loads(serialize_certificate(cert))
     assert set(obj) == {"version", "conclusion", "nodes"}
-    assert obj["version"] == 2
+    assert obj["version"] == 3
     assert obj["conclusion"] == {"ell": 16, "m": 16}
+    assert obj["nodes"] == [list(entry) for entry in cert.entries]
     kinds = set()
     for entry in obj["nodes"]:
-        assert set(entry) in ({"base"}, {"add", "even", "geq3"}, {"t"}), entry
-        kinds.add(min(entry))
+        assert (entry[0], len(entry)) in {("base", 3), ("add", 6), ("t", 2)}, entry
+        kinds.add(entry[0])
     assert kinds == {"base", "add", "t"}
     # children before parents; every entry but the root is used by a
     # later one, and the root, last, by none
@@ -306,46 +302,86 @@ def test_serialized_form_uses_bare_nodes_for_plain_children():
         assert bool(users) == (at < len(nodes) - 1)
 
 
-_V2 = '{"version":2,"conclusion":{"ell":8,"m":%s},"nodes":[%s]}'
-_BASE, _DOUBLE = '{"base":[8,8]}', '{"add":[8,0,0],"even":"ell","geq3":"ell"}'
-MALFORMED_DOCUMENTS = [
-    # the version-1 nested form of certify(5, 17)
+_V3 = '{"version":3,"conclusion":{"ell":8,"m":%s},"nodes":[%s]}'
+_BASE, _DOUBLE = '["base",8,8]', '["add",8,0,0,"ell","ell"]'
+# the version-2 text of certify(8, 24), whose entries were objects
+V2_DOCUMENT = (
+    '{"conclusion":{"ell":8,"m":24},"nodes":[{"base":[8,8]},{"add":[8,0,0],"even":"ell",'
+    '"geq3":"m1"},{"add":[8,0,1],"even":"ell","geq3":"m1"}],"version":2}'
+)
+# (document, the index of its first entry that is none of the three arrays)
+BAD_ENTRIES = [
+    # arrays of 1, 4, 5 and 7 items, and of none
+    (_V3 % (8, '["base"]'), 0),
+    (_V3 % (8, '["base",8,8,8]'), 0),
+    (_V3 % (16, _BASE + ',["add",8,0,0,"ell"]'), 1),
+    (_V3 % (16, _BASE + ',["add",8,0,0,"ell","ell","ell"]'), 1),
+    (_V3 % (8, "[]"), 0),
+    # a known kind at another kind's length
+    (_V3 % (8, '["base",8,0,0,"ell","m1"]'), 0),
+    (_V3 % (8, '["base",8]'), 0),
+    (_V3 % (16, _BASE + ',["add",8,0]'), 1),
+    (_V3 % (8, _BASE + ',["t",0,0]'), 1),
+    # a kind that is not one of the three strings
+    (_V3 % (8, "[1,8,8]"), 0),
+    (_V3 % (8, "[null,8,8]"), 0),
+    (_V3 % (8, '["BASE",8,8]'), 0),
+    (_V3 % (8, '[["base"],8,8]'), 0),
+    (_V3 % (8, _BASE + ',["x",0]'), 1),
+    # true or 8.0 where an int belongs
+    (_V3 % (8, '["base",true,8]'), 0),
+    (_V3 % (8, '["base",8,8.0]'), 0),
+    (_V3 % (16, _BASE + ',["add",8.0,0,0,"ell","ell"]'), 1),
+    (_V3 % (16, _BASE + ',["add",8,false,0,"ell","ell"]'), 1),
+    (_V3 % (16, _BASE + ',["add",8,0,true,"ell","ell"]'), 1),
+    (_V3 % (8, _BASE + ',["t",true]'), 1),
+    (_V3 % (8, _BASE + ',["t",0.0]'), 1),
+    # forward, self and negative references
+    (_V3 % (16, '["add",8,1,1,"ell","ell"],' + _BASE), 0),
+    (_V3 % (16, _BASE + ',["add",8,0,1,"ell","ell"]'), 1),
+    (_V3 % (16, _BASE + ',["add",8,-1,0,"ell","ell"]'), 1),
+    (_V3 % (16, _BASE + ',["add",8,0,-1,"ell","ell"]'), 1),
+    (_V3 % (8, '["t",0]'), 0),
+    (_V3 % (8, '["t",1],' + _BASE), 0),
+    (_V3 % (8, _BASE + ',["t",-1]'), 1),
+    # witnesses must be one of the three names
+    (_V3 % (16, _BASE + ',["add",8,0,0,1,"ell"]'), 1),
+    (_V3 % (16, _BASE + ',["add",8,0,0,"x","m1"]'), 1),
+    (_V3 % (16, _BASE + ',["add",8,0,0,"ell","\\"\\u00e9"]'), 1),
+    (_V3 % (16, _BASE + ',["add",8,0,0,"ell",["m1"]]'), 1),
+    (_V3 % (16, _BASE + ',["add",8,0,0,null,"ell"]'), 1),
+    # nested where flat belongs, and version-2 objects in a version-3 document
+    (_V3 % (8, '["base",[8,8]]'), 0),
+    (_V3 % (16, _BASE + ',["add",[8,0,0],"ell","ell"]'), 1),
+    (_V3 % (8, '"base"'), 0),
+    (_V3 % (8, '{"base":[8,8]}'), 0),
+    (_V3 % (16, _BASE + ',{"add":[8,0,0],"even":"ell","geq3":"ell"}'), 1),
+    (_V3 % (8, _BASE + ',{"t":0}'), 1),
+    (V2_DOCUMENT.replace('"version":2', '"version":3'), 0),
+]
+MALFORMED_DOCUMENTS = [text for text, _ in BAD_ENTRIES] + [
+    # the version-1 nested form of certify(5, 17), and the version-2 form
+    # of certify(8, 24)
     '{"conclusion":{"ell":5,"m":17},"node":{"base":{"ell":5,"m":17}},"transposed":false}',
-    # forward and self references
-    _V2 % (16, '{"add":[8,1,1],"even":"ell","geq3":"ell"},' + _BASE),
-    _V2 % (16, _BASE + ',{"add":[8,0,1],"even":"ell","geq3":"ell"}'),
-    _V2 % (8, '{"t":0}'),
-    _V2 % (16, _BASE + ',{"add":[8,-1,0],"even":"ell","geq3":"ell"}'),
+    V2_DOCUMENT,
     # wrong version
-    _V2.replace('"version":2', '"version":1') % (8, _BASE),
-    _V2.replace('"version":2', '"version":3') % (8, _BASE),
-    _V2.replace('"version":2', '"version":"2"') % (8, _BASE),
-    _V2.replace('"version":2', '"version":2.0') % (8, _BASE),
-    '{"conclusion":{"ell":8,"m":8},"nodes":[{"base":[8,8]}]}',
-    # non-list fields
-    '{"version":2,"conclusion":{"ell":8,"m":8},"nodes":{"0":{"base":[8,8]}}}',
-    _V2 % (8, '{"base":{"ell":8,"m":8}}'),
-    _V2 % (16, _BASE + ',{"add":{"ell":8,"left":0,"right":0},"even":"ell","geq3":"ell"}'),
-    _V2 % (8, '{"base":[8,8,8]}'),
-    _V2 % (8, ""),
-    # true where an int belongs
-    _V2 % (8, '{"base":[true,8]}'),
-    _V2 % ("true", _BASE),
-    _V2 % (16, _BASE + ',{"add":[8,0,true],"even":"ell","geq3":"ell"}'),
-    _V2 % (8, _BASE + ',{"t":true}'),
-    # witnesses must be one of the three names, and keys exact
-    _V2 % (16, _BASE + ',{"add":[8,0,0],"even":1,"geq3":"ell"}'),
-    _V2 % (16, _BASE + ',{"add":[8,0,0],"even":"x","geq3":"m1"}'),
-    _V2 % (16, _BASE + ',{"add":[8,0,0],"even":"ell","geq3":"\\"\\u00e9"}'),
-    _V2 % (16, _BASE + ',{"add":[8,0,0],"even":"ell"}'),
-    _V2 % (8, '{"base":[8,8],"x":1}'),
+    _V3.replace('"version":3', '"version":1') % (8, _BASE),
+    _V3.replace('"version":3', '"version":2') % (8, _BASE),
+    _V3.replace('"version":3', '"version":4') % (8, _BASE),
+    _V3.replace('"version":3', '"version":"3"') % (8, _BASE),
+    _V3.replace('"version":3', '"version":3.0') % (8, _BASE),
+    '{"conclusion":{"ell":8,"m":8},"nodes":[["base",8,8]]}',
+    # non-list fields, and a claim of true
+    '{"version":3,"conclusion":{"ell":8,"m":8},"nodes":{"0":["base",8,8]}}',
+    _V3 % (8, ""),
+    _V3 % ("true", _BASE),
     # not the canonical table: a duplicate, an unused entry, a
     # transpose of a transpose, children in the wrong walk order
-    _V2 % (16, _BASE + "," + _BASE + ',{"add":[8,0,1],"even":"ell","geq3":"ell"}'),
-    _V2 % (16, _BASE + ',{"base":[8,9]},' + _DOUBLE),
-    _V2 % (8, _BASE + ',{"t":0},{"t":1}'),
-    '{"version":2,"conclusion":{"ell":8,"m":17},"nodes":[{"base":[8,9]},{"base":[8,8]},'
-    '{"add":[8,1,0],"even":"ell","geq3":"m1"}]}',
+    _V3 % (16, _BASE + "," + _BASE + ',["add",8,0,1,"ell","ell"]'),
+    _V3 % (16, _BASE + ',["base",8,9],' + _DOUBLE),
+    _V3 % (8, _BASE + ',["t",0],["t",1]'),
+    '{"version":3,"conclusion":{"ell":8,"m":17},"nodes":[["base",8,9],["base",8,8],'
+    '["add",8,1,0,"ell","m1"]]}',
     "not json",
     "[]",
     '{"conclusion":{"ell":5,"m":25},"transposed":false}',
@@ -355,6 +391,23 @@ MALFORMED_DOCUMENTS = [
     '{"conclusion":{"ell":5,"m":5},"node":{"base":{"ell":5,"m":5}},"transposed":"no"}',
     '{"conclusion":{"ell":5,"m":5},"node":{"base":{"ell":5,"m":5.5}},"transposed":false}',
 ]
+
+
+def test_parse_refuses_each_entry_of_no_known_shape_at_its_path():
+    # the entry is told apart by its length and its first item; whatever
+    # else it is, the one entry message, at its index
+    for text, at in BAD_ENTRIES:
+        with pytest.raises(CertificateFormatError) as err:
+            parse_certificate(text)
+        assert (err.value.path, err.value.message) == (f"$.nodes[{at}]", _ENTRY), text
+
+
+def test_version_2_documents_are_refused_at_the_version():
+    # a whole version-2 document is refused before its entries are read
+    for text in (V2_DOCUMENT, V2_DOCUMENT.encode()):
+        with pytest.raises(CertificateFormatError) as err:
+            parse_certificate(text)
+        assert (err.value.path, err.value.message) == ("$.version", "expected 3")
 
 
 def test_parse_rejects_malformed_documents():
@@ -399,25 +452,31 @@ def test_complete_over_region_to_one_hundred():
     # every non-exceptional pair with both sides in 5..100, and five far
     # ones, goes through certify -> serialize -> parse -> verify, keeps
     # its bytes and its conclusion; exceptions are refused.  Each text,
-    # or "refused", on a line: the digest pins the bytes of the format
+    # or "refused", on a line: the first digest pins the bytes of the
+    # format.  The second pins the repr of each parsed (ell, m, entries),
+    # or "refused": it reads the same whatever the wire format, so it
+    # shows the tables themselves did not change
     pairs = [(ell, m) for ell in range(5, 101) for m in range(5, 101)]
     pairs += [(11, 29500), (550, 550), (8, 30000), (29500, 11), (100, 7)]
-    digest = hashlib.sha256()
+    digest, tables = hashlib.sha256(), hashlib.sha256()
     for ell, m in pairs:
         if (min(ell, m), max(ell, m)) in EXCEPTION_PAIRS:
             with pytest.raises(NotCertifiableError):
                 certify(ell, m)
             digest.update(b"refused\n")
+            tables.update(b"refused\n")
             continue
         text = serialize_certificate(certify(ell, m))
         digest.update(text.encode() + b"\n")
         parsed = parse_certificate(text)
+        tables.update(repr((parsed.ell, parsed.m, parsed.entries)).encode() + b"\n")
         assert serialize_certificate(parsed) == text
         outcome = verify(parsed)
         assert outcome.ok, (ell, m, outcome.reason, outcome.path)
         assert (outcome.ell, outcome.m) == (ell, m)
     assert len(pairs) == 9221
-    assert digest.hexdigest() == "d7d0271a2c12777d2d6045e1f36287d905f1e4b985846f4102c8c6fb97c98116"
+    assert digest.hexdigest() == "7d9193b1fd5aeb9f859ef32ac5d5a765c478dd13356cc34ca649262099c39fa9"
+    assert tables.hexdigest() == "a8fa20074bfe062474ebf6e34a3d8805a06a347c7765195c18366d0d8b462d73"
 
 
 def test_serialized_add_nodes_carry_valid_witnesses():
@@ -427,18 +486,18 @@ def test_serialized_add_nodes_carry_valid_witnesses():
         obj = json.loads(serialize_certificate(certify(ell, m)))
         concluded = []
         for entry in obj["nodes"]:
-            if "base" in entry:
-                concluded.append(tuple(entry["base"]))
-            elif "t" in entry:
-                concluded.append(concluded[entry["t"]][::-1])
+            if entry[0] == "base":
+                concluded.append(tuple(entry[1:]))
+            elif entry[0] == "t":
+                concluded.append(concluded[entry[1]][::-1])
             else:
-                e, i, j = entry["add"]
+                _, e, i, j, even, geq3 = entry
                 (l1, m1), (l2, m2) = concluded[i], concluded[j]
                 assert l1 == l2 == e, entry
                 parts = {"ell": e, "m1": m1, "m2": m2}
                 assert all(v >= 2 for v in parts.values()), entry
-                assert parts[entry["even"]] % 2 == 0, entry
-                assert parts[entry["geq3"]] >= 3, entry
+                assert parts[even] % 2 == 0, entry
+                assert parts[geq3] >= 3, entry
                 concluded.append((e, m1 + m2))
         assert concluded[-1] == (ell, m)
 
@@ -503,7 +562,7 @@ def test_leaf_verdicts_are_kept_by_min_max_within_the_area_bound(monkeypatch, fr
 
     monkeypatch.setattr(importlib.import_module("qunimodal.certify"), "check_strict", counting)
     for (ell, m), ok in [((13, 277), False), ((-8, -1), False), ((450, 8), True), ((8, 450), True)]:
-        doc = {"version": 2, "conclusion": {"ell": ell, "m": m}, "nodes": [{"base": [ell, m]}]}
+        doc = {"version": 3, "conclusion": {"ell": ell, "m": m}, "nodes": [["base", ell, m]]}
         assert verify(parse_certificate(json.dumps(doc))).ok is ok, (ell, m)
     assert checked == [(8, 450)]
     assert _leaf_strict.cache_info().currsize == len(checked)
@@ -541,10 +600,10 @@ def test_verify_rejects_too_many_distinct_leaves():
 
 def test_self_doubling_table_is_decided_quickly():
     # the last entry added to itself 2,000 times: m = 8 * 2^2000
-    nodes = [{"base": [8, 8]}]
+    nodes = [["base", 8, 8]]
     for i in range(2000):
-        nodes.append({"add": [8, i, i], "even": "ell", "geq3": "ell"})
-    doc = {"version": 2, "conclusion": {"ell": 8, "m": 8 << 2000}, "nodes": nodes}
+        nodes.append(["add", 8, i, i, "ell", "ell"])
+    doc = {"version": 3, "conclusion": {"ell": 8, "m": 8 << 2000}, "nodes": nodes}
     start = time.perf_counter()
     outcome = verify(parse_certificate(json.dumps(doc)))
     assert time.perf_counter() - start < 1.0
@@ -571,7 +630,7 @@ def test_largest_certify_output_round_trips_under_max_bytes():
     # entries about equally: the largest output found by search
     side = 8 * 2**2046
     text = serialize_certificate(certify(side, side + 8))
-    assert len(text) == 1_451_805 <= MAX_BYTES
+    assert len(text) == 1_386_315 <= MAX_BYTES
     assert len(json.loads(text)["nodes"]) == MAX_NODES
     assert serialize_certificate(parse_certificate(text)) == text
     with pytest.raises(ValueError, match="MAX_NODES"):
@@ -866,9 +925,9 @@ def test_mirrored_root_certificates_hold_only_their_table():
             assert (cert.entries[-1][0] == "t") is transposed
             assert list(vars(cert)) == ["ell", "m", "entries"]
             if transposed:
-                assert nodes[-1] == {"t": len(nodes) - 2}
+                assert nodes[-1] == ["t", len(nodes) - 2]
                 nodes.pop()
-            assert nodes[-1]["add"][0] == 470
+            assert nodes[-1][:2] == ["add", 470]
             assert verify(cert).ok
 
 
@@ -917,8 +976,8 @@ def test_reading_a_hand_built_certificate_leaves_it_unchanged():
 
 # ---------------------------------------------------------------------------
 # the witness names and the wire text against the routes they replaced:
-# names found by generators, and every entry turned into a dict that
-# json.dumps wrote with sorted keys
+# names found by generators, and every entry turned into a list that
+# json.dumps wrote, in a document with sorted keys
 
 
 def _ref_witnesses(ell, m1, m2):
@@ -943,18 +1002,9 @@ def test_witness_names_match_the_generator_reference():
                         _witnesses(ell, m1, m2)
 
 
-def _ref_wire(entry):
-    if entry[0] == "base":
-        return {"base": [entry[1], entry[2]]}
-    if entry[0] == "t":
-        return {"t": entry[1]}
-    _, ell, i, j, ew, gw = entry
-    return {"add": [ell, i, j], "even": ew, "geq3": gw}
-
-
 def _ref_obj(cert):
-    nodes = [_ref_wire(entry) for entry in cert.entries]
-    return {"version": 2, "conclusion": {"ell": cert.ell, "m": cert.m}, "nodes": nodes}
+    nodes = [list(entry) for entry in cert.entries]
+    return {"version": 3, "conclusion": {"ell": cert.ell, "m": cert.m}, "nodes": nodes}
 
 
 def _ref_text(obj):
@@ -998,11 +1048,11 @@ def _document(draw):
     names = draw(st.lists(_NAME, min_size=1, max_size=4))
     obj = _ref_obj(certify(*draw(_PAIR)))
     for at, node in enumerate(obj["nodes"]):
-        if "base" in node:
-            node["base"] = [v * k for v in node["base"]]
-        elif "add" in node:
-            node["add"][0] *= k
-            node["even"], node["geq3"] = names[at % len(names)], names[(at + 1) % len(names)]
+        if node[0] == "base":
+            node[1:] = [v * k for v in node[1:]]
+        elif node[0] == "add":
+            node[1] *= k
+            node[4:] = names[at % len(names)], names[(at + 1) % len(names)]
     obj["conclusion"] = {"ell": draw(_SIDE), "m": draw(_SIDE)}
     return obj
 
@@ -1065,7 +1115,7 @@ def test_serializer_matches_the_dict_route(cert):
         outside = [
             at
             for at, node in enumerate(cert["nodes"])
-            if "add" in node and not {node["even"], node["geq3"]} <= set(WITNESS_NAMES)
+            if node[0] == "add" and not set(node[4:]) <= set(WITNESS_NAMES)
         ]
         if outside:
             with pytest.raises(CertificateFormatError) as err:
@@ -1094,7 +1144,7 @@ def test_claims_other_than_two_ints_are_refused(ell, m):
         with pytest.raises(CertificateFormatError) as err:
             Certificate(ell, m, node, False)
         assert (err.value.path, err.value.message) == refusal
-    doc = {"version": 2, "conclusion": {"ell": ell, "m": m}, "nodes": [{"base": [8, 8]}]}
+    doc = {"version": 3, "conclusion": {"ell": ell, "m": m}, "nodes": [["base", 8, 8]]}
     with pytest.raises(CertificateFormatError) as err:
         parse_certificate(json.dumps(doc))
     assert (err.value.path, err.value.message) == refusal

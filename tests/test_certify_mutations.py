@@ -2,9 +2,9 @@
 
 Each example takes the serialized certificate of one pair and applies
 one mutation: an int replaced, a witness replaced, a reference
-replaced, a key dropped or added, or the table truncated.  Whatever
-comes out, ``verify`` must not raise, and it may accept only a
-conclusion that ``classify`` reports as Strict.
+replaced, an entry's kind replaced, a key or an item dropped or added,
+or the table truncated.  Whatever comes out, ``verify`` must not raise,
+and it may accept only a conclusion that ``classify`` reports as Strict.
 
 A reference parse, which builds the objects entry by entry and then
 compares their walked wire table with the document, must reach the
@@ -70,10 +70,11 @@ def _slots(doc):
 
 
 def _containers(doc):
+    """Every non-empty dict and list in the document."""
     found, stack = [], [doc]
     while stack:
         cur = stack.pop()
-        if isinstance(cur, dict):
+        if cur:
             found.append(cur)
         children = cur.values() if isinstance(cur, dict) else cur
         stack.extend(c for c in children if isinstance(c, (dict, list)))
@@ -84,26 +85,35 @@ def _containers(doc):
 def mutated(draw):
     doc = copy.deepcopy(draw(st.sampled_from(DOCS)))
     nodes = doc["nodes"]
-    kind = draw(st.sampled_from(["int", "witness", "reference", "drop", "add", "truncate"]))
+    kind = draw(st.sampled_from(["int", "witness", "reference", "kind", "drop", "add", "truncate"]))
     if kind == "int":
         slots = _slots(doc)
         cur, key = slots[draw(st.integers(0, len(slots) - 1))]
         cur[key] = draw(VALUES)
     elif kind in ("witness", "reference"):
-        adds = [e for e in nodes if "add" in e] or nodes
+        adds = [e for e in nodes if e[0] == "add"] or nodes
         entry = adds[draw(st.integers(0, len(adds) - 1))]
-        if kind == "witness" and "add" in entry:
-            entry[draw(st.sampled_from(["even", "geq3"]))] = draw(
+        if kind == "witness" and entry[0] == "add":
+            entry[draw(st.integers(4, 5))] = draw(
                 st.one_of(st.sampled_from(["ell", "m1", "m2", "m3", ""]), VALUES)
             )
-        elif "add" in entry:
-            entry["add"][draw(st.integers(1, 2))] = draw(st.integers(-2, len(nodes) + 1))
+        elif entry[0] == "add":
+            entry[draw(st.integers(2, 3))] = draw(st.integers(-2, len(nodes) + 1))
         else:
-            nodes[draw(st.integers(0, len(nodes) - 1))] = {"t": draw(st.integers(-1, len(nodes)))}
+            nodes[draw(st.integers(0, len(nodes) - 1))] = ["t", draw(st.integers(-1, len(nodes)))]
+    elif kind == "kind":
+        entry = nodes[draw(st.integers(0, len(nodes) - 1))]
+        entry[0] = draw(st.one_of(st.sampled_from(["base", "add", "t", "x", "even"]), VALUES))
     elif kind in ("drop", "add"):
         containers = _containers(doc)
         target = containers[draw(st.integers(0, len(containers) - 1))]
-        if kind == "drop":
+        if isinstance(target, list):
+            at = draw(st.integers(0, len(target) - (kind == "drop")))
+            if kind == "drop":
+                target.pop(at)
+            else:
+                target.insert(at, draw(VALUES))
+        elif kind == "drop":
             target.pop(draw(st.sampled_from(sorted(target))))
         else:
             target[draw(st.sampled_from(["x", "t", "base", "add", "even", "node"]))] = draw(VALUES)
@@ -129,7 +139,7 @@ def test_verify_decides_every_mutation(text):
 
 # ---------------------------------------------------------------------------
 # reference parse: each wire entry becomes an object, then the objects
-# are walked back into wire dicts, which must equal the document's
+# are walked back into wire lists, which must equal the document's
 
 
 def _reference_table(cert, sides):
@@ -164,15 +174,15 @@ def _reference_table(cert, sides):
         if type(transposed) is not bool:
             raise CertificateFormatError(f"$.nodes[{len(entries)}]", "not a certificate")
         if type(node) is BaseNode and type(node.ell) is type(node.m) is int:
-            at = intern(("base", node.ell, node.m), {"base": [node.ell, node.m]})
+            at = intern(("base", node.ell, node.m), ["base", node.ell, node.m])
         elif type(node) is AddNode and type(node.ell) is int and all(
             type(w) is str and w in WITNESS_NAMES for w in (node.even_witness, node.geq3_witness)
         ):
             ell, ew, gw = node.ell, node.even_witness, node.geq3_witness
-            at = intern(("add", ell, i, j, ew, gw), {"add": [ell, i, j], "even": ew, "geq3": gw})
+            at = intern(("add", ell, i, j, ew, gw), ["add", ell, i, j, ew, gw])
         else:
             raise CertificateFormatError(f"$.nodes[{len(entries)}]", "not a certificate")
-        done[id(cur)] = intern(("t", at), {"t": at}) if transposed else at
+        done[id(cur)] = intern(("t", at), ["t", at]) if transposed else at
         stack.pop()
     return entries
 
@@ -182,19 +192,18 @@ def _ints(v, n):
 
 
 def _reference_entry_cert(obj, certs, sides, path):
-    keys = set(obj) if type(obj) is dict else set()
+    kind = obj[0] if type(obj) is list and obj and type(obj[0]) is str else None
     at = len(certs)
-    if keys == {"base"} and _ints(obj["base"], 2):
-        ell, m = obj["base"]
+    if kind == "base" and _ints(obj[1:], 2):
+        ell, m = obj[1:]
         return _made(sides, ell, m, BaseNode(ell, m), False)
-    if keys == {"t"} and type(obj["t"]) is int and 0 <= obj["t"] < at:
-        sub = certs[obj["t"]]
+    if kind == "t" and _ints(obj[1:], 1) and 0 <= obj[1] < at:
+        sub = certs[obj[1]]
         node, transposed = sides[id(sub)]
         return _made(sides, sub.m, sub.ell, node, not transposed)
-    if keys == {"add", "even", "geq3"} and _ints(obj["add"], 3) and obj["even"] in WITNESS_NAMES:
-        ell, i, j = obj["add"]
-        ew, gw = obj["even"], obj["geq3"]
-        if 0 <= i < at and 0 <= j < at and gw in WITNESS_NAMES:
+    if kind == "add" and len(obj) == 6 and _ints(obj[1:4], 3):
+        _, ell, i, j, ew, gw = obj
+        if 0 <= i < at and 0 <= j < at and ew in WITNESS_NAMES and gw in WITNESS_NAMES:
             node = AddNode(ell, certs[i], certs[j], ew, gw)
             return _made(sides, ell, certs[i].m + certs[j].m, node, False)
     raise CertificateFormatError(path, _ENTRY)
@@ -207,8 +216,8 @@ def _reference_parse(text):
         raise CertificateFormatError("$", f"not valid JSON: {err}") from None
     if type(obj) is not dict or set(obj) != {"version", "conclusion", "nodes"}:
         raise CertificateFormatError("$", 'expected keys ["conclusion", "nodes", "version"]')
-    if type(obj["version"]) is not int or obj["version"] != 2:
-        raise CertificateFormatError("$.version", "expected 2")
+    if type(obj["version"]) is not int or obj["version"] != 3:
+        raise CertificateFormatError("$.version", "expected 3")
     concl, nodes = obj["conclusion"], obj["nodes"]
     if type(concl) is not dict or set(concl) != {"ell", "m"} or not _ints(list(concl.values()), 2):
         raise CertificateFormatError("$.conclusion", 'expected {"ell": int, "m": int}')

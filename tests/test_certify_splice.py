@@ -11,7 +11,7 @@ import hypothesis
 import pytest
 
 from qunimodal import Certificate, CertificateFormatError
-from test_certify import _hand_built, _made, _ref_wire
+from test_certify import _hand_built, _made
 from test_certify_mutations import _reference_table
 
 
@@ -31,4 +31,4 @@ def test_hand_built_tables_match_the_object_walk(drawn):
         assert (err.value.path, err.value.message) == (walked.value.path, "not a certificate")
         return
     cert = _made(sides, *args)
-    assert [_ref_wire(entry) for entry in cert.entries] == _reference_table(cert, sides)
+    assert [list(entry) for entry in cert.entries] == _reference_table(cert, sides)

@@ -202,10 +202,11 @@ def test_kron_two_row_bad_k_is_usage_error(capsys):
 # empty directory holding GOLDEN_FILES, exits 0 and writes nothing to
 # stderr.  The envelopes are pinned byte for byte, params included.
 GOLDEN_FILES = {
-    "accepted.json": '{"conclusion":{"ell":8,"m":24},"nodes":[{"base":[8,8]},{"add":[8,0,0],"even":"ell","geq3":"m1"},{"add":[8,0,1],"even":"ell","geq3":"m1"}],"version":2}\n',
+    "accepted.json": '{"conclusion":{"ell":8,"m":24},"nodes":[["base",8,8],["add",8,0,0,"ell","m1"],["add",8,0,1,"ell","m1"]],"version":3}\n',
     # (5,25) = (5,19) + (5,6): the second leaf is not strict
-    "rejected.json": '{"conclusion":{"ell":5,"m":25},"nodes":[{"base":[5,19]},{"base":[5,6]},{"add":[5,0,1],"even":"m2","geq3":"ell"}],"version":2}\n',
-    "malformed.json": '{"conclusion":{"ell":8,"m":24},"nodes":[{"base":[8,8]}],"version":3}\n',
+    "rejected.json": '{"conclusion":{"ell":5,"m":25},"nodes":[["base",5,19],["base",5,6],["add",5,0,1,"m2","ell"]],"version":3}\n',
+    # what certify wrote for (8,24) in version 2, whose entries were objects
+    "malformed.json": '{"conclusion":{"ell":8,"m":24},"nodes":[{"base":[8,8]},{"add":[8,0,0],"even":"ell","geq3":"m1"},{"add":[8,0,1],"even":"ell","geq3":"m1"}],"version":2}\n',
 }
 GOLDEN = [
     (["lr", "--outer", "[4,2]", "--left", "[2,1]", "--right", "[2,1]"],
@@ -261,9 +262,9 @@ GOLDEN = [
     (["verify", "--in", "rejected.json", "--format", "json"],
      '{"command":"verify","params":{"in":"rejected.json"},"result":{"accepted":false,"ell":null,"m":null,"path":"$.nodes[1]","reason":"base pair (5,6) is not strictly unimodal"},"version":"0.1.0"}\n'),
     (["verify", "--in", "malformed.json"],
-     'REJECTED: malformed certificate ($.version: expected 2)\n'),
+     'REJECTED: malformed certificate ($.version: expected 3)\n'),
     (["verify", "--in", "malformed.json", "--format", "json"],
-     '{"command":"verify","params":{"in":"malformed.json"},"result":{"accepted":false,"path":"$.version","reason":"$.version: expected 2"},"version":"0.1.0"}\n'),
+     '{"command":"verify","params":{"in":"malformed.json"},"result":{"accepted":false,"path":"$.version","reason":"$.version: expected 3"},"version":"0.1.0"}\n'),
     (["repro", "--claim", "ell34", "--max-n", "5"],
      'claim: ell34\nchecked ell in {3,4}, m=3..5 for non-strictness with a witness plateau\nPASS\n'),
     (["repro", "--claim", "ell2", "--max-n", "4", "--format", "json"],
@@ -688,9 +689,9 @@ def test_verify_rejects_tampered_file(tmp_path, capsys):
     doc = json.loads(out.read_text())
     # (5,25) = (5,17) + (5,8): the tampered table still sums to 25, and
     # its second leaf (5,6) is not strict
-    assert doc["nodes"][:2] == [{"base": [5, 17]}, {"base": [5, 8]}]
-    doc["nodes"][0] = {"base": [5, 19]}
-    doc["nodes"][1] = {"base": [5, 6]}
+    assert doc["nodes"][:2] == [["base", 5, 17], ["base", 5, 8]]
+    doc["nodes"][0] = ["base", 5, 19]
+    doc["nodes"][1] = ["base", 5, 6]
     out.write_text(json.dumps(doc))
     assert run(["verify", "--in", str(out)]) == 0
     text = capsys.readouterr().out
@@ -710,7 +711,7 @@ def test_long_thin_certificate_verifies(tmp_path, capsys):
     [
         b"[" * 100_000,
         b"\xff\xfe not utf-8",
-        b'{"version":2,"conclusion":{"ell":8,"m":8},"nodes":[{"base":[8,8]}]}\xff',
+        b'{"version":3,"conclusion":{"ell":8,"m":8},"nodes":[["base",8,8]]}\xff',
     ],
     ids=["deeply-nested", "undecodable", "undecodable-tail"],
 )
@@ -726,9 +727,9 @@ def test_verify_hostile_bytes_are_rejected(tmp_path, capsys, content):
 def test_verify_rejects_table_over_max_nodes(tmp_path, capsys):
     from qunimodal.certify import MAX_NODES
 
-    nodes = [{"base": [8, 8]}]
-    nodes += [{"add": [8, i, i], "even": "ell", "geq3": "ell"} for i in range(MAX_NODES)]
-    doc = {"version": 2, "conclusion": {"ell": 8, "m": 8 << MAX_NODES}, "nodes": nodes}
+    nodes = [["base", 8, 8]]
+    nodes += [["add", 8, i, i, "ell", "ell"] for i in range(MAX_NODES)]
+    doc = {"version": 3, "conclusion": {"ell": 8, "m": 8 << MAX_NODES}, "nodes": nodes}
     bad = tmp_path / "big.json"
     bad.write_text(json.dumps(doc))
     assert run(["verify", "--in", str(bad), "--format", "json"]) == 0
@@ -869,3 +870,14 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out
         if argv[0] == "verify":
             assert out.startswith("ACCEPTED"), out
+
+
+def test_readme_certificate_example_is_what_certify_writes():
+    # the README's (8, 24) document, spaced for reading, is the table that
+    # certify builds and the text it writes once the spaces go
+    from qunimodal.certify import certify, parse_certificate, serialize_certificate
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"\n## Certificates\n.*?```json\n(.*?)```", readme, re.S).group(1)
+    assert parse_certificate(block) == certify(8, 24)
+    assert "".join(block.split()) == serialize_certificate(certify(8, 24))
