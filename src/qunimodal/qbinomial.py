@@ -23,9 +23,8 @@ x | C is congruent to x modulo 2^K and at least 2^K, and the masked
 shift is below 2^K, so the difference is positive, and the mask leaves
 x (1 - 2^s) modulo 2^K.  No negative value is ever masked (a bitwise and
 of a negative int works on a two's complement copy).  A series, like
-each geometric sum below, cuts only each shifted term to K bits, lets
-the running sum carry a few bits past K, and masks it once when it
-returns.  So every factor hands on a masked value.  The mask and the
+each geometric sum below, masks the sum after every shift-and-add, so
+every pass, and every factor, hands on a masked value.  The mask and the
 bias are computed once per stage.
 
 The half is built in stages.  Stage (a, b), a > 2, starts from the
@@ -120,26 +119,27 @@ limb-wise compare, ``_agreeing`` (broadword arithmetic, Knuth, TAOCP 4A,
 7.1.3).  Gaussian binomials are unimodal (Sylvester, 1878; O'Hara's
 combinatorial proof, J. Combin. Theory Ser. A, 1990), so each stall is
 an equality p_{k-1} = p_k, and the compare asks only where neighbours
-agree.  Let x hold v_0, ..., v_h in L-bit limbs, P the low ``bits`` < L
-bits and G the bit 2^bits of each limb.  Limb k of (x ^ (x << L)) & P is
-v_k xor v_{k-1} cut to ``bits`` bits; adding P sets its bit 2^bits
-exactly where it is not zero, and never carries into the next limb (the
-sum is below 2^(bits+1)).  So G ^ ((((x ^ (x << L)) & P) + P) & G) marks
-limb k exactly where v_k = v_{k-1} modulo 2^bits; limbs 0 and 1 are
-shifted out, and a strict box leaves zero.
+agree.  Let x hold v_0, ..., v_h in L-bit limbs, each below 2^(L-1), P
+the low L-1 bits and G the top bit of each limb.  Limb k of x ^ (x << L)
+is v_k xor v_{k-1}, below 2^(L-1); adding P sets its top bit exactly
+where it is not zero, and never carries into the next limb (the sum is
+below 2^L).  So G ^ (((x ^ (x << L)) + P) & G) marks limb k exactly
+where v_k = v_{k-1}; limb h+1, which the shift adds, is cut by G, limbs
+0 and 1 are shifted out, and a strict box leaves zero.
 
 ``rising_stalls`` climbs a ladder of rungs, each a half packed by
 ``_half`` and that one compare; the first rung on which no neighbours
 agree proves the box strict.  The residue rungs, (W, R) in
-``RESIDUE_RUNGS`` = ((3, 18), (4, 26)), hold the coefficients modulo 2^R
-in limbs of W bytes: an equality survives the reduction, so agreement
-modulo 2^R is necessary for a stall.  The exact rung, in limbs of the E
-bytes of 2 B(a, b), compares with bits = 8E - 1: every coefficient is
-below 2^(8E-1), so the spare top bit is the guard bit, agreement is the
-stall, and the top byte of each limb is read back.  Where B has a whole
+``RESIDUE_RUNGS`` = ((2, 15), (3, 23)), hold the coefficients modulo 2^R
+in limbs of W bytes, R = 8W - 1, so the top bit of each limb is its one
+guard bit: an equality survives the reduction, so agreement modulo 2^R
+is necessary for a stall.  The exact rung holds the coefficients in
+limbs of the E bytes of 2 B(a, b): every coefficient is below
+2^(8E-1), so the spare top bit is the guard bit, agreement is the stall,
+and the top byte of each limb is read back.  Where B has a whole
 number of bytes, as on (7, 163) and (45, 45), the spare bit packs the
-last stage one byte wider than ``gaussian``'s.  Two rules choose where
-the residue rungs run and what they compare; neither can change an
+last stage one byte wider than ``gaussian``'s.  Three rules choose where
+the residue rungs run and what they compare; none can change an
 answer, since the exact rung decides whatever they leave open:
 
 1. A residue rung runs only where a >= 5 and the exact limbs take more
@@ -153,31 +153,40 @@ answer, since the exact rung decides whatever they leave open:
    p_{k-1}'s with a 1 added, so p_k - p_{k-1} counts the partitions of
    k into parts 2..a: at least 1 for k >= 2 and a >= 3 (2s, or one 3 and
    2s), so no stall has k <= b.  Those counts depend on (a, k) alone;
-   2^18 divides them first at k = 1910 for a = 6, 4574 for a = 8 and
-   5097 for a = 30, so every box (6, b >= 1910), (8, b >= 4574) or (30,
-   b >= 5097) would agree on the 18-bit rung if it compared them.
+   2^15 divides them first at k = 950 for a = 6, 4574 for a = 8 and
+   5097 for a = 30, so every box (6, b >= 950), (8, b >= 4574) or (30,
+   b >= 5097) would agree on the 15-bit rung if it compared them.
+3. A residue rung is skipped where 4(h - b) >= 2^R.  Agreement at R bits
+   has odds of about (h - b)/2^R on a strict box, so there the rung
+   expects a quarter of a false agreement or more, and would pay for
+   itself and the next rung too often.  This skips the 15-bit rung on
+   boxes with h - b >= 8,192, as (6, 4096), (20, 1000) and (30, 5200),
+   and the 23-bit rung only on boxes with h - b >= 2^21.
 
 A false collision, residues that agree where no stall is, costs the
 next rung and nothing else.  Of the 14,115 boxes with 5 <= a <= b and ab
-<= 6,000, 406 take the exact rung alone, all with exact limbs of 3
-bytes or fewer (the nine exceptional pairs among them), 13,632 are
-proved strict on the 18-bit rung, and 77 agree there and are proved
-strict on the 26-bit rung, among them (9, 632), (20, 197) and (27,
-214), whose residues agree modulo 2^22 too, (7, 460), and (5, 776),
-whose exact limbs take 5 bytes.  None goes from the 18-bit rung to the
-exact one, as a box whose exact limbs take 4 bytes would on a false
-collision.  Agreement at 18 bits has odds of about (h - b)/2^18 on a
-strict box: (30, 5200), with h = 78,000, agrees at k = 77,352 and climbs
-to the 26-bit rung.
+<= 6,000, 89 take the exact rung alone, all with exact limbs of 2 bytes
+or fewer (the nine exceptional pairs among them), 13,392 are proved
+strict on the 15-bit rung, and 633 agree there and are proved strict on
+the 23-bit rung, among them (9, 632), (27, 214), (7, 460), (5, 776),
+whose exact limbs take 5 bytes, and (109, 110), whose residues agree at
+k = 4,387 and 5,104.  One, (20, 197), whose p_1170 and p_1171 differ by
+a multiple of 2^25, agrees on both residue rungs and is proved strict
+on the exact one.
 
 Against the exact rung alone the ladder takes, median per stratum of
 the benchmark's boxes (40 rounds of the seed-11 op list, best of 7
-in-process calls per box, 2-vCPU Intel Xeon VM, Python 3.11.7), 0.89 of
-the time on exact limbs of 4 to 5 bytes, 0.69 to 0.74 on 5 to 6, 0.65 to
-0.67 on 6 to 8, 0.45 to 0.52 on 8 to 11, 0.35 to 0.40 on 11 to 14, 0.30
-on 14 to 16, 0.19 to 0.25 on 17 to 22 and 0.13 on 26 to 27.  On the
-1,022 boxes of the census above whose exact limbs take 4 bytes it takes
-0.90 (quartiles 0.89 to 0.93, best of 5).
+in-process calls per box, 2-vCPU Intel Xeon VM, Python 3.11.7), 0.75 of
+the time on exact limbs of 4 to 5 bytes, 0.53 to 0.58 on 5 to 6, 0.51 to
+0.53 on 6 to 8, 0.32 to 0.39 on 8 to 11, 0.24 to 0.30 on 11 to 14, 0.22
+on 14 to 16, 0.13 to 0.18 on 17 to 22 and 0.09 on 26 to 27.  On the
+boxes of the census above it takes 0.94 of the time on the 317 whose
+exact limbs take 3 bytes (quartiles 0.90 to 0.98, best of 5) and 0.76
+on the 1,022 whose exact limbs take 4 (quartiles 0.74 to 0.80).  A
+strict box whose residues agree modulo 2^15 pays both residue rungs
+before it is cleared: (109, 110) takes 1.68 times as long as on the
+23-bit rung alone, and (20, 197), which climbs all three rungs, 1.66
+times as long as on the exact rung alone (best of 15 batches of 5).
 
 One stage loop, ``_half``, packs every rung's half and ``gaussian``'s,
 over the same ``_factors``, ``_relay`` and ``_geometric``;
@@ -186,19 +195,17 @@ the pattern 2^R - 1 in each of the h+1 limbs, and C the guard bit 2^R in
 each: ``& P`` cuts to the h+1 limbs and reduces each limb modulo 2^R
 together, so it is both the mask of the geometric sums and the reduction.
 The numerator ((x | C) - ((x << s) & P)) & P works limb-wise: limb j of
-x | C is at least 2^R and the subtracted limb is below 2^R, so no limb
-borrows from the next, and the mask leaves limb j at x_j - x_{j-d}
-modulo 2^R, reduced.  So every factor hands on reduced limbs, and each
-stage starts reduced, ``& P`` after ``_relay``; a stage below whose exact
-limbs take at most W bytes (always the side 2, as B(2, b) <= b < 2^22 in
-an admitted box) is expanded exactly, relayed into residue limbs and
-reduced by that mask.  Within a geometric sum of c shift-and-adds each
-pass adds a term below 2^R to a limb, so no limb reaches (1 + c) 2^R.
-Guard headroom: a box admitted by ``EXPANSION_GUARD`` has h+1 <= 2^22
-limbs, so k <= h < 2^22 in every sum and c <= 2*22 - 2 = 42.  Then 1 + c
-<= 43 < 2^6: six guard bits serve every rung, R = 8W - 6, and no limb
-reaches 2^(8W).  On the largest square and thin boxes the guard admits,
-(322, 322) and (3, 399457) to (20, 14979), c is at most 18.
+x | C is at least 2^R and below 2^(8W), and the subtracted limb is below
+2^R, so no limb borrows from the next, and the mask leaves limb j at
+x_j - x_{j-d} modulo 2^R, reduced.  A shift-and-add (y + ((y << s) & P))
+& P adds two reduced limbs, whose sum is below 2^(R+1) = 2^(8W), so no
+limb carries into the next, and the mask reduces the sum.  So every pass hands
+on reduced limbs, and the one guard bit, R = 8W - 1, serves every sum
+whatever its length.  Each stage starts reduced, ``& P`` after
+``_relay``: a stage below whose exact limbs take at most W bytes is
+expanded exactly, relayed into residue limbs and reduced by that mask.
+The side 2 is built in residues where B(2, b) takes more than W bytes:
+its h+1 ones are reduced, and its series is a geometric sum.
 
 The independent oracle ``gaussian_by_enumeration`` counts box partitions
 one by one and shares no arithmetic with the packed product formula.
@@ -225,10 +232,11 @@ ENUMERATION_GUARD = 64
 EXPANSION_GUARD = 1 << 22
 
 # the residue rungs of rising_stalls, climbed in this order, as (W, R):
-# each holds a box's coefficients modulo 2^R in limbs of W bytes.  The
-# 8W - R = 6 bits above R are guard bits, which take up the carries
-# within a geometric sum (the module docstring bounds them).
-RESIDUE_RUNGS = ((3, 18), (4, 26))
+# each holds a box's coefficients modulo 2^R in limbs of W bytes.  R =
+# 8W - 1: every pass masks what it hands on, so the top bit of each limb,
+# the one guard bit, takes the carry of one add (the module docstring
+# has the argument).
+RESIDUE_RUNGS = ((2, 15), (3, 23))
 
 
 class QPolynomial:
@@ -344,16 +352,19 @@ def _numerator(x: int, shift: int, mask: int, bias: int) -> int:
 def _geometric(x: int, shift: int, k: int, mask: int) -> int:
     """x * (1 + 2^shift + ... + 2^((k-1)*shift)) modulo mask + 1, by
     doubling on the bits of k: S_2j = S_j (1 + 2^(j*shift)) and
-    S_2j+1 = 1 + 2^shift S_2j.  Only the shifted term is masked, so the
-    sum may carry a few bits past the mask until the one mask at the end."""
+    S_2j+1 = 1 + 2^shift S_2j.  Every shift-and-add is masked, so each
+    adds two reduced values and hands on a reduced one.  The shifted term
+    is masked before the add as well, so the add runs over the mask's
+    width, not over the up to twice as wide shifted term: on large
+    expansions the extra mask costs less than the wider add."""
     y, j = x, 1
     for bit in bin(k)[3:]:
-        y += (y << (shift * j)) & mask
+        y = (y + ((y << shift * j) & mask)) & mask
         j *= 2
         if bit == "1":
-            y = x + ((y << shift) & mask)
+            y = (x + ((y << shift) & mask)) & mask
             j += 1
-    return y & mask
+    return y
 
 
 def _factors(a: int, b: int, h: int, grow: int) -> list[tuple[int, int]]:
@@ -414,7 +425,7 @@ def _half(a: int, b: int, nbytes: int, bits: int = 0) -> int:
     """The rising half of binom(a+b, a)_q, 1 <= a <= b, packed in
     floor(ab/2)+1 limbs of ``nbytes`` bytes: the exact coefficients, in limbs
     wide enough for B(a, b), or for ``bits`` > 0 each coefficient modulo
-    2^bits, which needs 8*nbytes - bits >= 6 guard bits.
+    2^bits, which needs 8*nbytes - bits >= 1 guard bit.
 
     The two limb layouts differ only in the mask and the bias of the
     numerator ((x | bias) - ((x << s) & mask)) & mask.  A residue stage builds on
@@ -473,14 +484,14 @@ def _check_size(ell: int, m: int) -> None:
         )
 
 
-def _agreeing(x: int, nbytes: int, bits: int, count: int) -> int:
-    """Bit 2^bits of each limb k >= 2 of the ``count`` limbs of ``nbytes``
-    bytes in ``x`` whose low ``bits`` < 8*nbytes bits equal limb k-1's,
-    shifted past limbs 0 and 1; zero where no neighbours agree."""
-    guard = _spread(1 << bits, nbytes, count)
-    low = guard - (guard >> bits)
+def _agreeing(x: int, nbytes: int, count: int) -> int:
+    """The top bit of each limb k >= 2 of the ``count`` limbs of ``nbytes``
+    bytes in ``x``, each below that bit, that equals limb k-1, shifted past
+    limbs 0 and 1; zero where no neighbours agree."""
     limb = 8 * nbytes
-    return (guard ^ ((((x ^ (x << limb)) & low) + low) & guard)) >> 2 * limb
+    guard = _spread(1 << limb - 1, nbytes, count)
+    low = guard - (guard >> limb - 1)
+    return (guard ^ (((x ^ (x << limb)) + low) & guard)) >> 2 * limb
 
 
 def rising_stalls(ell: int, m: int) -> list[int]:
@@ -488,13 +499,13 @@ def rising_stalls(ell: int, m: int) -> list[int]:
     binom(m+ell, m)_q, for ell, m >= 1; by Sylvester's theorem the rising
     half never falls, so these are exactly its stalls.
 
-    Each rung packs the rising half and marks the neighbours that agree
-    in their low ``bits`` bits.  The residue rungs, modulo 2^R in limbs
-    of W bytes for (W, R) in ``RESIDUE_RUNGS``, run in turn on boxes with
-    sides of 5 or more, while the exact limbs take more than W bytes,
-    and compare only limbs b+1..h; the first that marks none
-    proves the box strict.  The exact rung marks the stalls themselves,
-    which are read back.  No coefficient is unpacked.  A box that
+    Each rung packs the rising half and marks the neighbours that agree.
+    The residue rungs, modulo 2^R in limbs of W bytes for (W, R) in
+    ``RESIDUE_RUNGS``, run in turn on boxes with sides of 5 or more,
+    while the exact limbs take more than W bytes, each skipped where
+    4(h - b) >= 2^R, and compare only limbs b+1..h; the first that marks
+    none proves the box strict.  The exact rung marks the stalls
+    themselves, which are read back.  No coefficient is unpacked.  A box that
     :func:`gaussian` refuses raises the same ``ValueError`` before any
     expansion.
     """
@@ -508,12 +519,16 @@ def rising_stalls(ell: int, m: int) -> list[int]:
         # every box with a side of 3 or 4 stalls: no residue rung clears it
         if a < 5 or exact <= nbytes:
             break
+        # where its h - b compares expect a quarter of a false agreement
+        # or more, a rung pays for the next one too often to save time
+        if 4 * (h - b) >= 1 << bits:
+            continue
         # p_{k-1} < p_k for 2 <= k <= b, so only limbs b+1..h are
         # compared: limbs b-1..h shifted down to limb 0
         x = _half(a, b, nbytes, bits) >> 8 * nbytes * (b - 1)
-        if not _agreeing(x, nbytes, bits, h - b + 2):
+        if not _agreeing(x, nbytes, h - b + 2):
             return []
-    agree = _agreeing(_half(a, b, exact), exact, 8 * exact - 1, h + 1)
+    agree = _agreeing(_half(a, b, exact), exact, h + 1)
     if not agree:
         return []
     # the top byte of each limb 2..h holds its mark

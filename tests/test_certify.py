@@ -359,37 +359,39 @@ BAD_ENTRIES = [
     (_V3 % (8, _BASE + ',{"t":0}'), 1),
     (V2_DOCUMENT.replace('"version":2', '"version":3'), 0),
 ]
-MALFORMED_DOCUMENTS = [text for text, _ in BAD_ENTRIES] + [
+# each malformed document with the path at which parse refuses it
+MALFORMED_DOCUMENTS = [(text, f"$.nodes[{at}]") for text, at in BAD_ENTRIES] + [
     # the version-1 nested form of certify(5, 17), and the version-2 form
     # of certify(8, 24)
-    '{"conclusion":{"ell":5,"m":17},"node":{"base":{"ell":5,"m":17}},"transposed":false}',
-    V2_DOCUMENT,
+    ('{"conclusion":{"ell":5,"m":17},"node":{"base":{"ell":5,"m":17}},"transposed":false}', "$"),
+    (V2_DOCUMENT, "$.version"),
     # wrong version
-    _V3.replace('"version":3', '"version":1') % (8, _BASE),
-    _V3.replace('"version":3', '"version":2') % (8, _BASE),
-    _V3.replace('"version":3', '"version":4') % (8, _BASE),
-    _V3.replace('"version":3', '"version":"3"') % (8, _BASE),
-    _V3.replace('"version":3', '"version":3.0') % (8, _BASE),
-    '{"conclusion":{"ell":8,"m":8},"nodes":[["base",8,8]]}',
+    (_V3.replace('"version":3', '"version":1') % (8, _BASE), "$.version"),
+    (_V3.replace('"version":3', '"version":2') % (8, _BASE), "$.version"),
+    (_V3.replace('"version":3', '"version":4') % (8, _BASE), "$.version"),
+    (_V3.replace('"version":3', '"version":"3"') % (8, _BASE), "$.version"),
+    (_V3.replace('"version":3', '"version":3.0') % (8, _BASE), "$.version"),
+    ('{"conclusion":{"ell":8,"m":8},"nodes":[["base",8,8]]}', "$"),
     # non-list fields, and a claim of true
-    '{"version":3,"conclusion":{"ell":8,"m":8},"nodes":{"0":["base",8,8]}}',
-    _V3 % (8, ""),
-    _V3 % ("true", _BASE),
+    ('{"version":3,"conclusion":{"ell":8,"m":8},"nodes":{"0":["base",8,8]}}', "$.nodes"),
+    (_V3 % (8, ""), "$.nodes"),
+    (_V3 % ("true", _BASE), "$.conclusion"),
     # not the canonical table: a duplicate, an unused entry, a
     # transpose of a transpose, children in the wrong walk order
-    _V3 % (16, _BASE + "," + _BASE + ',["add",8,0,1,"ell","ell"]'),
-    _V3 % (16, _BASE + ',["base",8,9],' + _DOUBLE),
-    _V3 % (8, _BASE + ',["t",0],["t",1]'),
-    '{"version":3,"conclusion":{"ell":8,"m":17},"nodes":[["base",8,9],["base",8,8],'
-    '["add",8,1,0,"ell","m1"]]}',
-    "not json",
-    "[]",
-    '{"conclusion":{"ell":5,"m":25},"transposed":false}',
-    '{"conclusion":{"ell":5},"node":{"base":{"ell":5,"m":5}},"transposed":false}',
-    '{"conclusion":{"ell":5,"m":5},"node":{"base":{"ell":5}},"transposed":false}',
-    '{"conclusion":{"ell":5,"m":5},"node":{"base":{"ell":5,"m":5,"x":1}},"transposed":false}',
-    '{"conclusion":{"ell":5,"m":5},"node":{"base":{"ell":5,"m":5}},"transposed":"no"}',
-    '{"conclusion":{"ell":5,"m":5},"node":{"base":{"ell":5,"m":5.5}},"transposed":false}',
+    (_V3 % (16, _BASE + "," + _BASE + ',["add",8,0,1,"ell","ell"]'), "$.nodes"),
+    (_V3 % (16, _BASE + ',["base",8,9],' + _DOUBLE), "$.nodes"),
+    (_V3 % (8, _BASE + ',["t",0],["t",1]'), "$.nodes"),
+    ('{"version":3,"conclusion":{"ell":8,"m":17},"nodes":[["base",8,9],["base",8,8],'
+     '["add",8,1,0,"ell","m1"]]}', "$.nodes"),
+    ("not json", "$"),
+    ("[]", "$"),
+    ('{"conclusion":{"ell":5,"m":25},"transposed":false}', "$"),
+    ('{"conclusion":{"ell":5},"node":{"base":{"ell":5,"m":5}},"transposed":false}', "$"),
+    ('{"conclusion":{"ell":5,"m":5},"node":{"base":{"ell":5}},"transposed":false}', "$"),
+    ('{"conclusion":{"ell":5,"m":5},"node":{"base":{"ell":5,"m":5,"x":1}},"transposed":false}',
+     "$"),
+    ('{"conclusion":{"ell":5,"m":5},"node":{"base":{"ell":5,"m":5}},"transposed":"no"}', "$"),
+    ('{"conclusion":{"ell":5,"m":5},"node":{"base":{"ell":5,"m":5.5}},"transposed":false}', "$"),
 ]
 
 
@@ -411,9 +413,10 @@ def test_version_2_documents_are_refused_at_the_version():
 
 
 def test_parse_rejects_malformed_documents():
-    for text in MALFORMED_DOCUMENTS:
-        with pytest.raises(CertificateFormatError):
+    for text, path in MALFORMED_DOCUMENTS:
+        with pytest.raises(CertificateFormatError) as err:
             parse_certificate(text)
+        assert err.value.path == path, text
 
 
 def test_parse_error_carries_a_path():

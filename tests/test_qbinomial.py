@@ -267,8 +267,8 @@ def test_geometric_matches_list_reference(d):
             ref = [sum(x[i - j * d] for j in range(k) if 0 <= i - j * d) for i in range(size)]
             y = _geometric(_pack(x), 16 * d, k, mask)
             assert y == _pack(ref) & mask, (d, k, top)
-            # the sum may carry past the width between doubling steps; the
-            # one mask at the end keeps every result below 2^width
+            # every doubling step is masked, so every result is below
+            # 2^width
             assert 0 <= y <= mask, (d, k, top)
         # a series: every term below q^(h+1), as 1/(1 - q^d) truncated, with
         # the count of terms rounded up to a power of two
@@ -296,15 +296,15 @@ def test_numerator_matches_the_masked_reference(width):
             assert y == (x - (x << s)) & mask, (x, s)
     # the residue layout of each rung, in as many W-byte limbs as the width
     # spans: for a shift by d limbs, limb j of the result is x_j - x_{j-d}
-    # modulo 2^R, reduced, where limbs hold unreduced values with or
-    # without the guard bit 2^R; the result reads as the same number of
+    # modulo 2^R, reduced, where limbs hold any value below 2^(8W), with
+    # or without the guard bit 2^R; the result reads as the same number of
     # limbs, so the top one did not borrow either
     for nbytes, bits in qbinomial.RESIDUE_RUNGS:
         count, mod = -(-width // (8 * nbytes)), 1 << bits
         bias = _spread(mod, nbytes, count)
         mask = bias - (bias >> bits)
-        top = (1 << 8 * nbytes) - mod
-        edges = [0, mod - 1, mod, 2 * mod - 1, 2 * mod, top - 1]
+        top = 1 << 8 * nbytes
+        edges = [0, mod - 1, mod, top - 1]
         rows = [[edge] * count for edge in edges]
         rows += [[rng.choice(edges + [rng.randrange(top)]) for _ in range(count)]
                  for _ in range(30)]
@@ -415,9 +415,10 @@ def test_no_doubling_step_shifts_past_the_width(monkeypatch):
 
 def test_stages_start_reduced_and_no_pass_goes_negative(monkeypatch):
     # each stage starts reduced: its first pass takes an x that its mask
-    # leaves unchanged, also in 4-byte residue limbs over a stage expanded
-    # exactly, as the side 7 of (14, 163), whose largest coefficient has 32
-    # bits, and in 3-byte ones over its residues.  And the bias keeps every
+    # leaves unchanged, also in residue limbs over a stage expanded exactly
+    # whose largest coefficient fills them, as the side 4 of (7, 104), 16
+    # bits, in 2-byte limbs and the side 5 of (9, 200), 24 bits, in 3-byte
+    # ones, and in residue limbs over residues.  And the bias keeps every
     # numerator's result positive in both layouts, so no pass masks a
     # negative int, which Python does on a two's complement copy.  Over
     # expansions, and every rung of (9, 632)
@@ -448,8 +449,9 @@ def test_stages_start_reduced_and_no_pass_goes_negative(monkeypatch):
     monkeypatch.setattr(qbinomial, "_geometric", spy_geometric)
     for ell, m in [(63, 64), (5, 247), (12, 1175), (33, 67)]:
         assert qbinomial._product_coeffs(ell, m) == packed_recurrence(ell, m)
-    for nbytes, bits in qbinomial.RESIDUE_RUNGS:
-        qbinomial._half(14, 163, nbytes, bits)
+    for a, b in [(7, 104), (9, 200)]:
+        for nbytes, bits in qbinomial.RESIDUE_RUNGS:
+            qbinomial._half(a, b, nbytes, bits)
     assert check_strict(9, 632).strict
     assert len(firsts) > 20 and all(firsts)
     assert len(seen) > 100 and min(seen) >= 0
@@ -587,39 +589,39 @@ def test_rising_stalls_match_a_scan_of_the_recurrence(monkeypatch, ell, m, extra
 
 
 @pytest.mark.parametrize(
-    "nbytes,bits", [*qbinomial.RESIDUE_RUNGS, (4, 22), (1, 7), (2, 15), (5, 39), (9, 71)]
+    "nbytes,bits", [(3, 18), (4, 26), (4, 22), (1, 7), (2, 15), (5, 39), (9, 71), (3, 23)]
 )
 def test_agreeing_matches_a_list_reference(nbytes, bits):
-    # both rung layouts: W-byte residue limbs compared on their low R bits,
-    # whatever their guard bits hold, and exact limbs compared on all bits
-    # but the spare top one, every value below 2^bits.  The marks are bit
-    # 2^bits of limb k, limbs 0 and 1 shifted out, at each k >= 2 where
-    # limbs k-1 and k agree in their low bits
-    limb, mod = 8 * nbytes, 1 << bits
-    top = 1 << limb if bits < limb - 1 else mod
+    # limbs of W bytes holding values below 2^bits <= 2^(8W-1), as every
+    # rung's do: the residue rungs' (W, 8W - 1), the exact rung's, whose
+    # coefficients may fill every bit but the spare top one, and limbs
+    # whose values leave higher bits clear.  The marks are the top bit of
+    # limb k, limbs 0 and 1 shifted out, at each k >= 2 where limbs k-1 and
+    # k are equal
+    limb, top = 8 * nbytes, 1 << bits
     rng = random.Random(limb)
 
     def reference(values):
-        return sum(1 << (k - 2) * limb + bits for k in range(2, len(values))
-                   if (values[k] - values[k - 1]) % mod == 0)
+        return sum(1 << (k - 1) * limb - 1 for k in range(2, len(values))
+                   if values[k] == values[k - 1])
 
-    vectors = [[mod - 1] * 40, [mod - 1, 0] * 20]
+    vectors = [[top - 1] * 40, [top - 1, 0] * 20]
     for count in (1, 2, 3, 4, 40):
         for _ in range(20):
-            values = [rng.choice([0, mod - 1, top - 1, rng.randrange(top)]) for _ in range(count)]
-            # equal neighbours at limb 2, at the last limb, or anywhere
+            values = [rng.choice([0, top - 1, rng.randrange(top)]) for _ in range(count)]
+            # equal neighbours at limb 2, at the last limb, or anywhere,
+            # and neighbours that differ in their highest value bit alone
             for k in (2, count - 1, rng.randrange(count)):
                 if 1 <= k < count and rng.random() < 0.5:
-                    values[k] = values[k - 1] ^ mod * rng.randrange(top // mod)
+                    values[k] = values[k - 1] ^ rng.choice([0, 0, top >> 1])
             vectors.append(values)
     for values in vectors:
-        got = qbinomial._agreeing(_pack(values, limb), nbytes, bits, len(values))
+        got = qbinomial._agreeing(_pack(values, limb), nbytes, len(values))
         assert got == reference(values), values
-    # strictly rising modulo 2^bits, with anything in the bits above, and
-    # equal limbs 0 and 1, which are never marked
-    no_pair = [k + mod * rng.randrange(top // mod) for k in range(40)]
+    # strictly rising, and equal limbs 0 and 1, which are never marked
+    no_pair = [top - 40 + k for k in range(40)]
     for values in (no_pair, [0, 0] + no_pair[2:]):
-        assert qbinomial._agreeing(_pack(values, limb), nbytes, bits, 40) == 0
+        assert qbinomial._agreeing(_pack(values, limb), nbytes, 40) == 0
 
 
 def _two_compares(ell, m):
@@ -702,16 +704,19 @@ def _spied_passes(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "a,b", [(3, 5), (7, 163), (9, 632), (33, 67), (45, 45), (12, 1175), (89, 90), (14, 163)]
+    "a,b",
+    [(3, 5), (7, 163), (9, 632), (33, 67), (45, 45), (12, 1175), (89, 90), (14, 163),
+     (7, 104), (9, 200)],
 )
 def test_residues_are_the_coefficients_modulo_the_residue_width(a, b):
     # on every rung (W, R) each limb, below 2^(8W) (to_bytes would overflow
     # otherwise), is the coefficient modulo 2^R, with the stages below in
     # residues as on (89, 90) and (12, 1175), or expanded exactly as on
     # the side 3 of (12, 1175); the stage returns its limbs reduced.
-    # (14, 163) builds on the side 7, whose largest coefficient has 32
-    # bits: in 4-byte limbs that stage is exact, and only reducing it
-    # after the relay leaves the guard headroom
+    # (7, 104) builds on the side 4, whose largest coefficient has 16
+    # bits: in 2-byte limbs that stage is exact, and only reducing it
+    # after the relay clears the guard bit, as on the side 5 of (9, 200),
+    # 24 bits, in 3-byte limbs
     h = a * b // 2
     for nbytes, bits in qbinomial.RESIDUE_RUNGS:
         residues = _unpack(qbinomial._half(a, b, nbytes, bits), nbytes, h + 1)
@@ -741,13 +746,17 @@ def test_residue_limbs_hold_the_coefficients_on_random_boxes(box):
         assert list(residues) == [p % (1 << bits) for p in coeffs], (nbytes, bits)
 
 
-@pytest.mark.parametrize("a,b,sides", [(12, 1175, [6, 12]), (89, 90, [12, 23, 45, 89])])
+@pytest.mark.parametrize(
+    "a,b,sides",
+    [(12, 1175, [[3, 6, 12], [6, 12]]), (89, 90, [[6, 12, 23, 45, 89], [12, 23, 45, 89]])],
+)
 def test_both_passes_plan_the_same_stages(monkeypatch, a, b, sides):
     # one stage loop serves every rung: every stage that a residue rung
     # runs in residues is planned on the same (a, b, h, g) as the exact
     # rung's stage of that side, and so is every stage below them, which
-    # both run exactly.  (12, 1175) builds its side 6 in residues on an
-    # exact side 3, in 3-byte limbs as in 4-byte ones
+    # both run exactly.  (12, 1175) builds its side 3 in residues on an
+    # exact side 2 in 2-byte limbs, and its side 6 on an exact side 3 in
+    # 3-byte limbs
     plans, in_residues = [], []
     factors, half = qbinomial._factors, qbinomial._half
 
@@ -764,11 +773,11 @@ def test_both_passes_plan_the_same_stages(monkeypatch, a, b, sides):
     monkeypatch.setattr(qbinomial, "_half", spy_half)
     qbinomial._half(a, b, _limb_bytes(2 * _bound(a, b)))
     exact_plans = plans[:]
-    for nbytes, bits in qbinomial.RESIDUE_RUNGS:
+    for (nbytes, bits), rung_sides in zip(qbinomial.RESIDUE_RUNGS, sides, strict=True):
         plans.clear()
         in_residues.clear()
         qbinomial._half(a, b, nbytes, bits)
-        assert sorted(in_residues) == sides, (nbytes, bits)
+        assert sorted(in_residues) == rung_sides, (nbytes, bits)
         assert plans == exact_plans, (nbytes, bits)
 
 
@@ -788,8 +797,8 @@ def test_the_rise_up_to_the_longer_side_never_stalls(monkeypatch):
     # partitions of k into parts 2..a: at least 1 for k >= 2 and a >= 3,
     # all 2s or a 3 and 2s.  So a residue rung compares only limbs
     # b+1..h.  Those counts depend on (a, k) alone, and the first that
-    # 2^18 divides for a = 6 is at k = 1910: without that window every box
-    # (6, b >= 1910) would agree on the 18-bit rung
+    # 2^15 divides for a = 6 is at k = 950: without that window every box
+    # (6, b >= 950) would agree on the 15-bit rung
     for a in range(3, 13):
         assert min(_parts_from_2(a, 3000)[2:]) >= 1, a
     grid = [(a, b) for a in range(3, 9) for b in range(a, 80)] + [(6, 2000), (9, 632)]
@@ -797,15 +806,15 @@ def test_the_rise_up_to_the_longer_side_never_stalls(monkeypatch):
         p = gaussian(a, b).coeffs
         assert _parts_from_2(a, b) == [1] + [p[k] - p[k - 1] for k in range(1, b + 1)], (a, b)
     counts = _parts_from_2(6, 4000)
-    assert min(k for k in range(2, 4001) if counts[k] % (1 << 18) == 0) == 1910
+    assert min(k for k in range(2, 4001) if counts[k] % (1 << 15) == 0) == 950
     passes = _spied_passes(monkeypatch)
     assert check_strict(6, 4000).strict
-    assert passes == [(6, 4000, 18)]
+    assert passes == [(6, 4000, 15)]
 
 
 def test_a_residue_rung_compares_limbs_b_plus_1_to_h(monkeypatch):
     # residues planted equal at k = b, below the window, are never marked,
-    # and the 18-bit rung proves the box strict; planted equal at k = b+1
+    # and the 15-bit rung proves the box strict; planted equal at k = b+1
     # or at k = h, the window's ends, they send the box up both residue
     # rungs, and the exact rung, with the true half, finds no stall
     a, b = 8, 380
@@ -821,7 +830,7 @@ def test_a_residue_rung_compares_limbs_b_plus_1_to_h(monkeypatch):
         return _pack(values, 8 * nbytes)
 
     monkeypatch.setattr(qbinomial, "_half", planted)
-    for k, climbed in ((b, [18]), (b + 1, [18, 26]), (h, [18, 26])):
+    for k, climbed in ((b, [15]), (b + 1, [15, 23]), (h, [15, 23])):
         rungs.clear()
         assert rising_stalls(a, b) == []
         assert rungs == climbed, k
@@ -832,51 +841,54 @@ def test_a_residue_rung_compares_limbs_b_plus_1_to_h(monkeypatch):
     [(9, 632, 1690), (20, 197, 1171), (27, 214, 676), (7, 460, 1603), (5, 776, 1484)],
 )
 def test_a_false_collision_falls_back_to_the_exact_route(monkeypatch, ell, m, k):
-    # strict boxes whose residues agree modulo 2^18 at one k in b+1..h, and
-    # modulo 2^26 at none: p_{k-1} and p_k differ by a multiple of 2^18
-    # (and of 2^22, but for (7, 460) and (5, 776)).  Each climbs from the
-    # 18-bit rung to the 26-bit one, which proves it strict: (5, 776) too,
-    # whose exact limbs take 5 bytes, one more than the 26-bit rung's.
-    # With the 18-bit rung alone it falls back to the exact route, which
-    # finds no stall
+    # strict boxes whose residues agree modulo 2^15 at one k in b+1..h:
+    # p_{k-1} and p_k differ by a multiple of 2^18 (of 2^21 but for
+    # (7, 460), and of 2^25 for (20, 197)).  Each climbs from the 15-bit
+    # rung to the 23-bit one, which proves it strict: (5, 776) too, whose
+    # exact limbs take 5 bytes.  (20, 197) agrees modulo 2^23 as well, so
+    # it climbs on to the exact rung, which finds no stall.  With the
+    # 15-bit rung alone each falls back to the exact route, which finds no
+    # stall
     p = gaussian(ell, m).coeffs
     window = range(m + 1, ell * m // 2 + 1)
-    assert [j for j in window if (p[j] - p[j - 1]) % (1 << 18) == 0] == [k]
-    assert [j for j in window if (p[j] - p[j - 1]) % (1 << 26) == 0] == []
+    assert [j for j in window if (p[j] - p[j - 1]) % (1 << 15) == 0] == [k]
+    both = [j for j in window if (p[j] - p[j - 1]) % (1 << 23) == 0]
+    assert both == ([k] if (ell, m) == (20, 197) else [])
     assert p[k - 1] < p[k]
     assert _limb_bytes(2 * _bound(ell, m)) >= 5
     passes = _spied_passes(monkeypatch)
     assert check_strict(ell, m).strict
-    assert passes == [(ell, m, 18), (ell, m, 26)]
+    assert passes == [(ell, m, 15), (ell, m, 23)] + [(ell, m, 0)] * len(both)
     passes.clear()
-    monkeypatch.setattr(qbinomial, "RESIDUE_RUNGS", ((3, 18),))
+    monkeypatch.setattr(qbinomial, "RESIDUE_RUNGS", ((2, 15),))
     assert rising_stalls(ell, m) == []
-    assert passes == [(ell, m, 18), (ell, m, 0)]
+    assert passes == [(ell, m, 15), (ell, m, 0)]
 
 
 def test_a_strict_box_with_wide_limbs_is_decided_by_its_residues(monkeypatch):
-    # the 18-bit rung alone, and never the exact rung: (5, 176) and
-    # (5, 400) have 4-byte exact limbs, the narrowest that take it, (6,
-    # 600) and (7, 163) 5-byte ones, the narrowest where the 26-bit rung
-    # could follow, and (8, 380) 6-byte ones
+    # the 15-bit rung alone, and never the exact rung: (5, 42) has 3-byte
+    # exact limbs, the narrowest that take it, (5, 176) and (5, 400)
+    # 4-byte ones, the narrowest where the 23-bit rung could follow, (6,
+    # 600) and (7, 163) 5-byte ones, and (8, 380) 6-byte ones
     passes = _spied_passes(monkeypatch)
-    boxes = [(5, 176), (5, 400), (6, 600), (7, 163), (8, 380), (12, 1175), (89, 90), (109, 110)]
-    assert [_limb_bytes(2 * _bound(a, b)) for a, b in boxes[:5]] == [4, 4, 5, 5, 6]
+    boxes = [(5, 42), (5, 176), (5, 400), (6, 600), (7, 163), (8, 380), (12, 1175), (89, 90),
+             (110, 110)]
+    assert [_limb_bytes(2 * _bound(a, b)) for a, b in boxes[:6]] == [3, 4, 4, 5, 5, 6]
     for ell, m in boxes:
         passes.clear()
         assert check_strict(ell, m).strict
-        assert passes == [(ell, m, 18)]
+        assert passes == [(ell, m, 15)]
 
 
 def test_narrow_limbs_take_the_exact_route_alone(monkeypatch):
-    # the exact rung alone, and never a residue rung: exact limbs of 3
-    # bytes or fewer, no wider than the 18-bit rung's, as (5, 175), the
+    # the exact rung alone, and never a residue rung: exact limbs of 2
+    # bytes or fewer, no wider than the 15-bit rung's, as (5, 41), the
     # last such box with five rows; every box with a side of 3 or 4,
     # whose limbs are wider, since such a box always stalls and no
     # residue rung could clear it; and every exceptional pair
     passes = _spied_passes(monkeypatch)
-    boxes = [(5, 175), (5, 14), (6, 6), (2, 300), (4, 23627), (3, 150000)]
-    assert [_limb_bytes(2 * _bound(a, b)) for a, b in boxes] == [3, 2, 1, 2, 5, 5]
+    boxes = [(5, 41), (5, 14), (6, 6), (2, 300), (4, 23627), (3, 150000)]
+    assert [_limb_bytes(2 * _bound(a, b)) for a, b in boxes] == [2, 2, 1, 2, 5, 5]
     for ell, m in boxes:
         check_strict(ell, m)
     for a, b in sorted(EXCEPTION_PAIRS):
@@ -901,60 +913,81 @@ def test_four_rows_with_wide_limbs_take_the_exact_rung_alone(monkeypatch, m, sta
 
 @pytest.mark.parametrize("bits", [1, 8])
 def test_stalls_do_not_depend_on_the_residue_width(monkeypatch, bits):
-    # modulo 2 or 2^8 the residues of a wide box agree somewhere on both
-    # of two rungs, in 2- and 3-byte limbs, so every box with a side of 5
-    # or more climbs both and the exact rung decides it, with the same
-    # answer
+    # modulo 2 or 2^8 the residues of a wide box would agree somewhere on
+    # both of two rungs, in 2- and 3-byte limbs: every box here has
+    # 4(h - b) >= 2^bits, so each skips both rungs and the exact rung
+    # decides it, with the same answer
     boxes = [(8, 380), (12, 1175), (45, 45), (20, 197), (7, 460), (6, 4000), (4, 23628)]
     expected = [rising_stalls(ell, m) for ell, m in boxes]
+    assert all(4 * (a * b // 2 - b) >= 1 << bits for a, b in boxes)
     monkeypatch.setattr(qbinomial, "RESIDUE_RUNGS", ((2, bits), (3, bits)))
     passes = _spied_passes(monkeypatch)
     assert [rising_stalls(ell, m) for ell, m in boxes] == expected
-    assert [(a, b) for a, b, r in passes if not r] == boxes
-    assert [(a, b) for a, b, r in passes if r] == [box for box in boxes[:-1] for _ in "ab"]
+    assert passes == [(a, b, 0) for a, b in boxes]
 
 
-def _admitted(a, b):
-    try:
-        qbinomial._check_size(a, b)
-    except ValueError:
-        return False
-    return True
-
-
-def _largest_side(a):
-    """The largest b >= a for which EXPANSION_GUARD admits the box (a, b)."""
-    lo, hi = a, 2 * qbinomial.EXPANSION_GUARD
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if _admitted(a, mid) else (lo, mid - 1)
-    return lo
+def test_a_box_with_many_compares_starts_on_the_23_bit_rung(monkeypatch):
+    # a rung of R bits expects about (h - b)/2^R false agreements on a
+    # strict box, so where 4(h - b) >= 2^15 the 15-bit rung is skipped:
+    # (6, 4096) and (5, 5462), with h - b = 8,192 and 8,193, start on the
+    # 23-bit rung, as (20, 1000) does, and (6, 4095) and (5, 5461), with
+    # 8,190 and 8,191, still start on the 15-bit one
+    passes = _spied_passes(monkeypatch)
+    boxes = [(6, 4095, 15), (5, 5461, 15), (6, 4096, 23), (5, 5462, 23), (20, 1000, 23)]
+    assert [a * b // 2 - b for a, b, _ in boxes] == [8190, 8191, 8192, 8193, 9000]
+    for ell, m, bits in boxes:
+        passes.clear()
+        assert check_strict(ell, m).strict
+        assert passes == [(ell, m, bits)]
 
 
 def test_residue_limbs_never_reach_their_top(monkeypatch):
-    # every factor hands on reduced limbs, below 2^R; a geometric sum of c
-    # shift-and-adds adds below 2^R per pass to a limb and reduces when it
-    # returns, so no limb reaches (1 + c) 2^R, which must stay below
-    # 2^(8W) on every rung (W, R).  Walked over the plans of every stage of
-    # the largest square and thin boxes the guard admits, nothing expanded
-    def unreachable(*args):
-        raise AssertionError("expanded a box")
+    # every pass of a residue rung masks what it returns, a shift-and-add
+    # of a geometric sum as well as a numerator: each pass adds or
+    # subtracts two reduced limbs, so no limb reaches 2^(R+1) = 2^(8W),
+    # the guard bit takes the one carry, and every pass hands on limbs
+    # below 2^R.  Spied on every mask of every pass, on both rungs of thin
+    # and square boxes, each of whose residues is its coefficient
+    masked = []
 
-    monkeypatch.setattr(qbinomial, "_half", unreachable)
-    square = 1
-    while _admitted(square + 1, square + 1):
-        square += 1
-    assert square == 322
-    boxes = [(square, square)] + [(a, _largest_side(a)) for a in (3, 4, 5, 8, 20)]
-    assert boxes[1:4] == [(3, 399_457), (4, 233_016), (5, 167_771)]
-    for a, b in boxes:
-        for s in _stages(a, b)[1:]:
-            h, g = s * b // 2, (s + 1) // 2
-            most = max(_passes(k) for _, k in _factors(s, b, h, g) if k)
-            # the module docstring's bound for every admitted box
-            assert most <= 42, (a, b, s)
-            for nbytes, bits in qbinomial.RESIDUE_RUNGS:
-                assert 1 + most < 1 << (8 * nbytes - bits), (a, b, s, nbytes)
+    class Spy(int):
+        def __rand__(self, other):
+            out = int(other) & int(self)
+            masked.append(out)
+            return out
+
+    def residue(mask):
+        # the exact stages below a residue stage mask by 2^K - 1
+        return mask & (mask + 1) != 0
+
+    geometric, numerator = qbinomial._geometric, qbinomial._numerator
+
+    def spy_geometric(x, shift, k, mask):
+        if not residue(mask):
+            return geometric(x, shift, k, mask)
+        before = len(masked)
+        y = geometric(x, shift, k, Spy(mask))
+        # two masks per shift-and-add: the shifted term and the sum
+        assert len(masked) - before == 2 * _passes(k), k
+        return y
+
+    def spy_numerator(x, shift, mask, bias):
+        return numerator(x, shift, Spy(mask) if residue(mask) else mask, bias)
+
+    monkeypatch.setattr(qbinomial, "_geometric", spy_geometric)
+    monkeypatch.setattr(qbinomial, "_numerator", spy_numerator)
+    for a, b in [(5, 400), (6, 4000), (12, 1175), (45, 45), (89, 90)]:
+        h = a * b // 2
+        coeffs = gaussian(a, b).coeffs[: h + 1]
+        for nbytes, bits in qbinomial.RESIDUE_RUNGS:
+            assert bits == 8 * nbytes - 1
+            masked.clear()
+            residues = _unpack(qbinomial._half(a, b, nbytes, bits), nbytes, h + 1)
+            assert list(residues) == [p % (1 << bits) for p in coeffs], (a, b, nbytes)
+            assert len(masked) > 10, (a, b, nbytes)
+            for y in masked:
+                assert y < 1 << 8 * nbytes * (h + 1), (a, b, nbytes)
+                assert max(_unpack(y, nbytes, h + 1)) < 1 << bits, (a, b, nbytes)
 
 
 def test_matches_enumeration_oracle():
