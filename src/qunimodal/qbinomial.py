@@ -156,12 +156,20 @@ answer, since the exact rung decides whatever they leave open:
    2^15 divides them first at k = 950 for a = 6, 4574 for a = 8 and
    5097 for a = 30, so every box (6, b >= 950), (8, b >= 4574) or (30,
    b >= 5097) would agree on the 15-bit rung if it compared them.
-3. A residue rung is skipped where 4(h - b) >= 2^R.  Agreement at R bits
-   has odds of about (h - b)/2^R on a strict box, so there the rung
-   expects a quarter of a false agreement or more, and would pay for
-   itself and the next rung too often.  This skips the 15-bit rung on
-   boxes with h - b >= 8,192, as (6, 4096), (20, 1000) and (30, 5200),
-   and the 23-bit rung only on boxes with h - b >= 2^21.
+3. A residue rung is skipped where 3(h - b) >= 2^R.  Agreement at R
+   bits has odds of about (h - b)/2^R on a strict box, so there the rung
+   expects a third of a false agreement or more.  The cutoff is the
+   15-bit rung's break-even: it costs r = 0.67 to 0.73 of the 23-bit
+   rung (median 0.69 over 18 boxes with h - b from 4,000 to 18,000, best
+   of 3), so starting on it saves time on average while its odds of
+   agreeing, about 1 - exp(-(h - b)/2^15), stay below 1 - r.  That count
+   predicts 586 of the census's 634 climbs below; scaled up by those 8%,
+   the odds reach 1 - r at h - b of about 11,100.  Near the cutoff both
+   starts cost the same on average, so its exact place matters little.
+   This skips the 15-bit rung on boxes with h - b >= 10,923, as (5,
+   7282), (20, 2000) and (30, 5200).  The 23-bit rung would be skipped
+   only where h - b >= 2,796,203, and no box with a side of 5 or more
+   that ``EXPANSION_GUARD`` admits has so many limbs.
 
 A false collision, residues that agree where no stall is, costs the
 next rung and nothing else.  Of the 14,115 boxes with 5 <= a <= b and ab
@@ -176,16 +184,16 @@ on the exact one.
 
 Against the exact rung alone the ladder takes, median per stratum of
 the benchmark's boxes (40 rounds of the seed-11 op list, best of 7
-in-process calls per box, 2-vCPU Intel Xeon VM, Python 3.11.7), 0.75 of
-the time on exact limbs of 4 to 5 bytes, 0.53 to 0.58 on 5 to 6, 0.51 to
-0.53 on 6 to 8, 0.32 to 0.39 on 8 to 11, 0.24 to 0.30 on 11 to 14, 0.22
-on 14 to 16, 0.13 to 0.18 on 17 to 22 and 0.09 on 26 to 27.  On the
+in-process calls per box, 2-vCPU Intel Xeon VM, Python 3.11.7), 0.74 of
+the time on exact limbs of 4 to 5 bytes, 0.55 to 0.59 on 5 to 6, 0.52 to
+0.54 on 6 to 8, 0.32 to 0.40 on 8 to 11, 0.25 to 0.31 on 11 to 14, 0.22
+on 14 to 16, 0.13 to 0.19 on 17 to 22 and 0.08 on 26 to 27.  On the
 boxes of the census above it takes 0.94 of the time on the 317 whose
-exact limbs take 3 bytes (quartiles 0.90 to 0.98, best of 5) and 0.76
-on the 1,022 whose exact limbs take 4 (quartiles 0.74 to 0.80).  A
+exact limbs take 3 bytes (quartiles 0.91 to 0.99, best of 5) and 0.77
+on the 1,022 whose exact limbs take 4 (quartiles 0.75 to 0.81).  A
 strict box whose residues agree modulo 2^15 pays both residue rungs
-before it is cleared: (109, 110) takes 1.68 times as long as on the
-23-bit rung alone, and (20, 197), which climbs all three rungs, 1.66
+before it is cleared: (109, 110) takes 1.74 times as long as on the
+23-bit rung alone, and (20, 197), which climbs all three rungs, 1.72
 times as long as on the exact rung alone (best of 15 batches of 5).
 
 One stage loop, ``_half``, packs every rung's half and ``gaussian``'s,
@@ -197,13 +205,15 @@ together, so it is both the mask of the geometric sums and the reduction.
 The numerator ((x | C) - ((x << s) & P)) & P works limb-wise: limb j of
 x | C is at least 2^R and below 2^(8W), and the subtracted limb is below
 2^R, so no limb borrows from the next, and the mask leaves limb j at
-x_j - x_{j-d} modulo 2^R, reduced.  A shift-and-add (y + ((y << s) & P))
-& P adds two reduced limbs, whose sum is below 2^(R+1) = 2^(8W), so no
-limb carries into the next, and the mask reduces the sum.  So every pass hands
-on reduced limbs, and the one guard bit, R = 8W - 1, serves every sum
-whatever its length.  Each stage starts reduced, ``& P`` after
-``_relay``: a stage below whose exact limbs take at most W bytes is
-expanded exactly, relayed into residue limbs and reduced by that mask.
+x_j - x_{j-d} modulo 2^R, reduced.  A shift-and-add (y + (y << s)) & P
+adds two reduced limbs, whose sum is below 2^(R+1) = 2^(8W), so no limb
+carries into the next; the limbs shifted past limb h are cut by the mask,
+which reduces the sum.  Masking the shifted term first, as wide shifts
+do, changes nothing of this.  So every pass hands on reduced limbs, and
+the one guard bit, R = 8W - 1, serves every sum whatever its length.
+Each stage starts reduced, ``& P`` after ``_relay``: a stage below
+whose exact limbs take at most W bytes is expanded exactly, relayed
+into residue limbs and reduced by that mask.
 The side 2 is built in residues where B(2, b) takes more than W bytes:
 its h+1 ones are reduced, and its series is a geometric sum.
 
@@ -353,16 +363,22 @@ def _geometric(x: int, shift: int, k: int, mask: int) -> int:
     """x * (1 + 2^shift + ... + 2^((k-1)*shift)) modulo mask + 1, by
     doubling on the bits of k: S_2j = S_j (1 + 2^(j*shift)) and
     S_2j+1 = 1 + 2^shift S_2j.  Every shift-and-add is masked, so each
-    adds two reduced values and hands on a reduced one.  The shifted term
-    is masked before the add as well, so the add runs over the mask's
-    width, not over the up to twice as wide shifted term: on large
-    expansions the extra mask costs less than the wider add."""
+    adds two reduced values and hands on a reduced one.  A doubling step
+    that shifts by a quarter of the mask's width or more masks the shifted
+    term before the add as well, so that the add runs over the mask's
+    width, not over the up to twice as wide term; below that the extra
+    mask costs more than the wider add saves."""
+    width = mask.bit_length()
     y, j = x, 1
     for bit in bin(k)[3:]:
-        y = (y + ((y << shift * j) & mask)) & mask
+        s = shift * j
+        if 4 * s < width:
+            y = (y + (y << s)) & mask
+        else:
+            y = (y + ((y << s) & mask)) & mask
         j *= 2
         if bit == "1":
-            y = (x + ((y << shift) & mask)) & mask
+            y = (x + (y << shift)) & mask
             j += 1
     return y
 
@@ -503,7 +519,7 @@ def rising_stalls(ell: int, m: int) -> list[int]:
     The residue rungs, modulo 2^R in limbs of W bytes for (W, R) in
     ``RESIDUE_RUNGS``, run in turn on boxes with sides of 5 or more,
     while the exact limbs take more than W bytes, each skipped where
-    4(h - b) >= 2^R, and compare only limbs b+1..h; the first that marks
+    3(h - b) >= 2^R, and compare only limbs b+1..h; the first that marks
     none proves the box strict.  The exact rung marks the stalls
     themselves, which are read back.  No coefficient is unpacked.  A box that
     :func:`gaussian` refuses raises the same ``ValueError`` before any
@@ -519,9 +535,9 @@ def rising_stalls(ell: int, m: int) -> list[int]:
         # every box with a side of 3 or 4 stalls: no residue rung clears it
         if a < 5 or exact <= nbytes:
             break
-        # where its h - b compares expect a quarter of a false agreement
-        # or more, a rung pays for the next one too often to save time
-        if 4 * (h - b) >= 1 << bits:
+        # where its h - b compares expect a third of a false agreement or
+        # more, a rung pays for the next one too often to save time
+        if 3 * (h - b) >= 1 << bits:
             continue
         # p_{k-1} < p_k for 2 <= k <= b, so only limbs b+1..h are
         # compared: limbs b-1..h shifted down to limb 0

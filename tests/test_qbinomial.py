@@ -913,32 +913,48 @@ def test_four_rows_with_wide_limbs_take_the_exact_rung_alone(monkeypatch, m, sta
 
 @pytest.mark.parametrize("bits", [1, 8])
 def test_stalls_do_not_depend_on_the_residue_width(monkeypatch, bits):
-    # modulo 2 or 2^8 the residues of a wide box would agree somewhere on
-    # both of two rungs, in 2- and 3-byte limbs: every box here has
-    # 4(h - b) >= 2^bits, so each skips both rungs and the exact rung
-    # decides it, with the same answer
+    # each residue rung's true half, with every limb cut to 1 or 8 bits:
+    # modulo 2 or 2^8 the residues of these boxes agree somewhere on both
+    # rungs, so every box with a side of 5 or more climbs both and the
+    # exact rung decides it, with the same answer.  Every box here with a
+    # side of 5 or more has 3(h - b) < 2^15, so it skips no rung
     boxes = [(8, 380), (12, 1175), (45, 45), (20, 197), (7, 460), (6, 4000), (4, 23628)]
     expected = [rising_stalls(ell, m) for ell, m in boxes]
-    assert all(4 * (a * b // 2 - b) >= 1 << bits for a, b in boxes)
-    monkeypatch.setattr(qbinomial, "RESIDUE_RUNGS", ((2, bits), (3, bits)))
+    assert all(3 * (a * b // 2 - b) < 1 << 15 for a, b in boxes[:-1])
+    half, depth = qbinomial._half, [0]
+
+    def cut(a, b, nbytes, residue_bits=0):
+        depth[0] += 1
+        try:
+            x = half(a, b, nbytes, residue_bits)
+        finally:
+            depth[0] -= 1
+        if residue_bits and not depth[0]:
+            x &= _spread((1 << bits) - 1, nbytes, a * b // 2 + 1)
+        return x
+
+    monkeypatch.setattr(qbinomial, "_half", cut)
     passes = _spied_passes(monkeypatch)
     assert [rising_stalls(ell, m) for ell, m in boxes] == expected
-    assert passes == [(a, b, 0) for a, b in boxes]
+    rungs = [bits for _, bits in qbinomial.RESIDUE_RUNGS]
+    assert passes == [(a, b, r) for a, b in boxes[:-1] for r in rungs + [0]] + [(4, 23628, 0)]
 
 
 def test_a_box_with_many_compares_starts_on_the_23_bit_rung(monkeypatch):
     # a rung of R bits expects about (h - b)/2^R false agreements on a
-    # strict box, so where 4(h - b) >= 2^15 the 15-bit rung is skipped:
-    # (6, 4096) and (5, 5462), with h - b = 8,192 and 8,193, start on the
-    # 23-bit rung, as (20, 1000) does, and (6, 4095) and (5, 5461), with
-    # 8,190 and 8,191, still start on the 15-bit one
+    # strict box, so where 3(h - b) >= 2^15 the 15-bit rung is skipped:
+    # (5, 7282) and (6, 5462), with h - b = 10,923 and 10,924, start on
+    # the 23-bit rung, as (20, 2000) does, and (6, 5460) and (5, 7281),
+    # with 10,920 and 10,921, still start on the 15-bit one.  (6, 5461),
+    # with 10,922, agrees modulo 2^15 and climbs to the 23-bit rung
     passes = _spied_passes(monkeypatch)
-    boxes = [(6, 4095, 15), (5, 5461, 15), (6, 4096, 23), (5, 5462, 23), (20, 1000, 23)]
-    assert [a * b // 2 - b for a, b, _ in boxes] == [8190, 8191, 8192, 8193, 9000]
-    for ell, m, bits in boxes:
+    boxes = [(6, 5460, [15]), (5, 7281, [15]), (6, 5461, [15, 23]), (5, 7282, [23]),
+             (6, 5462, [23]), (20, 2000, [23])]
+    assert [a * b // 2 - b for a, b, _ in boxes] == [10920, 10921, 10922, 10923, 10924, 18000]
+    for ell, m, rungs in boxes:
         passes.clear()
         assert check_strict(ell, m).strict
-        assert passes == [(ell, m, bits)]
+        assert passes == [(ell, m, bits) for bits in rungs]
 
 
 def test_residue_limbs_never_reach_their_top(monkeypatch):
@@ -967,8 +983,14 @@ def test_residue_limbs_never_reach_their_top(monkeypatch):
             return geometric(x, shift, k, mask)
         before = len(masked)
         y = geometric(x, shift, k, Spy(mask))
-        # two masks per shift-and-add: the shifted term and the sum
-        assert len(masked) - before == 2 * _passes(k), k
+        # one mask per shift-and-add, on the sum, and one more on the
+        # shifted term of each doubling step that shifts by a quarter of
+        # the width or more
+        j, wide = 1, 0
+        for bit in bin(k)[3:]:
+            wide += 4 * shift * j >= mask.bit_length()
+            j = 2 * j + (bit == "1")
+        assert len(masked) - before == _passes(k) + wide, k
         return y
 
     def spy_numerator(x, shift, mask, bias):
